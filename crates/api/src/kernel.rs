@@ -231,11 +231,13 @@ pub fn drive<F: Future>(fut: F) -> F::Output {
 /// `conc-check` mutant builds (`RUSTFLAGS=--cfg conc_check_mutant`);
 /// selected at run time by the `CONC_CHECK_MUTANT` environment
 /// variable, so one mutant build can rediscover each seeded race in a
-/// separate run. The mutants re-introduce the two races the kernel's
-/// invariants fixed when it was extracted (see `try_switch`); the
-/// model checker in `crates/check` must find both.
+/// separate run. The kernel's own mutants re-introduce the races its
+/// invariants fixed when it was extracted (see `try_switch`);
+/// `crates/check` seeds one more in its slab miniature through this
+/// same switch. The model checker must find them all.
 #[cfg(conc_check_mutant)]
-fn mutant(name: &str) -> bool {
+#[doc(hidden)]
+pub fn mutant(name: &str) -> bool {
     use std::sync::OnceLock;
     static SELECTED: OnceLock<String> = OnceLock::new();
     SELECTED.get_or_init(|| std::env::var("CONC_CHECK_MUTANT").unwrap_or_default()) == name
@@ -344,6 +346,10 @@ struct KernelState<W: KernelWorld> {
 pub struct SwitchKernel<W: KernelWorld> {
     protocols: Vec<ProtocolInfo>,
     exits: Vec<SwitchStyle>,
+    /// The policy's [`Policy::optimal_is_noop`] capability, read once
+    /// at build: when set, [`SwitchKernel::observe`] answers optimal
+    /// observations without touching `state`.
+    optimal_is_noop: bool,
     state: Mutex<KernelState<W>>,
     switches: AtomicU64,
     sink: Option<W::Sink>,
@@ -434,11 +440,13 @@ impl<W: KernelWorld> KernelBuilder<W> {
         );
         let mut valid = vec![false; self.protocols.len()];
         valid[self.initial.index()] = true;
+        let policy = self.policy.unwrap_or_else(W::default_policy);
         SwitchKernel {
             protocols: self.protocols,
             exits: self.exits,
+            optimal_is_noop: policy.optimal_is_noop(),
             state: Mutex::new(KernelState {
-                policy: self.policy.unwrap_or_else(W::default_policy),
+                policy,
                 pending: None,
                 valid,
                 current: self.initial,
@@ -463,7 +471,17 @@ impl<W: KernelWorld> SwitchKernel<W> {
     /// Feed one acquisition's observation to the policy. Returns the
     /// switch target if the policy directed a change (always a
     /// registered, non-current slot), or `None` to stay.
+    #[inline]
     pub fn observe(&self, obs: &Observation) -> Option<ProtocolId> {
+        if self.optimal_is_noop && obs.better.is_none() {
+            // The policy promised `Stay` with no state change, and a
+            // stay leaves `pending` alone: nothing to serialize.
+            return None;
+        }
+        self.consult_policy(obs)
+    }
+
+    fn consult_policy(&self, obs: &Observation) -> Option<ProtocolId> {
         let mut st = self.state();
         match st.policy.decide(obs) {
             Decision::SwitchTo(t) if t != obs.current && t.index() < self.protocols.len() => {

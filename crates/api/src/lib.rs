@@ -210,6 +210,19 @@ pub trait Policy {
     /// committed protocol change; the shipped policies also reset
     /// themselves when `decide` returns a switch.
     fn reset(&mut self) {}
+
+    /// Capability: `true` promises that for every observation with
+    /// `better == None`, [`Policy::decide`] returns [`Decision::Stay`]
+    /// *and* leaves the policy's state untouched (the same future
+    /// decisions on any suffix). [`SwitchKernel`] reads it once at
+    /// build and then answers such observations — every uncontended
+    /// acquisition — without consulting the policy or taking its state
+    /// mutex. The conservative default is `false`; a policy that
+    /// counts or resets anything on an optimal observation (like
+    /// [`Hysteresis`], whose streak breaks) must leave it so.
+    fn optimal_is_noop(&self) -> bool {
+        false
+    }
 }
 
 impl<P: Policy + ?Sized> Policy for Box<P> {
@@ -219,6 +232,10 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 
     fn reset(&mut self) {
         (**self).reset()
+    }
+
+    fn optimal_is_noop(&self) -> bool {
+        (**self).optimal_is_noop()
     }
 }
 
@@ -233,6 +250,10 @@ impl Policy for Always {
             Some(t) if t != obs.current => Decision::SwitchTo(t),
             _ => Decision::Stay,
         }
+    }
+
+    fn optimal_is_noop(&self) -> bool {
+        true // stateless
     }
 }
 
@@ -281,6 +302,10 @@ impl Policy for Competitive3 {
 
     fn reset(&mut self) {
         self.accumulated = 0.0;
+    }
+
+    fn optimal_is_noop(&self) -> bool {
+        true // only sub-optimal observations accumulate
     }
 }
 

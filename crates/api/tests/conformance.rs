@@ -4,6 +4,11 @@
 //! `Rc`/`!Send` regime) and a [`SharedWorld`] kernel (the native
 //! `Arc`/`Send` regime) must produce **bit-identical** decision and
 //! [`SwitchEvent`] sequences for every shipped policy.
+//!
+//! The same harness pins down the kernel's lock-free answer to optimal
+//! observations ([`Policy::optimal_is_noop`]): a kernel whose policy
+//! declares the capability and one whose policy hides it behind a
+//! wrapper must emit identical traces.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -132,4 +137,77 @@ fn competitive3_conforms_across_worlds() {
 fn hysteresis_conforms_across_worlds() {
     conformance_with(&|| Box::new(Hysteresis::new(4, 4)), 2);
     conformance_with(&|| Box::new(Hysteresis::new(2, 5)), 4);
+}
+
+/// Forwards `decide`/`reset` but not the `optimal_is_noop` capability,
+/// so a kernel built on it consults the policy — under its state mutex
+/// — for every observation.
+struct Opaque<P>(P);
+
+impl<P: Policy> Policy for Opaque<P> {
+    fn decide(&mut self, obs: &Observation) -> reactive_api::Decision {
+        self.0.decide(obs)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset()
+    }
+}
+
+/// Trace of a `W` kernel over `make_policy()`, with its switch count.
+fn trace_of<W: KernelWorld>(
+    policy: Box<W::Policy>,
+    sink: W::Sink,
+    events: impl Fn() -> Vec<SwitchEvent>,
+    n: u8,
+) -> (Vec<Option<ProtocolId>>, Vec<SwitchEvent>, u64) {
+    let mut b = SwitchKernel::<W>::builder().policy(policy).sink(sink);
+    for i in 0..n {
+        b = b.register(ProtocolId(i), "p", SwitchStyle::CommitFirst);
+    }
+    let kernel = b.build();
+    let (decisions, events) = run(&kernel, events, n, &trace(n, 600));
+    (decisions, events, kernel.switches())
+}
+
+fn fast_path_is_invisible<P: Policy + Send + Copy + 'static>(policy: P, n: u8) {
+    assert!(
+        policy.optimal_is_noop(),
+        "policy must declare the capability"
+    );
+    assert!(!Opaque(policy).optimal_is_noop(), "wrapper must hide it");
+
+    let (fast_log, slow_log) = (Arc::new(SwitchLog::new()), Arc::new(SwitchLog::new()));
+    let fast = trace_of::<SharedWorld>(Box::new(policy), fast_log.clone(), || fast_log.events(), n);
+    let slow = trace_of::<SharedWorld>(
+        Box::new(Opaque(policy)),
+        slow_log.clone(),
+        || slow_log.events(),
+        n,
+    );
+    assert_eq!(fast, slow, "shared world: fast path changed the trace");
+
+    let (fast_log, slow_log) = (Rc::new(SwitchLog::new()), Rc::new(SwitchLog::new()));
+    let fast_local =
+        trace_of::<LocalWorld>(Box::new(policy), fast_log.clone(), || fast_log.events(), n);
+    let slow_local = trace_of::<LocalWorld>(
+        Box::new(Opaque(policy)),
+        slow_log.clone(),
+        || slow_log.events(),
+        n,
+    );
+    assert_eq!(
+        fast_local, slow_local,
+        "local world: fast path changed the trace"
+    );
+    assert_eq!(fast, fast_local);
+    assert!(fast.2 > 0, "trace must switch to mean anything");
+}
+
+#[test]
+fn optimal_fast_path_leaves_kernel_traces_bit_identical() {
+    fast_path_is_invisible(Always, 2);
+    fast_path_is_invisible(Always, 4);
+    fast_path_is_invisible(Competitive3::new(8_800.0), 2);
+    fast_path_is_invisible(Competitive3::new(8_800.0), 3);
 }

@@ -10,10 +10,14 @@
 //! * [`Hysteresis`] never switches on a broken streak: any stream whose
 //!   consecutive sub-optimal runs are all shorter than `min(x, y)`
 //!   produces zero switch decisions.
+//! * Every shipped policy that declares [`Policy::optimal_is_noop`]
+//!   keeps the promise the switching kernel's lock-free path rests on:
+//!   an optimal observation is answered `Stay` and changes no future
+//!   decision.
 
 use proptest::prelude::*;
 use reactive_api::Competitive3;
-use reactive_api::{Decision, Hysteresis, Observation, Policy, ProtocolId};
+use reactive_api::{Always, Decision, Hysteresis, Observation, Policy, ProtocolId};
 use waiting_theory::task_system::{worst_case_sequence, TaskSystem};
 
 /// Drive `policy` over the request sequence the way a reactive object
@@ -178,6 +182,84 @@ proptest! {
         prop_assert_eq!(switches, 1);
         prop_assert!(cost < stay_cost / 10.0, "hysteresis failed to adapt: {cost}");
     }
+}
+
+/// An observation from its compact proptest encoding: `better == 3`
+/// stands for "optimal".
+fn obs((current, better, residual): (u8, u8, f64)) -> Observation {
+    if better == 3 {
+        Observation::optimal(ProtocolId(current))
+    } else {
+        Observation::suboptimal(ProtocolId(current), ProtocolId(better), residual)
+    }
+}
+
+/// If `policy` declares `optimal_is_noop`: after any `prefix`, an
+/// optimal observation is answered `Stay`, and a copy that never saw it
+/// decides identically on every `suffix`. Returns whether it declared.
+fn optimal_is_noop_holds<P: Policy + Copy>(
+    mut policy: P,
+    prefix: &[(u8, u8, f64)],
+    current: u8,
+    suffix: &[(u8, u8, f64)],
+) -> bool {
+    if !policy.optimal_is_noop() {
+        return false;
+    }
+    for &o in prefix {
+        policy.decide(&obs(o));
+    }
+    let mut skipped = policy;
+    assert_eq!(
+        policy.decide(&Observation::optimal(ProtocolId(current))),
+        Decision::Stay
+    );
+    for &o in suffix {
+        assert_eq!(policy.decide(&obs(o)), skipped.decide(&obs(o)));
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn declared_capability_means_optimal_observations_change_nothing(
+        round_trip in 1.0f64..5_000.0,
+        x in 1u64..6,
+        y in 1u64..6,
+        prefix in proptest::collection::vec((0u8..3, 0u8..4, 0.0f64..2_000.0), 0..40),
+        current in 0u8..3,
+        suffix in proptest::collection::vec((0u8..3, 0u8..4, 0.0f64..2_000.0), 1..40),
+    ) {
+        prop_assert!(optimal_is_noop_holds(Always, &prefix, current, &suffix));
+        prop_assert!(optimal_is_noop_holds(
+            Competitive3::new(round_trip), &prefix, current, &suffix
+        ));
+        // Hysteresis must not declare it: an optimal observation breaks
+        // its streak.
+        prop_assert!(!optimal_is_noop_holds(Hysteresis::new(x, y), &prefix, current, &suffix));
+    }
+}
+
+/// Why [`Hysteresis`] cannot declare the capability: skipping the
+/// optimal observation between two sub-optimal ones lets the streak
+/// survive a break.
+#[test]
+fn hysteresis_state_depends_on_optimal_observations() {
+    let (a, b) = (ProtocolId(0), ProtocolId(1));
+    let mut seen = Hysteresis::new(2, 2);
+    let mut skipped = seen;
+    for p in [&mut seen, &mut skipped] {
+        assert_eq!(
+            p.decide(&Observation::suboptimal(a, b, 1.0)),
+            Decision::Stay
+        );
+    }
+    assert_eq!(seen.decide(&Observation::optimal(a)), Decision::Stay);
+    let next = Observation::suboptimal(a, b, 1.0);
+    assert_eq!(seen.decide(&next), Decision::Stay);
+    assert_eq!(skipped.decide(&next), Decision::SwitchTo(b));
 }
 
 /// A trivial user-style policy used to exercise the harness with a

@@ -15,9 +15,15 @@
 //! cargo bench --bench service_native -- --quick  # scaled-down (CI)
 //! ```
 //!
+//! After the rows comes the single-thread *path cost* table
+//! (`"path_cost"` in the JSON; no claims): acquire + guard drop on the
+//! flat, inflated-TTS and inflated-queue paths, each without and with a
+//! deadline, and the lock-level reactive-vs-TTS overhead.
+//!
 //! Exits nonzero if any claim fails.
 
 use repro_bench::scenario::{by_name, Scale};
+use repro_bench::service_native::path_costs;
 
 /// The native lock-service family, in `EXPERIMENTS.md` table order.
 const ROWS: [&str; 2] = ["service_native_tail", "service_native_deflation"];
@@ -73,7 +79,31 @@ fn main() {
             if i + 1 < ROWS.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+
+    let costs = path_costs(scale);
+    println!("\nsingle-thread path cost, acquire + guard drop (ns):");
+    println!(
+        "  {:16} {:>12} {:>14}",
+        "path", "no deadline", "with deadline"
+    );
+    json.push_str("  \"path_cost\": {\n    \"unit\": \"ns per acquire+release\",\n");
+    for (path, bare, timed) in &costs.rows {
+        println!("  {:16} {bare:>12.1} {timed:>14.1}", path.label());
+        json.push_str(&format!(
+            "    \"{}\": {{\"no_deadline\": {bare:.1}, \"deadline\": {timed:.1}}},\n",
+            path.label()
+        ));
+    }
+    let ratio = costs.reactive_ns / costs.tts_ns;
+    println!(
+        "  uncontended lock: tts {:.1}, reactive {:.1} ({ratio:.2}x)",
+        costs.tts_ns, costs.reactive_ns
+    );
+    json.push_str(&format!(
+        "    \"tts_lock\": {:.1}, \"reactive_lock\": {:.1}, \"reactive_vs_tts\": {ratio:.2}\n  }}\n}}\n",
+        costs.tts_ns, costs.reactive_ns
+    ));
 
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -11,8 +11,10 @@
 //! (adaptive inflation beats a static-TTS pin at the tail; deflation
 //! reclaims the slab) rather than exact numbers.
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lock_service::{
     run_native, ArenaMode, ArrivalCurve, LimiterConfig, Load, NativeReport, NativeRunConfig,
@@ -194,5 +196,127 @@ pub fn run_deflation(scale: Scale) -> DeflationOutcome {
         slab_entries: svc.slab_entries(),
         // order: SeqCst — final read after joins.
         violations: violations.load(Ordering::SeqCst),
+    }
+}
+
+/// Which way through [`NativeService::acquire`] a path-cost arm takes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Path {
+    /// The slot-word CAS; nothing inflates.
+    Flat,
+    /// An inflated lock whose kernel has settled into its TTS protocol.
+    InflatedTts,
+    /// An inflated lock still in the queue protocol it was born in.
+    InflatedQueue,
+}
+
+impl Path {
+    /// Row label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Path::Flat => "flat",
+            Path::InflatedTts => "inflated_tts",
+            Path::InflatedQueue => "inflated_queue",
+        }
+    }
+}
+
+/// Single-thread cost of one uncontended acquire + guard drop per path,
+/// without and with a (never-expiring) deadline, plus the lock-level
+/// reactive-vs-TTS overhead: the per-stage cost table of the native
+/// acquire (ROADMAP 1b).
+#[derive(Debug)]
+pub struct PathCosts {
+    /// `(path, ns without a deadline, ns with one)`.
+    pub rows: Vec<(Path, f64, f64)>,
+    /// Uncontended `TtsLock` lock + unlock, ns.
+    pub tts_ns: f64,
+    /// Uncontended default `ReactiveLock` acquire + release, ns.
+    pub reactive_ns: f64,
+}
+
+/// Objects each path-cost arm cycles through: enough that the slab
+/// table spans several chunks, few enough to stay cache-resident next
+/// to the single-object lock probes.
+const PATH_OBJECTS: u64 = 256;
+/// Solo acquisitions a queue-born inflated lock serves in queue mode
+/// before its empty-queue monitor proposes TTS (`EMPTY_QUEUE_LIMIT`).
+const QUEUE_MODE_GRANTS: u64 = 16;
+
+/// Mean ns of one acquire + release on `path`, over `services` fresh
+/// arenas (a queue-mode lock only stays one for [`QUEUE_MODE_GRANTS`]
+/// solo acquisitions, so the arm is rebuilt rather than run longer).
+fn path_ns(path: Path, deadline: Option<Duration>, services: u32) -> f64 {
+    let mode = match path {
+        Path::Flat => ArenaMode::Adaptive,
+        // Inflates at first release, never deflates.
+        Path::InflatedTts | Path::InflatedQueue => ArenaMode::StaticQueue,
+    };
+    let sweep = |svc: &NativeService, rounds: u64| {
+        for _ in 0..rounds {
+            for object in 0..PATH_OBJECTS {
+                drop(black_box(svc.acquire(object, deadline)));
+            }
+        }
+    };
+    let (mut ns, mut pairs) = (0u128, 0u64);
+    for _ in 0..services {
+        let svc = NativeService::with_mode(PATH_OBJECTS, 4, None, mode);
+        // Untimed: the inflating first release, and for the TTS arm the
+        // solo grants that walk every kernel down to TTS.
+        let warm = match path {
+            Path::Flat | Path::InflatedQueue => 1,
+            Path::InflatedTts => QUEUE_MODE_GRANTS + 4,
+        };
+        let timed = QUEUE_MODE_GRANTS - 2;
+        sweep(&svc, warm);
+        let t0 = Instant::now();
+        sweep(&svc, timed);
+        ns += t0.elapsed().as_nanos();
+        pairs += timed * PATH_OBJECTS;
+        let switched = svc.lock_switches();
+        match path {
+            Path::Flat => assert_eq!(svc.inflations(), 0),
+            Path::InflatedQueue => assert_eq!(switched, 0, "left queue mode while timed"),
+            Path::InflatedTts => assert_eq!(switched, PATH_OBJECTS, "not all in TTS mode"),
+        }
+    }
+    ns as f64 / pairs as f64
+}
+
+/// Measure the path-cost table (about a second at full scale).
+pub fn path_costs(scale: Scale) -> PathCosts {
+    let services = scale.pick(400, 40);
+    let deadline = Some(Duration::from_millis(50));
+    let rows = [Path::Flat, Path::InflatedTts, Path::InflatedQueue]
+        .into_iter()
+        .map(|p| {
+            (
+                p,
+                path_ns(p, None, services),
+                path_ns(p, deadline, services),
+            )
+        })
+        .collect();
+    let ops = scale.pick(2_000_000, 200_000);
+    let per_op = |f: &dyn Fn()| {
+        let t0 = Instant::now();
+        for _ in 0..ops {
+            f();
+        }
+        t0.elapsed().as_nanos() as f64 / ops as f64
+    };
+    let tts = reactive_native::TtsLock::new();
+    let reactive = reactive_native::ReactiveLock::new();
+    PathCosts {
+        rows,
+        tts_ns: per_op(&|| {
+            tts.lock();
+            tts.unlock();
+        }),
+        reactive_ns: per_op(&|| {
+            let held = reactive.acquire();
+            reactive.release(held);
+        }),
     }
 }

@@ -8,10 +8,11 @@
 //! model's own vector-clock race detector via
 //! [`reactive_native::model::RaceCell`].
 //!
-//! Three scenarios exist to rediscover the seeded regression mutants
+//! Four scenarios exist to rediscover the seeded regression mutants
 //! (`kernel_arbitration` for `double_commit`, `kernel_commit_first`
-//! for `stale_mode`, `kernel_recovery` for `drop_recovery_fence`); on
-//! an unmutated build they must pass like the rest.
+//! for `stale_mode`, `kernel_recovery` for `drop_recovery_fence`,
+//! `slab_reclaim` for `lookup_before_register`); on an unmutated build
+//! they must pass like the rest.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -22,7 +23,7 @@ use reactive_api::{
     SwitchStyle, SwitchableObject,
 };
 use reactive_native::mcs::{McsLock, McsNode};
-use reactive_native::model::shim::{AtomicU64, AtomicU8};
+use reactive_native::model::shim::{AtomicU64, AtomicU8, Mutex};
 use reactive_native::model::{explore, thread, Config, RaceCell, Report};
 use reactive_native::reactive::{ReactiveLock, PROTO_QUEUE, PROTO_TTS};
 use reactive_native::{Event, TtsLock, TwoPhaseWait};
@@ -84,6 +85,11 @@ pub fn all() -> Vec<Scenario> {
             name: "arena_inflation",
             about: "slot-word inflate -> deflate -> re-inflate keeps mutual exclusion (2 threads)",
             run: arena_inflation,
+        },
+        Scenario {
+            name: "slab_reclaim",
+            about: "slab entry is read after registration and freed after the deflater's release",
+            run: slab_reclaim,
         },
     ]
 }
@@ -847,16 +853,22 @@ impl MiniArena {
                         }
                         continue;
                     }
-                    // Deregister and release normally.
-                    // order: Release — ends the critical section.
-                    if self
-                        .word
-                        .compare_exchange(w, w - REF_ONE, Ordering::Release, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        self.lock.unlock();
-                        return;
+                    // Release, then deregister (the native order: a
+                    // releaser stays registered until it is done with
+                    // the lock).
+                    self.lock.unlock();
+                    let mut w = w;
+                    // order: Release — the registration's end; nothing
+                    // but the count rides on it here.
+                    while let Err(now) = self.word.compare_exchange(
+                        w,
+                        w - REF_ONE,
+                        Ordering::Release,
+                        Ordering::Relaxed,
+                    ) {
+                        w = now;
                     }
+                    return;
                 }
             }
         }
@@ -900,6 +912,280 @@ fn arena_inflation(cfg: Config) -> Report {
             let hold = arena.acquire();
             assert_eq!(arena.payload.get(), 4, "an increment was lost");
             arena.release(hold);
+        }),
+    )
+}
+
+// ---------------------------------------------------------------------
+// Slab reclamation scenario
+// ---------------------------------------------------------------------
+
+/// One heap allocation of the [`slab_reclaim`] miniature: an inflated
+/// lock plus a liveness cell standing in for its memory. Every use
+/// reads the cell and the free writes it, so a use the protocol has not
+/// ordered before the free is a detected race, and a use ordered after
+/// it trips the assert.
+struct MiniLock {
+    lock: TtsLock,
+    freed: RaceCell<u64>,
+}
+
+impl MiniLock {
+    fn touch(&self) {
+        assert_eq!(self.freed.get(), 0, "inflated lock used after free");
+    }
+
+    fn lock(&self) {
+        self.touch();
+        self.lock.lock();
+    }
+
+    /// A release is not one store: the real lock's protocol-switching
+    /// release lets the next holder in and then keeps writing to the
+    /// lock (it drains the queue it just validated), so this one
+    /// touches the allocation again after handing it over.
+    fn unlock(&self) {
+        self.touch();
+        self.lock.unlock();
+        self.touch();
+    }
+
+    fn free(&self) {
+        self.freed.set(1);
+    }
+}
+
+/// Inflations one [`slab_reclaim`] run can perform: one per flat
+/// release, at most one per lock/unlock pair.
+const MINI_HEAP: usize = 6;
+/// Table entries: one live inflation plus one retire still pending per
+/// worker thread.
+const MINI_TABLE: usize = 3;
+
+/// Shared state of the [`slab_reclaim`] miniature: the
+/// [`arena_inflation`] slot word plus an index field, with the inflated
+/// lock reached through a pointer table and a fresh allocation per
+/// inflation, *freed* at deflation — the reclamation protocol of
+/// `crates/service/src/slab.rs`, writer mutex and free list included.
+struct MiniSlab {
+    word: AtomicU64,
+    /// The pointer table: 0 is null, `p + 1` points at `heap[p]`.
+    table: [AtomicU64; MINI_TABLE],
+    /// Writer side: retired indices awaiting reuse, and indices ever
+    /// issued.
+    writer: Mutex<(Vec<u64>, u64)>,
+    heap: [MiniLock; MINI_HEAP],
+    /// Next unallocated `heap` slot.
+    next: AtomicU64,
+    payload: RaceCell<u64>,
+}
+
+/// How [`MiniSlab::acquire`] won.
+enum SlabHold {
+    Flat,
+    /// Through `heap[.0]`.
+    Inflated(usize),
+}
+
+impl MiniSlab {
+    const HELD: u64 = 1;
+    const INFLATED: u64 = 2;
+    const INDEX_SHIFT: u32 = 2;
+    const INDEX_MASK: u64 = 3 << Self::INDEX_SHIFT;
+    const REF_ONE: u64 = 16;
+    const REF_MASK: u64 = !15;
+
+    fn index(w: u64) -> usize {
+        ((w & Self::INDEX_MASK) >> Self::INDEX_SHIFT) as usize
+    }
+
+    /// The table read: the registered acquirer's wait-free lookup.
+    fn lookup(&self, idx: usize) -> usize {
+        // order: Acquire — pairs with the inflater's Release entry
+        // store, as in `Slab::get`.
+        let p = self.table[idx].load(Ordering::Acquire);
+        assert_ne!(p, 0, "registered slab index was retired");
+        (p - 1) as usize
+    }
+
+    fn acquire(&self) -> SlabHold {
+        loop {
+            // order: Acquire — pairs with the inflation publish and the
+            // releaser's store, as in the native arena.
+            let w = self.word.load(Ordering::Acquire);
+            if w & Self::INFLATED != 0 {
+                // Regression mutant `lookup_before_register`: read the
+                // table *before* the registration CAS. A deflation and
+                // a re-inflation that reuses the index in between leave
+                // the word bit-identical, the stale CAS succeeds, and
+                // the hoisted pointer is the previous era's freed lock.
+                #[cfg(conc_check_mutant)]
+                let hoisted = reactive_api::kernel::mutant("lookup_before_register")
+                    .then(|| self.lookup(Self::index(w)));
+                // order: AcqRel — the registration is the consensus
+                // against the demotion CAS on the same word, and its
+                // Acquire half is what makes the lookup below see the
+                // entry of the era it registered on.
+                if self
+                    .word
+                    .compare_exchange(w, w + Self::REF_ONE, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_err()
+                {
+                    continue;
+                }
+                // Lookup after registration: the count now pins it.
+                #[cfg(not(conc_check_mutant))]
+                let p = self.lookup(Self::index(w));
+                #[cfg(conc_check_mutant)]
+                let p = hoisted.unwrap_or_else(|| self.lookup(Self::index(w)));
+                self.heap[p].lock();
+                return SlabHold::Inflated(p);
+            }
+            if w & Self::HELD == 0 {
+                // order: AcqRel — winning the flat word is the lock
+                // acquisition itself.
+                if self
+                    .word
+                    .compare_exchange(w, w | Self::HELD, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    return SlabHold::Flat;
+                }
+                continue;
+            }
+            thread::yield_now();
+        }
+    }
+
+    fn release(&self, hold: SlabHold) {
+        match hold {
+            SlabHold::Flat => {
+                // Inflation threshold 0: every flat release inflates,
+                // so each deflation is followed by a re-inflation that
+                // reuses a retired index when one is free.
+                // order: Relaxed — a unique slot number is all we need.
+                let p = self.next.fetch_add(1, Ordering::Relaxed);
+                assert!((p as usize) < MINI_HEAP, "miniature heap exhausted");
+                let idx = {
+                    let mut w = self.writer.lock().expect("writer poisoned");
+                    let idx = w.0.pop().unwrap_or_else(|| {
+                        w.1 += 1;
+                        w.1 - 1
+                    });
+                    assert!((idx as usize) < MINI_TABLE, "miniature table exhausted");
+                    // order: Release — publishes the fresh lock to
+                    // lookups.
+                    self.table[idx as usize].store(p + 1, Ordering::Release);
+                    idx
+                };
+                // order: Release — publishes the entry the INFLATED bit
+                // points acquirers at (ref 0), ending our flat hold.
+                self.word.store(
+                    Self::INFLATED | (idx << Self::INDEX_SHIFT),
+                    Ordering::Release,
+                );
+            }
+            SlabHold::Inflated(p) => loop {
+                // order: Relaxed — arbitration is via the CASes.
+                let w = self.word.load(Ordering::Relaxed);
+                if w & Self::REF_MASK == Self::REF_ONE {
+                    // Deflation threshold 1: our registration is the
+                    // only one, demote.
+                    // order: AcqRel — the demotion consensus.
+                    if self
+                        .word
+                        .compare_exchange(w, 0, Ordering::AcqRel, Ordering::Relaxed)
+                        .is_ok()
+                    {
+                        // Retire after the demotion CAS: null the entry
+                        // and only then offer its index for reuse, so
+                        // an inflation racing this window takes another
+                        // index instead of being clobbered.
+                        {
+                            let mut wr = self.writer.lock().expect("writer poisoned");
+                            // order: Relaxed — nobody may read the
+                            // entry until an inflation refills it.
+                            self.table[Self::index(w)].store(0, Ordering::Relaxed);
+                            wr.0.push(Self::index(w) as u64);
+                        }
+                        // ...release the kernel lock ourselves...
+                        self.heap[p].unlock();
+                        // ...and only then free it.
+                        self.heap[p].free();
+                        return;
+                    }
+                    continue;
+                }
+                // Release, then deregister: the unlock keeps touching
+                // the lock after it lets the next holder in, and while
+                // we stay registered that holder reads a count of 2 and
+                // cannot deflate — hence cannot free — it under us.
+                self.heap[p].unlock();
+                let mut w = w;
+                // order: Release — orders our last touch of the lock
+                // before the demotion CAS that may now succeed.
+                while let Err(now) = self.word.compare_exchange(
+                    w,
+                    w - Self::REF_ONE,
+                    Ordering::Release,
+                    Ordering::Relaxed,
+                ) {
+                    w = now;
+                }
+                return;
+            },
+        }
+    }
+
+    fn pass(&self) {
+        let hold = self.acquire();
+        let v = self.payload.get();
+        self.payload.set(v + 1);
+        self.release(hold);
+    }
+}
+
+/// Miniature of the inflated-lock slab's reclamation argument
+/// (`crates/service/src/slab.rs`): lookup after registration, retire
+/// after the demotion CAS, free after the deflater's own release,
+/// deregistration only after a release that keeps touching the lock
+/// past its hand-over, re-inflation reusing the index. The main
+/// thread's first passage inflates; two threads of two passages each
+/// then churn through deflate/re-inflate cycles while a liveness cell
+/// per allocation catches any touch of a freed lock.
+fn slab_reclaim(cfg: Config) -> Report {
+    explore(
+        "slab_reclaim",
+        cfg,
+        Arc::new(|| {
+            let slab = Arc::new(MiniSlab {
+                word: AtomicU64::new(0),
+                table: std::array::from_fn(|_| AtomicU64::new(0)),
+                writer: Mutex::new((Vec::new(), 0)),
+                heap: std::array::from_fn(|_| MiniLock {
+                    lock: TtsLock::new(),
+                    freed: RaceCell::new("inflated lock memory", 0u64),
+                }),
+                next: AtomicU64::new(0),
+                payload: RaceCell::new("slab payload", 0u64),
+            });
+            slab.pass();
+            let hs: Vec<_> = (0..2)
+                .map(|_| {
+                    let s = slab.clone();
+                    thread::spawn(move || {
+                        for _ in 0..2 {
+                            s.pass();
+                        }
+                    })
+                })
+                .collect();
+            for h in hs {
+                h.join().unwrap();
+            }
+            let hold = slab.acquire();
+            assert_eq!(slab.payload.get(), 5, "an increment was lost");
+            slab.release(hold);
         }),
     )
 }

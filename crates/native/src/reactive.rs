@@ -62,6 +62,31 @@ const TTS_RESIDUAL: f64 = 150.0;
 /// Residual estimate (ns) for one empty-queue acquisition.
 const QUEUE_RESIDUAL: f64 = 15.0;
 
+thread_local! {
+    /// One-slot cache of this thread's last released queue node, so a
+    /// queue-mode acquisition normally allocates nothing. A node lives
+    /// in the [`Held`] from acquire to release (it must not move while
+    /// queued) and comes back here afterwards — to whichever thread ran
+    /// the release, if the `Held` travelled.
+    static SPARE_NODE: std::cell::Cell<Option<Box<McsNode>>> = const { std::cell::Cell::new(None) };
+}
+
+/// The calling thread's spare queue node, or a fresh one on a miss (a
+/// nested queue-mode hold, or a thread's first).
+fn take_node() -> Box<McsNode> {
+    SPARE_NODE
+        .try_with(std::cell::Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
+/// Hand a released node back to the calling thread's cache (dropping
+/// it if the slot is taken, or the thread is already tearing down).
+fn put_node(node: Box<McsNode>) {
+    let _ = SPARE_NODE.try_with(|slot| slot.set(Some(node)));
+}
+
 /// What `release` must do (the paper's release-mode token).
 #[derive(Debug)]
 pub struct Held {
@@ -273,23 +298,41 @@ impl ReactiveLock {
     /// while we hold the lock, so the kernel's mutex is uncontended —
     /// and the approving residual is carried inside the kernel to the
     /// commit point at release.
+    #[inline]
     fn consult(&self, obs: &Observation) -> bool {
         self.kernel.observe(obs).is_some()
     }
 
+    /// The optimistic probe: in queue mode the TTS flag is pinned busy,
+    /// so success implies the TTS protocol is current.
+    #[inline(always)] // a few instructions; the hint alone loses to large callers
+    fn try_acquire_tts(&self) -> Option<Held> {
+        if !self.tts.try_lock() {
+            return None;
+        }
+        // order: Relaxed — monitoring heuristic; no data guarded.
+        self.empty_streak.store(0, Ordering::Relaxed);
+        let switch = self.consult(&Observation::optimal(PROTO_TTS));
+        Some(Held {
+            kind: HeldKind::Tts { switch },
+        })
+    }
+
     /// Acquire; keep the returned [`Held`] and pass it to
     /// [`ReactiveLock::release`].
+    #[inline]
     pub fn acquire(&self) -> Held {
+        // Only the uncontended TTS win is inlined into callers.
+        match self.try_acquire_tts() {
+            Some(held) => held,
+            None => self.acquire_contended(),
+        }
+    }
+
+    fn acquire_contended(&self) -> Held {
         loop {
-            // Optimistic fast path: in queue mode the TTS flag is pinned
-            // busy, so success implies the TTS protocol is current.
-            if self.tts.try_lock() {
-                // order: Relaxed — monitoring heuristic; no data guarded.
-                self.empty_streak.store(0, Ordering::Relaxed);
-                let switch = self.consult(&Observation::optimal(PROTO_TTS));
-                return Held {
-                    kind: HeldKind::Tts { switch },
-                };
+            if let Some(held) = self.try_acquire_tts() {
+                return held;
             }
             // order: Acquire pairs with `publish_mode`'s Release, so a
             // dispatcher routed to the queue also sees `queue_valid`.
@@ -315,7 +358,7 @@ impl ReactiveLock {
                 continue; // mode changed under us: re-dispatch
             }
             // Queue mode.
-            let node = Box::new(McsNode::new());
+            let node = take_node();
             let empty = self.queue.lock(&node);
             // order: Acquire — pairs with the invalidating Release
             // store; through the queue grant's release/acquire chain a
@@ -324,6 +367,7 @@ impl ReactiveLock {
                 // We won an *invalid* queue (raced a change back to TTS
                 // mode). Release it and retry via dispatch.
                 self.queue.unlock(&node);
+                put_node(node);
                 continue;
             }
             let obs = if empty {
@@ -388,9 +432,18 @@ impl ReactiveLock {
     }
 
     /// Release, performing any protocol change the acquisition decided.
+    #[inline]
     pub fn release(&self, held: Held) {
-        match held.kind {
-            HeldKind::Tts { switch: false } => self.tts.unlock(),
+        if let HeldKind::Tts { switch: false } = held.kind {
+            return self.tts.unlock();
+        }
+        self.release_slow(held.kind)
+    }
+
+    /// Every release but the plain TTS unlock, out of line.
+    fn release_slow(&self, kind: HeldKind) {
+        match kind {
+            HeldKind::Tts { switch: false } => unreachable!("plain unlock is `release`'s own"),
             HeldKind::Tts { switch: true } => {
                 // TTS -> queue, driven by the kernel's CommitFirst
                 // sequence: commit, then validate the queue and publish
@@ -408,14 +461,18 @@ impl ReactiveLock {
                     PROTO_TTS,
                     PROTO_QUEUE,
                 ));
-                let node = Box::new(McsNode::new());
+                let node = take_node();
                 let _empty = self.queue.lock(&node);
                 self.queue.unlock(&node);
+                put_node(node);
             }
             HeldKind::Queue {
                 node,
                 switch: false,
-            } => self.queue.unlock(&node),
+            } => {
+                self.queue.unlock(&node);
+                put_node(node);
+            }
             HeldKind::Queue { node, switch: true } => {
                 // Queue -> TTS: the kernel commits (we still hold both
                 // consensus objects), flips the hint, and invalidates
@@ -430,6 +487,7 @@ impl ReactiveLock {
                 ));
                 self.queue.unlock(&node);
                 self.tts.unlock();
+                put_node(node);
             }
         }
     }
@@ -557,6 +615,58 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ReactiveMutex<u64>>();
         assert_send_sync::<ReactiveLock>();
+    }
+
+    /// The address of the queue node a `Held` carries.
+    fn node_of(h: &Held) -> usize {
+        match &h.kind {
+            HeldKind::Queue { node, .. } => &**node as *const McsNode as usize,
+            HeldKind::Tts { .. } => panic!("expected a queue-mode hold"),
+        }
+    }
+
+    #[test]
+    fn queue_node_is_reused_through_the_thread_cache() {
+        struct Never;
+        impl Policy for Never {
+            fn decide(&mut self, _obs: &Observation) -> reactive_api::Decision {
+                reactive_api::Decision::Stay
+            }
+        }
+        let queue_lock = || {
+            ReactiveLock::builder()
+                .initial_protocol(PROTO_QUEUE)
+                .policy(Never)
+                .build()
+        };
+        // Own thread: the test harness may reuse this one's cache.
+        std::thread::spawn(move || {
+            let (a, b) = (Arc::new(queue_lock()), queue_lock());
+            let h = a.acquire();
+            let first = node_of(&h);
+            a.release(h);
+            // A release refills the cache; the next acquire drains it.
+            let outer = a.acquire();
+            assert_eq!(node_of(&outer), first, "cached node must be reused");
+            // Nested: the cache is empty, so the inner hold allocates.
+            let inner = b.acquire();
+            assert_ne!(node_of(&inner), first);
+            b.release(inner);
+            // A `Held` released elsewhere lands in *that* thread's
+            // cache and leaves this one's as it was.
+            let a2 = a.clone();
+            std::thread::spawn(move || {
+                a2.release(outer);
+                assert_eq!(&*take_node() as *const McsNode as usize, first);
+            })
+            .join()
+            .unwrap();
+            let h = a.acquire();
+            assert_ne!(node_of(&h), first, "the travelled node is gone");
+            a.release(h);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -13,10 +13,11 @@ fn jitter(bound: u32) -> u32 {
         return 0;
     }
     thread_local! {
-        static S: Cell<u64> = const { Cell::new(0x9E37_79B9_7F4A_7C15) };
+        // Seeded once, at a thread's first backoff step.
+        static S: Cell<u64> = Cell::new(thread_seed());
     }
     S.with(|s| {
-        let mut x = s.get() ^ (std::thread::current().id().as_u64_hack());
+        let mut x = s.get();
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
@@ -29,20 +30,14 @@ fn jitter(bound: u32) -> u32 {
     })
 }
 
-/// Portable stand-in for thread-id entropy (ThreadId has no stable
-/// integer accessor; hashing the Debug form is enough for jitter).
-trait IdHack {
-    fn as_u64_hack(&self) -> u64;
-}
-
-impl IdHack for std::thread::ThreadId {
-    fn as_u64_hack(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
-    }
+/// A nonzero per-thread xorshift seed. `ThreadId` has no stable
+/// integer accessor; hashing it is enough entropy for jitter.
+fn thread_seed() -> u64 {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let mut h = DefaultHasher::new();
+    std::thread::current().id().hash(&mut h);
+    (h.finish() ^ 0x9E37_79B9_7F4A_7C15) | 1
 }
 
 /// Test-and-test-and-set spin lock with randomized exponential backoff.

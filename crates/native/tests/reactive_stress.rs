@@ -4,7 +4,8 @@
 //! (every thread finishes every iteration). The [`SwitchLog`] sink
 //! confirms the flips actually happened and were coherent.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 
 use reactive_native::api::{Decision, Observation, Policy, SwitchLog};
 use reactive_native::reactive::{PROTO_QUEUE, PROTO_TTS};
@@ -133,4 +134,108 @@ fn forced_flips_then_quiescence_leaves_a_usable_lock() {
         log.count() > 0,
         "period-3 forcing must switch at least once"
     );
+}
+
+/// Pins a lock to the protocol it was built in, so every acquisition
+/// below takes the queue path and carries a queue node in its `Held`.
+struct Never;
+
+impl Policy for Never {
+    fn decide(&mut self, _obs: &Observation) -> Decision {
+        Decision::Stay
+    }
+}
+
+fn queue_lock() -> ReactiveLock {
+    ReactiveLock::builder()
+        .initial_protocol(PROTO_QUEUE)
+        .policy(Never)
+        .build()
+}
+
+/// A split read-modify-write: loses an update unless the caller's lock
+/// really excludes.
+fn bump(counter: &AtomicU64) {
+    // order: Relaxed — the lock under test orders the two halves.
+    let v = counter.load(Ordering::Relaxed);
+    std::hint::spin_loop();
+    // order: Relaxed — see above.
+    counter.store(v + 1, Ordering::Relaxed);
+}
+
+/// A `Held` acquired on one thread and released on another: the queue
+/// node travels inside it and lands in the *releasing* thread's cache,
+/// so the acquiring thread misses (and allocates) every time while a
+/// third thread contends through the ordinary path.
+#[test]
+fn held_released_on_another_thread_keeps_the_queue_sound() {
+    const ITERS: u64 = 5_000;
+    let lock = Arc::new(queue_lock());
+    let counter = Arc::new(AtomicU64::new(0));
+    let (tx, rx) = mpsc::channel();
+
+    let releaser = {
+        let lock = lock.clone();
+        std::thread::spawn(move || {
+            for held in rx {
+                lock.release(held);
+            }
+        })
+    };
+    let rival = {
+        let (lock, counter) = (lock.clone(), counter.clone());
+        std::thread::spawn(move || {
+            for _ in 0..ITERS {
+                let held = lock.acquire();
+                bump(&counter);
+                lock.release(held);
+            }
+        })
+    };
+    for _ in 0..ITERS {
+        let held = lock.acquire();
+        bump(&counter);
+        tx.send(held).expect("releaser hung up");
+    }
+    drop(tx);
+    rival.join().unwrap();
+    releaser.join().unwrap();
+    // order: Relaxed — all threads joined.
+    assert_eq!(counter.load(Ordering::Relaxed), 2 * ITERS);
+    assert_eq!(lock.current_protocol(), PROTO_QUEUE);
+    assert_eq!(lock.switches(), 0);
+}
+
+/// Two queue-mode locks held at once: the inner acquisition finds the
+/// one-slot node cache empty (the outer hold has the node) and falls
+/// back to allocating; on the way out one of the two nodes is dropped.
+#[test]
+fn nested_queue_mode_holds_fall_back_to_allocation() {
+    const THREADS: u64 = 4;
+    const ITERS: u64 = 3_000;
+    let locks = Arc::new((queue_lock(), queue_lock()));
+    let counters = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+    let hs: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (locks, counters) = (locks.clone(), counters.clone());
+            std::thread::spawn(move || {
+                for _ in 0..ITERS {
+                    // Same order everywhere, so nesting cannot deadlock.
+                    let outer = locks.0.acquire();
+                    bump(&counters.0);
+                    let inner = locks.1.acquire();
+                    bump(&counters.1);
+                    locks.1.release(inner);
+                    locks.0.release(outer);
+                }
+            })
+        })
+        .collect();
+    for h in hs {
+        h.join().unwrap();
+    }
+    // order: Relaxed — all threads joined.
+    assert_eq!(counters.0.load(Ordering::Relaxed), THREADS * ITERS);
+    // order: Relaxed — all threads joined.
+    assert_eq!(counters.1.load(Ordering::Relaxed), THREADS * ITERS);
 }

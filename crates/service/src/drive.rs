@@ -39,7 +39,7 @@ use crate::arena::Footprint;
 use crate::exec::ArenaMode;
 use crate::limiter::LimiterConfig;
 use crate::native::NativeService;
-use crate::oracle::{self, Stampede, SwitchRecord};
+use crate::oracle::{Stampede, SwitchRecord};
 use crate::rng;
 use crate::workload::{think_time, Arrivals, Load, TenantConfig, Zipf};
 
@@ -138,8 +138,14 @@ pub struct NativeReport {
     pub aborts_by_tenant: Vec<u64>,
     /// Measured memory footprint at run end.
     pub footprint: Footprint,
-    /// Combined inflation/deflation log for the oracle.
+    /// Combined inflation/deflation log for the oracle: each shard's
+    /// most recent records (the service keeps a bounded ring).
     pub switch_log: Vec<SwitchRecord>,
+    /// Older records the rings dropped from [`Self::switch_log`].
+    pub switch_log_dropped: u64,
+    /// No-stampede violations the service caught online, as records
+    /// arrived — unaffected by what the rings dropped since.
+    pub online_stampedes: Vec<Stampede>,
     /// Limiter in force, if any.
     pub limiter: Option<LimiterConfig>,
 }
@@ -194,13 +200,13 @@ impl NativeReport {
         (self.inflations + self.deflations) as f64 * 1e9 / self.elapsed_ns as f64
     }
 
-    /// Run the no-stampede oracle over this run's switch log (empty =
-    /// clean; meaningful only when a limiter was configured).
+    /// The no-stampede verdict for this run (empty = clean; meaningful
+    /// only when a limiter was configured): the violations the shards
+    /// caught online. That check is exact over the whole stream, so
+    /// [`crate::check_no_stampede`] over the retained log can add
+    /// nothing to it.
     pub fn stampedes(&self) -> Vec<Stampede> {
-        match self.limiter {
-            Some(cfg) => oracle::check_no_stampede(&self.switch_log, cfg),
-            None => Vec::new(),
-        }
+        self.online_stampedes.clone()
     }
 }
 
@@ -336,6 +342,8 @@ pub fn run_native(cfg: &NativeRunConfig) -> NativeReport {
         aborts_by_tenant,
         footprint: svc.footprint(),
         switch_log: svc.switch_log(),
+        switch_log_dropped: svc.switch_log_dropped(),
+        online_stampedes: svc.online_stampedes(),
         limiter: cfg.limiter,
     }
 }

@@ -60,6 +60,7 @@ pub mod limiter;
 pub mod native;
 pub mod oracle;
 mod rng;
+mod slab;
 pub mod slot;
 pub mod workload;
 

@@ -54,23 +54,36 @@
 //! same word, so a racing acquirer either registers first (the demotion
 //! CAS fails, the holder releases normally) or loses its registration
 //! CAS (and retries against the now-flat word). On success the holder
-//! releases the kernel lock — provably uncontended: it held the lock,
-//! so every earlier holder finished, and ref == 1 means no registered
-//! acquirer is en route — and retires the slab entry to a free list for
-//! the next inflation to reuse.
+//! retires the slab entry to a free list for the next inflation to
+//! reuse, releases the kernel lock — provably uncontended: it held the
+//! lock, so every earlier holder finished, and ref == 1 means no
+//! registered acquirer is en route — and only then frees it. Every
+//! other release hands the kernel lock over *first* and deregisters
+//! afterwards: a kernel release that switches protocols still writes to
+//! the lock after the store that lets the next holder in, and a
+//! registration that outlives the whole call keeps that holder from
+//! deflating the lock under it. That same registration is all an
+//! acquirer needs to read the slab: the lookup is two loads from a
+//! table whose safety argument lives in `slab.rs`.
 //!
-//! Deadlines are honest but shallow here: a deadline bounds the flat
-//! spin (checked every `DEADLINE_CHECK_SPINS` iterations, so its
-//! precision is a few microseconds, not a few nanoseconds) and is
-//! re-checked at inflated-path *admission*; once a thread registers, it
-//! is committed (the sim's abortable queues model mid-wait abort).
+//! Deadlines are honest but shallow here. The deadline clock starts the
+//! first time a call actually has to *wait* — it loses a CAS or finds
+//! the word held — so a call that wins on its first pass, flat or
+//! inflated, never reads the clock (a zero deadline still refuses
+//! inflated admission outright), and a deadline is measured from that
+//! first lost race rather than from call entry: later by the few
+//! nanoseconds one pass takes. From then on it bounds the flat spin
+//! (checked every `DEADLINE_CHECK_SPINS` iterations, so its precision
+//! is a few microseconds, not a few nanoseconds) and is re-checked at
+//! inflated-path *admission*; once a thread registers, it is committed
+//! (the sim's abortable queues model mid-wait abort).
 //! Inflations and deflations are gated by the same per-shard
 //! [`TokenBucket`] as simulated switches and logged as
 //! [`SwitchRecord`]s, so the no-stampede oracle applies to native runs
 //! too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use reactive_native::reactive::{PROTO_QUEUE, PROTO_TTS};
@@ -79,7 +92,8 @@ use reactive_native::ReactiveLock;
 use crate::arena::{Footprint, ObjectArena};
 use crate::exec::ArenaMode;
 use crate::limiter::{LimiterConfig, TokenBucket};
-use crate::oracle::SwitchRecord;
+use crate::oracle::{Stampede, SwitchRecord, SwitchRing};
+use crate::slab::{Retired, Slab};
 use crate::slot;
 
 /// Contended flat grants (streak) after which the releasing owner
@@ -111,65 +125,49 @@ const BACKOFF_MAX: u32 = 256;
 const LONG_WAIT_SPINS: u32 = 8 * DEADLINE_CHECK_SPINS;
 
 /// Per-shard native state: the switch limiter and the inflation/
-/// deflation log.
+/// deflation log (the most recent records; see [`SwitchRing`]).
 struct ShardNative {
     limiter: Option<TokenBucket>,
-    log: Vec<SwitchRecord>,
+    log: SwitchRing,
 }
 
-/// The inflated-lock slab: a slot word's index field points in here.
-/// Entries are retired (not popped) on deflation so live indices stay
-/// stable, and retired indices are recycled through `free` — which is
-/// what keeps the slab bounded by the *peak concurrent* hot set rather
-/// than the total number of inflations ever.
-struct Slab {
-    entries: Vec<Option<Arc<ReactiveLock>>>,
-    free: Vec<u32>,
-    /// Kernel switch counts of retired locks, folded in at retirement
-    /// so `lock_switches` survives reclamation.
-    retired_switches: u64,
+impl ShardNative {
+    /// Ask the limiter for a switch token at `now` (always granted
+    /// without a limiter).
+    fn try_token(&mut self, now: u64) -> bool {
+        self.limiter.as_mut().is_none_or(|b| b.try_acquire(now))
+    }
 }
 
-impl Slab {
-    fn insert(&mut self, lock: Arc<ReactiveLock>) -> u32 {
-        if let Some(idx) = self.free.pop() {
-            debug_assert!(
-                self.entries[idx as usize].is_none(),
-                "free list pointed at a live slab entry"
-            );
-            self.entries[idx as usize] = Some(lock);
-            idx
-        } else {
-            // The slot word's index field is 32 bits: a slab past 2³²
-            // entries would silently alias an earlier lock. Free-list
-            // reuse makes growth track the peak hot set, so this bound
-            // is unreachable in practice — but assert it at the push.
-            let idx = u32::try_from(self.entries.len())
-                .expect("inflation slab overflow: the slot index field is 32 bits");
-            self.entries.push(Some(lock));
-            idx
+/// One `acquire` call's deadline: a budget whose clock starts at the
+/// call's first lost race (see the module docs).
+struct Deadline {
+    budget: Option<Duration>,
+    limit: Option<Instant>,
+}
+
+impl Deadline {
+    /// Start the clock, if there is a budget and it is not running yet.
+    fn start(&mut self) {
+        if let (Some(d), None) = (self.budget, self.limit) {
+            self.limit = Some(Instant::now() + d);
         }
     }
 
-    fn retire(&mut self, idx: u32) -> Arc<ReactiveLock> {
-        let lock = self.entries[idx as usize]
-            .take()
-            .expect("retiring an already-retired slab entry");
-        self.free.push(idx);
-        lock
-    }
-
-    fn live(&self) -> u64 {
-        self.entries.iter().filter(|e| e.is_some()).count() as u64
+    /// Whether the budget is spent. Before the clock starts only a zero
+    /// budget is.
+    fn expired(&self) -> bool {
+        match self.limit {
+            Some(t) => Instant::now() >= t,
+            None => self.budget.is_some_and(|d| d.is_zero()),
+        }
     }
 }
 
 /// A multi-tenant arena served by real threads.
 pub struct NativeService {
     arena: ObjectArena,
-    /// `RwLock` because reads (every inflated acquire) vastly outnumber
-    /// writes (one per inflation or deflation).
-    slab: RwLock<Slab>,
+    slab: Slab,
     shards: Vec<Mutex<ShardNative>>,
     mode: ArenaMode,
     epoch: Instant,
@@ -180,8 +178,9 @@ pub struct NativeService {
 
 /// Outcome of a demotion attempt (see [`NativeService::try_deflate`]).
 enum Deflate {
-    /// The flat word is published and the slab entry retired.
-    Done,
+    /// The flat word is published and the slab entry retired into the
+    /// carried handle.
+    Done(Retired),
     /// The shard limiter denied the token.
     Denied,
     /// A racing registration changed the word (carried here from the
@@ -194,8 +193,10 @@ pub struct NativeGuard<'a> {
     svc: &'a NativeService,
     object: u64,
     /// `None` while the object was flat; `Some` when the acquisition
-    /// went through an inflated reactive lock.
-    held: Option<(Arc<ReactiveLock>, reactive_native::reactive::Held)>,
+    /// went through an inflated reactive lock. The borrow is pinned by
+    /// this guard's registration on the slot word, not by `'a`; it is
+    /// never used after the release that deregisters.
+    held: Option<(&'a ReactiveLock, reactive_native::reactive::Held)>,
 }
 
 impl NativeService {
@@ -217,16 +218,12 @@ impl NativeService {
     ) -> Self {
         NativeService {
             arena: ObjectArena::new(objects, shards),
-            slab: RwLock::new(Slab {
-                entries: Vec::new(),
-                free: Vec::new(),
-                retired_switches: 0,
-            }),
+            slab: Slab::new(),
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(ShardNative {
                         limiter: limiter.map(TokenBucket::new),
-                        log: Vec::new(),
+                        log: SwitchRing::new(limiter),
                     })
                 })
                 .collect(),
@@ -256,7 +253,10 @@ impl NativeService {
     /// Acquire `object`, optionally bounded by a deadline. `None` means
     /// the deadline expired before the acquisition was admitted.
     pub fn acquire(&self, object: u64, deadline: Option<Duration>) -> Option<NativeGuard<'_>> {
-        let limit = deadline.map(|d| Instant::now() + d);
+        let mut deadline = Deadline {
+            budget: deadline,
+            limit: None,
+        };
         let mut spins: u32 = 0;
         let mut backoff: u32 = BACKOFF_INIT;
         // True once this call has lost a CAS or seen the word held: the
@@ -274,12 +274,10 @@ impl NativeService {
             if word & slot::INFLATED != 0 {
                 // Admission check: registering commits us, so the
                 // deadline is tested before the registration CAS.
-                if let Some(t) = limit {
-                    if Instant::now() >= t {
-                        // order: Relaxed — statistics counter.
-                        self.aborts.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
+                if deadline.expired() {
+                    // order: Relaxed — statistics counter.
+                    self.aborts.fetch_add(1, Ordering::Relaxed);
+                    return None;
                 }
                 debug_assert!(
                     slot::inflight(word) < u32::from(u16::MAX),
@@ -291,16 +289,13 @@ impl NativeService {
                 // failed CAS means the word moved — possibly deflated —
                 // so reload and re-dispatch.
                 if self.arena.cas(object, word, word + slot::REF_ONE).is_err() {
+                    deadline.start();
                     continue;
                 }
-                let lock = {
-                    let slab = self.slab.read().expect("inflation slab poisoned");
-                    Arc::clone(
-                        slab.entries[slot::index(word) as usize]
-                            .as_ref()
-                            .expect("registered slab index was retired"),
-                    )
-                };
+                // SAFETY: the registration CAS above succeeded on a
+                // word carrying `INFLATED | index(word)`, and the guard
+                // returned below stays registered until its release.
+                let lock = unsafe { self.slab.get(slot::index(word)) };
                 let held = lock.acquire();
                 return Some(NativeGuard {
                     svc: self,
@@ -335,9 +330,11 @@ impl NativeService {
                     });
                 }
                 fought = true;
+                deadline.start();
                 continue;
             }
             fought = true;
+            deadline.start();
             // Held by someone else: register this hold's contention
             // evidence once, then spin. The releaser reads WAITERS as
             // "this grant was contended".
@@ -355,12 +352,10 @@ impl NativeService {
                 // Instant::now() on every iteration would dominate the
                 // contended fast path (the satellite bug this fixes),
                 // and the yield keeps progress on oversubscribed hosts.
-                if let Some(t) = limit {
-                    if Instant::now() >= t {
-                        // order: Relaxed — statistics counter.
-                        self.aborts.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
+                if deadline.expired() {
+                    // order: Relaxed — statistics counter.
+                    self.aborts.fetch_add(1, Ordering::Relaxed);
+                    return None;
                 }
                 std::thread::yield_now();
             }
@@ -402,13 +397,11 @@ impl NativeService {
     /// (token denied); either way the flat hold ends.
     fn try_inflate(&self, object: u64, word: u64) {
         let shard = self.arena.shard_of(object);
-        let now = self.now_ns();
         let mut sh = self.shards[shard as usize].lock().expect("shard poisoned");
-        let allowed = match sh.limiter.as_mut() {
-            Some(b) => b.try_acquire(now),
-            None => true,
-        };
-        if !allowed {
+        // Stamped under the shard lock, so a shard's log is in time
+        // order.
+        let now = self.now_ns();
+        if !sh.try_token(now) {
             // Denied: back off by clearing the evidence (and HELD). A
             // blind store may drop a concurrent WAITERS registration,
             // which only costs one hold's worth of already-discarded
@@ -417,17 +410,13 @@ impl NativeService {
                 .store_release(object, slot::clear_streaks(word) & !slot::HELD);
             return;
         }
-        let lock = Arc::new(
+        let index = self.slab.insert(
             ReactiveLock::builder()
                 // Hot from birth: start in the queue protocol; the
                 // kernel will switch back if it calms down.
                 .initial_protocol(PROTO_QUEUE)
                 .build(),
         );
-        let index = {
-            let mut slab = self.slab.write().expect("inflation slab poisoned");
-            slab.insert(lock)
-        };
         sh.log.push(SwitchRecord {
             time_ns: now,
             shard,
@@ -453,86 +442,88 @@ impl NativeService {
         );
     }
 
-    /// Release an inflated hold: sync the word's mode field to the
-    /// kernel, fold in a calm/contended observation, and — when the
-    /// object has proven durably calm — deflate it back to a flat word.
+    /// The word an inflated release leaves behind, registration still
+    /// counted: the mode field synced to the kernel's protocol and the
+    /// grant folded in as calm (ours is the only registration: no other
+    /// acquirer is holding, queued, or en route) or contended.
+    fn observe_inflated(word: u64, lock: &ReactiveLock) -> u64 {
+        debug_assert!(
+            word & slot::INFLATED != 0,
+            "inflated release on a flat word"
+        );
+        debug_assert!(slot::inflight(word) >= 1, "release without a registration");
+        let kmode = if lock.current_protocol() == PROTO_TTS {
+            slot::MODE_TTS
+        } else {
+            slot::MODE_QUEUE
+        };
+        if slot::mode(word) == kmode {
+            slot::observe(word, slot::inflight(word) != 1)
+        } else {
+            // The kernel switched protocols since the last sync: reset
+            // the streaks exactly like the kernel's own post-commit
+            // policy reset.
+            slot::with_mode(word, kmode)
+        }
+    }
+
+    /// Release an inflated hold: first, still holding, deflate the
+    /// object back to a flat word if it has proven durably calm;
+    /// otherwise release the kernel lock and only then deregister, in
+    /// the CAS that also syncs the word's mode field and folds in the
+    /// calm/contended observation. The order matters: a kernel release
+    /// that switches protocols keeps writing to the lock after handing
+    /// it over, and until this thread deregisters the next holder sees
+    /// `inflight >= 2` and cannot deflate — hence cannot free — it.
+    /// A deflating release returns the retired lock, already released,
+    /// for the caller to free once this call's borrow of it has ended.
     fn release_inflated(
         &self,
         object: u64,
-        lock: Arc<ReactiveLock>,
+        lock: &ReactiveLock,
         held: reactive_native::reactive::Held,
-    ) {
+    ) -> Option<Retired> {
         let mut word = self.arena.load(object);
-        loop {
-            debug_assert!(
-                word & slot::INFLATED != 0,
-                "inflated release on a flat word"
-            );
-            debug_assert!(slot::inflight(word) >= 1, "release without a registration");
-            // Calm iff our registration is the only one: no other
-            // acquirer is holding, queued, or en route.
-            let calm = slot::inflight(word) == 1;
-            let kproto = lock.current_protocol();
-            let kmode = if kproto == PROTO_TTS {
-                slot::MODE_TTS
-            } else {
-                slot::MODE_QUEUE
-            };
-            let observed = if slot::mode(word) == kmode {
-                slot::observe(word, !calm)
-            } else {
-                // The kernel switched protocols during this hold: sync
-                // the word's mode field, resetting the streaks exactly
-                // like the kernel's own post-commit policy reset.
-                slot::with_mode(word, kmode)
-            };
-            if self.mode == ArenaMode::Adaptive
-                && calm
-                && kproto == PROTO_TTS
-                && slot::calm_streak(observed) >= DEFLATE_STREAK
-            {
-                match self.try_deflate(object, word, &lock) {
-                    // The flat word is published and the slab entry
-                    // retired; finish by releasing the kernel lock —
-                    // provably uncontended (we held it, and ref == 1
-                    // meant no registered acquirer was en route).
-                    Deflate::Done => {
-                        lock.release(held);
-                        return;
-                    }
-                    // Denied by the limiter: back off by clearing the
-                    // evidence instead of observing, so the object
-                    // re-accumulates calm before asking again.
-                    Deflate::Denied => {
-                        let next = slot::clear_streaks(word) - slot::REF_ONE;
-                        match self.arena.cas(object, word, next) {
-                            Ok(_) => {
-                                lock.release(held);
-                                return;
-                            }
-                            Err(w) => {
-                                word = w;
-                                continue;
-                            }
-                        }
-                    }
-                    // A racing registration changed the word; re-decide
-                    // against it (calm is now false).
-                    Deflate::Raced(w) => {
-                        word = w;
-                        continue;
-                    }
-                }
-            }
-            // Normal release: the deregistration rides the same CAS as
-            // the streak update, so the word changes on every release
-            // and a stale registration CAS can never succeed late.
-            let next = observed - slot::REF_ONE;
-            match self.arena.cas(object, word, next) {
-                Ok(_) => {
+        // Denied by the limiter: back off by clearing the evidence
+        // instead of observing, so the object re-accumulates calm
+        // before asking again.
+        let mut denied = false;
+        while self.mode == ArenaMode::Adaptive
+            && slot::inflight(word) == 1
+            && lock.current_protocol() == PROTO_TTS
+            && slot::calm_streak(Self::observe_inflated(word, lock)) >= DEFLATE_STREAK
+        {
+            match self.try_deflate(object, word, lock) {
+                // The flat word is published and the slab entry
+                // retired; finish by releasing the kernel lock —
+                // provably uncontended (we held it, and ref == 1 meant
+                // no registered acquirer was en route).
+                Deflate::Done(retired) => {
                     lock.release(held);
-                    return;
+                    return Some(retired);
                 }
+                Deflate::Denied => {
+                    denied = true;
+                    break;
+                }
+                // A racing registration changed the word; re-decide
+                // against it (it is no longer calm).
+                Deflate::Raced(w) => word = w,
+            }
+        }
+        lock.release(held);
+        // The deregistration rides the same CAS as the streak update,
+        // so the word changes on every release and a stale registration
+        // CAS can never succeed late. Until it lands the next holder may
+        // already be releasing: both sides retry on the word.
+        loop {
+            let observed = if denied {
+                slot::clear_streaks(word)
+            } else {
+                Self::observe_inflated(word, lock)
+            };
+            match self.arena.cas(object, word, observed - slot::REF_ONE) {
+                Ok(_) => return None,
                 Err(w) => word = w,
             }
         }
@@ -540,18 +531,14 @@ impl NativeService {
 
     /// Attempt the demotion CAS under a shard-limiter token. On
     /// [`Deflate::Done`] the flat word is published and the slab entry
-    /// retired; the caller still holds (and must release) the kernel
-    /// lock. The caller keeps sole responsibility for deregistering on
-    /// the other two outcomes.
-    fn try_deflate(&self, object: u64, word: u64, lock: &Arc<ReactiveLock>) -> Deflate {
+    /// retired; the caller still holds the kernel lock and must
+    /// release it before dropping the handle. The caller keeps sole
+    /// responsibility for deregistering on the other two outcomes.
+    fn try_deflate(&self, object: u64, word: u64, lock: &ReactiveLock) -> Deflate {
         let shard = self.arena.shard_of(object);
-        let now = self.now_ns();
         let mut sh = self.shards[shard as usize].lock().expect("shard poisoned");
-        let allowed = match sh.limiter.as_mut() {
-            Some(b) => b.try_acquire(now),
-            None => true,
-        };
-        if !allowed {
+        let now = self.now_ns();
+        if !sh.try_token(now) {
             return Deflate::Denied;
         }
         // The demotion CAS: the exact word we based the decision on
@@ -574,11 +561,12 @@ impl NativeService {
                 drop(sh);
                 // order: Relaxed — statistics counter.
                 self.deflations.fetch_add(1, Ordering::Relaxed);
-                let mut slab = self.slab.write().expect("inflation slab poisoned");
-                let retired = slab.retire(slot::index(word));
-                debug_assert!(Arc::ptr_eq(&retired, lock));
-                slab.retired_switches += retired.switches();
-                Deflate::Done
+                // SAFETY: the demotion CAS just succeeded against a
+                // word whose only registration was this holder's, and
+                // the caller releases `lock` before dropping the handle.
+                let retired = unsafe { self.slab.retire(slot::index(word)) };
+                debug_assert!(retired.is(lock));
+                Deflate::Done(retired)
             }
             // A registration won the race; the token is burned (the
             // limiter meters attempts, and a lost demotion race is
@@ -609,68 +597,71 @@ impl NativeService {
     /// Currently live inflated locks (inflations minus deflations, as
     /// counted in the slab).
     pub fn live_inflated(&self) -> u64 {
-        self.slab.read().expect("inflation slab poisoned").live()
+        self.slab.live()
     }
 
     /// Physical slab length including retired entries — stays at the
     /// peak live count when the free list recycles, which is how the
     /// reuse claim is tested.
     pub fn slab_entries(&self) -> u64 {
-        self.slab
-            .read()
-            .expect("inflation slab poisoned")
-            .entries
-            .len() as u64
+        self.slab.entries()
     }
 
     /// Kernel-internal protocol switches across all inflated locks,
     /// live and retired.
     pub fn lock_switches(&self) -> u64 {
-        let slab = self.slab.read().expect("inflation slab poisoned");
-        slab.retired_switches
-            + slab
-                .entries
-                .iter()
-                .flatten()
-                .map(|l| l.switches())
-                .sum::<u64>()
+        self.slab.lock_switches()
     }
 
-    /// Drain a copy of the combined per-shard switch (inflation/
-    /// deflation) log.
+    /// A copy of the combined per-shard switch (inflation/deflation)
+    /// log: each shard's most recent records, in time order.
     pub fn switch_log(&self) -> Vec<SwitchRecord> {
         let mut out = Vec::new();
         for sh in &self.shards {
-            out.extend(sh.lock().expect("shard poisoned").log.iter().copied());
+            out.extend(sh.lock().expect("shard poisoned").log.records().copied());
         }
         out.sort_unstable_by_key(|r| (r.time_ns, r.shard, r.object));
         out
     }
 
+    /// Switch records no longer in [`Self::switch_log`] because their
+    /// shard's ring moved past them.
+    pub fn switch_log_dropped(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|sh| sh.lock().expect("shard poisoned").log.dropped())
+            .sum()
+    }
+
+    /// No-stampede violations the shards caught as records arrived —
+    /// the part of the oracle's verdict that survives log truncation.
+    pub fn online_stampedes(&self) -> Vec<Stampede> {
+        let mut out = Vec::new();
+        for sh in &self.shards {
+            out.extend(sh.lock().expect("shard poisoned").log.stampedes());
+        }
+        out
+    }
+
     /// Measured footprint: slots + shard fixed state + live inflated
-    /// locks. Deflation shrinks `hot_bytes`: a retired entry frees its
-    /// lock and leaves only the 8-byte `None` slot awaiting reuse.
+    /// locks, the slab's table and the switch rings. Deflation shrinks
+    /// `hot_bytes`: a retired entry frees its lock and leaves only its
+    /// table cell and a free-list index awaiting reuse.
     pub fn footprint(&self) -> Footprint {
-        let slab = self.slab.read().expect("inflation slab poisoned");
-        let per_lock =
-            (std::mem::size_of::<ReactiveLock>() + std::mem::size_of::<Arc<ReactiveLock>>()) as u64;
-        let live = slab.live();
-        let slab_slots = (slab.entries.len() * std::mem::size_of::<Option<Arc<ReactiveLock>>>()
-            + slab.free.len() * std::mem::size_of::<u32>()) as u64;
+        let live = self.slab.live();
         let log_bytes: u64 = self
             .shards
             .iter()
-            .map(|s| {
-                s.lock().expect("shard poisoned").log.len() as u64
-                    * std::mem::size_of::<SwitchRecord>() as u64
-            })
+            .map(|s| s.lock().expect("shard poisoned").log.heap_bytes())
             .sum();
         Footprint {
             objects: self.arena.objects(),
             slot_bytes: self.arena.resident_bytes(),
             shard_bytes: self.shards.len() as u64
                 * std::mem::size_of::<Mutex<ShardNative>>() as u64,
-            hot_bytes: live * per_lock + slab_slots + log_bytes,
+            hot_bytes: live * std::mem::size_of::<ReactiveLock>() as u64
+                + self.slab.table_bytes()
+                + log_bytes,
             hot_objects: live,
         }
     }
@@ -679,7 +670,9 @@ impl NativeService {
 impl Drop for NativeGuard<'_> {
     fn drop(&mut self) {
         match self.held.take() {
-            Some((lock, held)) => self.svc.release_inflated(self.object, lock, held),
+            // A deflating release hands back the retired lock; it is
+            // freed here, after the call that borrowed it returned.
+            Some((lock, held)) => drop(self.svc.release_inflated(self.object, lock, held)),
             None => self.svc.release_flat(self.object),
         }
     }
@@ -763,9 +756,50 @@ mod tests {
     fn expired_deadline_aborts_without_acquiring() {
         let svc = NativeService::new(1, 1, None);
         let _g = svc.acquire(0, None).unwrap();
-        let r = svc.acquire(0, Some(Duration::from_micros(200)));
+        let budget = Duration::from_micros(200);
+        let t0 = Instant::now();
+        let r = svc.acquire(0, Some(budget));
+        let waited = t0.elapsed();
         assert!(r.is_none());
         assert_eq!(svc.aborts(), 1);
+        // The clock starts at the first lost race, a pass after entry:
+        // the abort comes neither early nor unboundedly late.
+        assert!(waited >= budget, "aborted after only {waited:?}");
+        assert!(waited < Duration::from_millis(500), "took {waited:?}");
+    }
+
+    #[test]
+    fn uncontended_acquires_with_a_deadline_succeed() {
+        let svc = NativeService::new(2, 1, None);
+        // Flat, then inflated: neither first pass has anything to wait
+        // for, whatever the budget.
+        seed_hot(&svc, 1, 0);
+        for object in [0, 1] {
+            for budget in [Duration::from_nanos(1), Duration::from_secs(1)] {
+                let g = svc
+                    .acquire(object, Some(budget))
+                    .expect("nothing to wait for");
+                assert_eq!(g.held.is_some(), object == 1);
+            }
+        }
+        assert_eq!(svc.aborts(), 0);
+    }
+
+    #[test]
+    fn zero_deadline_behaves_as_before_the_lazy_clock() {
+        let svc = NativeService::new(2, 1, None);
+        // A free flat word is won without looking at the budget...
+        let g = svc
+            .acquire(0, Some(Duration::ZERO))
+            .expect("free flat word");
+        // ...a held one aborts at the first cadence check...
+        assert!(svc.acquire(0, Some(Duration::ZERO)).is_none());
+        drop(g);
+        // ...and inflated admission is refused outright, lock free or
+        // not.
+        seed_hot(&svc, 1, 0);
+        assert!(svc.acquire(1, Some(Duration::ZERO)).is_none());
+        assert_eq!(svc.aborts(), 2);
     }
 
     #[test]
@@ -820,6 +854,38 @@ mod tests {
             svc.switch_log().len(),
             3,
             "inflate + deflate + re-inflate are all logged"
+        );
+    }
+
+    #[test]
+    fn switch_log_is_a_bounded_ring() {
+        let svc = NativeService::new(1, 1, None);
+        // Inflate/deflate round trips until the shard's ring has
+        // wrapped.
+        let mut switches = 0;
+        while switches <= 4_200 {
+            seed_hot(&svc, 0, 0);
+            while svc.live_inflated() == 1 {
+                drop(svc.acquire(0, None).unwrap());
+            }
+            switches = svc.inflations() + svc.deflations();
+        }
+        let log = svc.switch_log();
+        assert_eq!(log.len(), 4_096, "ring keeps the most recent records");
+        assert_eq!(svc.switch_log_dropped(), switches - 4_096);
+        assert!(log.windows(2).all(|w| w[0].time_ns <= w[1].time_ns));
+        assert_eq!(
+            (log[4_095].from, log[4_095].to),
+            (PROTO_QUEUE.0, PROTO_TTS.0)
+        );
+        assert_eq!(svc.slab_entries(), 1);
+        // No limiter, no invariant to check online.
+        assert!(svc.online_stampedes().is_empty());
+        let ring_bytes = 4_096 * std::mem::size_of::<SwitchRecord>() as u64;
+        let hot = svc.footprint().hot_bytes;
+        assert!(
+            (ring_bytes..2 * ring_bytes).contains(&hot),
+            "hot side is the full ring plus one table chunk, got {hot}"
         );
     }
 

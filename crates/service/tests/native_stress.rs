@@ -65,6 +65,54 @@ fn mutual_exclusion_survives_inflation() {
     assert_eq!(svc.inflations() - svc.deflations(), svc.live_inflated());
 }
 
+/// More objects inflated at once than the slab table's first chunks
+/// hold: inflations grow the table (32, then 64, then 128 cells) while
+/// other threads are looking up and holding locks in the chunks already
+/// there. `StaticQueue` inflates every object at its first release and
+/// never deflates, so all of them end up live together.
+#[test]
+fn hot_set_wider_than_one_table_chunk_keeps_mutual_exclusion() {
+    const OBJECTS: u64 = 100;
+    const THREADS: usize = 4;
+    const ITERS: usize = 6_000;
+
+    let svc = NativeService::with_mode(OBJECTS, 4, None, lock_service::ArenaMode::StaticQueue);
+    let in_cs: Vec<AtomicU64> = (0..OBJECTS).map(|_| AtomicU64::new(0)).collect();
+    let overlaps = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (svc, in_cs, overlaps) = (&svc, &in_cs, &overlaps);
+            scope.spawn(move || {
+                for i in 0..ITERS {
+                    // Strides coprime to 100 walk every object, each
+                    // thread in its own order, so early indices are in
+                    // use while late ones are still being inflated.
+                    let obj = ((i * [1, 3, 7, 9][t] + t * 25) % OBJECTS as usize) as u64;
+                    let guard = svc.acquire(obj, None).expect("no deadline, must acquire");
+                    // order: SeqCst — cross-thread overlap counter.
+                    if in_cs[obj as usize].fetch_add(1, Ordering::SeqCst) != 0 {
+                        // order: SeqCst — see above.
+                        overlaps.fetch_add(1, Ordering::SeqCst);
+                    }
+                    std::hint::spin_loop();
+                    // order: SeqCst — see above.
+                    in_cs[obj as usize].fetch_sub(1, Ordering::SeqCst);
+                    drop(guard);
+                }
+            });
+        }
+    });
+    // order: SeqCst — final read after the scope joined.
+    assert_eq!(
+        overlaps.load(Ordering::SeqCst),
+        0,
+        "critical sections overlapped"
+    );
+    assert_eq!(svc.inflations(), OBJECTS);
+    assert_eq!(svc.live_inflated(), OBJECTS);
+    assert_eq!(svc.slab_entries(), OBJECTS, "one table index per live lock");
+}
+
 /// The full adaptive round trip under real races: a contention phase
 /// inflates, a calm phase deflates (reclaiming the slab entry), and a
 /// second storm re-inflates *reusing* the retired entry — with a
@@ -139,6 +187,101 @@ fn inflate_deflate_reinflate_roundtrip() {
     );
     assert_eq!(svc.slab_entries(), 1, "free list must recycle the entry");
     assert_eq!(svc.inflations() - svc.deflations(), svc.live_inflated());
+}
+
+/// Kernel protocol switches on an object that also inflates and
+/// deflates. A release that switches TTS → queue lets the next holder
+/// in and then drains the queue it validated, so the releaser is still
+/// writing to the lock while others take it, calm it back to TTS and
+/// deflate it — which must not free the lock under the releaser (it
+/// stays registered until its release has returned). Each round
+/// inflates the object with a yielding storm, calms its kernel down to
+/// TTS with solo passes that stop short of deflation, then lets a herd
+/// of back-to-back passes fight over the TTS flag from behind a held
+/// guard — the failed test&sets that make the kernel switch back to
+/// the queue — and finally cools the object until it deflates.
+#[test]
+fn kernel_switches_on_an_object_that_inflates_and_deflates() {
+    const THREADS: usize = 4;
+    // Whether a round produces the switch is up to the host: a waiter
+    // must see the flag free and lose it nine times in one acquisition,
+    // which takes a second core and a releaser that re-acquires faster
+    // than the waiter reacts. Optimized, about one round in four does
+    // on two cores, so the bound is never met; unoptimized the
+    // re-acquire is too slow, so debug builds churn a few rounds for
+    // the invariants below and do not insist on the switch.
+    const OPTIMIZED: bool = !cfg!(debug_assertions);
+    const ROUNDS: usize = if OPTIMIZED { 200 } else { 10 };
+
+    let svc = NativeService::new(1, 1, None);
+    let in_cs = AtomicU64::new(0);
+    let overlaps = AtomicU64::new(0);
+    let pass = |yield_mid_hold: bool| {
+        let guard = svc.acquire(0, None).expect("no deadline, must acquire");
+        // order: SeqCst — cross-thread overlap counter.
+        if in_cs.fetch_add(1, Ordering::SeqCst) != 0 {
+            // order: SeqCst — see above.
+            overlaps.fetch_add(1, Ordering::SeqCst);
+        }
+        if yield_mid_hold {
+            std::thread::yield_now();
+        } else {
+            // Long enough that waiters are polling at every release
+            // and keep losing the flag to the releaser's re-acquire.
+            for _ in 0..1_000 {
+                std::hint::spin_loop();
+            }
+        }
+        // order: SeqCst — see above.
+        in_cs.fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
+    };
+    let herd = |iters: usize, yield_mid_hold: bool, behind: Option<lock_service::NativeGuard>| {
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| (0..iters).for_each(|_| pass(yield_mid_hold)));
+            }
+            if let Some(guard) = behind {
+                // Let the herd register behind the held lock.
+                std::thread::sleep(Duration::from_millis(1));
+                drop(guard);
+            }
+        });
+    };
+    // A lock is born in queue mode and its switches alternate, so more
+    // kernel switches than inflations means some incarnation went
+    // queue → TTS → queue.
+    let switched_back = || svc.lock_switches() > svc.inflations();
+
+    let mut rounds = 0;
+    while rounds < ROUNDS && !switched_back() {
+        rounds += 1;
+        herd(300, true, None);
+        let before = svc.lock_switches();
+        while svc.live_inflated() == 1 && svc.lock_switches() == before {
+            pass(false);
+        }
+        herd(2_000, false, Some(svc.acquire(0, None).expect("solo")));
+    }
+    assert!(
+        switched_back() || !OPTIMIZED,
+        "no TTS -> queue kernel switch in {ROUNDS} rounds"
+    );
+    for _ in 0..10_000 {
+        if svc.live_inflated() == 0 {
+            break;
+        }
+        pass(false);
+    }
+    assert_eq!(svc.live_inflated(), 0, "calm phase never deflated");
+    // order: SeqCst — final read after every scope joined.
+    assert_eq!(
+        overlaps.load(Ordering::SeqCst),
+        0,
+        "critical sections overlapped"
+    );
+    assert_eq!(svc.inflations(), svc.deflations());
+    assert_eq!(svc.slab_entries(), 1, "free list must recycle the entry");
 }
 
 /// Regression for the per-iteration `Instant::now()` spin bug: setting
