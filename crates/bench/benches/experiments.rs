@@ -1,86 +1,122 @@
-//! All-rows experiment runner: executes every `EXPERIMENTS.md` scenario
-//! in table order, checks its claims, and writes
-//! `BENCH_experiments.json` at the repository root.
-//!
-//! Rows are emitted in `scenario::all()` order — exactly the
-//! `EXPERIMENTS.md` table order — with the scenario name as the stable
-//! row key, so diffs of the JSON across commits line up row-for-row.
+//! The experiment driver, and the only row-running bench target: runs
+//! `EXPERIMENTS.md` scenarios in table order, prints each row's table
+//! and claim verdicts, and exits 1 if any claim fails — a second claim
+//! gate on top of `tests/scenario_claims.rs`.
 //!
 //! ```sh
-//! cargo bench --bench experiments             # full-scale sweeps
-//! cargo bench --bench experiments -- --quick  # scaled-down variants (CI)
+//! cargo bench --bench experiments                      # all rows, full scale
+//! cargo bench --bench experiments -- --quick           # scaled-down variants (CI)
+//! cargo bench --bench experiments -- --only fig_3_15_baseline,rmr_abortable
 //! ```
 //!
-//! Exits nonzero if any claim fails, so a CI run of this target is a
-//! second claim gate on top of `tests/scenario_claims.rs`.
+//! Without `--only` it writes the record at the repository root, all
+//! from the one run: `BENCH_experiments.json` (every row) and the
+//! `scenario::SLICES` family files `BENCH_rmr.json`,
+//! `BENCH_service.json` and `BENCH_service_native.json`, the last with
+//! its single-thread `"path_cost"` table. With `--only` it runs just
+//! the named rows and writes no file; an unknown row name exits 2 with
+//! the list of valid keys before anything runs.
 
+use repro_bench::record::{rows_json, Row};
 use repro_bench::scenario::{self, Scale};
+use repro_bench::service_native::path_costs;
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+fn usage(problem: &str) -> ! {
+    eprintln!("experiments: {problem}");
+    eprintln!("usage: cargo bench --bench experiments [-- [--quick] [--only <row>[,<row>...]]]");
+    std::process::exit(2);
+}
+
+/// Measure and print the native path-cost table; returns it as the
+/// `"path_cost"` member of `BENCH_service_native.json`.
+fn path_cost_member(scale: Scale) -> String {
+    let costs = path_costs(scale);
+    println!("\nsingle-thread path cost, acquire + guard drop (ns):");
+    println!(
+        "  {:16} {:>12} {:>14}",
+        "path", "no deadline", "with deadline"
+    );
+    let mut json = String::from("  \"path_cost\": {\n    \"unit\": \"ns per acquire+release\",\n");
+    for (path, bare, timed) in &costs.rows {
+        println!("  {:16} {bare:>12.1} {timed:>14.1}", path.label());
+        json.push_str(&format!(
+            "    \"{}\": {{\"no_deadline\": {bare:.1}, \"deadline\": {timed:.1}}},\n",
+            path.label()
+        ));
     }
-    out
+    let ratio = costs.reactive_ns / costs.tts_ns;
+    println!(
+        "  uncontended lock: tts {:.1}, reactive {:.1} ({ratio:.2}x)",
+        costs.tts_ns, costs.reactive_ns
+    );
+    json.push_str(&format!(
+        "    \"tts_lock\": {:.1}, \"reactive_lock\": {:.1}, \"reactive_vs_tts\": {ratio:.2}\n  }}\n",
+        costs.tts_ns, costs.reactive_ns
+    ));
+    json
+}
+
+/// Write `BENCH_<bench>.json` at the repository root.
+fn write_record(bench: &str, quick: bool, rows: &[&Row], extra: Option<&str>) {
+    let path = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, rows_json(bench, quick, rows, extra))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-
-    let mut json = String::from("{\n  \"bench\": \"experiments\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n  \"rows\": [\n"));
-    let scenarios = scenario::all();
-    let total = scenarios.len();
-    let mut failed_rows = 0usize;
-    for (i, sc) in scenarios.iter().enumerate() {
-        let (outcome, results) = sc.report(scale);
-        let pass = results.iter().all(|r| r.pass);
-        if !pass {
-            failed_rows += 1;
+    let mut quick = false;
+    let mut only = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--only" => only = Some(args.next().unwrap_or_default()),
+            // `cargo bench` appends this to every bench binary's arguments.
+            "--bench" => {}
+            other => usage(&format!("unknown argument `{other}`")),
         }
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"figure\": \"{}\", \"status\": \"{}\", \
-             \"headline\": \"{}\",\n     \"claims\": [\n",
-            esc(sc.name),
-            esc(sc.figure),
-            if pass { "pass" } else { "FAIL" },
-            esc(&outcome.headline),
-        ));
-        for (j, r) in results.iter().enumerate() {
-            json.push_str(&format!(
-                "       {{\"claim\": \"{}\", \"pass\": {}, \"detail\": \"{}\"}}{}\n",
-                esc(&r.claim),
-                r.pass,
-                esc(&r.detail),
-                if j + 1 < results.len() { "," } else { "" },
-            ));
-        }
-        json.push_str(&format!(
-            "     ]}}{}\n",
-            if i + 1 < total { "," } else { "" }
-        ));
     }
-    json.push_str("  ]\n}\n");
+    let scale = if quick { Scale::Quick } else { Scale::Full };
+    let scenarios = match &only {
+        Some(spec) => scenario::select(spec).unwrap_or_else(|e| usage(&e)),
+        None => scenario::all(),
+    };
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_experiments.json");
-    std::fs::write(path, json).expect("write BENCH_experiments.json");
+    let rows: Vec<Row> = scenarios
+        .iter()
+        .map(|sc| {
+            let (outcome, results) = sc.report(scale);
+            Row {
+                name: sc.name,
+                figure: sc.figure,
+                headline: outcome.headline,
+                results,
+            }
+        })
+        .collect();
 
+    let wrote = if only.is_none() {
+        let every: Vec<&Row> = rows.iter().collect();
+        write_record("experiments", quick, &every, None);
+        for (bench, keys) in scenario::SLICES {
+            let slice: Vec<&Row> = rows.iter().filter(|r| keys.contains(&r.name)).collect();
+            let extra = (bench == "service_native").then(|| path_cost_member(scale));
+            write_record(bench, quick, &slice, extra.as_deref());
+        }
+        "wrote BENCH_{experiments,rmr,service,service_native}.json"
+    } else {
+        "--only run, no file written"
+    };
+
+    let failed = rows.iter().filter(|r| !r.pass()).count();
     println!("\n{}", "=".repeat(72));
     println!(
-        "{}/{} rows pass all claims ({} scale); wrote BENCH_experiments.json",
-        total - failed_rows,
-        total,
+        "{}/{} rows pass all claims ({} scale); {wrote}",
+        rows.len() - failed,
+        rows.len(),
         if quick { "quick" } else { "full" },
     );
-    if failed_rows > 0 {
+    if failed > 0 {
         std::process::exit(1);
     }
 }

@@ -22,13 +22,9 @@ const CS: u64 = 100;
 const THINK_BOUND: u64 = 500;
 
 /// Average overhead (cycles) added per critical section by `alg` with
-/// `procs` contenders — the baseline test of §3.5.1 / Figure 3.15 left.
-pub fn lock_overhead(alg: LockAlg, procs: usize, cost: CostModel, full_map: bool) -> f64 {
-    lock_overhead_n(alg, procs, cost, full_map, BASELINE_OPS)
-}
-
-/// [`lock_overhead`] with an explicit total-acquisition budget, so the
-/// scenario layer can run scaled-down deterministic variants.
+/// `procs` contenders — the baseline test of §3.5.1 / Figure 3.15 left
+/// — over `total_ops` acquisitions, so the scenario layer can run
+/// scaled-down deterministic variants.
 pub fn lock_overhead_n(
     alg: LockAlg,
     procs: usize,
@@ -66,12 +62,8 @@ pub fn lock_overhead_n(
     (per_cs - ideal).max(0.0)
 }
 
-/// Average overhead per fetch-and-increment (Figure 3.15 right).
-pub fn fetchop_overhead(alg: FetchOpAlg, procs: usize, cost: CostModel) -> f64 {
-    fetchop_overhead_n(alg, procs, cost, BASELINE_OPS)
-}
-
-/// [`fetchop_overhead`] with an explicit total-operation budget.
+/// Average overhead per fetch-and-increment (Figure 3.15 right) over
+/// `total_ops` operations.
 pub fn fetchop_overhead_n(alg: FetchOpAlg, procs: usize, cost: CostModel, total_ops: u64) -> f64 {
     let m = Machine::new(Config::default().nodes(procs.max(2)).cost(cost));
     let f = AnyFetchOp::make(&m, 0, alg, procs);
@@ -94,12 +86,8 @@ pub fn fetchop_overhead_n(alg: FetchOpAlg, procs: usize, cost: CostModel, total_
     (per_op - ideal).max(0.0)
 }
 
-/// Reactive shared-memory-vs-message-passing lock baseline (Fig 3.26).
-pub fn mp_reactive_lock_overhead(procs: usize) -> f64 {
-    mp_reactive_lock_overhead_n(procs, BASELINE_OPS)
-}
-
-/// [`mp_reactive_lock_overhead`] with an explicit acquisition budget.
+/// Reactive shared-memory-vs-message-passing lock baseline (Fig 3.26)
+/// over `total_ops` acquisitions.
 pub fn mp_reactive_lock_overhead_n(procs: usize, total_ops: u64) -> f64 {
     let m = Machine::new(Config::default().nodes(procs.max(2)));
     let lock = ReactiveMpLock::new(&m, 0, 0, procs);
@@ -123,12 +111,8 @@ pub fn mp_reactive_lock_overhead_n(procs: usize, total_ops: u64) -> f64 {
     (elapsed as f64 / total_cs as f64 - ideal).max(0.0)
 }
 
-/// Reactive shared-memory-vs-message-passing fetch-op baseline.
-pub fn mp_reactive_fetchop_overhead(procs: usize) -> f64 {
-    mp_reactive_fetchop_overhead_n(procs, BASELINE_OPS)
-}
-
-/// [`mp_reactive_fetchop_overhead`] with an explicit operation budget.
+/// Reactive shared-memory-vs-message-passing fetch-op baseline over
+/// `total_ops` operations.
 pub fn mp_reactive_fetchop_overhead_n(procs: usize, total_ops: u64) -> f64 {
     let m = Machine::new(Config::default().nodes(procs.max(2)));
     let f = ReactiveMpFetchOp::new(&m, 0, 0, procs);
@@ -245,14 +229,10 @@ pub fn multi_object(pattern: &Pattern, alg: Option<LockAlg>, acq_per_proc: u64) 
 /// high-contention (16 procs, 100-cycle CS, 250-cycle think) phases.
 /// `period_len` = locks acquired per period, `contention_pct` = fraction
 /// acquired in the high phase, `periods` repetitions. Runs on the
-/// 16-node prototype cost model. Returns elapsed cycles.
-pub fn time_varying(alg: LockAlg, period_len: u64, contention_pct: u64, periods: u64) -> u64 {
-    time_varying_with(alg, period_len, contention_pct, periods, None)
-}
-
-/// [`time_varying`] with a switch-event sink attached to the lock, so
-/// figure reproductions read protocol-change counts from the reactive
-/// API instead of poking object internals.
+/// 16-node prototype cost model. Returns elapsed cycles. `sink`, when
+/// given, is attached to the lock as its switch-event sink, so figure
+/// reproductions read protocol-change counts from the reactive API
+/// instead of poking object internals.
 pub fn time_varying_with(
     alg: LockAlg,
     period_len: u64,
@@ -392,26 +372,28 @@ mod tests {
         // beats test&set at 16 procs, and the reactive lock is near the
         // better protocol at both ends.
         let nwo = CostModel::nwo;
-        let tts1 = lock_overhead(LockAlg::Tts, 1, nwo(), false);
-        let mcs1 = lock_overhead(LockAlg::Mcs, 1, nwo(), false);
-        let re1 = lock_overhead(LockAlg::Reactive, 1, nwo(), false);
+        let overhead = |alg, procs| lock_overhead_n(alg, procs, nwo(), false, BASELINE_OPS);
+        let tts1 = overhead(LockAlg::Tts, 1);
+        let mcs1 = overhead(LockAlg::Mcs, 1);
+        let re1 = overhead(LockAlg::Reactive, 1);
         assert!(tts1 < mcs1, "uncontended: TTS {tts1} !< MCS {mcs1}");
         assert!(re1 < 1.6 * tts1.max(8.0), "reactive {re1} vs TTS {tts1}");
 
-        let ts16 = lock_overhead(LockAlg::TestAndSet, 16, nwo(), false);
-        let mcs16 = lock_overhead(LockAlg::Mcs, 16, nwo(), false);
-        let re16 = lock_overhead(LockAlg::Reactive, 16, nwo(), false);
+        let ts16 = overhead(LockAlg::TestAndSet, 16);
+        let mcs16 = overhead(LockAlg::Mcs, 16);
+        let re16 = overhead(LockAlg::Reactive, 16);
         assert!(mcs16 < ts16, "contended: MCS {mcs16} !< TS {ts16}");
         assert!(re16 < 1.6 * mcs16, "reactive {re16} vs MCS {mcs16}");
     }
 
     #[test]
     fn fetchop_crossover_holds() {
-        let tree1 = fetchop_overhead(FetchOpAlg::Combining, 1, CostModel::nwo());
-        let lock1 = fetchop_overhead(FetchOpAlg::TtsLock, 1, CostModel::nwo());
+        let overhead = |alg, procs| fetchop_overhead_n(alg, procs, CostModel::nwo(), BASELINE_OPS);
+        let tree1 = overhead(FetchOpAlg::Combining, 1);
+        let lock1 = overhead(FetchOpAlg::TtsLock, 1);
         assert!(lock1 < tree1, "uncontended: lock {lock1} !< tree {tree1}");
-        let tree32 = fetchop_overhead(FetchOpAlg::Combining, 32, CostModel::nwo());
-        let tts32 = fetchop_overhead(FetchOpAlg::TtsLock, 32, CostModel::nwo());
+        let tree32 = overhead(FetchOpAlg::Combining, 32);
+        let tts32 = overhead(FetchOpAlg::TtsLock, 32);
         assert!(
             tree32 < tts32,
             "contended: tree {tree32} !< TTS-lock {tts32}"
@@ -428,7 +410,7 @@ mod tests {
 
     #[test]
     fn time_varying_runs() {
-        let t = time_varying(LockAlg::Reactive, 64, 50, 2);
+        let t = time_varying_with(LockAlg::Reactive, 64, 50, 2, None);
         assert!(t > 0);
     }
 }

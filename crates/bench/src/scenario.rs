@@ -9,8 +9,9 @@
 //!
 //! A scenario runs at two [`Scale`]s:
 //!
-//! * [`Scale::Full`] — the figure reproduction the bench targets print
-//!   (`cargo bench --bench fig_3_15_baseline`), with the paper's sweeps.
+//! * [`Scale::Full`] — the figure reproduction the `experiments` bench
+//!   target prints (`cargo bench --bench experiments -- --only
+//!   fig_3_15_baseline`), with the paper's sweeps.
 //! * [`Scale::Quick`] — a scaled-down deterministic variant cheap enough
 //!   for `cargo test -q`; the tier-1 suite
 //!   (`crates/bench/tests/scenario_claims.rs`) checks every claim of
@@ -22,9 +23,11 @@
 //! scale-dependent, the scenario exports a scale-invariant ratio or an
 //! extreme over the sweep instead.
 //!
-//! The `experiments` bench target runs all scenarios in `EXPERIMENTS.md`
-//! table order and writes `BENCH_experiments.json` (stable keys, stable
-//! order) with the measured headline and claim verdicts per row.
+//! The `experiments` bench target is the only row runner: it runs all
+//! scenarios (or the `--only` selection) in `EXPERIMENTS.md` table order
+//! and writes `BENCH_experiments.json` plus the [`SLICES`] family files
+//! (stable keys, stable order) with the measured headline and claim
+//! verdicts per row.
 
 use alewife_sim::CostModel;
 use lock_service::ArenaMode;
@@ -42,7 +45,7 @@ use crate::table;
 /// How big a reproduction to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// The figure-scale sweep printed by the bench targets.
+    /// The figure-scale sweep printed by the `experiments` bench.
     Full,
     /// The scaled-down deterministic variant run by the tier-1 tests.
     Quick,
@@ -356,8 +359,8 @@ pub struct ClaimResult {
 
 /// A figure/table reproduction with machine-checkable claims.
 pub struct Scenario {
-    /// Bench-target name; the stable row key of `EXPERIMENTS.md` and
-    /// `BENCH_experiments.json`.
+    /// Row key: the stable name of this row in `EXPERIMENTS.md`, the
+    /// `BENCH_*.json` record, and `experiments --only`.
     pub name: &'static str,
     /// Paper figure/table the row reproduces.
     pub figure: &'static str,
@@ -394,8 +397,8 @@ impl Scenario {
     }
 
     /// Run, print the measured series/scalars and claim verdicts, and
-    /// return the outcome with its claim results (the bench targets'
-    /// entry point).
+    /// return the outcome with its claim results (the `experiments`
+    /// bench's entry point).
     pub fn report(&self, scale: Scale) -> (Outcome, Vec<ClaimResult>) {
         let o = self.run(scale);
         let results = self.check(&o);
@@ -473,15 +476,53 @@ pub fn all() -> Vec<Scenario> {
     ]
 }
 
-/// Look a scenario up by its bench-target name.
-///
-/// # Panics
-/// If no scenario has that name.
-pub fn by_name(name: &str) -> Scenario {
-    all()
+/// The family slices of the record: `(bench, row keys in table
+/// order)`. The `experiments` bench writes each slice's rows to
+/// `BENCH_<bench>.json` beside `BENCH_experiments.json`, from the same
+/// run.
+pub const SLICES: [(&str, &[&str]); 3] = [
+    (
+        "rmr",
+        &["rmr_recoverable", "rmr_abortable", "storm_robustness"],
+    ),
+    (
+        "service",
+        &[
+            "service_tail_latency",
+            "service_bytes_per_object",
+            "service_stampede",
+            "service_tracks_best",
+        ],
+    ),
+    (
+        "service_native",
+        &["service_native_tail", "service_native_deflation"],
+    ),
+];
+
+/// Look a scenario up by its row key.
+pub fn by_name(name: &str) -> Option<Scenario> {
+    all().into_iter().find(|s| s.name == name)
+}
+
+/// Resolve an `experiments --only` argument: a comma-separated list of
+/// row keys. Returns the named scenarios in table order, each once
+/// however often it was named; an empty or unknown entry is an error
+/// that lists the valid keys.
+pub fn select(only: &str) -> Result<Vec<Scenario>, String> {
+    let rows = all();
+    let wanted: Vec<&str> = only.split(',').collect();
+    if let Some(bad) = wanted.iter().find(|w| !rows.iter().any(|s| s.name == **w)) {
+        let keys: Vec<&str> = rows.iter().map(|s| s.name).collect();
+        return Err(format!(
+            "no row named `{bad}`; valid rows:\n  {}",
+            keys.join("\n  ")
+        ));
+    }
+    Ok(rows
         .into_iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("no scenario named {name}"))
+        .filter(|s| wanted.contains(&s.name))
+        .collect())
 }
 
 /// One application benchmark configuration, timed under an algorithm.
@@ -837,7 +878,7 @@ fn fig_3_21() -> Scenario {
             let mut ratio = Vec::new();
             let mut switches = Vec::new();
             for &l in lengths {
-                let mcs = exp::time_varying(LockAlg::Mcs, l, pct, periods) as f64;
+                let mcs = exp::time_varying_with(LockAlg::Mcs, l, pct, periods, None) as f64;
                 let (t, s) = exp::time_varying_counted(LockAlg::Reactive, l, pct, periods);
                 ratio.push((l as f64, t as f64 / mcs));
                 switches.push((l as f64, s as f64));
@@ -932,7 +973,7 @@ fn fig_3_22() -> Scenario {
         let mut comp_sw = Vec::new();
         let mut always_sw = Vec::new();
         for &l in lengths {
-            let mcs = exp::time_varying(LockAlg::Mcs, l, pct, periods) as f64;
+            let mcs = exp::time_varying_with(LockAlg::Mcs, l, pct, periods, None) as f64;
             let (ta, sa) = exp::time_varying_counted(LockAlg::Reactive, l, pct, periods);
             let (tc, sc) = exp::time_varying_counted(LockAlg::ReactiveCompetitive, l, pct, periods);
             always.push((l as f64, ta as f64 / mcs));
@@ -1022,7 +1063,7 @@ fn fig_3_23() -> Scenario {
             row("always/mcs", LockAlg::Reactive),
         ];
         for &l in lengths {
-            let mcs = exp::time_varying(LockAlg::Mcs, l, pct, periods) as f64;
+            let mcs = exp::time_varying_with(LockAlg::Mcs, l, pct, periods, None) as f64;
             for r in rows.iter_mut() {
                 let (t, s) = exp::time_varying_counted(r.alg, l, pct, periods);
                 r.ratio.push((l as f64, t as f64 / mcs));
@@ -2828,14 +2869,53 @@ mod tests {
     #[test]
     fn by_name_finds_every_row() {
         for sc in all() {
-            assert_eq!(by_name(sc.name).name, sc.name);
+            assert_eq!(by_name(sc.name).expect("registered row").name, sc.name);
         }
     }
 
     #[test]
-    #[should_panic(expected = "no scenario named")]
     fn by_name_rejects_unknown() {
-        by_name("fig_9_99_nonsense");
+        assert!(by_name("fig_9_99_nonsense").is_none());
+    }
+
+    #[test]
+    fn slices_are_disjoint_table_ordered_subsets_of_the_registry() {
+        let names: Vec<&str> = all().iter().map(|s| s.name).collect();
+        let mut seen = Vec::new();
+        for (bench, keys) in SLICES {
+            let at: Vec<usize> = keys
+                .iter()
+                .map(|k| {
+                    names
+                        .iter()
+                        .position(|n| n == k)
+                        .unwrap_or_else(|| panic!("{bench} slice row {k} is not in all()"))
+                })
+                .collect();
+            assert!(at.windows(2).all(|w| w[0] < w[1]), "{bench} out of order");
+            for k in keys {
+                assert!(!seen.contains(k), "{k} is in two slices");
+                seen.push(k);
+            }
+        }
+    }
+
+    #[test]
+    fn select_normalises_order_and_rejects_bad_entries() {
+        let rows = select("rmr_abortable,fig_3_15_baseline,rmr_abortable").expect("valid");
+        let names: Vec<&str> = rows.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["fig_3_15_baseline", "rmr_abortable"]);
+        for bad in [
+            "nope",
+            "",
+            "fig_3_15_baseline,",
+            "fig_3_15_baseline, rmr_abortable",
+        ] {
+            let err = select(bad).err().expect("rejected");
+            for sc in all() {
+                assert!(err.contains(sc.name), "{bad:?}: {} not listed", sc.name);
+            }
+        }
     }
 
     #[test]

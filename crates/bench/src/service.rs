@@ -1,7 +1,7 @@
 //! Workload glue for the lock-service scenarios: canonical
-//! [`ServiceConfig`]s shared by the `service` bench target and the four
-//! `service_*` rows of `EXPERIMENTS.md`, so the JSON artifact and the
-//! CI claim suite measure exactly the same runs.
+//! [`ServiceConfig`]s behind the four `service_*` rows of
+//! `EXPERIMENTS.md`, so the JSON artifact and the CI claim suite
+//! measure exactly the same runs.
 
 use lock_service::{
     run_service, ArenaMode, ArrivalCurve, LimiterConfig, Load, ServiceConfig, ServiceReport,

@@ -1,8 +1,7 @@
 //! Workload glue for the native lock-service scenarios: canonical
-//! [`NativeRunConfig`]s shared by the `service_native` bench target and
-//! the `service_native_*` rows of `EXPERIMENTS.md`, so
-//! `BENCH_service_native.json` and the CI claim suite measure exactly
-//! the same runs.
+//! [`NativeRunConfig`]s behind the `service_native_*` rows of
+//! `EXPERIMENTS.md`, so `BENCH_service_native.json` and the CI claim
+//! suite measure exactly the same runs.
 //!
 //! Unlike every other scenario family, these rows run *real threads on
 //! the host* — wall-clock time, real preemption, cores-scaled. The
@@ -30,14 +29,7 @@ use crate::scenario::Scale;
 /// whichever thread happens to be running — only exist when threads
 /// outnumber cores, and pinning the ratio keeps a 1-core dev box and
 /// a 4-core CI runner in the same regime.
-/// `REPRO_NATIVE_THREADS` overrides for calibration sweeps.
 pub fn native_threads() -> usize {
-    if let Some(n) = std::env::var("REPRO_NATIVE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(2);
-    }
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -24,21 +24,3 @@ pub fn row_f64(label: &str, vals: &[f64]) {
     }
     println!();
 }
-
-/// Print a data row of u64 values.
-pub fn row_u64(label: &str, vals: &[u64]) {
-    print!("{label:<28}");
-    for v in vals {
-        print!("{v:>12}");
-    }
-    println!();
-}
-
-/// Print a data row of ratio values with two decimals.
-pub fn row_ratio(label: &str, vals: &[f64]) {
-    print!("{label:<28}");
-    for v in vals {
-        print!("{v:>12.2}");
-    }
-    println!();
-}

@@ -13,7 +13,7 @@
 use repro_bench::scenario::{by_name, Scale};
 
 fn assert_claims(name: &str) {
-    let sc = by_name(name);
+    let sc = by_name(name).expect("row in scenario::all()");
     let outcome = sc.run(Scale::Quick);
     let results = sc.check(&outcome);
     assert!(!results.is_empty(), "{name} checked no claims");
@@ -32,13 +32,31 @@ fn assert_claims(name: &str) {
     );
 }
 
+/// One claim-gate test per listed row, plus the check that the list is
+/// the registry: every scenario in `scenario::all()` is covered, in
+/// table order (guards against adding a row without a claim gate).
 macro_rules! claim_test {
-    ($($name:ident),* $(,)?) => {$(
+    ($($name:ident),* $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                assert_claims(stringify!($name));
+            }
+        )*
+
         #[test]
-        fn $name() {
-            assert_claims(stringify!($name));
+        fn registry_matches_test_list() {
+            let expected = [$(stringify!($name)),*];
+            let names: Vec<&str> = repro_bench::scenario::all()
+                .iter()
+                .map(|s| s.name)
+                .collect();
+            assert_eq!(
+                names, expected,
+                "scenario registry drifted from the test list"
+            );
         }
-    )*};
+    };
 }
 
 claim_test!(
@@ -72,48 +90,3 @@ claim_test!(
     service_native_deflation,
     sim_parallel_scale,
 );
-
-/// Every scenario in the registry is covered by a test above (guards
-/// against adding a row without a claim gate).
-#[test]
-fn registry_matches_test_list() {
-    let expected = [
-        "fig_3_14_policy_bound",
-        "fig_3_15_baseline",
-        "fig_3_16_hardware",
-        "fig_3_17_multi_object",
-        "fig_3_21_time_varying",
-        "fig_3_22_competitive",
-        "fig_3_23_hysteresis",
-        "fig_3_24_apps_fetchop",
-        "fig_3_25_apps_locks",
-        "fig_3_26_message_passing",
-        "table_4_1_blocking_cost",
-        "fig_4_4_exponential",
-        "fig_4_5_uniform",
-        "fig_4_6_wait_profiles",
-        "fig_4_12_producer_consumer",
-        "fig_4_13_barriers",
-        "fig_4_14_mutex",
-        "table_4_6_lpoll_half",
-        "barrier_reactive",
-        "rmr_recoverable",
-        "rmr_abortable",
-        "storm_robustness",
-        "service_tail_latency",
-        "service_bytes_per_object",
-        "service_stampede",
-        "service_tracks_best",
-        "service_native_tail",
-        "service_native_deflation",
-        "sim_parallel_scale",
-    ];
-    let names: Vec<&str> = repro_bench::scenario::all()
-        .iter()
-        .map(|s| s.name)
-        .collect();
-    assert_eq!(
-        names, expected,
-        "scenario registry drifted from the test list"
-    );
-}

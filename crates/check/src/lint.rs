@@ -18,28 +18,22 @@
 //!   violate the conservative safe-horizon invariant.
 //! * `event-size` — the compile-time 16-byte bound on simulator events
 //!   must stay present in `exec.rs`.
-//! * `experiments-keys` — scenario keys in `EXPERIMENTS.md` tables and
-//!   row names in `BENCH_experiments.json` must agree (md-only keys
-//!   may be allowlisted: benches that write other artifacts).
-//! * `rmr-keys` — the crash/abort scenario family: every row name in
-//!   `BENCH_rmr.json` must be an `EXPERIMENTS.md` key, and every
-//!   `rmr_*`/`storm_*` key in `EXPERIMENTS.md` must have a
-//!   `BENCH_rmr.json` row (so the artifact the CI uploads cannot
-//!   silently drop a gated scenario).
-//! * `service-keys` — the lock-service scenario family, same contract
-//!   against `BENCH_service.json`: every row name must be an
-//!   `EXPERIMENTS.md` key, and every `service_*` key (except the
-//!   `service_native_*` sub-family below) must have a
-//!   `BENCH_service.json` row.
-//! * `service-native-keys` — the native (real-thread) lock-service
-//!   sub-family, same contract against `BENCH_service_native.json`:
-//!   every row name must be an `EXPERIMENTS.md` key, and every
-//!   `service_native_*` key must have a `BENCH_service_native.json`
-//!   row.
+//! * `experiments-keys`, `rmr-keys`, `service-keys`,
+//!   `service-native-keys` — one table-driven rule (`KEY_RULES`) over
+//!   the four row files the `experiments` bench writes: every row name
+//!   in the file must be an `EXPERIMENTS.md` table key, and every
+//!   `EXPERIMENTS.md` key in the file's family must have a row in it,
+//!   so an artifact the CI uploads cannot silently drop a gated
+//!   scenario. `BENCH_experiments.json`'s family is every key (md-only
+//!   keys may be allowlisted: benches that write other artifacts);
+//!   the slices' families go by key prefix.
+//! * `quick-record` — every committed `BENCH_*.json` at the root must
+//!   read `"quick": false`: a `--quick` bench run overwrites the
+//!   full-scale record in place, and this catches committing that.
 //!
 //! The allowlist is `crates/check/lint_allow.txt`: `<rule> <key>` per
 //! line, `#` comments. Keys are workspace-relative paths for the file
-//! rules, scenario keys for `experiments-keys`.
+//! rules, scenario keys for the `*-keys` rules.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -166,10 +160,7 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
             event_size_rule(&rel, &text, &mut findings);
         }
     }
-    experiments_keys_rule(root, &allow, &mut findings)?;
-    rmr_keys_rule(root, &allow, &mut findings)?;
-    service_keys_rule(root, &allow, &mut findings)?;
-    service_native_keys_rule(root, &allow, &mut findings)?;
+    record_rules(root, &allow, &mut findings)?;
     Ok(findings)
 }
 
@@ -386,163 +377,108 @@ fn experiment_json_keys(text: &str) -> BTreeSet<String> {
     keys
 }
 
-fn experiments_keys_rule(
-    root: &Path,
+/// One row file's key contract against `EXPERIMENTS.md`: `(file, rule
+/// id, family prefixes, carved-out prefixes)`. An `EXPERIMENTS.md` key
+/// is in the file's family — and must have a row in it — when it
+/// starts with a family prefix and with no carved-out one (a
+/// sub-family another file owns).
+type KeyRule = (
+    &'static str,
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
+/// The four row files the `experiments` bench writes.
+const KEY_RULES: [KeyRule; 4] = [
+    ("BENCH_experiments.json", "experiments-keys", &[""], &[]),
+    ("BENCH_rmr.json", "rmr-keys", &["rmr_", "storm_"], &[]),
+    (
+        "BENCH_service.json",
+        "service-keys",
+        &["service_"],
+        &["service_native_"],
+    ),
+    (
+        "BENCH_service_native.json",
+        "service-native-keys",
+        &["service_native_"],
+        &[],
+    ),
+];
+
+/// Check one row file's text against the `EXPERIMENTS.md` keys: every
+/// row name must be a table key, and every key in the file's family
+/// must have a row (or an allowlist entry).
+fn key_rule(
+    &(file, rule, family, carved): &KeyRule,
+    md_keys: &BTreeSet<String>,
+    json: &str,
     allow: &Allowlist,
     findings: &mut Vec<Finding>,
-) -> io::Result<()> {
-    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
-    let json = fs::read_to_string(root.join("BENCH_experiments.json"))?;
-    let md_keys = experiment_md_keys(&md);
-    let json_keys = experiment_json_keys(&json);
+) {
+    let json_keys = experiment_json_keys(json);
     for key in &json_keys {
         if !md_keys.contains(key) {
             findings.push(Finding {
-                rule: "experiments-keys",
+                rule,
                 file: "EXPERIMENTS.md".to_string(),
                 line: 0,
-                msg: format!("BENCH_experiments.json row `{key}` has no EXPERIMENTS.md table row"),
+                msg: format!("{file} row `{key}` has no EXPERIMENTS.md table row"),
             });
         }
     }
-    for key in &md_keys {
-        if !json_keys.contains(key) && !allow.allows("experiments-keys", key) {
+    let any = |prefixes: &[&str], key: &str| prefixes.iter().any(|p| key.starts_with(p));
+    for key in md_keys {
+        let in_family = any(family, key) && !any(carved, key);
+        if in_family && !json_keys.contains(key) && !allow.allows(rule, key) {
             findings.push(Finding {
-                rule: "experiments-keys",
-                file: "BENCH_experiments.json".to_string(),
+                rule,
+                file: file.to_string(),
                 line: 0,
                 msg: format!(
-                    "EXPERIMENTS.md scenario `{key}` has no BENCH_experiments.json row \
-                     (allowlist it if another artifact carries it)"
+                    "EXPERIMENTS.md scenario `{key}` has no {file} row (add it to \
+                     `scenario::all()` and its `SLICES` family in crates/bench, or \
+                     allowlist it if another artifact carries it)"
                 ),
             });
         }
     }
-    Ok(())
 }
 
-/// Key prefixes that mark an `EXPERIMENTS.md` row as belonging to the
-/// crash/abort scenario family (`BENCH_rmr.json`'s scope).
-const RMR_FAMILY_PREFIXES: [&str; 2] = ["rmr_", "storm_"];
-
-fn rmr_keys_rule(root: &Path, allow: &Allowlist, findings: &mut Vec<Finding>) -> io::Result<()> {
-    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
-    let json = fs::read_to_string(root.join("BENCH_rmr.json"))?;
-    let md_keys = experiment_md_keys(&md);
-    let json_keys = experiment_json_keys(&json);
-    for key in &json_keys {
-        if !md_keys.contains(key) {
-            findings.push(Finding {
-                rule: "rmr-keys",
-                file: "EXPERIMENTS.md".to_string(),
-                line: 0,
-                msg: format!("BENCH_rmr.json row `{key}` has no EXPERIMENTS.md table row"),
-            });
-        }
+/// Flag a record file that does not read `"quick": false`.
+fn quick_record_rule(file: &str, json: &str, findings: &mut Vec<Finding>) {
+    let compact: String = json.split_whitespace().collect();
+    if !compact.contains("\"quick\":false") {
+        findings.push(Finding {
+            rule: "quick-record",
+            file: file.to_string(),
+            line: 0,
+            msg: "the committed record must read `\"quick\": false` (a `--quick` bench run \
+                  overwrote it: restore it or re-run at full scale)"
+                .to_string(),
+        });
     }
-    for key in &md_keys {
-        let in_family = RMR_FAMILY_PREFIXES.iter().any(|p| key.starts_with(p));
-        if in_family && !json_keys.contains(key) && !allow.allows("rmr-keys", key) {
-            findings.push(Finding {
-                rule: "rmr-keys",
-                file: "BENCH_rmr.json".to_string(),
-                line: 0,
-                msg: format!(
-                    "EXPERIMENTS.md crash/abort scenario `{key}` has no BENCH_rmr.json row \
-                     (add it to the rmr bench's ROWS, or allowlist it)"
-                ),
-            });
-        }
-    }
-    Ok(())
 }
 
-/// Key prefixes that mark an `EXPERIMENTS.md` row as belonging to the
-/// lock-service scenario family (`BENCH_service.json`'s scope). The
-/// native sub-family is carved out: its rows live in
-/// `BENCH_service_native.json` (see `SERVICE_NATIVE_FAMILY_PREFIXES`).
-const SERVICE_FAMILY_PREFIXES: [&str; 1] = ["service_"];
-
-/// Key prefixes of the native (real-thread) lock-service sub-family
-/// (`BENCH_service_native.json`'s scope).
-const SERVICE_NATIVE_FAMILY_PREFIXES: [&str; 1] = ["service_native_"];
-
-fn service_keys_rule(
-    root: &Path,
-    allow: &Allowlist,
-    findings: &mut Vec<Finding>,
-) -> io::Result<()> {
-    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
-    let json = fs::read_to_string(root.join("BENCH_service.json"))?;
-    let md_keys = experiment_md_keys(&md);
-    let json_keys = experiment_json_keys(&json);
-    for key in &json_keys {
-        if !md_keys.contains(key) {
-            findings.push(Finding {
-                rule: "service-keys",
-                file: "EXPERIMENTS.md".to_string(),
-                line: 0,
-                msg: format!("BENCH_service.json row `{key}` has no EXPERIMENTS.md table row"),
-            });
+/// The record rules: `quick-record` over every `BENCH_*.json` at the
+/// root, then [`KEY_RULES`] over the row files.
+fn record_rules(root: &Path, allow: &Allowlist, findings: &mut Vec<Finding>) -> io::Result<()> {
+    let mut records = Vec::new();
+    for entry in fs::read_dir(root)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            records.push(name);
         }
     }
-    for key in &md_keys {
-        let in_family = SERVICE_FAMILY_PREFIXES.iter().any(|p| key.starts_with(p))
-            && !SERVICE_NATIVE_FAMILY_PREFIXES
-                .iter()
-                .any(|p| key.starts_with(p));
-        if in_family && !json_keys.contains(key) && !allow.allows("service-keys", key) {
-            findings.push(Finding {
-                rule: "service-keys",
-                file: "BENCH_service.json".to_string(),
-                line: 0,
-                msg: format!(
-                    "EXPERIMENTS.md lock-service scenario `{key}` has no BENCH_service.json \
-                     row (add it to the service bench's ROWS, or allowlist it)"
-                ),
-            });
-        }
+    records.sort();
+    for file in &records {
+        quick_record_rule(file, &fs::read_to_string(root.join(file))?, findings);
     }
-    Ok(())
-}
-
-fn service_native_keys_rule(
-    root: &Path,
-    allow: &Allowlist,
-    findings: &mut Vec<Finding>,
-) -> io::Result<()> {
-    let md = fs::read_to_string(root.join("EXPERIMENTS.md"))?;
-    let json = fs::read_to_string(root.join("BENCH_service_native.json"))?;
-    let md_keys = experiment_md_keys(&md);
-    let json_keys = experiment_json_keys(&json);
-    for key in &json_keys {
-        if !md_keys.contains(key) {
-            findings.push(Finding {
-                rule: "service-native-keys",
-                file: "EXPERIMENTS.md".to_string(),
-                line: 0,
-                msg: format!(
-                    "BENCH_service_native.json row `{key}` has no EXPERIMENTS.md table row"
-                ),
-            });
-        }
-    }
-    for key in &md_keys {
-        let in_family = SERVICE_NATIVE_FAMILY_PREFIXES
-            .iter()
-            .any(|p| key.starts_with(p));
-        if in_family && !json_keys.contains(key) && !allow.allows("service-native-keys", key) {
-            findings.push(Finding {
-                rule: "service-native-keys",
-                file: "BENCH_service_native.json".to_string(),
-                line: 0,
-                msg: format!(
-                    "EXPERIMENTS.md native lock-service scenario `{key}` has no \
-                     BENCH_service_native.json row (add it to the service_native bench's \
-                     ROWS, or allowlist it)"
-                ),
-            });
-        }
+    let md_keys = experiment_md_keys(&fs::read_to_string(root.join("EXPERIMENTS.md"))?);
+    for rule in &KEY_RULES {
+        let json = fs::read_to_string(root.join(rule.0))?;
+        key_rule(rule, &md_keys, &json, allow, findings);
     }
     Ok(())
 }
@@ -648,51 +584,67 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rmr_family_prefixes_scope_the_rule() {
-        // Only `rmr_*`/`storm_*` EXPERIMENTS.md keys are required to
-        // have a BENCH_rmr.json row; everything else is out of scope.
-        let family = |k: &str| RMR_FAMILY_PREFIXES.iter().any(|p| k.starts_with(p));
-        assert!(family("rmr_recoverable"));
-        assert!(family("storm_robustness"));
-        assert!(!family("fig_3_15_baseline"));
-        assert!(!family("switch_cost"));
-        assert!(!family("service_tail_latency"));
-    }
-
-    #[test]
-    fn service_family_prefixes_scope_the_rule() {
-        // Only `service_*` EXPERIMENTS.md keys are required to have a
-        // BENCH_service.json row; everything else is out of scope —
-        // including the `service_native_*` sub-family, which the
-        // service-native-keys rule owns.
-        let family = |k: &str| {
-            SERVICE_FAMILY_PREFIXES.iter().any(|p| k.starts_with(p))
-                && !SERVICE_NATIVE_FAMILY_PREFIXES
-                    .iter()
-                    .any(|p| k.starts_with(p))
-        };
-        assert!(family("service_tail_latency"));
-        assert!(family("service_stampede"));
-        assert!(!family("service_native_tail"));
-        assert!(!family("service_native_deflation"));
-        assert!(!family("rmr_recoverable"));
-        assert!(!family("fig_3_15_baseline"));
-    }
-
-    #[test]
-    fn service_native_family_prefixes_scope_the_rule() {
-        // Only `service_native_*` EXPERIMENTS.md keys are required to
-        // have a BENCH_service_native.json row.
-        let family = |k: &str| {
-            SERVICE_NATIVE_FAMILY_PREFIXES
+    /// `(rule, file)` of every key-rule finding for one synthetic
+    /// `EXPERIMENTS.md` and the four row files' `"name"`s.
+    fn key_findings(rows: [&[&str]; 4], allow: &str) -> Vec<(&'static str, String)> {
+        let md = "| `fig_1` |\n| `rmr_a` |\n| `storm_b` |\n| `service_c` |\n\
+                  | `service_native_d` |\n| `switch_cost` |\n";
+        let (md_keys, allow) = (experiment_md_keys(md), Allowlist::parse(allow));
+        let mut f = Vec::new();
+        for (rule, names) in KEY_RULES.iter().zip(rows) {
+            let json: String = names
                 .iter()
-                .any(|p| k.starts_with(p))
-        };
-        assert!(family("service_native_tail"));
-        assert!(family("service_native_deflation"));
-        assert!(!family("service_tail_latency"));
-        assert!(!family("rmr_recoverable"));
+                .map(|n| format!("{{\"name\": \"{n}\"}}"))
+                .collect();
+            key_rule(rule, &md_keys, &json, &allow, &mut f);
+        }
+        f.into_iter().map(|f| (f.rule, f.file)).collect()
+    }
+
+    const ALL: &[&str] = &["fig_1", "rmr_a", "storm_b", "service_c", "service_native_d"];
+    const ALLOW: &str = "experiments-keys switch_cost\n";
+
+    #[test]
+    fn key_rules_scope_each_file_to_its_family() {
+        // Consistent: `service_native_d` is carved out of the service
+        // family, so BENCH_service.json is not asked for it, and the
+        // md-only `switch_cost` is allowlisted.
+        let rmr: &[&str] = &["rmr_a", "storm_b"];
+        let native: &[&str] = &["service_native_d"];
+        let f = key_findings([ALL, rmr, &["service_c"], native], ALLOW);
+        assert!(f.is_empty(), "{f:?}");
+        // A row missing from a slice is its own rule's finding, in
+        // that slice's file.
+        let f = key_findings([ALL, &["rmr_a"], &["service_c"], native], ALLOW);
+        assert_eq!(f, [("rmr-keys", "BENCH_rmr.json".to_string())]);
+        // An extra row is a finding against EXPERIMENTS.md.
+        let f = key_findings([ALL, rmr, &["service_c", "service_zzz"], native], ALLOW);
+        assert_eq!(f, [("service-keys", "EXPERIMENTS.md".to_string())]);
+        // Empty files and no allowlist: every key of each family, once.
+        let f = key_findings([&[]; 4], "");
+        let count = |rule| f.iter().filter(|f| f.0 == rule).count();
+        assert_eq!(count("experiments-keys"), 6);
+        assert_eq!(count("rmr-keys"), 2);
+        assert_eq!(count("service-keys"), 1);
+        assert_eq!(count("service-native-keys"), 1);
+    }
+
+    #[test]
+    fn quick_record_rejects_a_quick_run() {
+        let mut f = Vec::new();
+        quick_record_rule("BENCH_a.json", "{\n  \"quick\": false,\n}\n", &mut f);
+        assert!(f.is_empty(), "{f:?}");
+        quick_record_rule("BENCH_a.json", "{\n  \"quick\": true,\n}\n", &mut f);
+        quick_record_rule("BENCH_b.json", "{\"rows\": []}", &mut f);
+        let hits: Vec<_> = f.iter().map(|f| (f.rule, f.file.as_str())).collect();
+        assert_eq!(
+            hits,
+            [
+                ("quick-record", "BENCH_a.json"),
+                ("quick-record", "BENCH_b.json")
+            ],
+            "a quick run and a missing field are both findings"
+        );
     }
 
     #[test]
