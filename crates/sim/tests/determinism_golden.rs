@@ -222,3 +222,125 @@ fn app_digest_mp3d_is_stable_and_matches_golden() {
     assert_eq!(a, b, "mp3d digests differ run-to-run");
     assert_eq!(a, GOLDEN_MP3D_8, "mp3d digest drifted: got {a:#018x}");
 }
+
+// ---------------------------------------------------------------------
+// Reactive-object golden digests for the protocol paths the suites
+// above never reach: the shared-memory fetch-op's combining tree and
+// the two SM<->MP objects. Captured before the sub-locks moved into
+// `sync_protocols::spin`; a drift means a simulated memory operation
+// was added, dropped or reordered.
+// ---------------------------------------------------------------------
+
+fn reactive_machine(nodes: usize) -> Machine {
+    Machine::new(Config::default().nodes(nodes).seed(0x5EED_601D))
+}
+
+/// 32 processors hammer a `ReactiveFetchOp` into the combining tree,
+/// then node 0 runs solo until it comes back out.
+fn run_digest_fetch_op_tree() -> u64 {
+    let m = reactive_machine(32);
+    let f = reactive_core::ReactiveFetchOp::new(&m, 0, 32);
+    for p in 0..32 {
+        let (cpu, f) = (m.cpu(p), f.clone());
+        m.spawn(p, async move {
+            for _ in 0..15 {
+                f.fetch_add(&cpu, 1).await;
+                cpu.work(cpu.rand_below(100)).await;
+            }
+            if cpu.node() == 0 {
+                for _ in 0..40 {
+                    f.fetch_add(&cpu, 1).await;
+                    cpu.work(30).await;
+                }
+            }
+        });
+    }
+    let elapsed = m.run();
+    assert_eq!(m.live_tasks(), 0);
+    assert_eq!(m.read_word(f.var()), 32 * 15 + 40);
+    let st = m.stats();
+    assert!(
+        st.counter("reactive_fop.to_tree") >= 1,
+        "never reached the tree"
+    );
+    assert!(
+        st.counter("reactive_fop.tree_to_queue") + st.counter("reactive_fop.tree_to_tts") >= 1,
+        "never left the tree"
+    );
+    fnv(digest_stats(elapsed, &st), f.switches())
+}
+
+/// 8 processors on a `ReactiveMpLock` (TTS <-> message-passing queue).
+fn run_digest_mp_lock() -> u64 {
+    let m = reactive_machine(8);
+    let lock = reactive_core::mp::ReactiveMpLock::new(&m, 0, 0, 8);
+    let shared = m.alloc_on(1, 1);
+    for p in 0..8 {
+        let (cpu, lock) = (m.cpu(p), lock.clone());
+        m.spawn(p, async move {
+            for _ in 0..25 {
+                let t = lock.acquire(&cpu).await;
+                let v = cpu.read(shared).await;
+                cpu.work(10).await;
+                cpu.write(shared, v + 1).await;
+                lock.release(&cpu, t).await;
+                cpu.work(cpu.rand_below(80)).await;
+            }
+        });
+    }
+    let elapsed = m.run();
+    assert_eq!(m.live_tasks(), 0);
+    assert_eq!(m.read_word(shared), 200);
+    assert!(lock.switches() >= 1, "MP lock never switched");
+    fnv(digest_stats(elapsed, &m.stats()), lock.switches())
+}
+
+/// 16 processors on a `ReactiveMpFetchOp` (TTS counter <-> central MP
+/// counter <-> MP combining tree).
+fn run_digest_mp_fetch_op() -> u64 {
+    let m = reactive_machine(16);
+    let f = reactive_core::mp::ReactiveMpFetchOp::new(&m, 0, 0, 16);
+    for p in 0..16 {
+        let (cpu, f) = (m.cpu(p), f.clone());
+        m.spawn(p, async move {
+            for _ in 0..15 {
+                f.fetch_add(&cpu, 1).await;
+                cpu.work(cpu.rand_below(80)).await;
+            }
+        });
+    }
+    let elapsed = m.run();
+    assert_eq!(m.live_tasks(), 0);
+    assert_eq!(f.value(&m), 240);
+    assert!(f.switches() >= 1, "MP fetch-op never switched");
+    fnv(digest_stats(elapsed, &m.stats()), f.switches())
+}
+
+const GOLDEN_FETCH_OP_TREE_32: u64 = 0x4FCB_294F_2DAE_19F6;
+const GOLDEN_MP_LOCK_8: u64 = 0xB4C7_2721_2F2F_C99E;
+const GOLDEN_MP_FETCH_OP_16: u64 = 0xCB9D_83B0_17CB_B9E7;
+
+fn assert_stable_golden(name: &str, run: fn() -> u64, golden: u64) {
+    let (a, b) = (run(), run());
+    assert_eq!(a, b, "{name} digests differ run-to-run");
+    assert_eq!(a, golden, "{name} digest drifted: got {a:#018x}");
+}
+
+#[test]
+fn reactive_digest_fetch_op_tree_is_stable_and_matches_golden() {
+    assert_stable_golden(
+        "fetch-op tree",
+        run_digest_fetch_op_tree,
+        GOLDEN_FETCH_OP_TREE_32,
+    );
+}
+
+#[test]
+fn reactive_digest_mp_lock_is_stable_and_matches_golden() {
+    assert_stable_golden("MP lock", run_digest_mp_lock, GOLDEN_MP_LOCK_8);
+}
+
+#[test]
+fn reactive_digest_mp_fetch_op_is_stable_and_matches_golden() {
+    assert_stable_golden("MP fetch-op", run_digest_mp_fetch_op, GOLDEN_MP_FETCH_OP_16);
+}
