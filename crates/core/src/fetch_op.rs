@@ -30,15 +30,15 @@
 //! so updates are not necessary" is used: all three protocols mutate the
 //! same counter word.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::fetch_op::{CombiningTree, FetchOp, RETRY_SENTINEL};
-use sync_protocols::spin::{
-    dec, enc, Backoff, FREE, GO, INITIAL_DELAY, INVALID_PTR, INVALID_STATUS, NIL, WAITING,
-};
+use sync_protocols::spin::{Backoff, Lock, McsLock, TtsLock, FREE, INVALID_PTR, NIL};
 
+pub use crate::lock::{EMPTY_QUEUE_LIMIT, TTS_RETRY_LIMIT};
+use crate::lock::{QUEUE_RESIDUAL, TTS_RESIDUAL};
 use crate::policy::{
     Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
 };
@@ -53,13 +53,6 @@ pub const PROTO_TREE: ProtocolId = ProtocolId(2);
 const MODE_TTS: u64 = PROTO_TTS.0 as u64;
 const MODE_QUEUE: u64 = PROTO_QUEUE.0 as u64;
 
-const QN_NEXT: u64 = 0;
-const QN_STATUS: u64 = 1;
-
-/// Failed `test&set`s per acquisition signalling high contention.
-pub const TTS_RETRY_LIMIT: u64 = 4;
-/// Consecutive empty-queue acquisitions signalling low contention.
-pub const EMPTY_QUEUE_LIMIT: u64 = 4;
 /// Queue waiting time (cycles) above which combining pays off.
 pub const QUEUE_WAIT_LIMIT: u64 = 1_800;
 /// Minimum ops combined at the root for the tree to be worthwhile.
@@ -131,7 +124,8 @@ impl<'m> ReactiveFetchOpBuilder<'m> {
             kernel = kernel.sink(sink);
         }
         ReactiveFetchOp {
-            locks,
+            tts: TtsLock::over(locks, self.max_procs),
+            queue: McsLock::over(m, locks.plus(1)),
             mode,
             var,
             root,
@@ -139,8 +133,6 @@ impl<'m> ReactiveFetchOpBuilder<'m> {
             kernel: Rc::new(kernel.build()),
             empty_streak: Rc::new(Cell::new(0)),
             low_combine_streak: Rc::new(Cell::new(0)),
-            pool: Rc::new(RefCell::new(vec![Vec::new(); m.nodes()])),
-            max_procs: self.max_procs,
         }
     }
 }
@@ -148,8 +140,10 @@ impl<'m> ReactiveFetchOpBuilder<'m> {
 /// The reactive fetch-and-op object. Cheap to clone; clones share state.
 #[derive(Clone)]
 pub struct ReactiveFetchOp {
-    /// `[tts_flag, queue_tail]` on one line.
-    locks: Addr,
+    /// The two lock sub-protocols, over one line `[tts_flag,
+    /// queue_tail]`.
+    tts: TtsLock,
+    queue: McsLock,
     /// Mode hint on its own line.
     mode: Addr,
     /// The fetch-and-op variable, shared by all three protocols.
@@ -160,8 +154,6 @@ pub struct ReactiveFetchOp {
     kernel: Rc<SimKernel>,
     empty_streak: Rc<Cell<u64>>,
     low_combine_streak: Rc<Cell<u64>>,
-    pool: Rc<RefCell<Vec<Vec<Addr>>>>,
-    max_procs: usize,
 }
 
 impl std::fmt::Debug for ReactiveFetchOp {
@@ -192,14 +184,6 @@ impl ReactiveFetchOp {
             .build()
     }
 
-    fn tts(&self) -> Addr {
-        self.locks
-    }
-
-    fn tail(&self) -> Addr {
-        self.locks.plus(1)
-    }
-
     fn root_lock(&self) -> Addr {
         self.root
     }
@@ -216,18 +200,6 @@ impl ReactiveFetchOp {
     /// Number of protocol changes performed so far.
     pub fn switches(&self) -> u64 {
         self.kernel.switches()
-    }
-
-    fn take_qnode(&self, cpu: &Cpu) -> Addr {
-        let mut pool = self.pool.borrow_mut();
-        match pool[cpu.node()].pop() {
-            Some(a) => a,
-            None => cpu.alloc_on(cpu.node(), 2),
-        }
-    }
-
-    fn put_qnode(&self, cpu: &Cpu, q: Addr) {
-        self.pool.borrow_mut()[cpu.node()].push(q);
     }
 
     /// Atomically add `delta`, returning the previous value. Dispatches
@@ -251,30 +223,13 @@ impl ReactiveFetchOp {
     // ------------------------------------------------------------------
 
     async fn try_tts(&self, cpu: &Cpu, delta: u64) -> Option<u64> {
-        let mut backoff = Backoff::new(INITIAL_DELAY, 64 * self.max_procs as u64);
-        let mut failures: u64 = 0;
-        loop {
-            if cpu.read(self.tts()).await == FREE {
-                if cpu.test_and_set(self.tts()).await == FREE {
-                    break;
-                }
-                failures += 1;
-                backoff.pause(cpu).await;
-            } else {
-                let deadline = cpu.now() + 400;
-                cpu.poll_until_deadline(self.tts(), |v| v == FREE, deadline)
-                    .await;
-            }
-            if cpu.read(self.mode).await != MODE_TTS {
-                return None;
-            }
-        }
+        let failures = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await?;
         // Critical section: apply the op.
         let old = cpu.read(self.var).await;
         cpu.write(self.var, old.wrapping_add(delta)).await;
         self.empty_streak.set(0);
         let obs = if failures > TTS_RETRY_LIMIT {
-            Observation::suboptimal(PROTO_TTS, PROTO_QUEUE, 150.0)
+            Observation::suboptimal(PROTO_TTS, PROTO_QUEUE, TTS_RESIDUAL)
         } else {
             Observation::optimal(PROTO_TTS)
         };
@@ -283,7 +238,7 @@ impl ReactiveFetchOp {
                 // Switch TTS -> queue: the kernel validates the queue
                 // and leaves TTS busy; releasing through the new
                 // protocol is ours.
-                let q = self.take_qnode(cpu);
+                let q = self.queue.take_qnode(cpu);
                 self.kernel
                     .switch(
                         &FopSwitch {
@@ -295,8 +250,7 @@ impl ReactiveFetchOp {
                         PROTO_QUEUE,
                     )
                     .await;
-                self.release_queue(cpu, q).await;
-                self.put_qnode(cpu, q);
+                self.queue.release_qnode(cpu, q).await;
             }
             Some(target) => {
                 // Switch TTS -> tree directly: the kernel validates the
@@ -306,9 +260,7 @@ impl ReactiveFetchOp {
                     .switch(&FopSwitch { f: self, q: None }, cpu, PROTO_TTS, PROTO_TREE)
                     .await;
             }
-            None => {
-                cpu.write(self.tts(), FREE).await;
-            }
+            None => self.tts.release(cpu, ()).await,
         }
         Some(old)
     }
@@ -318,26 +270,21 @@ impl ReactiveFetchOp {
     // ------------------------------------------------------------------
 
     async fn try_queue(&self, cpu: &Cpu, delta: u64) -> Option<u64> {
-        let q = self.take_qnode(cpu);
-        cpu.write(q.plus(QN_NEXT), NIL).await;
+        // The waiting-time clock starts between preparing the node and
+        // swapping it in.
+        let q = self.queue.prepare_qnode(cpu).await;
         let t_enqueue = cpu.now();
-        let pred = cpu.fetch_and_store(self.tail(), enc(q)).await;
-        let mut empty = false;
-        if pred == NIL {
-            empty = true;
-        } else if pred != INVALID_PTR {
-            cpu.write(q.plus(QN_STATUS), WAITING).await;
-            cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
-            let status = cpu.poll_until(q.plus(QN_STATUS), |v| v != WAITING).await;
-            if status != GO {
-                debug_assert_eq!(status, INVALID_STATUS);
-                self.put_qnode(cpu, q);
+        let pred = self.queue.swap_tail(cpu, q).await;
+        if pred == INVALID_PTR {
+            self.queue.invalidate_from(cpu, q).await;
+            return None;
+        }
+        let empty = pred == NIL;
+        if !empty {
+            self.queue.chain(cpu, q, pred).await;
+            if !self.queue.wait_granted(cpu, q).await {
                 return None;
             }
-        } else {
-            self.invalidate_queue_from(cpu, q).await;
-            self.put_qnode(cpu, q);
-            return None;
         }
         let wait_time = cpu.now() - t_enqueue;
 
@@ -352,7 +299,7 @@ impl ReactiveFetchOp {
             let streak = self.empty_streak.get() + 1;
             self.empty_streak.set(streak);
             if streak > EMPTY_QUEUE_LIMIT {
-                Observation::suboptimal(PROTO_QUEUE, PROTO_TTS, 15.0)
+                Observation::suboptimal(PROTO_QUEUE, PROTO_TTS, QUEUE_RESIDUAL)
             } else {
                 Observation::optimal(PROTO_QUEUE)
             }
@@ -380,7 +327,7 @@ impl ReactiveFetchOp {
                         PROTO_TTS,
                     )
                     .await;
-                cpu.write(self.tts(), FREE).await;
+                self.tts.release(cpu, ()).await;
             }
             Some(target) => {
                 // Switch queue -> tree: validate the root, invalidate
@@ -398,10 +345,7 @@ impl ReactiveFetchOp {
                     )
                     .await;
             }
-            None => {
-                self.release_queue(cpu, q).await;
-                self.put_qnode(cpu, q);
-            }
+            None => self.queue.release_qnode(cpu, q).await,
         }
         Some(old)
     }
@@ -454,7 +398,7 @@ impl ReactiveFetchOp {
                 match target {
                     Some(t) if t == PROTO_QUEUE => {
                         // Switch tree -> queue.
-                        let q = self.take_qnode(cpu);
+                        let q = self.queue.take_qnode(cpu);
                         self.kernel
                             .switch(
                                 &FopSwitch {
@@ -466,8 +410,7 @@ impl ReactiveFetchOp {
                                 t,
                             )
                             .await;
-                        self.release_queue(cpu, q).await;
-                        self.put_qnode(cpu, q);
+                        self.queue.release_qnode(cpu, q).await;
                     }
                     Some(t) => {
                         // Switch tree -> TTS directly: the queue is
@@ -476,7 +419,7 @@ impl ReactiveFetchOp {
                         self.kernel
                             .switch(&FopSwitch { f: self, q: None }, cpu, PROTO_TREE, t)
                             .await;
-                        cpu.write(self.tts(), FREE).await;
+                        self.tts.release(cpu, ()).await;
                     }
                     None => {}
                 }
@@ -506,53 +449,6 @@ impl ReactiveFetchOp {
     async fn unlock_root(&self, cpu: &Cpu) {
         cpu.write(self.root_lock(), 0).await;
     }
-
-    // ------------------------------------------------------------------
-    // Shared queue-lock plumbing (same as the reactive lock)
-    // ------------------------------------------------------------------
-
-    async fn release_queue(&self, cpu: &Cpu, q: Addr) {
-        let next = cpu.read(q.plus(QN_NEXT)).await;
-        if next == NIL {
-            let old_tail = cpu.fetch_and_store(self.tail(), NIL).await;
-            if old_tail == enc(q) {
-                return;
-            }
-            let usurper = cpu.fetch_and_store(self.tail(), old_tail).await;
-            let next = cpu.poll_until(q.plus(QN_NEXT), |v| v != NIL).await;
-            if usurper != NIL {
-                cpu.write(dec(usurper).plus(QN_NEXT), next).await;
-            } else {
-                cpu.write(dec(next).plus(QN_STATUS), GO).await;
-            }
-        } else {
-            cpu.write(dec(next).plus(QN_STATUS), GO).await;
-        }
-    }
-
-    async fn acquire_invalid_queue(&self, cpu: &Cpu, q: Addr) {
-        loop {
-            cpu.write(q.plus(QN_NEXT), NIL).await;
-            let pred = cpu.fetch_and_store(self.tail(), enc(q)).await;
-            if pred == INVALID_PTR {
-                return;
-            }
-            cpu.write(q.plus(QN_STATUS), WAITING).await;
-            cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
-            cpu.poll_until(q.plus(QN_STATUS), |v| v != WAITING).await;
-        }
-    }
-
-    async fn invalidate_queue_from(&self, cpu: &Cpu, head: Addr) {
-        let tail = cpu.fetch_and_store(self.tail(), INVALID_PTR).await;
-        let mut head = head;
-        while enc(head) != tail {
-            let next = cpu.poll_until(head.plus(QN_NEXT), |v| v != NIL).await;
-            cpu.write(head.plus(QN_STATUS), INVALID_STATUS).await;
-            head = dec(next);
-        }
-        cpu.write(head.plus(QN_STATUS), INVALID_STATUS).await;
-    }
 }
 
 /// The fetch-op's [`SwitchableObject`] hooks for all six ordered
@@ -573,7 +469,7 @@ impl SwitchableObject for FopSwitch<'_> {
         match to {
             PROTO_QUEUE => {
                 let q = self.q.expect("entering the queue protocol needs a node");
-                self.f.acquire_invalid_queue(cpu, q).await;
+                self.f.queue.acquire_invalid(cpu, q).await;
             }
             PROTO_TREE => {
                 // Set the root's validity flag under its lock.
@@ -594,8 +490,7 @@ impl SwitchableObject for FopSwitch<'_> {
             let q = self
                 .q
                 .expect("leaving the queue protocol needs the held node");
-            self.f.invalidate_queue_from(cpu, q).await;
-            self.f.put_qnode(cpu, q);
+            self.f.queue.invalidate_from(cpu, q).await;
         }
         // An invalid TTS flag is left BUSY; the tree's `tree_valid` was
         // cleared at decision time under the root lock. Both are
@@ -641,6 +536,7 @@ mod tests {
     use super::*;
     use crate::policy::{Decision, SwitchLog};
     use alewife_sim::{Config, Machine};
+    use std::cell::RefCell;
 
     /// All returns must form the exact set {0..procs*iters}.
     fn hammer(procs: usize, iters: u64, think: u64) -> (u64, u64) {

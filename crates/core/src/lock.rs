@@ -39,14 +39,11 @@
 //! # drop(lock);
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
-use sync_protocols::spin::{
-    dec, enc, Backoff, Lock, BUSY, FREE, GO, INITIAL_DELAY, INVALID_PTR, INVALID_STATUS, NIL,
-    WAITING,
-};
+use sync_protocols::spin::{Lock, McsLock, TtsLock, BUSY, FREE, INVALID_PTR, NIL};
 
 use crate::policy::{
     Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
@@ -60,10 +57,6 @@ pub const PROTO_QUEUE: ProtocolId = ProtocolId(1);
 /// Mode word values (the mode hint stores the valid protocol's id).
 const MODE_TTS: u64 = PROTO_TTS.0 as u64;
 const MODE_QUEUE: u64 = PROTO_QUEUE.0 as u64;
-
-/// Queue-node field offsets (`next`, `status`).
-const QN_NEXT: u64 = 0;
-const QN_STATUS: u64 = 1;
 
 /// Failed `test&set` attempts in one acquisition that signal high
 /// contention (the monitor's hysteresis, §3.7.3).
@@ -181,12 +174,11 @@ impl<'m> ReactiveLockBuilder<'m> {
             kernel = kernel.sink(sink);
         }
         ReactiveLock {
-            locks,
+            tts: TtsLock::over(locks, self.max_procs),
+            queue: McsLock::over(m, locks.plus(1)),
             mode,
             kernel: Rc::new(kernel.build()),
             empty_streak: Rc::new(Cell::new(0)),
-            pool: Rc::new(RefCell::new(vec![Vec::new(); m.nodes()])),
-            max_procs: self.max_procs,
         }
     }
 }
@@ -194,22 +186,22 @@ impl<'m> ReactiveLockBuilder<'m> {
 /// The reactive spin lock. Cheap to clone; clones share the lock.
 #[derive(Clone)]
 pub struct ReactiveLock {
-    /// Line holding `[tts_flag, queue_tail]` (§3.7.3 recommends the
-    /// sub-locks share a line so the optimistic `test&set` prefetches
-    /// the queue tail).
-    locks: Addr,
+    /// The two sub-locks, over one line `[tts_flag, queue_tail]`
+    /// (§3.7.3 recommends they share a line so the optimistic
+    /// `test&set` prefetches the queue tail).
+    tts: TtsLock,
+    queue: McsLock,
     /// Mode hint on its own (mostly-read) line.
     mode: Addr,
     kernel: Rc<SimKernel>,
     empty_streak: Rc<Cell<u64>>,
-    pool: Rc<RefCell<Vec<Vec<Addr>>>>,
-    max_procs: usize,
 }
 
 impl std::fmt::Debug for ReactiveLock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReactiveLock")
-            .field("locks", &self.locks)
+            .field("tts", &self.tts)
+            .field("queue", &self.queue)
             .field("mode", &self.mode)
             .finish()
     }
@@ -234,14 +226,6 @@ impl ReactiveLock {
         ReactiveLock::builder(m, home).max_procs(max_procs).build()
     }
 
-    fn tts(&self) -> Addr {
-        self.locks
-    }
-
-    fn tail(&self) -> Addr {
-        self.locks.plus(1)
-    }
-
     /// Number of protocol changes performed so far.
     pub fn switches(&self) -> u64 {
         self.kernel.switches()
@@ -251,19 +235,7 @@ impl ReactiveLock {
     /// inspection in tests and tools (e.g. checking the never-both-free
     /// invariant at quiescence).
     pub fn inspect_words(&self) -> (Addr, Addr, Addr) {
-        (self.tts(), self.tail(), self.mode)
-    }
-
-    fn take_qnode(&self, cpu: &Cpu) -> Addr {
-        let mut pool = self.pool.borrow_mut();
-        match pool[cpu.node()].pop() {
-            Some(a) => a,
-            None => cpu.alloc_on(cpu.node(), 2),
-        }
-    }
-
-    fn put_qnode(&self, cpu: &Cpu, q: Addr) {
-        self.pool.borrow_mut()[cpu.node()].push(q);
+        (self.tts.flag(), self.queue.tail(), self.mode)
     }
 
     /// Acquire the lock; the returned [`ReleaseMode`] must be passed to
@@ -274,13 +246,15 @@ impl ReactiveLock {
         // valid. Test before test&set so the optimism costs only a
         // cache hit while the queue protocol is in force (the flag is
         // constant-BUSY then, so the line stays read-cached).
-        if cpu.read(self.tts()).await == FREE && cpu.test_and_set(self.tts()).await == FREE {
+        let flag = self.tts.flag();
+        if cpu.read(flag).await == FREE && cpu.test_and_set(flag).await == FREE {
             return self.decide_after_tts(0);
         }
         loop {
             let mode = cpu.read(self.mode).await;
             let r = if mode == MODE_TTS {
-                self.acquire_tts(cpu).await
+                let won = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await;
+                won.map(|failures| self.decide_after_tts(failures))
             } else {
                 self.acquire_queue(cpu).await
             };
@@ -289,32 +263,6 @@ impl ReactiveLock {
             }
             // Protocol changed under us (or the queue was invalid):
             // re-dispatch on the fresh mode hint.
-        }
-    }
-
-    /// TTS-protocol acquisition (Figure 3.28's `acquire_tts`). Returns
-    /// `None` if the mode changed away from TTS.
-    async fn acquire_tts(&self, cpu: &Cpu) -> Option<ReleaseMode> {
-        let mut backoff = Backoff::new(INITIAL_DELAY, 64 * self.max_procs as u64);
-        let mut failures: u64 = 0;
-        loop {
-            if cpu.read(self.tts()).await == FREE {
-                if cpu.test_and_set(self.tts()).await == FREE {
-                    return Some(self.decide_after_tts(failures));
-                }
-                failures += 1;
-                backoff.pause(cpu).await;
-            } else {
-                // Read-poll the (cached) flag, but wake periodically to
-                // re-check the mode hint: an invalid TTS flag stays BUSY
-                // forever and would otherwise spin us indefinitely.
-                let deadline = cpu.now() + 400;
-                cpu.poll_until_deadline(self.tts(), |v| v == FREE, deadline)
-                    .await;
-            }
-            if cpu.read(self.mode).await != MODE_TTS {
-                return None;
-            }
         }
     }
 
@@ -336,77 +284,59 @@ impl ReactiveLock {
     /// Queue-protocol acquisition (Figure 3.28's `acquire_queue`).
     /// Returns `None` if the queue protocol was invalid.
     async fn acquire_queue(&self, cpu: &Cpu) -> Option<ReleaseMode> {
-        let q = self.take_qnode(cpu);
-        cpu.write(q.plus(QN_NEXT), NIL).await;
-        let pred = cpu.fetch_and_store(self.tail(), enc(q)).await;
-        if pred == NIL {
+        let q = self.queue.prepare_qnode(cpu).await;
+        let pred = self.queue.swap_tail(cpu, q).await;
+        if pred == INVALID_PTR {
+            // We swapped our node onto an *invalid* queue: restore the
+            // INVALID marker (propagating it to anyone who chained
+            // behind us) and retry with the other protocol.
+            self.queue.invalidate_from(cpu, q).await;
+            return None;
+        }
+        let obs = if pred == NIL {
             // Empty queue: lock acquired immediately (low contention).
             let streak = self.empty_streak.get() + 1;
             self.empty_streak.set(streak);
-            let obs = if streak > EMPTY_QUEUE_LIMIT {
+            if streak > EMPTY_QUEUE_LIMIT {
                 Observation::suboptimal(PROTO_QUEUE, PROTO_TTS, QUEUE_RESIDUAL)
             } else {
                 Observation::optimal(PROTO_QUEUE)
-            };
-            if self.kernel.observe(&obs).is_some() {
-                return Some(ReleaseMode::QueueToTts(q));
             }
-            return Some(ReleaseMode::Queue(q));
-        }
-        if pred != INVALID_PTR {
-            cpu.write(q.plus(QN_STATUS), WAITING).await;
-            cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
+        } else {
+            self.queue.chain(cpu, q, pred).await;
             self.empty_streak.set(0);
-            let status = cpu.poll_until(q.plus(QN_STATUS), |v| v != WAITING).await;
-            if status == GO {
-                // Honor the policy even on this optimal path: user
-                // policies may direct a switch on any observation (the
-                // only other slot is TTS, so an approved target is it).
-                if self
-                    .kernel
-                    .observe(&Observation::optimal(PROTO_QUEUE))
-                    .is_some()
-                {
-                    return Some(ReleaseMode::QueueToTts(q));
-                }
-                return Some(ReleaseMode::Queue(q));
+            if !self.queue.wait_granted(cpu, q).await {
+                // The queue protocol was switched away while we waited;
+                // retry via dispatch (mode now points at TTS).
+                return None;
             }
-            // INVALID: the queue protocol was switched away while we
-            // waited; retry via dispatch (mode now points at TTS).
-            debug_assert_eq!(status, INVALID_STATUS);
-            self.put_qnode(cpu, q);
-            return None;
-        }
-        // We swapped our node onto an *invalid* queue: restore the
-        // INVALID marker (propagating it to anyone who chained behind
-        // us) and retry with the other protocol.
-        self.invalidate_queue_from(cpu, q).await;
-        self.put_qnode(cpu, q);
-        None
+            // Honor the policy even on this optimal path: user policies
+            // may direct a switch on any observation.
+            Observation::optimal(PROTO_QUEUE)
+        };
+        // The only other slot is TTS, so an approved target is it.
+        Some(match self.kernel.observe(&obs) {
+            Some(_tts) => ReleaseMode::QueueToTts(q),
+            None => ReleaseMode::Queue(q),
+        })
     }
 
     /// Release the lock, performing any protocol change the acquisition
     /// decided on (Figure 3.29).
     pub async fn release(&self, cpu: &Cpu, rm: ReleaseMode) {
         match rm {
-            ReleaseMode::Tts => {
-                cpu.write(self.tts(), FREE).await;
-            }
-            ReleaseMode::Queue(q) => {
-                self.release_queue(cpu, q).await;
-                self.put_qnode(cpu, q);
-            }
+            ReleaseMode::Tts => self.tts.release(cpu, ()).await,
+            ReleaseMode::Queue(q) => self.queue.release_qnode(cpu, q).await,
             ReleaseMode::TtsToQueue => {
                 // `release_tts_to_queue` (Figure 3.29), driven by the
                 // switching kernel: validate the queue (leaving the TTS
                 // flag BUSY), publish the hint, then release via the
                 // queue.
-                let q = self.take_qnode(cpu);
+                let q = self.queue.take_qnode(cpu);
                 self.kernel
                     .switch(&LockSwitch { lock: self, q }, cpu, PROTO_TTS, PROTO_QUEUE)
                     .await;
-                self.release_queue(cpu, q).await;
-                self.put_qnode(cpu, q);
+                self.queue.release_qnode(cpu, q).await;
             }
             ReleaseMode::QueueToTts(q) => {
                 // `release_queue_to_tts`: the kernel flips the hint and
@@ -416,61 +346,9 @@ impl ReactiveLock {
                 self.kernel
                     .switch(&LockSwitch { lock: self, q }, cpu, PROTO_QUEUE, PROTO_TTS)
                     .await;
-                cpu.write(self.tts(), FREE).await;
+                self.tts.release(cpu, ()).await;
             }
         }
-    }
-
-    /// MCS release with the usurper race handling (Figure 3.28).
-    async fn release_queue(&self, cpu: &Cpu, q: Addr) {
-        let next = cpu.read(q.plus(QN_NEXT)).await;
-        if next == NIL {
-            let old_tail = cpu.fetch_and_store(self.tail(), NIL).await;
-            if old_tail == enc(q) {
-                return;
-            }
-            let usurper = cpu.fetch_and_store(self.tail(), old_tail).await;
-            let next = cpu.poll_until(q.plus(QN_NEXT), |v| v != NIL).await;
-            if usurper != NIL {
-                cpu.write(dec(usurper).plus(QN_NEXT), next).await;
-            } else {
-                cpu.write(dec(next).plus(QN_STATUS), GO).await;
-            }
-        } else {
-            cpu.write(dec(next).plus(QN_STATUS), GO).await;
-        }
-    }
-
-    /// Figure 3.29's `acquire_invalid_queue`: install our node as the
-    /// head of the (currently invalid) queue, retrying if other racers
-    /// piled onto it first.
-    async fn acquire_invalid_queue(&self, cpu: &Cpu, q: Addr) {
-        loop {
-            cpu.write(q.plus(QN_NEXT), NIL).await;
-            let pred = cpu.fetch_and_store(self.tail(), enc(q)).await;
-            if pred == INVALID_PTR {
-                return;
-            }
-            // Landed behind someone on an invalid queue: wait for the
-            // INVALID signal to ripple to us, then retry.
-            cpu.write(q.plus(QN_STATUS), WAITING).await;
-            cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
-            cpu.poll_until(q.plus(QN_STATUS), |v| v != WAITING).await;
-        }
-    }
-
-    /// Figure 3.29's `invalidate_queue`: swap the tail to INVALID and
-    /// walk from `head` to the old tail signalling every waiter to
-    /// retry.
-    async fn invalidate_queue_from(&self, cpu: &Cpu, head: Addr) {
-        let tail = cpu.fetch_and_store(self.tail(), INVALID_PTR).await;
-        let mut head = head;
-        while enc(head) != tail {
-            let next = cpu.poll_until(head.plus(QN_NEXT), |v| v != NIL).await;
-            cpu.write(head.plus(QN_STATUS), INVALID_STATUS).await;
-            head = dec(next);
-        }
-        cpu.write(head.plus(QN_STATUS), INVALID_STATUS).await;
     }
 }
 
@@ -492,7 +370,7 @@ impl SwitchableObject for LockSwitch<'_> {
         if to == PROTO_QUEUE {
             // Install our node as the head of the (invalid) queue,
             // making the queue protocol valid-and-held.
-            self.lock.acquire_invalid_queue(cpu, self.q).await;
+            self.lock.queue.acquire_invalid(cpu, self.q).await;
         }
         // TTS becomes valid when the switcher frees the flag — that is
         // its release through the new protocol, after the transaction.
@@ -502,8 +380,7 @@ impl SwitchableObject for LockSwitch<'_> {
         if from == PROTO_QUEUE {
             // Bounce every queued waiter back to dispatch and leave the
             // INVALID sentinel in the tail.
-            self.lock.invalidate_queue_from(cpu, self.q).await;
-            self.lock.put_qnode(cpu, self.q);
+            self.lock.queue.invalidate_from(cpu, self.q).await;
         }
         // An invalid TTS flag is simply left BUSY (never written). The
         // holder-based discipline is exclusive, so this cannot lose.

@@ -26,8 +26,9 @@ use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::mp::{MpCombiningTree, MpCounter, MpQueueLock};
-use sync_protocols::spin::{Backoff, FREE, INITIAL_DELAY};
+use sync_protocols::spin::{Lock, TtsLock};
 
+use crate::lock::{TTS_RESIDUAL, TTS_RETRY_LIMIT};
 use crate::policy::{
     Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
 };
@@ -42,8 +43,6 @@ pub const PROTO_MP_TREE: ProtocolId = ProtocolId(2);
 const MODE_TTS: u64 = PROTO_TTS.0 as u64;
 const MODE_MP: u64 = PROTO_MP.0 as u64;
 
-/// Failed `test&set`s per acquisition signalling high contention.
-const TTS_RETRY_LIMIT: u64 = 4;
 /// Consecutive zero-length grant queues signalling low contention.
 const EMPTY_LIMIT: u64 = 4;
 
@@ -99,9 +98,8 @@ impl<'m> ReactiveMpLockBuilder<'m> {
     /// Allocate and initialize (TTS valid; MP manager invalid).
     pub fn build(self) -> ReactiveMpLock {
         let m = self.m;
-        let tts = m.alloc_on(self.home, 1);
+        let tts = TtsLock::new(m, self.home, self.max_procs);
         let mode = m.alloc_on(self.home, 1);
-        m.write_word(tts, FREE);
         m.write_word(mode, MODE_TTS);
         // Both consensus objects are holder-based here: the TTS flag is
         // pinned busy while invalid, and the manager's validity flips
@@ -119,7 +117,6 @@ impl<'m> ReactiveMpLockBuilder<'m> {
             mp: MpQueueLock::with_validity(m, self.manager, false),
             kernel: Rc::new(kernel.build()),
             empty_streak: Rc::new(Cell::new(0)),
-            max_procs: self.max_procs,
         }
     }
 }
@@ -128,12 +125,11 @@ impl<'m> ReactiveMpLockBuilder<'m> {
 /// and a message-passing queue-lock protocol (§3.6).
 #[derive(Clone)]
 pub struct ReactiveMpLock {
-    tts: Addr,
+    tts: TtsLock,
     mode: Addr,
     mp: MpQueueLock,
     kernel: Rc<SimKernel>,
     empty_streak: Rc<Cell<u64>>,
-    max_procs: usize,
 }
 
 impl std::fmt::Debug for ReactiveMpLock {
@@ -185,34 +181,18 @@ impl ReactiveMpLock {
     }
 
     async fn acquire_tts(&self, cpu: &Cpu) -> Option<MpReleaseMode> {
-        let mut backoff = Backoff::new(INITIAL_DELAY, 64 * self.max_procs as u64);
-        let mut failures = 0u64;
-        loop {
-            if cpu.read(self.tts).await == FREE {
-                if cpu.test_and_set(self.tts).await == FREE {
-                    self.empty_streak.set(0);
-                    let obs = if failures > TTS_RETRY_LIMIT {
-                        Observation::suboptimal(PROTO_TTS, PROTO_MP, 150.0)
-                    } else {
-                        Observation::optimal(PROTO_TTS)
-                    };
-                    return Some(if self.kernel.observe(&obs).is_some() {
-                        MpReleaseMode::TtsToMp
-                    } else {
-                        MpReleaseMode::Tts
-                    });
-                }
-                failures += 1;
-                backoff.pause(cpu).await;
-            } else {
-                let deadline = cpu.now() + 400;
-                cpu.poll_until_deadline(self.tts, |v| v == FREE, deadline)
-                    .await;
-            }
-            if cpu.read(self.mode).await != MODE_TTS {
-                return None;
-            }
-        }
+        let failures = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await?;
+        self.empty_streak.set(0);
+        let obs = if failures > TTS_RETRY_LIMIT {
+            Observation::suboptimal(PROTO_TTS, PROTO_MP, TTS_RESIDUAL)
+        } else {
+            Observation::optimal(PROTO_TTS)
+        };
+        Some(if self.kernel.observe(&obs).is_some() {
+            MpReleaseMode::TtsToMp
+        } else {
+            MpReleaseMode::Tts
+        })
     }
 
     async fn acquire_mp(&self, cpu: &Cpu) -> Option<MpReleaseMode> {
@@ -239,11 +219,8 @@ impl ReactiveMpLock {
     /// Release, performing any protocol change decided at acquire time.
     pub async fn release(&self, cpu: &Cpu, rm: MpReleaseMode) {
         match rm {
-            MpReleaseMode::Tts => cpu.write(self.tts, FREE).await,
-            MpReleaseMode::Mp => {
-                use sync_protocols::spin::Lock as _;
-                self.mp.release(cpu, ()).await;
-            }
+            MpReleaseMode::Tts => self.tts.release(cpu, ()).await,
+            MpReleaseMode::Mp => self.mp.release(cpu, ()).await,
             MpReleaseMode::TtsToMp => {
                 // The kernel validates the manager with the lock held
                 // by us and flips the hint (TTS stays BUSY); we then
@@ -251,7 +228,6 @@ impl ReactiveMpLock {
                 self.kernel
                     .switch(&MpLockSwitch { lock: self }, cpu, PROTO_TTS, PROTO_MP)
                     .await;
-                use sync_protocols::spin::Lock as _;
                 self.mp.release(cpu, ()).await;
             }
             MpReleaseMode::MpToTts => {
@@ -261,7 +237,7 @@ impl ReactiveMpLock {
                 self.kernel
                     .switch(&MpLockSwitch { lock: self }, cpu, PROTO_MP, PROTO_TTS)
                     .await;
-                cpu.write(self.tts, FREE).await;
+                self.tts.release(cpu, ()).await;
             }
         }
     }
@@ -358,10 +334,9 @@ impl<'m> ReactiveMpFetchOpBuilder<'m> {
     /// invalid).
     pub fn build(self) -> ReactiveMpFetchOp {
         let m = self.m;
-        let tts = m.alloc_on(self.home, 1);
+        let tts = TtsLock::new(m, self.home, self.max_procs);
         let var = m.alloc_on(self.home, 1);
         let mode = m.alloc_on(self.home, 1);
-        m.write_word(tts, FREE);
         m.write_word(mode, MODE_TTS);
         // Every slot here is value-carrying consensus: leaving a
         // protocol must capture the counter atomically with its
@@ -383,7 +358,6 @@ impl<'m> ReactiveMpFetchOpBuilder<'m> {
             tree: MpCombiningTree::with_validity(m, self.manager, self.max_procs, false),
             kernel: Rc::new(kernel.build()),
             calm_streak: Rc::new(Cell::new(0)),
-            max_procs: self.max_procs,
         }
     }
 }
@@ -399,14 +373,13 @@ impl<'m> ReactiveMpFetchOpBuilder<'m> {
 /// consensus object.
 #[derive(Clone)]
 pub struct ReactiveMpFetchOp {
-    tts: Addr,
+    tts: TtsLock,
     var: Addr,
     mode: Addr,
     central: MpCounter,
     tree: MpCombiningTree,
     kernel: Rc<SimKernel>,
     calm_streak: Rc<Cell<u64>>,
-    max_procs: usize,
 }
 
 impl std::fmt::Debug for ReactiveMpFetchOp {
@@ -486,28 +459,11 @@ impl ReactiveMpFetchOp {
     }
 
     async fn try_tts(&self, cpu: &Cpu, delta: u64) -> Option<u64> {
-        let mut backoff = Backoff::new(INITIAL_DELAY, 64 * self.max_procs as u64);
-        let mut failures = 0u64;
-        loop {
-            if cpu.read(self.tts).await == FREE {
-                if cpu.test_and_set(self.tts).await == FREE {
-                    break;
-                }
-                failures += 1;
-                backoff.pause(cpu).await;
-            } else {
-                let deadline = cpu.now() + 400;
-                cpu.poll_until_deadline(self.tts, |v| v == FREE, deadline)
-                    .await;
-            }
-            if cpu.read(self.mode).await != MODE_TTS {
-                return None;
-            }
-        }
+        let failures = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await?;
         let old = cpu.read(self.var).await;
         cpu.write(self.var, old.wrapping_add(delta)).await;
         let obs = if failures > TTS_RETRY_LIMIT {
-            Observation::suboptimal(PROTO_TTS, PROTO_MP, 150.0)
+            Observation::suboptimal(PROTO_TTS, PROTO_MP, TTS_RESIDUAL)
         } else {
             Observation::optimal(PROTO_TTS)
         };
@@ -517,9 +473,7 @@ impl ReactiveMpFetchOp {
                     .switch(&MpFopSwitch { f: self }, cpu, PROTO_TTS, target)
                     .await;
             }
-            None => {
-                cpu.write(self.tts, FREE).await;
-            }
+            None => self.tts.release(cpu, ()).await,
         }
         Some(old)
     }
@@ -552,7 +506,7 @@ impl ReactiveMpFetchOp {
                 .try_switch(&MpFopSwitch { f: self }, cpu, PROTO_MP, target)
                 .await;
             if won && target == PROTO_TTS {
-                cpu.write(self.tts, FREE).await;
+                self.tts.release(cpu, ()).await;
             }
         }
         Some(old)
@@ -582,7 +536,7 @@ impl ReactiveMpFetchOp {
                     .try_switch(&MpFopSwitch { f: self }, cpu, PROTO_MP_TREE, target)
                     .await;
                 if won && target == PROTO_TTS {
-                    cpu.write(self.tts, FREE).await;
+                    self.tts.release(cpu, ()).await;
                 }
             }
         }

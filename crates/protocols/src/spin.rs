@@ -13,6 +13,11 @@
 //!   `fetch&store`-only variant (Alewife had no `compare&swap`), with the
 //!   usurper race handling of Figure 3.28. Each waiter spins on a flag in
 //!   its own queue node, so a release invalidates exactly one cache.
+//!
+//! [`TtsLock`] and [`McsLock`] double as the reactive algorithms'
+//! consensus objects (§3.2.5): an *invalid* sub-lock is one left busy —
+//! the TTS flag held `BUSY`, the queue tail holding [`INVALID_PTR`] — so
+//! `reactive-core` holds these two types and adds no protocol code.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,7 +32,7 @@ pub const FREE: u64 = 0;
 pub const BUSY: u64 = 1;
 
 /// Queue-node status: waiting for a predecessor's signal.
-pub const WAITING: u64 = 0;
+const WAITING: u64 = 0;
 /// Queue-node status: lock granted.
 pub const GO: u64 = 1;
 /// Queue-node status: the queue protocol was invalidated — retry with
@@ -162,14 +167,11 @@ pub struct TtsLock {
 impl TtsLock {
     /// Create a lock homed on `home`, with backoff sized for `max_procs`.
     pub fn new(m: &Machine, home: usize, max_procs: usize) -> TtsLock {
-        TtsLock {
-            flag: m.alloc_on(home, 1),
-            max_delay: backoff_cap(max_procs),
-        }
+        TtsLock::over(m.alloc_on(home, 1), max_procs)
     }
 
-    /// Build a TTS lock over an existing lock word (used by the reactive
-    /// lock, whose sub-locks share a line).
+    /// Build a TTS lock over an existing lock word (the reactive
+    /// objects keep `[tts_flag, queue_tail]` on one line).
     pub fn over(flag: Addr, max_procs: usize) -> TtsLock {
         TtsLock {
             flag,
@@ -177,25 +179,37 @@ impl TtsLock {
         }
     }
 
-    /// The lock word (the protocol's consensus object).
+    /// The lock word (the protocol's consensus object). An *invalid*
+    /// TTS sub-lock is simply one left `BUSY` (§3.2.5).
     pub fn flag(&self) -> Addr {
         self.flag
     }
 
-    /// One acquisition attempt loop, also counting failed `test&set`s;
-    /// returns the number of failures (the reactive lock's contention
-    /// estimate, §3.3.1).
-    pub async fn acquire_counting(&self, cpu: &Cpu) -> u64 {
+    /// Figure 3.28's `acquire_tts`: acquire while the mode hint at
+    /// `mode` still reads `valid`. `Some(failed test&sets)` on a win
+    /// (the contention estimate of §3.3.1), `None` once the hint
+    /// changes.
+    pub async fn acquire_while(&self, cpu: &Cpu, mode: Addr, valid: u64) -> Option<u64> {
         let mut b = Backoff::new(INITIAL_DELAY, self.max_delay);
         let mut failures = 0;
         loop {
-            // Read-poll the cached copy until the lock looks free.
-            spin_wait_until(cpu, self.flag, |v| v == FREE).await;
-            if cpu.test_and_set(self.flag).await == FREE {
-                return failures;
+            if cpu.read(self.flag).await == FREE {
+                if cpu.test_and_set(self.flag).await == FREE {
+                    return Some(failures);
+                }
+                failures += 1;
+                b.pause(cpu).await;
+            } else {
+                // Read-poll the (cached) flag, but wake periodically to
+                // re-check the hint: an invalid flag stays BUSY forever
+                // and would otherwise spin us indefinitely.
+                let deadline = cpu.now() + 400;
+                cpu.poll_until_deadline(self.flag, |v| v == FREE, deadline)
+                    .await;
             }
-            failures += 1;
-            b.pause(cpu).await;
+            if cpu.read(mode).await != valid {
+                return None;
+            }
         }
     }
 }
@@ -204,7 +218,15 @@ impl Lock for TtsLock {
     type Token = ();
 
     async fn acquire(&self, cpu: &Cpu) {
-        self.acquire_counting(cpu).await;
+        let mut b = Backoff::new(INITIAL_DELAY, self.max_delay);
+        loop {
+            // Read-poll the cached copy until the lock looks free.
+            spin_wait_until(cpu, self.flag, |v| v == FREE).await;
+            if cpu.test_and_set(self.flag).await == FREE {
+                return;
+            }
+            b.pause(cpu).await;
+        }
     }
 
     async fn release(&self, cpu: &Cpu, _t: ()) {
@@ -238,13 +260,21 @@ const QN_STATUS: u64 = 1;
 impl McsLock {
     /// Create a queue lock whose tail pointer is homed on `home`.
     pub fn new(m: &Machine, home: usize) -> McsLock {
+        McsLock::over(m, m.alloc_on(home, 1))
+    }
+
+    /// Build a queue lock over an existing tail word (the reactive
+    /// objects keep `[tts_flag, queue_tail]` on one line).
+    pub fn over(m: &Machine, tail: Addr) -> McsLock {
         McsLock {
-            tail: m.alloc_on(home, 1),
+            tail,
             pool: Rc::new(RefCell::new(vec![Vec::new(); m.nodes()])),
         }
     }
 
-    /// The tail pointer word (the protocol's consensus object).
+    /// The tail pointer word (the protocol's consensus object). An
+    /// *invalid* queue sub-lock is one whose tail holds `INVALID_PTR`
+    /// (§3.2.5).
     pub fn tail(&self) -> Addr {
         self.tail
     }
@@ -259,22 +289,44 @@ impl McsLock {
         }
     }
 
-    /// Return a queue node to the pool after release.
-    pub fn put_qnode(&self, cpu: &Cpu, q: Addr) {
+    fn put_qnode(&self, cpu: &Cpu, q: Addr) {
         self.pool.borrow_mut()[cpu.node()].push(q);
     }
 
-    /// The core enqueue step: returns `(qnode, predecessor_word)`.
-    pub async fn enqueue(&self, cpu: &Cpu) -> (Addr, u64) {
+    /// Take a queue node and clear its `next` pointer, ready for
+    /// [`McsLock::swap_tail`].
+    pub async fn prepare_qnode(&self, cpu: &Cpu) -> Addr {
         let q = self.take_qnode(cpu);
         cpu.write(q.plus(QN_NEXT), NIL).await;
-        let pred = cpu.fetch_and_store(self.tail, enc(q)).await;
-        (q, pred)
+        q
     }
 
-    /// Wait on `q`'s status flag until signalled; returns the status.
-    pub async fn wait_status(&self, cpu: &Cpu, q: Addr) -> u64 {
-        spin_wait_until(cpu, q.plus(QN_STATUS), |v| v != WAITING).await
+    /// Swap `q` into the tail; returns the predecessor word: `NIL` (lock
+    /// acquired), `INVALID_PTR` (the queue is invalid — the caller owes
+    /// an [`McsLock::invalidate_from`]), or a node to
+    /// [`McsLock::chain`] behind.
+    pub async fn swap_tail(&self, cpu: &Cpu, q: Addr) -> u64 {
+        cpu.fetch_and_store(self.tail, enc(q)).await
+    }
+
+    /// Link `q` behind the predecessor `pred` returned by
+    /// [`McsLock::swap_tail`].
+    pub async fn chain(&self, cpu: &Cpu, q: Addr, pred: u64) {
+        cpu.write(q.plus(QN_STATUS), WAITING).await;
+        cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
+    }
+
+    /// Spin on `q`'s own status flag until signalled. `true`: `GO`, the
+    /// lock is held via `q`. `false`: `INVALID_STATUS`, the queue was
+    /// switched away while we waited; `q` is back in the pool.
+    pub async fn wait_granted(&self, cpu: &Cpu, q: Addr) -> bool {
+        let status = spin_wait_until(cpu, q.plus(QN_STATUS), |v| v != WAITING).await;
+        if status == GO {
+            return true;
+        }
+        debug_assert_eq!(status, INVALID_STATUS);
+        self.put_qnode(cpu, q);
+        false
     }
 
     /// Release given the holder's queue node, handling the usurper race
@@ -304,17 +356,50 @@ impl McsLock {
         }
         self.put_qnode(cpu, q);
     }
+
+    /// Figure 3.29's `acquire_invalid_queue`: install `q` as the head of
+    /// the (currently invalid) queue, making it valid-and-held. Retries
+    /// if stale-mode racers piled onto the queue first.
+    pub async fn acquire_invalid(&self, cpu: &Cpu, q: Addr) {
+        loop {
+            cpu.write(q.plus(QN_NEXT), NIL).await;
+            let pred = self.swap_tail(cpu, q).await;
+            if pred == INVALID_PTR {
+                return;
+            }
+            // Landed behind a racer on an invalid queue: wait for its
+            // INVALID signal to ripple to us, then retry.
+            self.chain(cpu, q, pred).await;
+            spin_wait_until(cpu, q.plus(QN_STATUS), |v| v != WAITING).await;
+        }
+    }
+
+    /// Figure 3.29's `invalidate_queue`: swap the tail to `INVALID_PTR`
+    /// and walk from `head` (the caller's node) to the old tail,
+    /// signalling every waiter to retry. Returns `head` to the pool.
+    pub async fn invalidate_from(&self, cpu: &Cpu, head: Addr) {
+        let tail = cpu.fetch_and_store(self.tail, INVALID_PTR).await;
+        let mut q = head;
+        while enc(q) != tail {
+            let next = spin_wait_until(cpu, q.plus(QN_NEXT), |v| v != NIL).await;
+            cpu.write(q.plus(QN_STATUS), INVALID_STATUS).await;
+            q = dec(next);
+        }
+        cpu.write(q.plus(QN_STATUS), INVALID_STATUS).await;
+        self.put_qnode(cpu, head);
+    }
 }
 
 impl Lock for McsLock {
     type Token = Addr;
 
     async fn acquire(&self, cpu: &Cpu) -> Addr {
-        let (q, pred) = self.enqueue(cpu).await;
+        let q = self.prepare_qnode(cpu).await;
+        let pred = self.swap_tail(cpu, q).await;
         if pred != NIL {
-            cpu.write(q.plus(QN_STATUS), WAITING).await;
-            cpu.write(dec(pred).plus(QN_NEXT), enc(q)).await;
-            self.wait_status(cpu, q).await;
+            self.chain(cpu, q, pred).await;
+            let granted = self.wait_granted(cpu, q).await;
+            debug_assert!(granted, "a plain MCS queue is never invalidated");
         }
         q
     }
@@ -417,6 +502,82 @@ mod tests {
         // Arrivals are 500 cycles apart; critical sections are 2000, so
         // all later arrivals queue while 0 holds the lock. FIFO order.
         assert_eq!(grants, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn acquire_while_gives_up_when_the_hint_flips() {
+        let m = Machine::new(Config::default().nodes(2));
+        let (tts, mode) = (TtsLock::new(&m, 0, 2), m.alloc_on(0, 1));
+        m.write_word(tts.flag(), BUSY); // an invalid sub-lock: pinned busy
+        let won = Rc::new(Cell::new(Some(0)));
+        let (cpu, out) = (m.cpu(0), won.clone());
+        m.spawn(
+            0,
+            async move { out.set(tts.acquire_while(&cpu, mode, 0).await) },
+        );
+        let cpu = m.cpu(1);
+        m.spawn(1, async move {
+            cpu.work(2_000).await;
+            cpu.write(mode, 1).await;
+        });
+        m.run();
+        assert_eq!(m.live_tasks(), 0, "spun forever on an invalid flag");
+        assert_eq!(won.get(), None);
+    }
+
+    #[test]
+    fn invalidate_from_bounces_a_three_deep_chain() {
+        let m = Machine::new(Config::default().nodes(4));
+        let lock = McsLock::new(&m, 0);
+        let bounced = Rc::new(Cell::new(0));
+        for p in 0..4 {
+            let (cpu, lock, bounced) = (m.cpu(p), lock.clone(), bounced.clone());
+            m.spawn(p, async move {
+                cpu.work(500 * p as u64).await;
+                let q = lock.prepare_qnode(&cpu).await;
+                let pred = lock.swap_tail(&cpu, q).await;
+                if pred == NIL {
+                    cpu.work(3_000).await; // let the other three chain up
+                    lock.invalidate_from(&cpu, q).await;
+                } else {
+                    lock.chain(&cpu, q, pred).await;
+                    assert!(!lock.wait_granted(&cpu, q).await, "waiter {p} got GO");
+                    assert_eq!(cpu.read(q.plus(QN_STATUS)).await, INVALID_STATUS);
+                    bounced.set(bounced.get() + 1);
+                }
+            });
+        }
+        m.run();
+        assert_eq!(bounced.get(), 3, "a waiter was never signalled");
+        assert_eq!(m.read_word(lock.tail()), INVALID_PTR);
+    }
+
+    #[test]
+    fn acquire_invalid_racers_leave_one_head() {
+        // Node 1 dispatched on a stale hint and swaps onto the invalid
+        // queue; the switcher (node 2) lands behind it, is bounced by its
+        // invalidation walk, and retries until it is the head.
+        let m = Machine::new(Config::default().nodes(3));
+        let lock = McsLock::new(&m, 0);
+        m.write_word(lock.tail(), INVALID_PTR);
+        let (cpu, stale) = (m.cpu(1), lock.clone());
+        m.spawn(1, async move {
+            let q = stale.prepare_qnode(&cpu).await;
+            assert_eq!(stale.swap_tail(&cpu, q).await, INVALID_PTR);
+            stale.invalidate_from(&cpu, q).await;
+        });
+        let head = Rc::new(Cell::new(Addr(0)));
+        let (cpu, switcher, out) = (m.cpu(2), lock.clone(), head.clone());
+        m.spawn(2, async move {
+            let q = switcher.take_qnode(&cpu);
+            switcher.acquire_invalid(&cpu, q).await;
+            out.set(q);
+        });
+        m.run();
+        assert_eq!(m.live_tasks(), 0);
+        assert_eq!(m.read_word(lock.tail()), enc(head.get()));
+        let bounced_once = m.read_word(head.get().plus(QN_STATUS)) == INVALID_STATUS;
+        assert!(bounced_once, "the switcher never raced the stale acquirer");
     }
 
     #[test]

@@ -40,7 +40,6 @@ use crate::exec::ArenaMode;
 use crate::limiter::LimiterConfig;
 use crate::native::NativeService;
 use crate::oracle::{Stampede, SwitchRecord};
-use crate::rng;
 use crate::workload::{think_time, Arrivals, Load, TenantConfig, Zipf};
 
 /// Spins between clock reads while waiting out a scheduled gap or a
@@ -237,7 +236,7 @@ fn derive_seed(base: u64, tenant: usize, worker: usize, role: u64) -> u64 {
         ^ (tenant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (worker as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
         ^ role.wrapping_mul(0x1656_67B1_9E37_79F9);
-    rng::next(&mut s)
+    alewife_sim::rng::next(&mut s)
 }
 
 /// Busy-wait (with periodic yields) until `target_ns` after `start`.

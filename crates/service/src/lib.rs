@@ -59,7 +59,6 @@ pub mod exec;
 pub mod limiter;
 pub mod native;
 pub mod oracle;
-mod rng;
 mod slab;
 pub mod slot;
 pub mod workload;

@@ -20,7 +20,14 @@
 //! seed reproduces the exact request sequence, which is what lets the
 //! bench gate p999 numbers in CI.
 
-use crate::rng;
+use alewife_sim::rng;
+
+/// Uniform `f64` in `(0, 1]` (never 0, so `ln` is always finite) — the
+/// simulator's own `unit` is `[0, 1)`.
+fn unit(state: &mut u64) -> f64 {
+    let bits = rng::next(state) >> 11; // 53 significant bits
+    (bits + 1) as f64 / (1u64 << 53) as f64
+}
 
 /// Approximate Zipf(θ) sampler over `{0, 1, …, n-1}` using the Gray et
 /// al. two-segment inversion (SIGMOD '94 quickly-generating skewed
@@ -85,7 +92,7 @@ impl Zipf {
         if self.theta == 0.0 {
             return rng::below(&mut self.state, self.n);
         }
-        let u = rng::unit(&mut self.state);
+        let u = unit(&mut self.state);
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
@@ -296,11 +303,11 @@ impl Arrivals {
         // probability rate(t)/peak. Bounded retries keep a zero-rate
         // trough from spinning forever in pathological configs.
         for _ in 0..100_000 {
-            let gap = -rng::unit(&mut self.state).ln() / self.peak_per_ns;
+            let gap = -unit(&mut self.state).ln() / self.peak_per_ns;
             self.now_ns += gap;
             let t = self.now_ns as u64;
             let accept = self.curve.rate_per_ns(t) / self.peak_per_ns;
-            if rng::unit(&mut self.state) <= accept {
+            if unit(&mut self.state) <= accept {
                 return Some(t);
             }
         }
@@ -314,12 +321,21 @@ pub fn think_time(mean_ns: u64, state: &mut u64) -> u64 {
     if mean_ns == 0 {
         return 0;
     }
-    (-rng::unit(state).ln() * mean_ns as f64) as u64
+    (-unit(state).ln() * mean_ns as f64) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unit_is_in_half_open_range() {
+        let mut s = 9;
+        for _ in 0..1_000 {
+            let u = unit(&mut s);
+            assert!(u > 0.0 && u <= 1.0);
+        }
+    }
 
     #[test]
     fn zipf_uniform_when_theta_zero() {

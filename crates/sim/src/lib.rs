@@ -66,7 +66,7 @@ mod msg;
 mod net;
 pub mod parallel;
 mod queue;
-mod rng;
+pub mod rng;
 mod state;
 pub mod stats;
 mod thread;

@@ -6,7 +6,7 @@
 
 /// xorshift64* step. Never returns 0 as the next state provided the seed
 /// is non-zero; callers must not seed with 0 (we substitute a constant).
-pub(crate) fn next(state: &mut u64) -> u64 {
+pub fn next(state: &mut u64) -> u64 {
     if *state == 0 {
         *state = 0x9E37_79B9_7F4A_7C15;
     }
@@ -19,7 +19,7 @@ pub(crate) fn next(state: &mut u64) -> u64 {
 }
 
 /// Uniform value in `[0, bound)`; `bound == 0` yields 0.
-pub(crate) fn below(state: &mut u64, bound: u64) -> u64 {
+pub fn below(state: &mut u64, bound: u64) -> u64 {
     if bound == 0 {
         return 0;
     }
@@ -43,6 +43,16 @@ mod tests {
         let xs: Vec<u64> = (0..8).map(|_| next(&mut a)).collect();
         let ys: Vec<u64> = (0..8).map(|_| next(&mut b)).collect();
         assert_eq!(xs, ys);
+    }
+
+    #[test]
+    fn streams_are_independent_and_deterministic() {
+        let (mut a, mut b, mut c) = (5u64, 5u64, 6u64);
+        let xs: Vec<u64> = (0..16).map(|_| next(&mut a)).collect();
+        let ys: Vec<u64> = (0..16).map(|_| next(&mut b)).collect();
+        let zs: Vec<u64> = (0..16).map(|_| next(&mut c)).collect();
+        assert_eq!(xs, ys);
+        assert_ne!(xs, zs);
     }
 
     #[test]
