@@ -12,10 +12,12 @@
 //!   comment (same placement rule), or its file is allowlisted.
 //! * `hot-path-maps` — the simulator's hot-path modules must stay on
 //!   dense arena/slab structures: no `HashMap`/`BTreeMap`.
-//! * `horizon-comments` — every cross-shard channel send/recv site in
+//! * `horizon-comments` — every cross-shard lane flush/drain site in
 //!   the parallel scheduler (`crates/sim/src/parallel.rs`) carries an
 //!   adjacent `// horizon:` comment justifying why the transfer cannot
-//!   violate the conservative safe-horizon invariant.
+//!   violate the conservative safe-horizon invariant, and both kinds of
+//!   site exist (a renamed transfer must not let the rule pass with
+//!   nothing to check).
 //! * `event-size` — the compile-time 16-byte bound on simulator events
 //!   must stay present in `exec.rs`.
 //! * `experiments-keys`, `rmr-keys`, `service-keys`,
@@ -50,14 +52,10 @@ const HASH_MAP: &str = concat!("Hash", "Map");
 const BTREE_MAP: &str = concat!("BTree", "Map");
 const HORIZON_COMMENT: &str = concat!("hori", "zon:");
 
-/// Cross-shard channel transfer calls in the parallel scheduler; each
-/// occurrence must justify the safe-horizon invariant.
-const CHANNEL_OPS: [&str; 4] = [
-    concat!(".try_", "send("),
-    concat!(".try_", "recv("),
-    concat!(".se", "nd("),
-    concat!(".re", "cv("),
-];
+/// Cross-shard lane transfer calls in the parallel scheduler, the
+/// sender's and the receiver's; each occurrence must justify the
+/// safe-horizon invariant, and each must occur.
+const CHANNEL_OPS: [&str; 2] = [concat!(".lane_", "flush("), concat!(".lane_", "drain(")];
 
 /// The one file the `horizon-comments` rule applies to.
 const PARALLEL_FILE: &str = "crates/sim/src/parallel.rs";
@@ -310,24 +308,37 @@ fn hot_path_rule(file: &str, lines: &[&str], findings: &mut Vec<Finding>) {
 }
 
 fn horizon_rule(file: &str, lines: &[&str], findings: &mut Vec<Finding>) {
+    let mut seen = [false; CHANNEL_OPS.len()];
     for (i, line) in lines.iter().enumerate() {
         if is_comment_line(line) {
             continue;
         }
-        if !CHANNEL_OPS.iter().any(|op| line.contains(op)) {
+        let Some(op) = CHANNEL_OPS.iter().position(|op| line.contains(op)) else {
             continue;
-        }
+        };
+        seen[op] = true;
         if !justified(lines, i, HORIZON_COMMENT) {
             findings.push(Finding {
                 rule: "horizon-comments",
                 file: file.to_string(),
                 line: i + 1,
                 msg: format!(
-                    "cross-shard channel transfer without an adjacent `// {HORIZON_COMMENT}` \
+                    "cross-shard lane transfer without an adjacent `// {HORIZON_COMMENT}` \
                      justification of the safe-horizon invariant"
                 ),
             });
         }
+    }
+    for (op, _) in CHANNEL_OPS.iter().zip(seen).filter(|(_, seen)| !seen) {
+        findings.push(Finding {
+            rule: "horizon-comments",
+            file: file.to_string(),
+            line: 0,
+            msg: format!(
+                "no `{op}…)` call site found: if the cross-shard transfer was renamed, \
+                 point the rule's `CHANNEL_OPS` at the new name"
+            ),
+        });
     }
 }
 
@@ -549,25 +560,42 @@ mod tests {
 
     #[test]
     fn horizon_rule_requires_adjacent_justification() {
-        let send = format!("tx{}msg){};", CHANNEL_OPS[0], ".unwrap()");
-        let recv = format!("while let Ok(m) = rx{}) {{", CHANNEL_OPS[1]);
-        let comment = format!("// {HORIZON_COMMENT} drained only at the epoch barrier.");
+        let flush = format!("ex{}parity, s, dst, msg);", CHANNEL_OPS[0]);
+        let drain = format!(
+            "ex{}1 - parity, src, s, |m| rt.inject(&m, base));",
+            CHANNEL_OPS[1]
+        );
+        let comment = format!("// {HORIZON_COMMENT} drained only after the next gate.");
+        let (comment, flush, drain) = (comment.as_str(), flush.as_str(), drain.as_str());
         let mut f = Vec::new();
-        horizon_rule(PARALLEL_FILE, &[comment.as_str(), send.as_str()], &mut f);
+        horizon_rule(PARALLEL_FILE, &[comment, flush, comment, drain], &mut f);
         assert!(f.is_empty(), "{f:?}");
-        horizon_rule(PARALLEL_FILE, &[send.as_str(), recv.as_str()], &mut f);
+        horizon_rule(PARALLEL_FILE, &[flush, drain], &mut f);
         assert_eq!(f.len(), 2, "both unjustified transfer sites flagged");
         assert_eq!((f[0].line, f[1].line), (1, 2));
         f.clear();
         // A multi-line statement reaches back to the block above its head.
-        let head = "match txs[dst]";
-        let tail = format!("    .as_ref().unwrap(){}", &send);
+        let head = "self.exchange";
+        let tail = format!("    {flush}");
         horizon_rule(
             PARALLEL_FILE,
-            &[comment.as_str(), head, tail.as_str()],
+            &[comment, head, tail.as_str(), comment, drain],
             &mut f,
         );
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn horizon_rule_does_not_pass_with_nothing_to_check() {
+        let flush = format!(
+            "ex{}parity, s, dst, msg); // {HORIZON_COMMENT} ok",
+            CHANNEL_OPS[0]
+        );
+        let mut f = Vec::new();
+        horizon_rule(PARALLEL_FILE, &["tx.try_send(msg)", flush.as_str()], &mut f);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 0);
+        assert!(f[0].msg.contains(CHANNEL_OPS[1]), "names the missing site");
     }
 
     #[test]

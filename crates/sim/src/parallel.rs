@@ -31,7 +31,7 @@
 //! `epoch_window` (see [`ParallelConfig`]) trades cross-shard latency
 //! fidelity for epoch length: raising it declares a larger minimum
 //! cross-shard delivery latency, which admits proportionally more
-//! events per barrier. Both execution modes honor the same declared
+//! events per epoch. Both execution modes honor the same declared
 //! latency, so the trade is a *modeling* choice, never a divergence
 //! between modes.
 //!
@@ -43,10 +43,31 @@
 //! simulator. [`Cluster::run_parallel`] runs one OS thread per shard
 //! with the *same* epoch structure: per-shard execution is sequential
 //! and deterministic, message injection order is fixed by draining the
-//! per-sender SPSC channels in sender order, and horizon choices depend
-//! only on exchanged next-event times — so the parallel run produces
+//! per-sender lanes in sender order, and horizon choices depend only on
+//! exchanged next-event times — so the parallel run produces
 //! **identical** [`Stats`] to the serial run regardless of thread
 //! interleaving (asserted by `tests/parallel_conformance.rs`).
+//!
+//! ## The threaded epoch: one rendezvous
+//!
+//! A worker's epoch is publish → rendezvous → read `m` → drain → run →
+//! flush. The serial reference computes `m` *after* injecting the
+//! previous epoch's posts; a worker cannot see its peers' posts before
+//! the rendezvous, but each sender knows what it flushed, so it
+//! publishes `min(own next event, earliest deliver_at it flushed last
+//! epoch)`. An injected message is an event at exactly its
+//! `deliver_at`, so the minimum over shards is the serial `m` and the
+//! epoch count matches too. A released worker may publish and flush for
+//! epoch `e + 1` while a slow peer still reads epoch `e` — never more,
+//! since it then waits for that peer — so the published slots and the
+//! lanes exist twice, indexed by epoch parity.
+//!
+//! The rendezvous is the paper's two-phase waiting (Chapter 4) applied
+//! to the simulator itself: a waiter polls the gate's generation word
+//! for as long as its *own* last epoch took to execute — it never burns
+//! more than it just usefully spent — and then parks. With more shards
+//! than host cores a poller would only keep a peer off the CPU, so the
+//! budget is zero there.
 //!
 //! A causality detector guards the conservative invariant: every
 //! delivery is checked against the receiving shard's executed-to
@@ -56,10 +77,11 @@
 //! count stays zero).
 
 use std::cell::RefCell;
+use std::hint::spin_loop;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
@@ -77,7 +99,7 @@ pub struct ParallelConfig {
     pub workers: usize,
     /// Declared minimum cross-shard delivery latency in cycles (0 keeps
     /// the pure mesh-derived lookahead). Larger windows admit more
-    /// events per epoch barrier at the price of coarser cross-shard
+    /// events per epoch at the price of coarser cross-shard
     /// latency; both modes apply the same declared latency.
     pub epoch_window: u64,
 }
@@ -90,20 +112,6 @@ impl Default for ParallelConfig {
         }
     }
 }
-
-/// Per-channel bound on in-flight cross-shard messages per epoch. The
-/// receiver drains only at epoch boundaries, so the bound must cover
-/// one epoch's worth of posts per ordered shard pair. It must also stay
-/// modest: `std::sync::mpsc::sync_channel` preallocates its whole slot
-/// ring, and a cluster owns `workers * (workers - 1)` lanes, so the cap
-/// multiplies quadratically into resident memory (64 workers at this
-/// cap is ~80 bytes * 4096 * 4032 lanes ~ 1.3 GB; the previous 2^20
-/// cap tried to reserve hundreds of GB). Overflow panics loudly at the
-/// send site rather than blocking (blocking a worker mid-epoch would
-/// deadlock the barrier), so an exotic workload that legitimately posts
-/// more per epoch fails fast with instructions instead of corrupting
-/// the schedule.
-const CHANNEL_CAP: usize = 1 << 12;
 
 /// A cross-shard active message in flight between two shards.
 #[derive(Clone, Copy, Debug)]
@@ -223,7 +231,7 @@ pub struct ClusterReport {
     pub stats: Stats,
     /// Maximum final virtual time over the shards.
     pub elapsed: u64,
-    /// Epoch barriers executed.
+    /// Epochs executed (in the threaded mode, one rendezvous each).
     pub epochs: u64,
     /// The lookahead `L` the horizons used (cycles).
     pub lookahead: u64,
@@ -234,7 +242,7 @@ pub struct ClusterReport {
     /// Wall-clock seconds for the whole run.
     pub wall_secs: f64,
     /// Per-shard wall-clock seconds spent executing events (excludes
-    /// barrier waits and routing).
+    /// waits at the epoch gate and draining).
     pub busy_secs: Vec<f64>,
     /// Sum over epochs of the *maximum* per-shard busy time — the
     /// critical path of the epoch schedule. `events / critical_path`
@@ -295,6 +303,173 @@ impl ShardRt {
     /// order.
     fn take_outgoing(&self) -> Vec<RemoteMsg> {
         std::mem::take(&mut *self.mail.buf.borrow_mut())
+    }
+}
+
+/// Set in [`EpochGate::state`] once a party has unwound instead of
+/// arriving; the bits below it count releases.
+const POISONED: u64 = 1 << 63;
+
+/// The epoch rendezvous: a generation barrier whose waiters poll, then
+/// park — the two-phase waiting of `reactive_native::two_phase`, redone
+/// on `std` because this crate has no dependencies.
+struct EpochGate {
+    parties: usize,
+    /// Arrivals in the current generation.
+    arrived: AtomicUsize,
+    /// The generation count, plus [`POISONED`]: the one word a waiter
+    /// polls.
+    state: AtomicU64,
+    /// Waiters that stopped polling. Whoever changes `state` takes the
+    /// list afterwards and unparks everyone on it.
+    parked: Mutex<Vec<Thread>>,
+}
+
+impl EpochGate {
+    fn new(parties: usize) -> EpochGate {
+        EpochGate {
+            parties,
+            arrived: AtomicUsize::new(0),
+            state: AtomicU64::new(0),
+            parked: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Arrive, and wait until all `parties` have: poll `state` for
+    /// `poll`, then park. Returns `false` if the gate is poisoned — a
+    /// party unwound, and the caller should give up quietly so that the
+    /// unwinding party's panic is the one reported.
+    #[must_use]
+    fn rendezvous(&self, poll: Duration) -> bool {
+        // order: Acquire pairs with the Release in the last arriver's
+        // bump and in `poison`. Read before arriving: a generation
+        // cannot end without this thread, so this is the current one.
+        let seen = self.state.load(Ordering::Acquire);
+        if seen & POISONED != 0 {
+            return false;
+        }
+        // order: AcqRel — the arrivals are one release sequence on
+        // `arrived`, so the last arriver holds every earlier arriver's
+        // writes (published slots, flushed lanes) when it opens the
+        // gate, and hands them on with the Release below.
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // order: Relaxed — nobody arrives again before seeing the
+            // new generation, and the Release below publishes the reset.
+            self.arrived.store(0, Ordering::Relaxed);
+            // order: Release pairs with the waiters' Acquire loads; an
+            // add, not a store, so a concurrent poison bit survives.
+            let before = self.state.fetch_add(1, Ordering::Release);
+            self.wake_parked();
+            return before & POISONED == 0;
+        }
+        // order: Acquire, pairing as for `seen`; a released waiter then
+        // reads what every party wrote before arriving.
+        let changed = || self.state.load(Ordering::Acquire) != seen;
+        // Phase 1: poll.
+        let deadline = Instant::now() + poll;
+        while !changed() && Instant::now() < deadline {
+            spin_loop();
+        }
+        // Phase 2: park. Register, then re-check under the same lock: a
+        // racing release either finds this thread on the list or is
+        // seen here. Spurious wake-ups re-register.
+        while !changed() {
+            {
+                let mut parked = self.lock_parked();
+                if changed() {
+                    break;
+                }
+                parked.push(thread::current());
+            }
+            thread::park();
+        }
+        // order: Acquire, as above.
+        self.state.load(Ordering::Acquire) & POISONED == 0
+    }
+
+    /// Release every waiter, now and in any later generation, with
+    /// `false`. Runs while a worker unwinds, so it must not panic.
+    fn poison(&self) {
+        // order: Release pairs with the waiters' Acquire loads; an or,
+        // so the generation count under the bit is kept.
+        self.state.fetch_or(POISONED, Ordering::Release);
+        self.wake_parked();
+    }
+
+    fn wake_parked(&self) {
+        let parked = std::mem::take(&mut *self.lock_parked());
+        for t in parked {
+            t.unpark();
+        }
+    }
+
+    fn lock_parked(&self) -> MutexGuard<'_, Vec<Thread>> {
+        // A list of thread handles is valid after any interrupted
+        // update, so a poisoned mutex is recovered, not propagated.
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Poisons the gate if its worker unwinds, so the peers waiting there
+/// return instead of waiting for an arrival that will never come.
+struct PoisonOnUnwind<'a>(&'a EpochGate);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
+/// What the workers of one threaded run share: the gate and the two
+/// things that cross it, each held once per epoch parity (see the
+/// module docs: a peer can be one epoch ahead, never two).
+struct Exchange {
+    gate: EpochGate,
+    /// Whether a waiter may poll before parking: only when every shard
+    /// has a host core of its own.
+    poll: bool,
+    shards: usize,
+    /// `next[parity][shard]`: the shard's published next-event time
+    /// (`u64::MAX` = nothing queued and nothing flushed).
+    next: [Vec<AtomicU64>; 2],
+    /// One lane per parity and ordered shard pair, at
+    /// `(parity * shards + src) * shards + dst`. Only `src` pushes
+    /// (flushing its epoch) and only `dst` drains (one gate later), so
+    /// the mutex is never contended; an empty lane owns no memory.
+    lanes: Vec<Mutex<Vec<RemoteMsg>>>,
+}
+
+impl Exchange {
+    fn new(shards: usize, poll: bool) -> Exchange {
+        let slots = || (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect();
+        Exchange {
+            gate: EpochGate::new(shards),
+            poll,
+            shards,
+            next: [slots(), slots()],
+            lanes: (0..2 * shards * shards)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+        }
+    }
+
+    fn lane(&self, parity: usize, src: usize, dst: usize) -> MutexGuard<'_, Vec<RemoteMsg>> {
+        self.lanes[(parity * self.shards + src) * self.shards + dst]
+            .lock()
+            .expect("lane poisoned: a peer panicked while draining it")
+    }
+
+    /// Append `msg` to the `src → dst` lane of `parity`.
+    fn lane_flush(&self, parity: usize, src: usize, dst: usize, msg: RemoteMsg) {
+        self.lane(parity, src, dst).push(msg);
+    }
+
+    /// Empty the `src → dst` lane of `parity` into `deliver`, in post
+    /// order, keeping the lane's allocation for its next epoch.
+    fn lane_drain(&self, parity: usize, src: usize, dst: usize, deliver: impl FnMut(RemoteMsg)) {
+        self.lane(parity, src, dst).drain(..).for_each(deliver);
     }
 }
 
@@ -504,94 +679,77 @@ impl Cluster {
     /// [`Cluster::run_serial`] for the same setup (the cross-mode
     /// conformance contract); wall time reflects the host's real
     /// parallelism.
+    ///
+    /// # Panics
+    /// With the first panicking shard's panic, if `setup` or a shard's
+    /// execution panics; the other workers stop at their next gate.
     pub fn run_parallel(&self, setup: impl Fn(&ShardCtx<'_>) + Send + Sync) -> ClusterReport {
         let t_run = Instant::now();
         let w = self.ranges.len();
-        let lookahead = self.lookahead;
-        // next_times[s]: shard s's published next-event time (u64::MAX
-        // = drained). Workers read all slots between the two barriers.
-        let next_times: Vec<AtomicU64> = (0..w).map(|_| AtomicU64::new(0)).collect();
-        let barrier = Barrier::new(w);
-        // One bounded SPSC channel per ordered shard pair. Worker s
-        // keeps txs[s][d] (its lane to d) and rxs[s][src] (its lane
-        // from src); the self lane is never used.
-        let mut txs: Vec<Vec<Option<SyncSender<RemoteMsg>>>> =
-            (0..w).map(|_| (0..w).map(|_| None).collect()).collect();
-        let mut rxs: Vec<Vec<Option<Receiver<RemoteMsg>>>> =
-            (0..w).map(|_| (0..w).map(|_| None).collect()).collect();
-        for src in 0..w {
-            for dst in 0..w {
-                if src != dst {
-                    let (tx, rx) = std::sync::mpsc::sync_channel(CHANNEL_CAP);
-                    txs[src][dst] = Some(tx);
-                    rxs[dst][src] = Some(rx);
-                }
-            }
-        }
-        let mut results: Vec<Option<ShardDone>> = (0..w).map(|_| None).collect();
-        std::thread::scope(|sc| {
-            let mut handles = Vec::with_capacity(w);
-            for (s, (tx_row, rx_row)) in txs.drain(..).zip(rxs.drain(..)).enumerate() {
-                let next_times = &next_times;
-                let barrier = &barrier;
-                let setup = &setup;
-                handles.push(sc.spawn(move || {
-                    self.worker(s, setup, tx_row, rx_row, next_times, barrier, lookahead)
-                }));
-            }
-            for (s, h) in handles.into_iter().enumerate() {
-                results[s] = Some(h.join().expect("shard worker panicked"));
-            }
+        // Asked here and not on a worker: `setup` may pin its thread to
+        // one CPU, after which that thread is told the host has one.
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let ex = Exchange::new(w, w <= cores);
+        let joined: Vec<thread::Result<Option<ShardDone>>> = thread::scope(|sc| {
+            let handles: Vec<_> = (0..w)
+                .map(|s| {
+                    let (ex, setup) = (&ex, &setup);
+                    sc.spawn(move || {
+                        let _poison = PoisonOnUnwind(&ex.gate);
+                        self.worker(s, setup, ex)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        let mut epochs = 0u64;
         let mut shards = Vec::with_capacity(w);
-        for done in results.into_iter().flatten() {
-            epochs = done.epochs; // identical across workers by construction
-            shards.push(done);
+        for result in joined {
+            match result {
+                Ok(done) => shards.extend(done),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
+        assert_eq!(shards.len(), w, "a worker gave up but none panicked");
+        let epochs = shards[0].epochs;
+        assert!(
+            shards.iter().all(|d| d.epochs == epochs),
+            "workers disagree on the epoch count"
+        );
         // Critical-path accounting is measured by the serial reference.
         self.report_done(shards, epochs, Duration::ZERO, 0, t_run.elapsed())
     }
 
-    /// One worker's epoch loop. Barrier discipline: publish → barrier →
-    /// read-all → run+flush → barrier. A worker republishes only after
-    /// the second barrier, which every peer reaches only after reading,
-    /// so two barriers per epoch suffice; the exit decision is computed
-    /// from identical published values, so all workers break together.
-    #[allow(clippy::too_many_arguments)]
+    /// One worker's epoch loop: publish → rendezvous → read-all →
+    /// drain → run + flush. Every worker computes the exit decision
+    /// from the same published values, so all break together. `None`:
+    /// a peer panicked and poisoned the gate.
     fn worker(
         &self,
         s: usize,
         setup: &(impl Fn(&ShardCtx<'_>) + Send + Sync),
-        txs: Vec<Option<SyncSender<RemoteMsg>>>,
-        rxs: Vec<Option<Receiver<RemoteMsg>>>,
-        next_times: &[AtomicU64],
-        barrier: &Barrier,
-        lookahead: u64,
-    ) -> ShardDone {
+        ex: &Exchange,
+    ) -> Option<ShardDone> {
         let (base, _) = self.ranges[s];
         let mut rt = self.build_shard(s, setup);
         let mut epochs = 0u64;
+        // Earliest deliver_at among the posts flushed last epoch: until
+        // the receivers drain them they are in no queue, so the sender
+        // publishes them.
+        let mut flushed_min = u64::MAX;
+        // Polling budget at the next gate: the wall time of the last
+        // run + flush, where waiters may poll at all.
+        let mut budget = Duration::ZERO;
         loop {
-            // Drain this epoch's deliveries in sender-shard order — the
-            // same canonical injection order the serial mode uses.
-            for rx in rxs.iter().flatten() {
-                // horizon: messages in the lane were flushed before the
-                // previous epoch's closing barrier, and each carries
-                // deliver_at >= the horizon that epoch executed to, so
-                // draining here can never deliver into this shard's
-                // executed past (rt.inject re-checks the watermark).
-                while let Ok(m) = rx.try_recv() {
-                    rt.inject(&m, base);
-                }
+            let parity = (epochs & 1) as usize;
+            let queued = rt.machine.next_event_time().unwrap_or(u64::MAX);
+            // order: Release publish / Acquire read pair up through the
+            // gate, which already synchronizes; the ordering just keeps
+            // the slot handoff locally obvious.
+            ex.next[parity][s].store(queued.min(flushed_min), Ordering::Release);
+            if !ex.gate.rendezvous(budget) {
+                return None;
             }
-            let next = rt.machine.next_event_time().unwrap_or(u64::MAX);
-            // order: Release publish / Acquire read pairs with the
-            // barrier; the barrier already synchronizes, the ordering
-            // just keeps the slot handoff locally obvious.
-            next_times[s].store(next, Ordering::Release);
-            barrier.wait();
-            let m = next_times
+            let m = ex.next[parity]
                 .iter()
                 .map(|t| t.load(Ordering::Acquire)) // order: see store above
                 .min()
@@ -601,35 +759,40 @@ impl Cluster {
                 // computes this same minimum and exits together.
                 break;
             }
-            let horizon = m + lookahead;
+            // Drain last epoch's deliveries in sender-shard order — the
+            // same canonical injection order the serial mode uses.
+            for src in (0..ex.shards).filter(|&src| src != s) {
+                // horizon: this lane holds exactly what `src` flushed
+                // in the previous epoch — it did so before arriving at
+                // the gate just passed, and a peer already released
+                // writes the other parity until this shard arrives
+                // again. Each message carries deliver_at >= the horizon
+                // that epoch executed to, so none lands in this shard's
+                // executed past (rt.inject re-checks the watermark).
+                ex.lane_drain(1 - parity, src, s, |msg| rt.inject(&msg, base));
+            }
+            let horizon = m + self.lookahead;
             let t0 = Instant::now();
             rt.machine.run_until(horizon - 1);
             rt.executed_to = horizon - 1;
+            flushed_min = u64::MAX;
             for msg in rt.take_outgoing() {
-                let dest_shard = self.shard_of(msg.dest);
+                flushed_min = flushed_min.min(msg.deliver_at);
                 // horizon: posts from this epoch carry deliver_at >=
-                // horizon (post time >= m, latency >= lookahead), and
-                // the receiver drains only after the closing barrier
-                // below, so the lane bound covers exactly one epoch.
-                match txs[dest_shard]
-                    .as_ref()
-                    .expect("self lane is never posted to")
-                    .try_send(msg)
-                {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        panic!("cross-shard lane overflow: >{CHANNEL_CAP} messages in one epoch")
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        unreachable!("receiver outlives the scope")
-                    }
-                }
+                // horizon (post time >= m, latency >= lookahead). The
+                // receiver drains this parity only after the next gate,
+                // by when `flushed_min` has entered the minimum every
+                // shard's next horizon is computed from.
+                ex.lane_flush(parity, s, self.shard_of(msg.dest), msg);
             }
-            rt.busy += t0.elapsed();
+            let ran = t0.elapsed();
+            rt.busy += ran;
+            if ex.poll {
+                budget = ran;
+            }
             epochs += 1;
-            barrier.wait();
         }
-        ShardDone {
+        Some(ShardDone {
             stats: rt.machine.stats(),
             live_tasks: rt.machine.live_tasks(),
             elapsed: rt.machine.now(),
@@ -637,7 +800,7 @@ impl Cluster {
             delivered: rt.delivered,
             violations: rt.violations,
             epochs,
-        }
+        })
     }
 
     /// Shard owning global node `g` (ranges are contiguous).
@@ -825,7 +988,7 @@ mod tests {
             CostModel::nwo().msg_send + 5_000,
             "window floors the mesh latency"
         );
-        // Fewer barriers with the wider window, same simulation.
+        // Fewer epochs with the wider window, same simulation.
         let a = tight.run_serial(ring_setup);
         let b = wide.run_serial(ring_setup);
         assert!(b.epochs < a.epochs);
@@ -867,5 +1030,89 @@ mod tests {
             ctx.mail()
                 .post(0, ctx.node_base, ctx.node_base, Port(1), [0; 4]);
         });
+    }
+
+    /// `threads` parties meet twice in each of `rounds` rounds: every
+    /// party bumps a shared counter, meets, reads it, meets again. A
+    /// gate that lets anyone through early, or strands a waiter, shows
+    /// as a wrong count or a hang. `budget(thread, meeting)` is the
+    /// polling budget of a party's arrival at its n-th meeting.
+    fn hammer_gate(threads: usize, rounds: u64, budget: impl Fn(usize, u64) -> Duration + Sync) {
+        let gate = EpochGate::new(threads);
+        let count = AtomicU64::new(0);
+        thread::scope(|sc| {
+            for t in 0..threads {
+                let (gate, count, budget) = (&gate, &count, &budget);
+                sc.spawn(move || {
+                    let _poison = PoisonOnUnwind(gate);
+                    for round in 1..=rounds {
+                        // order: Relaxed — the gate orders the counter.
+                        count.fetch_add(1, Ordering::Relaxed);
+                        assert!(gate.rendezvous(budget(t, 2 * round)));
+                        // order: Relaxed, as above.
+                        let seen = count.load(Ordering::Relaxed);
+                        assert_eq!(seen, threads as u64 * round, "thread {t} released early");
+                        assert!(gate.rendezvous(budget(t, 2 * round + 1)));
+                    }
+                });
+            }
+        });
+    }
+
+    /// Rounds for the gate stress tests: 10^5 where CI runs them in
+    /// release, fewer in the debug sweep.
+    const GATE_ROUNDS: u64 = if cfg!(debug_assertions) {
+        10_000
+    } else {
+        100_000
+    };
+
+    fn host_cores() -> usize {
+        thread::available_parallelism().map_or(1, |n| n.get())
+    }
+
+    /// The three regimes run in turn, not as three tests side by side:
+    /// the harness would put their threads on the same cores and turn
+    /// the polling regime into an oversubscribed one.
+    #[test]
+    fn gate_stress() {
+        // A core per party and a budget no round here outlasts: every
+        // release is seen while polling. (On a one-core host that is a
+        // single party with nothing to wait for.)
+        hammer_gate(host_cores().min(4), GATE_ROUNDS, |_, _| {
+            Duration::from_millis(50)
+        });
+        // Four parties per core and no budget: every waiter parks.
+        hammer_gate(4 * host_cores(), GATE_ROUNDS, |_, _| Duration::ZERO);
+        // Parkers and pollers on one gate, swapping roles every meeting:
+        // the releaser races registrations in the register-then-recheck
+        // window while other waiters never touch the list.
+        hammer_gate(4, GATE_ROUNDS, |t, meeting| {
+            if (t as u64 + meeting).is_multiple_of(2) {
+                Duration::ZERO
+            } else {
+                Duration::from_micros(5)
+            }
+        });
+    }
+
+    #[test]
+    fn poisoned_gate_releases_waiters_with_false() {
+        let gate = EpochGate::new(3);
+        thread::scope(|sc| {
+            let parker = sc.spawn(|| gate.rendezvous(Duration::ZERO));
+            let poller = sc.spawn(|| gate.rendezvous(Duration::from_secs(60)));
+            // The third party unwinds instead of arriving.
+            let died = sc
+                .spawn(|| {
+                    let _poison = PoisonOnUnwind(&gate);
+                    panic!("third party dies");
+                })
+                .join();
+            assert!(died.is_err());
+            assert!(!parker.join().expect("waiter must not panic"));
+            assert!(!poller.join().expect("waiter must not panic"));
+        });
+        assert!(!gate.rendezvous(Duration::ZERO), "poison is permanent");
     }
 }

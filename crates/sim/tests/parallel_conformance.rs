@@ -6,12 +6,17 @@
 //! deterministic and the epoch protocol fixes the cross-shard injection
 //! order, so nothing may depend on thread interleaving.
 //!
-//! Three seeded workloads cover the surface: shard-local reactive locks
+//! Four seeded workloads cover the surface: shard-local reactive locks
 //! with a cross-shard message ring, an all-to-all message storm with
-//! handler-originated replies, and an unevenly-sharded mixed run with a
-//! widened epoch window.
+//! handler-originated replies, an unevenly-sharded mixed run with a
+//! widened epoch window, and a flood that puts more messages into one
+//! lane in one epoch than the lanes were once allowed to hold. A last
+//! test checks the failure path: a panicking worker ends the run.
 
-use alewife_sim::parallel::{Cluster, ParallelConfig, ShardCtx};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use alewife_sim::parallel::{Cluster, ClusterReport, ParallelConfig, ShardCtx};
 use alewife_sim::{Config, Port, Stats};
 use sim_apps::alg::{AnyLock, LockAlg};
 
@@ -59,7 +64,7 @@ fn check_both_modes(
     pcfg: ParallelConfig,
     seed: u64,
     setup: impl Fn(&ShardCtx<'_>) + Send + Sync + Copy,
-) {
+) -> ClusterReport {
     let mk = || Cluster::new(nodes, Config::default().seed(seed), pcfg.clone());
     let serial = mk().run_serial(setup);
     let parallel = mk().run_parallel(setup);
@@ -78,6 +83,7 @@ fn check_both_modes(
     );
     assert_stats_identical(&serial.stats, &parallel.stats, name);
     assert!(serial.stats.sim_events > 0, "{name}: trivially empty run");
+    serial
 }
 
 /// Workload 1: every shard hammers a shard-local reactive lock while
@@ -185,6 +191,29 @@ fn mixed_uneven(ctx: &ShardCtx<'_>) {
     }
 }
 
+/// Workload 4: node 0 floods one node of the other shard. The epoch
+/// window is wider than the whole burst, so every post of the run
+/// travels down one lane in one epoch.
+fn flood(ctx: &ShardCtx<'_>) {
+    let m = ctx.machine;
+    m.register_handler(0, Port(43), |hctx, _| hctx.bump("flood_recv", 1));
+    if ctx.shard == 0 {
+        let cpu = m.cpu(0);
+        let mail = ctx.mail();
+        let dest = ctx.total_nodes - ctx.shard_nodes;
+        m.spawn(0, async move {
+            for i in 0..FLOOD {
+                cpu.work(1).await;
+                mail.post(cpu.now(), 0, dest, Port(43), [i, 0, 0, 0]);
+            }
+        });
+    }
+}
+
+/// Posts in the flood: five times what a lane could hold while lanes
+/// were 4096-slot rings and a fuller one panicked the run.
+const FLOOD: u64 = 5 * 4096;
+
 #[test]
 fn conformance_lock_ring() {
     check_both_modes(
@@ -225,4 +254,55 @@ fn conformance_mixed_uneven() {
         0xC0FF_EE03,
         mixed_uneven,
     );
+}
+
+#[test]
+fn conformance_flood_has_no_lane_bound() {
+    let report = check_both_modes(
+        "flood",
+        4,
+        ParallelConfig {
+            workers: 2,
+            epoch_window: 100_000,
+        },
+        0xC0FF_EE04,
+        flood,
+    );
+    assert_eq!(report.remote_msgs, FLOOD);
+    assert_eq!(report.stats.counter("flood_recv"), FLOOD);
+    // Only one lane is ever used, so some epoch moved more than 4096
+    // posts down it (in fact the first moves them all; the later ones
+    // only work off the handler backlog).
+    assert!(FLOOD > 4096 * report.epochs, "{} epochs", report.epochs);
+}
+
+/// A worker that panics must end the run — its peers must not wait at
+/// the epoch gate for an arrival that never comes — and the panic that
+/// comes out of `run_parallel` is the worker's own.
+#[test]
+fn worker_panic_ends_the_run() {
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || {
+        let cluster = Cluster::new(
+            12,
+            Config::default().seed(0xC0FF_EE05),
+            ParallelConfig {
+                workers: 3,
+                epoch_window: 0,
+            },
+        );
+        let run = std::panic::catch_unwind(|| {
+            cluster.run_parallel(|ctx| {
+                assert_ne!(ctx.shard, 1, "shard 1 refuses to start");
+                lock_ring(ctx);
+            })
+        });
+        done.send(run.map(|report| report.epochs)).ok();
+    });
+    let run = result
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run_parallel hung on a panicked worker");
+    let panic = run.expect_err("run_parallel swallowed the worker's panic");
+    let text = panic.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(text.contains("shard 1 refuses to start"), "got: {text:?}");
 }

@@ -5,8 +5,9 @@
 //! after the receiving shard's executed-to watermark. The causality
 //! detector in `ShardRt::inject` counts violations in release builds
 //! (and panics in debug); both execution modes must report zero, agree
-//! with each other, and conserve messages (every post is delivered
-//! exactly once).
+//! with each other — down to the number of epochs, i.e. every horizon
+//! the threaded mode derived from its published minima is the serial
+//! one — and conserve messages (every post is delivered exactly once).
 
 use alewife_sim::parallel::{Cluster, ParallelConfig, ShardCtx};
 use alewife_sim::{Config, Port};
@@ -100,5 +101,61 @@ proptest! {
         prop_assert_eq!(a.elapsed, b.elapsed);
         prop_assert_eq!(a.epochs, b.epochs);
         prop_assert_eq!(&a.stats.counters, &b.stats.counters);
+    }
+}
+
+/// A baton passed around otherwise idle shards: between hops every
+/// queue in the cluster is empty and the only pending work is a post
+/// its sender has flushed and its receiver has not yet drained. The
+/// serial reference injects before it takes the minimum; the threaded
+/// mode must get the same horizon from what the *sender* publishes, or
+/// it sees "nothing queued anywhere" and stops after the first hop.
+fn relay(ctx: &ShardCtx<'_>, laps: u64) {
+    let m = ctx.machine;
+    let mail = ctx.mail();
+    let (me, next) = (
+        ctx.node_base,
+        (ctx.node_base + ctx.shard_nodes) % ctx.total_nodes,
+    );
+    let hops = laps * (ctx.total_nodes / ctx.shard_nodes) as u64;
+    m.register_handler(0, Port(51), move |hctx, args| {
+        hctx.bump("hops", 1);
+        if args[0] + 1 < hops {
+            mail.post(hctx.now(), me, next, Port(51), [args[0] + 1, 0, 0, 0]);
+        }
+    });
+    if ctx.shard == 0 {
+        let cpu = m.cpu(0);
+        let mail = ctx.mail();
+        m.spawn(0, async move {
+            cpu.work(7).await;
+            mail.post(cpu.now(), me, next, Port(51), [0; 4]);
+        });
+    }
+}
+
+#[test]
+fn relay_across_idle_shards_keeps_the_serial_horizons() {
+    for (workers, epoch_window) in [(2, 0), (3, 1), (5, 400)] {
+        let mk = || {
+            Cluster::new(
+                4 * workers,
+                Config::default().seed(0x0E1A),
+                ParallelConfig {
+                    workers,
+                    epoch_window,
+                },
+            )
+        };
+        let a = mk().run_serial(|ctx| relay(ctx, 3));
+        let b = mk().run_parallel(|ctx| relay(ctx, 3));
+        let hops = 3 * workers as u64;
+        assert_eq!(a.stats.counter("hops"), hops, "{workers} shards: serial");
+        assert_eq!(b.stats.counter("hops"), hops, "{workers} shards: threaded");
+        assert!(a.epochs > hops, "a hop per epoch: {} epochs", a.epochs);
+        assert_eq!(a.epochs, b.epochs, "{workers} shards: epochs");
+        assert_eq!(a.elapsed, b.elapsed, "{workers} shards: elapsed");
+        assert_eq!(a.remote_msgs, b.remote_msgs, "{workers} shards: deliveries");
+        assert_eq!(a.causality_violations + b.causality_violations, 0);
     }
 }
