@@ -9,11 +9,17 @@
 //! time, so it demos rather than gates.)
 //!
 //! The memory discipline is the point of the design: an object at rest
-//! is *only* its slot word. A side-table entry (holder + waiter queue)
-//! exists only while the object is in flight, and is removed the moment
-//! the last waiter drains — so 10⁶ objects with a 10³-object working
-//! set cost 8 MB of slots plus kilobytes of side state, not 10⁶
-//! lock structures.
+//! is *only* its slot word, and so is an object that is held but has
+//! nobody waiting: `HELD` in the slot word is the single source of
+//! truth for "in flight". A side-table entry (the waiter queue; the
+//! holder is not recorded anywhere but the pending release event) is
+//! created when an arrival finds `HELD` set — the first waiter — and
+//! dropped when a release finds nobody left to hand to. An uncontended
+//! request therefore reads and writes its slot word and pushes its
+//! release, and that release only confirms that the (few-entry) side
+//! table has nothing under its object — so 10⁶ objects with a
+//! 10³-object working set cost 8 MB of slots plus kilobytes of side
+//! state, not 10⁶ lock structures.
 //!
 //! Protocol cost model (virtual ns, loosely calibrated to the paper's
 //! Alewife measurements scaled to a modern cache-coherent part):
@@ -127,14 +133,14 @@ struct Waiter {
     source: Source,
 }
 
-/// In-flight side state for one object; exists only while the object
-/// is held or has waiters.
+/// Side state for one contended object; exists from the first waiter's
+/// arrival until a release finds the queue empty.
 #[derive(Debug, Default)]
 struct Active {
     waiters: VecDeque<Waiter>,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
     /// An open-loop tenant's next generated arrival.
     OpenArrival { tenant: u32 },
@@ -144,21 +150,18 @@ enum Ev {
     Release { object: u64 },
 }
 
-/// Heap entry ordered by (time, seq) so ties break deterministically
-/// in insertion order.
-#[derive(Debug)]
+/// Heap entry, ordered by `key` alone: `time << 64 | seq`, so one
+/// integer compare orders by time and breaks ties in insertion order.
+/// `seq` is unique, which keeps the derived `Eq` (it also looks at
+/// `ev`) consistent with that ordering. The ordering is written out
+/// because `BinaryHeap` compares through `PartialOrd::le`, and a
+/// derived one would chain into `ev` on every sift step.
+#[derive(Debug, PartialEq, Eq)]
 struct Scheduled {
-    time: u64,
-    seq: u64,
+    key: u128,
     ev: Ev,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for Scheduled {}
 impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -166,7 +169,7 @@ impl PartialOrd for Scheduled {
 }
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -259,8 +262,14 @@ pub struct ServiceSim {
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
     now: u64,
-    /// Side table: only in-flight objects appear here.
+    /// Side table: only objects that have had a waiter since they were
+    /// last idle appear here.
     active: BTreeMap<u64, Active>,
+    /// Objects whose slot word has `HELD` set.
+    held: u64,
+    /// Side-table entries ever created; zero for a run that never
+    /// contends (read by the unit tests).
+    side_entries_created: u64,
     /// Per-tenant open-loop arrival generators (index = tenant id).
     arrivals: Vec<Option<Arrivals>>,
     /// Per-tenant object-pick and think-time RNG streams.
@@ -273,7 +282,6 @@ pub struct ServiceSim {
     switch_denials: u64,
     switch_log: Vec<SwitchRecord>,
     max_active: u64,
-    max_waiters: u64,
 }
 
 impl ServiceSim {
@@ -330,6 +338,8 @@ impl ServiceSim {
             seq: 0,
             now: 0,
             active: BTreeMap::new(),
+            held: 0,
+            side_entries_created: 0,
             arrivals,
             picks,
             think_rng,
@@ -340,18 +350,14 @@ impl ServiceSim {
             switch_denials: 0,
             switch_log: Vec::new(),
             max_active: 0,
-            max_waiters: 0,
             cfg,
         }
     }
 
     fn push(&mut self, time: u64, ev: Ev) {
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
-            time,
-            seq: self.seq,
-            ev,
-        }));
+        let key = u128::from(time) << 64 | u128::from(self.seq);
+        self.heap.push(Reverse(Scheduled { key, ev }));
     }
 
     /// Schedule a tenant's next open-loop arrival, if one lands before
@@ -394,19 +400,24 @@ impl ServiceSim {
             source,
         };
         let word = self.arena.load(object);
-        if word & slot::HELD == 0 && !self.active.contains_key(&object) {
+        if word & slot::HELD == 0 {
             // Uncontended grant: pay the mode's empty-acquire cost.
             let cost = match slot::mode(word) {
                 slot::MODE_QUEUE => COST_QUEUE_EMPTY,
                 _ => COST_TTS_UNCONTENDED,
             };
+            self.held += 1;
             self.grant(object, w, cost, 0);
         } else {
-            let entry = self.active.entry(object).or_default();
+            // The first waiter since the object was last idle brings
+            // the side entry into being.
+            let entry = self.active.entry(object).or_insert_with(|| {
+                self.side_entries_created += 1;
+                Active::default()
+            });
             entry.waiters.push_back(w);
-            self.max_waiters = self.max_waiters.max(entry.waiters.len() as u64);
         }
-        self.max_active = self.max_active.max(self.active.len() as u64);
+        self.max_active = self.max_active.max(self.held);
     }
 
     /// Commit a grant: adaptive observation (maybe a switch), latency
@@ -421,7 +432,6 @@ impl ServiceSim {
         self.acquires += 1;
         let word = self.arena.load(object);
         self.arena.store(object, word | slot::HELD);
-        self.active.entry(object).or_default();
         self.push(granted_at + w.hold_ns, Ev::Release { object });
         if let Source::Closed { tenant, client } = w.source {
             self.schedule_closed(tenant, client, granted_at + w.hold_ns);
@@ -477,6 +487,9 @@ impl ServiceSim {
         let now = self.now;
         let (next, aborted) = {
             let Some(entry) = self.active.get_mut(&object) else {
+                // Nobody waited during this passage: the slot word was
+                // the whole lock.
+                self.held -= 1;
                 return;
             };
             let mut aborted = Vec::new();
@@ -530,12 +543,14 @@ impl ServiceSim {
                 // Last one out: drop the side entry so the object is
                 // back to slot-word-only residency.
                 self.active.remove(&object);
+                self.held -= 1;
             }
         }
     }
 
-    /// Run to completion and produce the report.
-    pub fn run(mut self) -> ServiceReport {
+    /// Seed every tenant's first arrivals, then process events until
+    /// the heap is empty.
+    fn drain(&mut self) {
         for tenant in 0..self.cfg.tenants.len() as u32 {
             match self.cfg.tenants[tenant as usize].load {
                 Load::Open { .. } => self.schedule_open(tenant),
@@ -547,7 +562,7 @@ impl ServiceSim {
             }
         }
         while let Some(Reverse(s)) = self.heap.pop() {
-            self.now = s.time;
+            self.now = (s.key >> 64) as u64;
             match s.ev {
                 Ev::OpenArrival { tenant } => {
                     self.schedule_open(tenant);
@@ -558,7 +573,24 @@ impl ServiceSim {
                 }
                 Ev::Release { object } => self.handle_release(object),
             }
+            debug_assert!(
+                self.active
+                    .keys()
+                    .all(|&o| self.arena.load(o) & slot::HELD != 0),
+                "side entry for an object that is not held"
+            );
         }
+        debug_assert!(self.active.is_empty(), "side entries outlived the run");
+        debug_assert_eq!(self.held, 0, "held counter out of step");
+        debug_assert!(
+            (0..self.cfg.objects).all(|o| self.arena.load(o) & slot::HELD == 0),
+            "an object is still held after the last event"
+        );
+    }
+
+    /// Run to completion and produce the report.
+    pub fn run(mut self) -> ServiceReport {
+        self.drain();
         let footprint = self.measure_footprint();
         ServiceReport {
             objects: self.cfg.objects,
@@ -576,7 +608,10 @@ impl ServiceSim {
     }
 
     /// Account the run's memory: the slot array, fixed per-shard state,
-    /// and the high-water lazily allocated side state.
+    /// and the high-water lazily allocated side state. Every object in
+    /// flight at the high-water mark is charged a side entry with four
+    /// waiters whether or not anyone waited on it, so `hot_bytes` is an
+    /// upper bound on what the side table held.
     fn measure_footprint(&self) -> Footprint {
         let shard_fixed = std::mem::size_of::<ShardState>() as u64;
         let active_entry = (std::mem::size_of::<u64>()
@@ -596,4 +631,56 @@ impl ServiceSim {
 /// Convenience: build and run in one call.
 pub fn run_service(cfg: ServiceConfig) -> ServiceReport {
     ServiceSim::new(cfg).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn closed_tenant(objects: u64, clients: u32, deadline_ns: u64) -> TenantConfig {
+        TenantConfig {
+            first_object: 0,
+            objects,
+            theta: 0.9,
+            load: Load::Closed {
+                clients,
+                think_ns: 100,
+            },
+            hold_ns: 300,
+            deadline_ns,
+        }
+    }
+
+    #[test]
+    fn uncontended_requests_never_touch_the_side_table() {
+        // One client cannot collide with itself: every request finds
+        // HELD clear, so the whole run lives in the slot words.
+        let mut cfg = ServiceConfig::new(100_000, 8, 7);
+        cfg.horizon_ns = 1_000_000;
+        cfg.tenants.push(closed_tenant(100_000, 1, 0));
+        let mut sim = ServiceSim::new(cfg);
+        sim.drain();
+        assert!(sim.acquires > 1_000, "workload too small to mean anything");
+        assert_eq!(sim.side_entries_created, 0);
+        assert_eq!(sim.max_active, 1);
+    }
+
+    #[test]
+    fn contended_objects_get_side_entries_and_give_them_back() {
+        // 32 clients on 4 objects with a deadline shorter than the
+        // queue: waiters, handoffs and aborts all happen.
+        let mut cfg = ServiceConfig::new(64, 4, 7);
+        cfg.horizon_ns = 200_000;
+        cfg.tenants.push(closed_tenant(4, 32, 2_000));
+        let mut sim = ServiceSim::new(cfg);
+        sim.drain();
+        assert!(sim.aborts > 0, "deadline never bit");
+        assert!(sim.side_entries_created > 0);
+        assert!(
+            sim.side_entries_created < sim.acquires,
+            "a side entry per grant is the old always-insert path"
+        );
+        assert!(sim.active.is_empty());
+        assert_eq!(sim.held, 0);
+    }
 }

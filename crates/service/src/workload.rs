@@ -42,6 +42,8 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `1 + 0.5^θ`: the `u·ζ(n)` below which a draw is rank 1.
+    rank1_below: f64,
     state: u64,
 }
 
@@ -64,6 +66,7 @@ impl Zipf {
             alpha,
             zetan,
             eta,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
             state: seed,
         }
     }
@@ -97,7 +100,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_below {
             return 1.min(self.n - 1);
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
