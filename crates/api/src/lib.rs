@@ -17,7 +17,9 @@
 //!   acquisition's [`Observation`] and return a [`Decision`]. Ships
 //!   with the paper's three policies ([`Always`], [`Competitive3`],
 //!   [`Hysteresis`]); it is object-safe, so users bring their own by
-//!   boxing any impl.
+//!   boxing any impl. [`online_rule`] runs any of them as the on-line
+//!   player of a task system, which is how the 3-competitive bound is
+//!   checked against the shipped code.
 //! * [`Protocol`] — identity and documentation of the consensus-object
 //!   discipline each protocol slot must obey (invalid protocols bounce
 //!   executions with *retry*; the combinator keeps at most one valid).
@@ -351,6 +353,34 @@ impl Policy for Hysteresis {
 
     fn reset(&mut self) {
         self.streak = 0;
+    }
+}
+
+/// A [`Policy`] as the decision rule of a task system
+/// (`waiting_theory::task_system::TaskSystem::run_online`): called with
+/// the current state, the cheapest state for the next request and the
+/// residual cost of staying, it consults the policy the way a reactive
+/// object does — one [`Observation`] per request, [`Policy::reset`] after
+/// a switch — and returns the state to serve the request in. States are
+/// protocol slots, so the competitive analysis and its property tests
+/// run the policies the locks run, not a model of them.
+pub fn online_rule(
+    policy: &mut (impl Policy + ?Sized),
+) -> impl FnMut(usize, usize, f64) -> usize + '_ {
+    move |state, best, residual| {
+        let current = ProtocolId(state as u8);
+        let obs = if best == state {
+            Observation::optimal(current)
+        } else {
+            Observation::suboptimal(current, ProtocolId(best as u8), residual)
+        };
+        match policy.decide(&obs) {
+            Decision::SwitchTo(target) if target != current => {
+                policy.reset();
+                target.index()
+            }
+            _ => state,
+        }
     }
 }
 

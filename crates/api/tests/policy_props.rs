@@ -1,8 +1,8 @@
 //! Property tests of the shipped switching policies, written against
-//! the `Policy` *trait*: the harness drives any `&mut dyn Policy` over a
-//! task-system environment ([`waiting_theory::task_system`]), charging
-//! residual and transition costs, so future policy impls reuse it
-//! unchanged.
+//! the `Policy` *trait*: [`online_rule`] makes any `&mut dyn Policy` the
+//! on-line player of a task-system environment
+//! ([`waiting_theory::task_system`]), which charges residual and
+//! transition costs, so future policy impls reuse the harness unchanged.
 //!
 //! * [`Competitive3`] stays within 3× the exact offline optimum (plus
 //!   the standard additive constant) on random residual streams and on
@@ -16,42 +16,27 @@
 //!   decision.
 
 use proptest::prelude::*;
-use reactive_api::Competitive3;
-use reactive_api::{Always, Decision, Hysteresis, Observation, Policy, ProtocolId};
+use reactive_api::{
+    online_rule, Always, Competitive3, Decision, Hysteresis, Observation, Policy, ProtocolId,
+};
 use waiting_theory::task_system::{worst_case_sequence, TaskSystem};
 
 /// Drive `policy` over the request sequence the way a reactive object
-/// does — serve under the current protocol, hand the monitor's
-/// observation to the policy, commit any approved switch (paying the
-/// transition cost and resetting the policy) — and return
-/// `(total cost, switch count)`. Starts in state 0, like
-/// [`TaskSystem::offline_opt`].
+/// does — hand the monitor's observation to the policy, commit any
+/// approved switch (paying the transition cost and resetting the
+/// policy), serve — and return `(total cost, switch count)`. Starts in
+/// state 0, like [`TaskSystem::offline_opt`].
 fn run_policy(ts: &TaskSystem, policy: &mut dyn Policy, reqs: &[usize]) -> (f64, u64) {
-    let n = ts.states();
-    let mut state = 0usize;
-    let mut total = 0.0;
+    let mut rule = online_rule(policy);
     let mut switches = 0u64;
-    for &t in reqs {
-        total += ts.c[state][t];
-        let best = (0..n)
-            .min_by(|&a, &b| ts.c[a][t].total_cmp(&ts.c[b][t]))
-            .unwrap();
-        let residual = ts.c[state][t] - ts.c[best][t];
-        let obs = if residual > 0.0 {
-            Observation::suboptimal(ProtocolId(state as u8), ProtocolId(best as u8), residual)
-        } else {
-            Observation::optimal(ProtocolId(state as u8))
-        };
-        if let Decision::SwitchTo(target) = policy.decide(&obs) {
-            let j = target.index();
-            if j != state && j < n {
-                total += ts.d[state][j];
-                state = j;
-                switches += 1;
-                policy.reset();
-            }
-        }
-    }
+    let total = ts.run_online(
+        |state, best, residual| {
+            let target = rule(state, best, residual);
+            switches += u64::from(target != state);
+            target
+        },
+        reqs,
+    );
     (total, switches)
 }
 
@@ -260,6 +245,94 @@ fn hysteresis_state_depends_on_optimal_observations() {
     let next = Observation::suboptimal(a, b, 1.0);
     assert_eq!(seen.decide(&next), Decision::Stay);
     assert_eq!(skipped.decide(&next), Decision::SwitchTo(b));
+}
+
+// ---------------------------------------------------------------------
+// The §3.4 behaviour checks on the §3.5.5 empirical system (TTS→MCS
+// ≈ 8000 cycles, MCS→TTS ≈ 800; TTS under high contention wastes
+// ≈ 150/request, MCS under low contention ≈ 15/request).
+// ---------------------------------------------------------------------
+
+const ROUND_TRIP: f64 = 8_800.0;
+
+fn paper_system() -> TaskSystem {
+    system(8_000.0, 800.0, 150.0, 15.0)
+}
+
+fn cost(ts: &TaskSystem, policy: &mut dyn Policy, reqs: &[usize]) -> f64 {
+    run_policy(ts, policy, reqs).0
+}
+
+#[test]
+fn online_policies_serve_all_requests() {
+    let ts = paper_system();
+    let reqs: Vec<usize> = (0..500).map(|i| (i / 50) % 2).collect();
+    let policies: [&mut dyn Policy; 4] = [
+        &mut NeverPolicy,
+        &mut Always,
+        &mut Competitive3::new(ROUND_TRIP),
+        &mut Hysteresis::new(20, 55),
+    ];
+    for policy in policies {
+        let c = cost(&ts, policy, &reqs);
+        assert!(c.is_finite() && c >= 0.0);
+    }
+}
+
+#[test]
+fn competitive3_is_3_competitive_on_worst_case() {
+    let ts = paper_system();
+    let reqs = worst_case_sequence(&ts, 10);
+    let online = cost(&ts, &mut Competitive3::new(ROUND_TRIP), &reqs);
+    let opt = ts.offline_opt(&reqs);
+    assert!(opt > 0.0);
+    let ratio = online / opt;
+    assert!(
+        ratio <= 3.0 + 1e-9,
+        "competitive ratio {ratio} exceeds 3 on the worst case"
+    );
+    // And the worst case should actually be bad (close to 3, > 2).
+    assert!(ratio > 2.0, "adversary too weak: ratio {ratio}");
+}
+
+#[test]
+fn always_switch_thrashes_on_alternating_load() {
+    // The adversary alternates every request: `Always` pays a
+    // transition per request while `Competitive3` stays put mostly.
+    let ts = paper_system();
+    let reqs: Vec<usize> = (0..1000).map(|i| i % 2).collect();
+    let always = cost(&ts, &mut Always, &reqs);
+    let comp = cost(&ts, &mut Competitive3::new(ROUND_TRIP), &reqs);
+    assert!(
+        always > comp,
+        "always-switch ({always}) should lose to 3-competitive ({comp})"
+    );
+}
+
+#[test]
+fn competitive3_adapts_to_sustained_change() {
+    // A long block of high contention: the policy should switch and
+    // end up near opt (within the 3x bound, and way below staying).
+    let ts = paper_system();
+    let reqs = vec![1usize; 2_000];
+    let comp = cost(&ts, &mut Competitive3::new(ROUND_TRIP), &reqs);
+    let never = cost(&ts, &mut NeverPolicy, &reqs);
+    let opt = ts.offline_opt(&reqs);
+    assert!(
+        comp < never / 10.0,
+        "policy failed to adapt: {comp} vs {never}"
+    );
+    assert!(comp <= 3.0 * opt + ts.d[0][1] + 1.0);
+}
+
+#[test]
+fn hysteresis_resists_brief_fluctuations() {
+    // A single high-contention blip must not flip Hysteresis(20, _).
+    let ts = paper_system();
+    let mut reqs = vec![0usize; 100];
+    reqs[50] = 1;
+    // Only the blip's residual cost, no transitions.
+    assert_eq!(cost(&ts, &mut Hysteresis::new(20, 55), &reqs), 150.0);
 }
 
 /// A trivial user-style policy used to exercise the harness with a

@@ -252,29 +252,19 @@ impl AnyWait {
 }
 
 impl WaitStrategy for AnyWait {
-    async fn wait_word(
+    async fn wait(
         &self,
         cpu: &Cpu,
         addr: Addr,
         q: WaitQueueId,
-        pred: impl Fn(u64) -> bool + Clone + Unpin + 'static,
+        cond: impl Fn([u64; 2]) -> Option<u64> + Unpin,
     ) -> u64 {
         match self {
-            AnyWait::Spin(w) => w.wait_word(cpu, addr, q, pred).await,
-            AnyWait::Block(w) => w.wait_word(cpu, addr, q, pred).await,
-            AnyWait::TwoPhase(w) => w.wait_word(cpu, addr, q, pred).await,
-            AnyWait::SwitchSpin(w) => w.wait_word(cpu, addr, q, pred).await,
-            AnyWait::TwoPhaseSs(w) => w.wait_word(cpu, addr, q, pred).await,
-        }
-    }
-
-    async fn wait_full(&self, cpu: &Cpu, addr: Addr, q: WaitQueueId) -> u64 {
-        match self {
-            AnyWait::Spin(w) => w.wait_full(cpu, addr, q).await,
-            AnyWait::Block(w) => w.wait_full(cpu, addr, q).await,
-            AnyWait::TwoPhase(w) => w.wait_full(cpu, addr, q).await,
-            AnyWait::SwitchSpin(w) => w.wait_full(cpu, addr, q).await,
-            AnyWait::TwoPhaseSs(w) => w.wait_full(cpu, addr, q).await,
+            AnyWait::Spin(w) => w.wait(cpu, addr, q, cond).await,
+            AnyWait::Block(w) => w.wait(cpu, addr, q, cond).await,
+            AnyWait::TwoPhase(w) => w.wait(cpu, addr, q, cond).await,
+            AnyWait::SwitchSpin(w) => w.wait(cpu, addr, q, cond).await,
+            AnyWait::TwoPhaseSs(w) => w.wait(cpu, addr, q, cond).await,
         }
     }
 }

@@ -337,14 +337,14 @@ const GOLDEN_DEADLINES: u64 = 0x292F_98E4_5FF4_00FB;
 const GOLDEN_ABORT_STORM: u64 = 0xC65E_30BA_B833_DDAB;
 
 #[test]
-fn wait_word_digests_match_golden_for_every_wait_alg() {
+fn every_wait_alg_matches_golden_on_a_word_condition() {
     for (alg, golden) in ALGS.into_iter().zip(GOLDEN_WAIT_LOCK) {
         assert_stable_golden(&format!("wait-lock {alg:?}"), || run_wait_lock(alg), golden);
     }
 }
 
 #[test]
-fn wait_full_digests_match_golden_for_every_wait_alg() {
+fn every_wait_alg_matches_golden_on_a_full_condition() {
     for (alg, golden) in ALGS.into_iter().zip(GOLDEN_FUTURES) {
         assert_stable_golden(&format!("futures {alg:?}"), || run_futures(alg), golden);
     }

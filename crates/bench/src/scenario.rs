@@ -35,9 +35,7 @@ use sim_apps::alg::{FetchOpAlg, LockAlg, WaitAlg};
 use sim_apps::{aq, cgrad, cholesky, countnet, fib, fibheap, gamteb, jacobi, mp3d, mutex_app, tsp};
 use waiting_theory::expected::{worst_case_factor, Family};
 use waiting_theory::optimal::optimal_alpha;
-use waiting_theory::task_system::{
-    worst_case_sequence, AlwaysSwitch, Competitive3, Hysteresis, NeverSwitch, TaskSystem,
-};
+use waiting_theory::task_system::{worst_case_sequence, TaskSystem};
 
 use crate::experiments as exp;
 use crate::table;
@@ -562,7 +560,13 @@ fn adaptive_matrix<A: Copy>(
 
 fn fig_3_14() -> Scenario {
     fn run(scale: Scale) -> Outcome {
+        // The on-line players are the policies the reactive objects
+        // ship with, at the §3.5.5 round trip (8000 + 800 cycles).
+        use reactive_api::{online_rule, Always, Competitive3, Hysteresis, Policy};
         let ts = TaskSystem::two_protocol(8_000.0, 800.0, 150.0, 15.0);
+        let run =
+            |policy: &mut dyn Policy, reqs: &[usize]| ts.run_online(online_rule(policy), reqs);
+        let comp3 = || Competitive3::new(8_800.0);
         let cycles: &[usize] = scale.pick(&[1, 5, 20, 50], &[1, 5, 20]);
         let mut comp = Vec::new();
         let mut always = Vec::new();
@@ -572,18 +576,17 @@ fn fig_3_14() -> Scenario {
             let reqs = worst_case_sequence(&ts, c);
             let opt = ts.offline_opt(&reqs);
             let x = c as f64;
-            comp.push((x, ts.run_online(&mut Competitive3::default(), &reqs) / opt));
-            always.push((x, ts.run_online(&mut AlwaysSwitch, &reqs) / opt));
-            never.push((x, ts.run_online(&mut NeverSwitch, &reqs) / opt));
-            hyst.push((x, ts.run_online(&mut Hysteresis::new(20, 55), &reqs) / opt));
+            comp.push((x, run(&mut comp3(), &reqs) / opt));
+            always.push((x, run(&mut Always, &reqs) / opt));
+            never.push((x, ts.run_online(|s, _, _| s, &reqs) / opt));
+            hyst.push((x, run(&mut Hysteresis::new(20, 55), &reqs) / opt));
         }
         let worst = comp.iter().fold(0f64, |m, &(_, r)| m.max(r));
         // The thrash side of the figure: an adversary alternating every
         // request makes switch-immediately pay a transition per request
         // while the 3-competitive policy stays put.
         let alt: Vec<usize> = (0..500).map(|i| i % 2).collect();
-        let thrash = ts.run_online(&mut AlwaysSwitch, &alt)
-            / ts.run_online(&mut Competitive3::default(), &alt);
+        let thrash = run(&mut Always, &alt) / run(&mut comp3(), &alt);
         let mut o = Outcome {
             sweep: "policy \\ adversary cycles",
             headline: format!(

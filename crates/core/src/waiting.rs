@@ -12,8 +12,8 @@
 //! polling costs `t/β` instead of `t` and `Lpoll` buys a β-times longer
 //! polling phase.
 
-use alewife_sim::{Addr, Cpu, FullEmpty, WaitQueueId};
-use sync_protocols::waiting::WaitStrategy;
+use alewife_sim::{Addr, Cpu, WaitQueueId};
+use sync_protocols::waiting::{block_until, WaitStrategy};
 
 /// Two-phase waiting: poll up to `lpoll` cycles, then block.
 #[derive(Clone, Copy, Debug)]
@@ -48,39 +48,20 @@ impl TwoPhase {
 }
 
 impl WaitStrategy for TwoPhase {
-    async fn wait_word(
+    async fn wait(
         &self,
         cpu: &Cpu,
         addr: Addr,
         q: WaitQueueId,
-        pred: impl Fn(u64) -> bool + Clone + Unpin + 'static,
+        cond: impl Fn([u64; 2]) -> Option<u64> + Unpin,
     ) -> u64 {
         // Phase 1: poll. (Spinning costs exactly the elapsed cycles.)
         let deadline = cpu.now() + self.lpoll;
-        if let Some(v) = cpu.poll_until_deadline(addr, pred.clone(), deadline).await {
+        if let Some(v) = cpu.poll_cond(addr, &cond, deadline).await {
             return v;
         }
         // Phase 2: block until signalled, then re-check.
-        loop {
-            let v = cpu.read(addr).await;
-            if pred(v) {
-                return v;
-            }
-            cpu.block_on(q).await;
-        }
-    }
-
-    async fn wait_full(&self, cpu: &Cpu, addr: Addr, q: WaitQueueId) -> u64 {
-        let deadline = cpu.now() + self.lpoll;
-        if let Some(v) = cpu.poll_until_full_deadline(addr, deadline).await {
-            return v;
-        }
-        loop {
-            if let FullEmpty::Full(v) = cpu.read_full(addr).await {
-                return v;
-            }
-            cpu.block_on(q).await;
-        }
+        block_until(cpu, addr, q, cond).await
     }
 }
 
@@ -92,36 +73,21 @@ impl WaitStrategy for TwoPhase {
 pub struct SwitchSpin;
 
 impl WaitStrategy for SwitchSpin {
-    async fn wait_word(
+    async fn wait(
         &self,
         cpu: &Cpu,
         addr: Addr,
         _q: WaitQueueId,
-        pred: impl Fn(u64) -> bool + Clone + Unpin + 'static,
+        cond: impl Fn([u64; 2]) -> Option<u64> + Unpin,
     ) -> u64 {
         loop {
-            let v = cpu.read(addr).await;
-            if pred(v) {
+            if let Some(v) = cond(cpu.read_raw(addr).await) {
                 return v;
             }
             if !cpu.yield_now().await {
                 // Nobody to switch to: read-poll until the line changes.
                 let deadline = cpu.now() + 200;
-                if let Some(v) = cpu.poll_until_deadline(addr, pred.clone(), deadline).await {
-                    return v;
-                }
-            }
-        }
-    }
-
-    async fn wait_full(&self, cpu: &Cpu, addr: Addr, _q: WaitQueueId) -> u64 {
-        loop {
-            if let FullEmpty::Full(v) = cpu.read_full(addr).await {
-                return v;
-            }
-            if !cpu.yield_now().await {
-                let deadline = cpu.now() + 200;
-                if let Some(v) = cpu.poll_until_full_deadline(addr, deadline).await {
+                if let Some(v) = cpu.poll_cond(addr, &cond, deadline).await {
                     return v;
                 }
             }
@@ -139,56 +105,27 @@ pub struct TwoPhaseSwitchSpin {
 }
 
 impl WaitStrategy for TwoPhaseSwitchSpin {
-    async fn wait_word(
+    async fn wait(
         &self,
         cpu: &Cpu,
         addr: Addr,
         q: WaitQueueId,
-        pred: impl Fn(u64) -> bool + Clone + Unpin + 'static,
+        cond: impl Fn([u64; 2]) -> Option<u64> + Unpin,
     ) -> u64 {
         let beta = cpu.contexts().max(1) as u64;
         let deadline = cpu.now() + self.lpoll * beta;
         loop {
-            let v = cpu.read(addr).await;
-            if pred(v) {
+            if let Some(v) = cond(cpu.read_raw(addr).await) {
                 return v;
             }
             if cpu.now() >= deadline {
                 break;
             }
             if !cpu.yield_now().await {
-                cpu.poll_until_deadline(addr, pred.clone(), deadline).await;
+                cpu.poll_cond(addr, &cond, deadline).await;
             }
         }
-        loop {
-            let v = cpu.read(addr).await;
-            if pred(v) {
-                return v;
-            }
-            cpu.block_on(q).await;
-        }
-    }
-
-    async fn wait_full(&self, cpu: &Cpu, addr: Addr, q: WaitQueueId) -> u64 {
-        let beta = cpu.contexts().max(1) as u64;
-        let deadline = cpu.now() + self.lpoll * beta;
-        loop {
-            if let FullEmpty::Full(v) = cpu.read_full(addr).await {
-                return v;
-            }
-            if cpu.now() >= deadline {
-                break;
-            }
-            if !cpu.yield_now().await {
-                cpu.poll_until_full_deadline(addr, deadline).await;
-            }
-        }
-        loop {
-            if let FullEmpty::Full(v) = cpu.read_full(addr).await {
-                return v;
-            }
-            cpu.block_on(q).await;
-        }
+        block_until(cpu, addr, q, cond).await
     }
 }
 

@@ -24,7 +24,6 @@ use std::rc::Rc;
 use alewife_sim::{Addr, Cpu, Machine};
 
 use crate::spin::{dec, enc, NIL};
-use crate::waiting::spin_wait_until;
 
 /// Queue-node status: recycled, free for its owner to reuse.
 pub const REUSABLE: u64 = 0;
@@ -117,7 +116,7 @@ impl AbortableMcsLock {
         // The slot may still be queued from an earlier abandoned
         // attempt; wait (locally — the node is homed here) until a
         // release walk has recycled it.
-        spin_wait_until(cpu, q.plus(QN_STATUS), |s| s == REUSABLE).await;
+        cpu.poll_until(q.plus(QN_STATUS), |s| s == REUSABLE).await;
         cpu.write(q.plus(QN_NEXT), NIL).await;
         cpu.write(q.plus(QN_STATUS), WAITING).await;
         let pred = cpu.fetch_and_store(self.tail, enc(q)).await;
@@ -161,7 +160,7 @@ impl AbortableMcsLock {
                 }
                 // An enqueuer has swapped the tail but not yet linked;
                 // its link write is imminent.
-                next = spin_wait_until(cpu, cur.plus(QN_NEXT), |v| v != NIL).await;
+                next = cpu.poll_until(cur.plus(QN_NEXT), |v| v != NIL).await;
             }
             let succ = dec(next);
             passed.push(cur);

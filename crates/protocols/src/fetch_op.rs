@@ -20,7 +20,6 @@ use std::rc::Rc;
 use alewife_sim::{Addr, Cpu, Machine};
 
 use crate::spin::{Backoff, Lock};
-use crate::waiting::spin_wait_until;
 
 /// A fetch-and-add protocol on the simulated machine. (Fetch-and-add is
 /// the paper's representative combinable fetch-and-op.)
@@ -278,7 +277,7 @@ impl CombiningTree {
                             // LOADED: another second beat us; wait for
                             // the node to free and retry it.
                             self.unlock_node(cpu, idx).await;
-                            spin_wait_until(cpu, self.node(idx).plus(F_STATUS), |v| v != LOADED)
+                            cpu.poll_until(self.node(idx).plus(F_STATUS), |v| v != LOADED)
                                 .await;
                         }
                     }
@@ -286,7 +285,8 @@ impl CombiningTree {
                 _ => {
                     // LOADED: generation in progress; wait and retry.
                     self.unlock_node(cpu, idx).await;
-                    spin_wait_until(cpu, self.node(idx).plus(F_STATUS), |v| v != LOADED).await;
+                    cpu.poll_until(self.node(idx).plus(F_STATUS), |v| v != LOADED)
+                        .await;
                 }
             }
         }

@@ -18,9 +18,11 @@
 //!   centralized barrier with a pluggable waiting strategy.
 //! * **Producer-consumer structures** — [`pc::JStructure`] and
 //!   [`pc::FutureCell`], full/empty-bit based (§4.6.1).
-//! * **Waiting strategies** — the [`waiting::WaitStrategy`] trait plus
-//!   the always-spin and always-block baselines; the two-phase waiting
-//!   algorithm itself lives in `reactive-core` (it is the contribution).
+//! * **Waiting strategies** — the [`waiting::WaitStrategy`] trait (one
+//!   `wait` over a condition on the watched word; word-predicate and
+//!   full/empty waits are the two conditions) plus the always-spin and
+//!   always-block baselines; the two-phase waiting algorithm itself
+//!   lives in `reactive-core` (it is the contribution).
 //! * **Robust locks** — [`recover::RecoverableMutex`] (a Golab–Ramaraju
 //!   style recoverable mutex whose per-process progress words live in
 //!   NVM and survive crashes injected by `alewife_sim::FaultPlan`) and

@@ -24,8 +24,6 @@ use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
 
-use crate::waiting::spin_wait_until;
-
 /// Lock word value: free.
 pub const FREE: u64 = 0;
 /// Lock word value: held.
@@ -221,7 +219,7 @@ impl Lock for TtsLock {
         let mut b = Backoff::new(INITIAL_DELAY, self.max_delay);
         loop {
             // Read-poll the cached copy until the lock looks free.
-            spin_wait_until(cpu, self.flag, |v| v == FREE).await;
+            cpu.poll_until(self.flag, |v| v == FREE).await;
             if cpu.test_and_set(self.flag).await == FREE {
                 return;
             }
@@ -320,7 +318,7 @@ impl McsLock {
     /// lock is held via `q`. `false`: `INVALID_STATUS`, the queue was
     /// switched away while we waited; `q` is back in the pool.
     pub async fn wait_granted(&self, cpu: &Cpu, q: Addr) -> bool {
-        let status = spin_wait_until(cpu, q.plus(QN_STATUS), |v| v != WAITING).await;
+        let status = cpu.poll_until(q.plus(QN_STATUS), |v| v != WAITING).await;
         if status == GO {
             return true;
         }
@@ -343,7 +341,7 @@ impl McsLock {
             }
             // Someone was enqueueing: restore the tail and find them.
             let usurper = cpu.fetch_and_store(self.tail, old_tail).await;
-            let next = spin_wait_until(cpu, q.plus(QN_NEXT), |v| v != NIL).await;
+            let next = cpu.poll_until(q.plus(QN_NEXT), |v| v != NIL).await;
             if usurper != NIL {
                 // A process enqueued while the queue looked empty; splice
                 // our successor chain behind it.
@@ -370,7 +368,7 @@ impl McsLock {
             // Landed behind a racer on an invalid queue: wait for its
             // INVALID signal to ripple to us, then retry.
             self.chain(cpu, q, pred).await;
-            spin_wait_until(cpu, q.plus(QN_STATUS), |v| v != WAITING).await;
+            cpu.poll_until(q.plus(QN_STATUS), |v| v != WAITING).await;
         }
     }
 
@@ -381,7 +379,7 @@ impl McsLock {
         let tail = cpu.fetch_and_store(self.tail, INVALID_PTR).await;
         let mut q = head;
         while enc(q) != tail {
-            let next = spin_wait_until(cpu, q.plus(QN_NEXT), |v| v != NIL).await;
+            let next = cpu.poll_until(q.plus(QN_NEXT), |v| v != NIL).await;
             cpu.write(q.plus(QN_STATUS), INVALID_STATUS).await;
             q = dec(next);
         }

@@ -4,26 +4,31 @@
 //! The [`WaitStrategy`] trait abstracts the *waiting mechanism* choice so
 //! the synchronization constructs in this crate ([`crate::barrier`],
 //! [`crate::pc`]) can be run under always-spin, always-block, or the
-//! two-phase algorithm from `reactive-core`. Only the baselines live
-//! here; two-phase waiting is the paper's contribution.
+//! two-phase algorithm from `reactive-core`. A strategy states its
+//! algorithm once, in [`WaitStrategy::wait`], over a condition on the raw
+//! `[value, full_bit]` pair; waiting on a word predicate or on the
+//! full/empty bit are the two conditions callers pass it. Only the
+//! baselines live here; two-phase waiting is the paper's contribution.
 
-use alewife_sim::{Addr, Cpu, FullEmpty, WaitQueueId};
+use std::future::Future;
 
-/// Read-poll `addr` until `pred` holds (polling waiting mechanism).
-///
-/// This is the building block for all spin-style waiting: it charges a
-/// fresh read per invalidation of the watched line, reproducing the
-/// coherence behaviour of spinning on a cached copy.
-pub async fn spin_wait_until(cpu: &Cpu, addr: Addr, pred: impl Fn(u64) -> bool + Unpin) -> u64 {
-    cpu.poll_until(addr, pred).await
-}
+use alewife_sim::{Addr, Cpu, WaitQueueId};
 
-/// How a thread waits on a word-valued condition.
+/// How a thread waits for a condition on one memory word.
 ///
 /// Implementations decide the mix of polling and signaling. The
 /// synchronization object supplies a [`WaitQueueId`] that its *setters*
 /// signal after updating the word, so blocking implementations are safe.
 pub trait WaitStrategy: Clone + 'static {
+    /// Wait until `cond([value, full_bit])` yields a value; returns it.
+    fn wait(
+        &self,
+        cpu: &Cpu,
+        addr: Addr,
+        q: WaitQueueId,
+        cond: impl Fn([u64; 2]) -> Option<u64> + Unpin,
+    ) -> impl Future<Output = u64>;
+
     /// Wait until `pred(word)` holds; returns the satisfying value.
     fn wait_word(
         &self,
@@ -31,15 +36,32 @@ pub trait WaitStrategy: Clone + 'static {
         addr: Addr,
         q: WaitQueueId,
         pred: impl Fn(u64) -> bool + Clone + Unpin + 'static,
-    ) -> impl std::future::Future<Output = u64>;
+    ) -> impl Future<Output = u64> {
+        self.wait(cpu, addr, q, move |[v, _full]| pred(v).then_some(v))
+    }
 
     /// Wait until the word's full/empty bit is set; returns the value.
-    fn wait_full(
-        &self,
-        cpu: &Cpu,
-        addr: Addr,
-        q: WaitQueueId,
-    ) -> impl std::future::Future<Output = u64>;
+    fn wait_full(&self, cpu: &Cpu, addr: Addr, q: WaitQueueId) -> impl Future<Output = u64> {
+        self.wait(cpu, addr, q, |[v, full]| (full != 0).then_some(v))
+    }
+}
+
+/// The signaling mechanism: re-check `cond`, block on `q`, repeat — all
+/// of [`AlwaysBlock`] and the second phase of every two-phase algorithm.
+pub async fn block_until(
+    cpu: &Cpu,
+    addr: Addr,
+    q: WaitQueueId,
+    cond: impl Fn([u64; 2]) -> Option<u64>,
+) -> u64 {
+    loop {
+        // The check and the enqueue happen at the same virtual
+        // instant (no await between them), so no wakeup can be lost.
+        if let Some(v) = cond(cpu.read_raw(addr).await) {
+            return v;
+        }
+        cpu.block_on(q).await;
+    }
 }
 
 /// Always poll (spin). Zero fixed cost; waiting cost grows with the
@@ -49,18 +71,16 @@ pub trait WaitStrategy: Clone + 'static {
 pub struct AlwaysSpin;
 
 impl WaitStrategy for AlwaysSpin {
-    async fn wait_word(
+    async fn wait(
         &self,
         cpu: &Cpu,
         addr: Addr,
         _q: WaitQueueId,
-        pred: impl Fn(u64) -> bool + Clone + Unpin + 'static,
+        cond: impl Fn([u64; 2]) -> Option<u64> + Unpin,
     ) -> u64 {
-        spin_wait_until(cpu, addr, pred).await
-    }
-
-    async fn wait_full(&self, cpu: &Cpu, addr: Addr, _q: WaitQueueId) -> u64 {
-        cpu.poll_until_full(addr).await
+        cpu.poll_cond(addr, cond, u64::MAX)
+            .await
+            .expect("a spin with no deadline ends only on its condition")
     }
 }
 
@@ -70,31 +90,14 @@ impl WaitStrategy for AlwaysSpin {
 pub struct AlwaysBlock;
 
 impl WaitStrategy for AlwaysBlock {
-    async fn wait_word(
+    fn wait(
         &self,
         cpu: &Cpu,
         addr: Addr,
         q: WaitQueueId,
-        pred: impl Fn(u64) -> bool + Clone + Unpin + 'static,
-    ) -> u64 {
-        loop {
-            // The check and the enqueue happen at the same virtual
-            // instant (no await between them), so no wakeup can be lost.
-            let v = cpu.read(addr).await;
-            if pred(v) {
-                return v;
-            }
-            cpu.block_on(q).await;
-        }
-    }
-
-    async fn wait_full(&self, cpu: &Cpu, addr: Addr, q: WaitQueueId) -> u64 {
-        loop {
-            if let FullEmpty::Full(v) = cpu.read_full(addr).await {
-                return v;
-            }
-            cpu.block_on(q).await;
-        }
+        cond: impl Fn([u64; 2]) -> Option<u64> + Unpin,
+    ) -> impl Future<Output = u64> {
+        block_until(cpu, addr, q, cond)
     }
 }
 

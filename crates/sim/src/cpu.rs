@@ -139,6 +139,12 @@ impl Cpu {
         MapFut::new(self.read_fut(a), |v| v[0])
     }
 
+    /// Load a word as the raw `[value, full_bit]` pair a
+    /// [`Cpu::poll_cond`] condition tests.
+    pub fn read_raw(&self, a: Addr) -> impl Future<Output = [u64; 2]> {
+        self.read_fut(a)
+    }
+
     /// Load a word together with its full/empty bit.
     pub fn read_full(&self, a: Addr) -> impl Future<Output = FullEmpty> {
         MapFut::new(self.read_fut(a), |[v, f]| {
@@ -204,35 +210,61 @@ impl Cpu {
     // Read-polling
     // ------------------------------------------------------------------
 
-    /// Read-poll `a` until `pred(value)` holds; returns the value.
+    /// Read-poll `a` until `cond([value, full_bit])` yields a value,
+    /// `deadline` passes (`None`), or — when `epoch0` is a snapshot of
+    /// this node's abort epoch — an abort signal moves the epoch past it
+    /// (`None`). `deadline == u64::MAX` never expires and arms no timer.
+    fn spin<'a, C: Fn([u64; 2]) -> Option<u64> + Unpin + 'a>(
+        &'a self,
+        a: Addr,
+        cond: C,
+        deadline: u64,
+        epoch0: Option<u64>,
+    ) -> SpinRead<'a, C> {
+        SpinRead {
+            cpu: self,
+            a,
+            cond,
+            deadline,
+            epoch0,
+            state: SpinSt::Start,
+        }
+    }
+
+    /// Read-poll `a` until `cond([value, full_bit])` yields a value or
+    /// `deadline` passes; returns the value, or `None` on timeout. Pass
+    /// `u64::MAX` for a wait only its condition can end (it then never
+    /// returns `None`).
     ///
     /// Models test-and-test-and-set-style spinning on a cached copy: the
     /// first poll may miss, subsequent polls hit in the local cache, and
     /// the waiter re-fetches (serializing at the home directory) each
-    /// time the line is invalidated by a writer. Implemented as one
-    /// hand-rolled future (see `SpinRead`) so each spin re-check costs
-    /// a single state borrow and no nested state machines.
+    /// time the line is invalidated by a writer. Every `poll_until*`
+    /// method is this wait with its condition, deadline and abort
+    /// sensitivity filled in; all run on one hand-rolled future (see
+    /// `SpinRead`), so each spin re-check costs a single state borrow and
+    /// no nested state machines.
+    pub fn poll_cond<'a>(
+        &'a self,
+        a: Addr,
+        cond: impl Fn([u64; 2]) -> Option<u64> + Unpin + 'a,
+        deadline: u64,
+    ) -> impl Future<Output = Option<u64>> + 'a {
+        self.spin(a, cond, deadline, None)
+    }
+
+    /// Read-poll `a` until `pred(value)` holds; returns the value.
     pub fn poll_until<'a>(
         &'a self,
         a: Addr,
         pred: impl Fn(u64) -> bool + Unpin + 'a,
     ) -> impl Future<Output = u64> + 'a {
-        SpinRead {
-            cpu: self,
-            a,
-            accept: move |[v, _f]: [u64; 2]| if pred(v) { Some(v) } else { None },
-            state: SpinSt::Start,
-        }
+        MapFut::new(self.spin(a, word(pred), u64::MAX, None), unbounded)
     }
 
     /// Read-poll until the word's full bit is set; returns the value.
     pub fn poll_until_full(&self, a: Addr) -> impl Future<Output = u64> + '_ {
-        SpinRead {
-            cpu: self,
-            a,
-            accept: |[v, f]: [u64; 2]| if f != 0 { Some(v) } else { None },
-            state: SpinSt::Start,
-        }
+        MapFut::new(self.spin(a, full, u64::MAX, None), unbounded)
     }
 
     /// Read-poll `a` until `pred(value)` holds or `deadline` passes.
@@ -244,13 +276,7 @@ impl Cpu {
         pred: impl Fn(u64) -> bool + Unpin + 'a,
         deadline: u64,
     ) -> impl Future<Output = Option<u64>> + 'a {
-        SpinReadDeadline {
-            cpu: self,
-            a,
-            accept: move |[v, _f]: [u64; 2]| if pred(v) { Some(v) } else { None },
-            deadline,
-            state: SpinDeadlineSt::Start,
-        }
+        self.spin(a, word(pred), deadline, None)
     }
 
     /// Read-poll until the word's full bit is set or `deadline` passes.
@@ -259,13 +285,7 @@ impl Cpu {
         a: Addr,
         deadline: u64,
     ) -> impl Future<Output = Option<u64>> + '_ {
-        SpinReadDeadline {
-            cpu: self,
-            a,
-            accept: |[v, f]: [u64; 2]| if f != 0 { Some(v) } else { None },
-            deadline,
-            state: SpinDeadlineSt::Start,
-        }
+        self.spin(a, full, deadline, None)
     }
 
     /// This node's abort epoch (bumped by fault-plan abort signals).
@@ -285,14 +305,7 @@ impl Cpu {
         pred: impl Fn(u64) -> bool + Unpin + 'a,
         deadline: u64,
     ) -> impl Future<Output = Option<u64>> + 'a {
-        SpinReadAbortable {
-            cpu: self,
-            a,
-            accept: move |[v, _f]: [u64; 2]| if pred(v) { Some(v) } else { None },
-            deadline,
-            epoch0: self.abort_epoch(),
-            state: SpinDeadlineSt::Start,
-        }
+        self.spin(a, word(pred), deadline, Some(self.abort_epoch()))
     }
 
     // ------------------------------------------------------------------
@@ -398,6 +411,21 @@ impl Cpu {
     }
 }
 
+/// The word condition of a spin: `pred` on the value, whatever the tag.
+fn word(pred: impl Fn(u64) -> bool) -> impl Fn([u64; 2]) -> Option<u64> {
+    move |[v, _full]| pred(v).then_some(v)
+}
+
+/// The full/empty condition of a spin: the value once its tag is set.
+fn full([v, full]: [u64; 2]) -> Option<u64> {
+    (full != 0).then_some(v)
+}
+
+/// The result of a spin that has no deadline and takes no aborts.
+fn unbounded(v: Option<u64>) -> u64 {
+    v.expect("a spin with no deadline and no abort ends only on its condition")
+}
+
 /// State of a [`SpinRead`] spin loop.
 enum SpinSt {
     /// Next poll issues the read (and snapshots the line version).
@@ -409,33 +437,54 @@ enum SpinSt {
         line: crate::state::LineId,
         seen: u64,
     },
-    /// Registered as a line watcher, waiting for an invalidation.
+    /// Registered as a line watcher, waiting for an invalidation (with
+    /// this round's deadline wake armed, if there is a deadline).
     Watch {
         line: crate::state::LineId,
         seen: u64,
     },
+    /// Deadline hit; one final read races the last write.
+    FinalRead {
+        c: Completion,
+        tid: crate::exec::TaskId,
+    },
 }
 
-/// The fused read-polling future behind [`Cpu::poll_until`] and
-/// [`Cpu::poll_until_full`]: issue read → (miss or hit) → test
-/// predicate → watch line → re-read on invalidation. Event and watcher
-/// registration order is identical to the naive
+/// The one fused read-polling future, behind every `Cpu::poll_until*`
+/// method and [`Cpu::poll_cond`]: issue read → (miss or hit) → test
+/// condition → watch line → re-read on invalidation, giving up when the
+/// deadline passes or the node's abort epoch leaves `epoch0` (fault-plan
+/// abort signals wake the node's tasks, so that check runs promptly).
+/// Schedule order — read issues, watcher registrations, one deadline
+/// wake armed per re-check round — is identical to the naive
 /// `loop { read().await; LineChangeFuture.await }`, but each transition
-/// runs under a single state borrow with no nested async-fn frames.
-struct SpinRead<'a, A: Fn([u64; 2]) -> Option<u64>> {
+/// runs under a single state borrow with no nested async-fn frames. A
+/// `u64::MAX` deadline arms no timer and an absent epoch is never
+/// compared, so the plain spin pays for neither.
+struct SpinRead<'a, C: Fn([u64; 2]) -> Option<u64>> {
     cpu: &'a Cpu,
     a: Addr,
-    accept: A,
+    cond: C,
+    deadline: u64,
+    epoch0: Option<u64>,
     state: SpinSt,
 }
 
-impl<A: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinRead<'_, A> {
-    type Output = u64;
+impl<C: Fn([u64; 2]) -> Option<u64>> SpinRead<'_, C> {
+    /// Whether an abort signal reached this node since the wait began.
+    fn aborted(&self, st: &State) -> bool {
+        self.epoch0
+            .is_some_and(|e| st.abort_epoch[self.cpu.node] != e)
+    }
+}
+
+impl<C: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinRead<'_, C> {
+    type Output = Option<u64>;
 
     fn poll(
         self: std::pin::Pin<&mut Self>,
         _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<u64> {
+    ) -> std::task::Poll<Option<u64>> {
         use std::task::Poll;
         let this = self.get_mut();
         loop {
@@ -456,11 +505,14 @@ impl<A: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinRead<'_, A> {
                         c.set_waiter(*tid);
                         return Poll::Pending;
                     }
-                    if let Some(v) = (this.accept)(c.value()) {
-                        return Poll::Ready(v);
+                    if let Some(v) = (this.cond)(c.value()) {
+                        return Poll::Ready(Some(v));
                     }
                     let (line, seen, tid) = (*line, *seen, *tid);
                     let mut st = this.cpu.st.borrow_mut();
+                    if this.aborted(&st) || st.now >= this.deadline {
+                        return Poll::Ready(None);
+                    }
                     if st.line_ver[line.idx()] != seen {
                         // Invalidated while we examined the value:
                         // re-read immediately.
@@ -468,7 +520,13 @@ impl<A: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinRead<'_, A> {
                         this.state = SpinSt::Start;
                         continue;
                     }
+                    // Watch the line and arm this round's deadline wake
+                    // (registration first, then the timer — the order the
+                    // unfused loop scheduled them in).
                     st.watchers[line.idx()].push(tid);
+                    if this.deadline != u64::MAX {
+                        st.schedule(this.deadline, crate::exec::Ev::Wake(tid));
+                    }
                     drop(st);
                     this.state = SpinSt::Watch { line, seen };
                     return Poll::Pending;
@@ -476,116 +534,14 @@ impl<A: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinRead<'_, A> {
                 SpinSt::Watch { line, seen } => {
                     let (line, seen) = (*line, *seen);
                     let mut st = this.cpu.st.borrow_mut();
+                    if this.aborted(&st) {
+                        return Poll::Ready(None);
+                    }
                     if st.line_ver[line.idx()] != seen {
                         drop(st);
                         this.state = SpinSt::Start;
                         continue;
                     }
-                    // Stale wake: re-register and keep waiting.
-                    let cur = st
-                        .current_task
-                        .expect("sim future polled outside the sim executor");
-                    st.watchers[line.idx()].push(cur);
-                    return Poll::Pending;
-                }
-            }
-        }
-    }
-}
-
-/// State of a [`SpinReadDeadline`] bounded spin loop.
-enum SpinDeadlineSt {
-    Start,
-    Read {
-        c: Completion,
-        tid: crate::exec::TaskId,
-        line: crate::state::LineId,
-        seen: u64,
-    },
-    /// Watching the line with a deadline wake armed for this round.
-    Watch {
-        line: crate::state::LineId,
-        seen: u64,
-    },
-    /// Deadline hit; one final read races the last write.
-    FinalRead {
-        c: Completion,
-        tid: crate::exec::TaskId,
-    },
-}
-
-/// The fused future behind [`Cpu::poll_until_deadline`] and
-/// [`Cpu::poll_until_full_deadline`] — the polling phase of two-phase
-/// waiting. Schedule order (read issues, watcher registrations, one
-/// deadline wake armed per re-check round) is identical to the naive
-/// async-fn loop it replaces.
-struct SpinReadDeadline<'a, A: Fn([u64; 2]) -> Option<u64>> {
-    cpu: &'a Cpu,
-    a: Addr,
-    accept: A,
-    deadline: u64,
-    state: SpinDeadlineSt,
-}
-
-impl<A: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinReadDeadline<'_, A> {
-    type Output = Option<u64>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Option<u64>> {
-        use std::task::Poll;
-        let this = self.get_mut();
-        loop {
-            match &this.state {
-                SpinDeadlineSt::Start => {
-                    let mut st = this.cpu.st.borrow_mut();
-                    let line = st.line_of(this.a);
-                    let seen = st.line_ver[line.idx()];
-                    let c = st.new_completion();
-                    coherence::issue_read(&mut st, this.cpu.node, this.a, c.clone());
-                    let tid = st
-                        .current_task
-                        .expect("sim operation issued outside the sim executor");
-                    this.state = SpinDeadlineSt::Read { c, tid, line, seen };
-                }
-                SpinDeadlineSt::Read { c, tid, line, seen } => {
-                    if !c.is_done() {
-                        c.set_waiter(*tid);
-                        return Poll::Pending;
-                    }
-                    if let Some(v) = (this.accept)(c.value()) {
-                        return Poll::Ready(Some(v));
-                    }
-                    let (line, seen, tid) = (*line, *seen, *tid);
-                    let mut st = this.cpu.st.borrow_mut();
-                    if st.now >= this.deadline {
-                        return Poll::Ready(None);
-                    }
-                    if st.line_ver[line.idx()] != seen {
-                        // Changed while we examined the value: re-read.
-                        drop(st);
-                        this.state = SpinDeadlineSt::Start;
-                        continue;
-                    }
-                    // Watch the line and arm this round's deadline wake
-                    // (registration first, then the timer — the order the
-                    // unfused loop scheduled them in).
-                    st.watchers[line.idx()].push(tid);
-                    let deadline = this.deadline;
-                    st.schedule(deadline, crate::exec::Ev::Wake(tid));
-                    drop(st);
-                    this.state = SpinDeadlineSt::Watch { line, seen };
-                    return Poll::Pending;
-                }
-                SpinDeadlineSt::Watch { line, seen } => {
-                    let (line, seen) = (*line, *seen);
-                    let mut st = this.cpu.st.borrow_mut();
-                    if st.line_ver[line.idx()] != seen {
-                        drop(st);
-                        this.state = SpinDeadlineSt::Start;
-                        continue;
-                    }
                     if st.now >= this.deadline {
                         // Deadline passed: issue the final racing read.
                         let c = st.new_completion();
@@ -594,110 +550,7 @@ impl<A: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinReadDeadline<'_, A> 
                             .current_task
                             .expect("sim operation issued outside the sim executor");
                         drop(st);
-                        this.state = SpinDeadlineSt::FinalRead { c, tid };
-                        continue;
-                    }
-                    // Stale wake: re-register; the timer stays armed.
-                    let cur = st
-                        .current_task
-                        .expect("sim future polled outside the sim executor");
-                    st.watchers[line.idx()].push(cur);
-                    return Poll::Pending;
-                }
-                SpinDeadlineSt::FinalRead { c, tid } => {
-                    if !c.is_done() {
-                        c.set_waiter(*tid);
-                        return Poll::Pending;
-                    }
-                    return Poll::Ready((this.accept)(c.value()));
-                }
-            }
-        }
-    }
-}
-
-/// The fused future behind [`Cpu::poll_until_abortable`]: a
-/// [`SpinReadDeadline`] that additionally gives up when the node's
-/// abort epoch moves past the snapshot taken at wait start (fault-plan
-/// abort signals wake the node's tasks, so the check runs promptly).
-struct SpinReadAbortable<'a, A: Fn([u64; 2]) -> Option<u64>> {
-    cpu: &'a Cpu,
-    a: Addr,
-    accept: A,
-    deadline: u64,
-    epoch0: u64,
-    state: SpinDeadlineSt,
-}
-
-impl<A: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinReadAbortable<'_, A> {
-    type Output = Option<u64>;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Option<u64>> {
-        use std::task::Poll;
-        let this = self.get_mut();
-        loop {
-            match &this.state {
-                SpinDeadlineSt::Start => {
-                    let mut st = this.cpu.st.borrow_mut();
-                    let line = st.line_of(this.a);
-                    let seen = st.line_ver[line.idx()];
-                    let c = st.new_completion();
-                    coherence::issue_read(&mut st, this.cpu.node, this.a, c.clone());
-                    let tid = st
-                        .current_task
-                        .expect("sim operation issued outside the sim executor");
-                    this.state = SpinDeadlineSt::Read { c, tid, line, seen };
-                }
-                SpinDeadlineSt::Read { c, tid, line, seen } => {
-                    if !c.is_done() {
-                        c.set_waiter(*tid);
-                        return Poll::Pending;
-                    }
-                    if let Some(v) = (this.accept)(c.value()) {
-                        return Poll::Ready(Some(v));
-                    }
-                    let (line, seen, tid) = (*line, *seen, *tid);
-                    let mut st = this.cpu.st.borrow_mut();
-                    if st.abort_epoch[this.cpu.node] != this.epoch0 || st.now >= this.deadline {
-                        return Poll::Ready(None);
-                    }
-                    if st.line_ver[line.idx()] != seen {
-                        drop(st);
-                        this.state = SpinDeadlineSt::Start;
-                        continue;
-                    }
-                    st.watchers[line.idx()].push(tid);
-                    if this.deadline != u64::MAX {
-                        let deadline = this.deadline;
-                        st.schedule(deadline, crate::exec::Ev::Wake(tid));
-                    }
-                    drop(st);
-                    this.state = SpinDeadlineSt::Watch { line, seen };
-                    return Poll::Pending;
-                }
-                SpinDeadlineSt::Watch { line, seen } => {
-                    let (line, seen) = (*line, *seen);
-                    let mut st = this.cpu.st.borrow_mut();
-                    if st.abort_epoch[this.cpu.node] != this.epoch0 {
-                        return Poll::Ready(None);
-                    }
-                    if st.line_ver[line.idx()] != seen {
-                        drop(st);
-                        this.state = SpinDeadlineSt::Start;
-                        continue;
-                    }
-                    if st.now >= this.deadline {
-                        // Deadline passed: issue the final racing read.
-                        let c = st.new_completion();
-                        coherence::issue_read(&mut st, this.cpu.node, this.a, c.clone());
-                        let tid = st
-                            .current_task
-                            .expect("sim operation issued outside the sim executor");
-                        drop(st);
-                        this.state = SpinDeadlineSt::FinalRead { c, tid };
+                        this.state = SpinSt::FinalRead { c, tid };
                         continue;
                     }
                     // Stale wake: re-register; any armed timer stays.
@@ -707,12 +560,12 @@ impl<A: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinReadAbortable<'_, A>
                     st.watchers[line.idx()].push(cur);
                     return Poll::Pending;
                 }
-                SpinDeadlineSt::FinalRead { c, tid } => {
+                SpinSt::FinalRead { c, tid } => {
                     if !c.is_done() {
                         c.set_waiter(*tid);
                         return Poll::Pending;
                     }
-                    return Poll::Ready((this.accept)(c.value()));
+                    return Poll::Ready((this.cond)(c.value()));
                 }
             }
         }

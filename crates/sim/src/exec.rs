@@ -93,21 +93,22 @@ impl std::fmt::Debug for Completion {
     }
 }
 
-/// Maps a [`CompFuture`]'s `[u64; 2]` result through a zero-size
-/// closure — the await-side of every memory/compute operation, one
-/// poll frame deep (no intermediate async-fn state machines).
-pub(crate) struct MapFut<T, F: Fn([u64; 2]) -> T> {
-    fut: CompFuture,
+/// Maps a sim future's result through a zero-size closure — the
+/// await-side of every memory/compute operation (over a
+/// [`CompFuture`]'s `[u64; 2]`) and of the unbounded spins, one poll
+/// frame deep (no intermediate async-fn state machines).
+pub(crate) struct MapFut<I, F> {
+    fut: I,
     map: F,
 }
 
-impl<T, F: Fn([u64; 2]) -> T> MapFut<T, F> {
-    pub fn new(fut: CompFuture, map: F) -> Self {
+impl<T, I: Future, F: Fn(I::Output) -> T> MapFut<I, F> {
+    pub fn new(fut: I, map: F) -> Self {
         MapFut { fut, map }
     }
 }
 
-impl<T, F: Fn([u64; 2]) -> T + Unpin> Future for MapFut<T, F> {
+impl<T, I: Future + Unpin, F: Fn(I::Output) -> T + Unpin> Future for MapFut<I, F> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {

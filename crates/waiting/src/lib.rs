@@ -11,10 +11,10 @@
 //! * [`optimal`] — derivation of the optimal static `Lpoll` (§4.5):
 //!   `α* = ln(e-1) ≈ 0.5413` (1.58-competitive) under exponential
 //!   waiting times, `α* ≈ 0.62` (1.62-competitive) under uniform ones.
-//! * [`task_system`] — the on-line task systems of Chapter 2, the
-//!   Borodin-Linial-Saks nearly-oblivious algorithm, and the
-//!   3-competitive protocol-switching policy of §3.4.1 with its
-//!   worst-case scenario (Figure 3.14).
+//! * [`task_system`] — the on-line task systems of Chapter 2: the cost
+//!   model, the exact off-line optimum, a lookahead-one driver for any
+//!   on-line decision rule, and the worst-case adversary of Figure 3.14.
+//!   (The switching policies it is driven with live in `reactive-api`.)
 //! * [`montecarlo`] — simulation of waiting algorithms against sampled
 //!   waiting times, used to corroborate the closed forms.
 

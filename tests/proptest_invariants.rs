@@ -5,11 +5,12 @@
 //! cost model's analytic identities.
 
 use proptest::prelude::*;
+use reactive_sync::api::{online_rule, Competitive3};
 use reactive_sync::apps::alg::{AnyFetchOp, AnyLock, FetchOpAlg, LockAlg};
 use reactive_sync::sim::{Config, Machine};
 use reactive_sync::waiting::dist::WaitDist;
 use reactive_sync::waiting::expected::{expected_opt, expected_two_phase};
-use reactive_sync::waiting::task_system::{Competitive3, TaskSystem};
+use reactive_sync::waiting::task_system::TaskSystem;
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -110,9 +111,9 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The 3-competitive policy never exceeds 3x the off-line optimum
-    /// (plus one transition of slack for the unfinished last phase) on
-    /// ANY request sequence.
+    /// The shipped 3-competitive policy never exceeds 3x the off-line
+    /// optimum (plus one transition of slack for the unfinished last
+    /// phase) on ANY request sequence.
     #[test]
     fn competitive3_bound_on_random_sequences(
         reqs in prop::collection::vec(0usize..2, 1..400),
@@ -122,7 +123,7 @@ proptest! {
         c_low in 1.0f64..100.0,
     ) {
         let ts = TaskSystem::two_protocol(d_ab, d_ba, c_high, c_low);
-        let online = ts.run_online(&mut Competitive3::default(), &reqs);
+        let online = ts.run_online(online_rule(&mut Competitive3::new(d_ab + d_ba)), &reqs);
         let opt = ts.offline_opt(&reqs);
         // The classic bound with an additive constant (the algorithm may
         // be mid-phase when the sequence ends).
