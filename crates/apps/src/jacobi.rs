@@ -58,7 +58,6 @@ pub fn run_jstructures(cfg: &JacobiConfig) -> AppResult {
 
     for p in 0..procs {
         let cpu = m.cpu(p);
-        let slots = slots.clone();
         let cfg = cfg.clone();
         m.spawn(p, async move {
             for it in 0..cfg.iterations {

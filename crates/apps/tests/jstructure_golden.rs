@@ -116,7 +116,6 @@ fn run_kill_while_blocked() -> u64 {
     let woke = Rc::new(RefCell::new(Vec::new()));
     for (node, target, id) in readers {
         let (cpu, woke) = (m.cpu(node), woke.clone());
-        let js = js.clone();
         m.spawn(node, async move {
             cpu.work(target.saturating_sub(cpu.now())).await;
             let v = js.read(&cpu, &AlwaysBlock, 0).await;
@@ -125,10 +124,9 @@ fn run_kill_while_blocked() -> u64 {
         });
     }
     let cpu = m.cpu(0);
-    let js_w = js.clone();
     m.spawn(0, async move {
         cpu.work(10_000).await;
-        js_w.write(&cpu, 0, 77).await;
+        js.write(&cpu, 0, 77).await;
     });
     let elapsed = m.run();
     assert_eq!(m.live_tasks(), 0, "a survivor was lost from the queue");

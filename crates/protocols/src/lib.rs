@@ -17,7 +17,8 @@
 //! * **Barriers** — [`barrier::SenseBarrier`], a sense-reversing
 //!   centralized barrier with a pluggable waiting strategy.
 //! * **Producer-consumer structures** — [`pc::JStructure`] and
-//!   [`pc::FutureCell`], full/empty-bit based (§4.6.1).
+//!   [`pc::FutureCell`], full/empty-bit based (§4.6.1). Each slot is one
+//!   simulated line plus one wait queue; both handles are `Copy`.
 //! * **Waiting strategies** — the [`waiting::WaitStrategy`] trait (one
 //!   `wait` over a condition on the watched word; word-predicate and
 //!   full/empty waits are the two conditions) plus the always-spin and

@@ -1,6 +1,12 @@
 //! Producer-consumer synchronization with full/empty bits (§4.6.1):
 //! J-structures and futures, the constructs behind the waiting-time
 //! profiles of Figures 4.6-4.7 and the benchmarks of Figure 4.12.
+//!
+//! A slot of either is one simulated line (its word and full/empty bit)
+//! plus one wait queue for blocked readers. A [`JStructure`] of `n`
+//! slots allocates its lines and queues as two batches and keeps only
+//! where each batch starts, so the handle is four words whatever `n` is
+//! and every task that reads or writes the structure holds a copy.
 
 use alewife_sim::{Addr, Cpu, Machine, WaitQueueId};
 
@@ -10,43 +16,64 @@ use crate::waiting::WaitStrategy;
 /// bits. Readers of an empty slot wait until a producer fills it; slots
 /// can be reset for reuse. Multiple readers may consume one write
 /// (unlike I-structure `take`, which is also provided).
-#[derive(Clone, Debug)]
+///
+/// The handle is `Copy`: slot `i` lives at `first + i * stride` and
+/// waits on queue `queue0 + i`.
+#[derive(Clone, Copy, Debug)]
 pub struct JStructure {
-    slots: Vec<Addr>,
-    queues: Vec<WaitQueueId>,
+    first: Addr,
+    stride: u64,
+    len: usize,
+    queue0: WaitQueueId,
 }
 
 impl JStructure {
     /// Allocate `n` slots, striped across the machine's nodes for
     /// locality (slot `i` homed on node `i % nodes`).
     pub fn new(m: &Machine, n: usize) -> JStructure {
-        let nodes = m.nodes();
+        let (first, stride) = m.alloc_striped(n, 1);
         JStructure {
-            slots: (0..n).map(|i| m.alloc_on(i % nodes, 1)).collect(),
-            queues: (0..n).map(|_| m.new_wait_queue()).collect(),
+            first,
+            stride,
+            len: n,
+            queue0: m.new_wait_queues(n),
         }
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// Whether the structure has zero slots.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
     /// Address of slot `i` (for custom polling).
+    ///
+    /// # Panics
+    /// If `i` is not below [`JStructure::len`].
     pub fn slot(&self, i: usize) -> Addr {
-        self.slots[i]
+        assert!(
+            i < self.len,
+            "J-structure slot {i} out of range ({} slots)",
+            self.len
+        );
+        self.first.plus(i as u64 * self.stride)
+    }
+
+    /// The wait queue of slot `i` (checked by the [`JStructure::slot`]
+    /// call every use pairs it with).
+    fn queue(&self, i: usize) -> WaitQueueId {
+        self.queue0.offset(i)
     }
 
     /// Read slot `i`, waiting (per `wait`) until it is full. Records the
     /// waiting time in the `"jstruct"` histogram (Figure 4.6).
     pub async fn read<W: WaitStrategy>(&self, cpu: &Cpu, wait: &W, i: usize) -> u64 {
         let t0 = cpu.now();
-        let v = wait.wait_full(cpu, self.slots[i], self.queues[i]).await;
+        let v = wait.wait_full(cpu, self.slot(i), self.queue(i)).await;
         cpu.record_wait("jstruct", cpu.now() - t0);
         v
     }
@@ -57,14 +84,14 @@ impl JStructure {
     /// Panics (in debug) if the slot was already full: J-structure slots
     /// are write-once between resets.
     pub async fn write(&self, cpu: &Cpu, i: usize, v: u64) {
-        let was_full = cpu.write_fill(self.slots[i], v).await;
+        let was_full = cpu.write_fill(self.slot(i), v).await;
         debug_assert!(!was_full, "J-structure slot {i} written twice");
-        cpu.signal_all(self.queues[i]).await;
+        cpu.signal_all(self.queue(i)).await;
     }
 
     /// Reset slot `i` to empty (reuse across phases).
     pub async fn reset(&self, cpu: &Cpu, i: usize) {
-        cpu.reset_empty(self.slots[i]).await;
+        cpu.reset_empty(self.slot(i)).await;
     }
 }
 
@@ -132,7 +159,6 @@ mod tests {
         let sum_out = m.alloc_on(0, 1);
         {
             let cpu = m.cpu(0);
-            let js = js.clone();
             m.spawn(0, async move {
                 for i in 0..js.len() {
                     cpu.work(cpu.rand_below(300)).await;
@@ -142,7 +168,6 @@ mod tests {
         }
         for p in 1..4 {
             let cpu = m.cpu(p);
-            let js = js.clone();
             let w = w.clone();
             m.spawn(p, async move {
                 let mut sum = 0;
@@ -174,13 +199,12 @@ mod tests {
         let js = JStructure::new(&m, 1);
         let out = m.alloc_on(0, 2);
         let c0 = m.cpu(0);
-        let js2 = js.clone();
         m.spawn(0, async move {
-            let a = js2.read(&c0, &AlwaysSpin, 0).await;
+            let a = js.read(&c0, &AlwaysSpin, 0).await;
             c0.write(out, a).await;
             // Wait for the reset+rewrite, then read phase 2.
             c0.work(3_000).await;
-            let b = js2.read(&c0, &AlwaysSpin, 0).await;
+            let b = js.read(&c0, &AlwaysSpin, 0).await;
             c0.write(out.plus(1), b).await;
         });
         let c1 = m.cpu(1);
@@ -194,6 +218,32 @@ mod tests {
         m.run();
         assert_eq!(m.read_word(out), 5);
         assert_eq!(m.read_word(out.plus(1)), 9);
+    }
+
+    #[test]
+    fn jstructure_of_zero_and_one_slots() {
+        let m = Machine::new(Config::default().nodes(2));
+        let empty = JStructure::new(&m, 0);
+        assert!(empty.is_empty());
+        let one = JStructure::new(&m, 1);
+        assert_eq!(one.len(), 1);
+        // The empty structure took no memory; the one slot fills a line.
+        let next = m.alloc_on(1, 1);
+        assert_eq!((one.slot(0), next), (Addr(0), Addr(4)));
+        let cpu = m.cpu(1);
+        m.spawn(1, async move {
+            one.write(&cpu, 0, 3).await;
+            assert_eq!(one.read(&cpu, &AlwaysBlock, 0).await, 3);
+        });
+        m.run();
+        assert_eq!(m.live_tasks(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "J-structure slot 3 out of range (3 slots)")]
+    fn jstructure_slot_past_the_end_panics() {
+        let m = Machine::new(Config::default().nodes(2));
+        JStructure::new(&m, 3).slot(3);
     }
 
     #[test]

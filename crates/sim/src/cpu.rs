@@ -76,7 +76,7 @@ impl Cpu {
 
     /// Create a fresh wait queue (for dynamically created sync objects).
     pub fn new_wait_queue(&self) -> WaitQueueId {
-        thread::new_wait_queue(&mut self.st.borrow_mut())
+        thread::new_wait_queues(&mut self.st.borrow_mut(), 1)
     }
 
     /// Increment a named statistics counter.

@@ -187,8 +187,9 @@ pub(crate) fn kill_node(st: &mut State, node: usize) {
     }
     st.scheds[node].running = None;
     st.scheds[node].ready.clear();
+    // Survivors keep their places: each queue is relinked in order.
     for q in &mut st.wait_queues {
-        q.retain(|t| !dead[t.0]);
+        q.retain(&mut st.wait_link, |t| !dead[t.0]);
     }
     for w in &mut st.watchers {
         w.retain(|t| !dead[t.0]);

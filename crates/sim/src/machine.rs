@@ -162,6 +162,16 @@ impl Machine {
         self.st.borrow_mut().alloc_on(node, words)
     }
 
+    /// `n` allocations of `words` words each, striped over the nodes:
+    /// the same addresses, lines and homes as `n` successive
+    /// `alloc_on(i % nodes, words)` calls, with the machine's per-line
+    /// tables grown once instead of `n` times. Returns the first
+    /// allocation's address and the stride between allocations, so
+    /// allocation `i` starts at `first.plus(i as u64 * stride)`.
+    pub fn alloc_striped(&self, n: usize, words: u64) -> (Addr, u64) {
+        self.st.borrow_mut().alloc_striped(n, words)
+    }
+
     /// Allocate a single word homed on `node`.
     pub fn alloc_var(&self, node: usize) -> Addr {
         self.alloc_on(node, 1)
@@ -199,7 +209,13 @@ impl Machine {
 
     /// Create a wait queue for blocking threads.
     pub fn new_wait_queue(&self) -> WaitQueueId {
-        thread::new_wait_queue(&mut self.st.borrow_mut())
+        thread::new_wait_queues(&mut self.st.borrow_mut(), 1)
+    }
+
+    /// Create `n` wait queues with consecutive ids and return the first;
+    /// queue `i` is `first.offset(i)` ([`WaitQueueId::offset`]).
+    pub fn new_wait_queues(&self, n: usize) -> WaitQueueId {
+        thread::new_wait_queues(&mut self.st.borrow_mut(), n)
     }
 
     /// Register an active-message handler for `(node, port)`.
@@ -464,6 +480,61 @@ mod tests {
         let hit = m.read_word(times.plus(1));
         assert!(miss >= 30, "remote miss only {miss} cycles");
         assert!(hit <= 4, "cache hit took {hit} cycles");
+    }
+
+    #[test]
+    fn striped_allocation_matches_successive_alloc_on() {
+        const NODES: usize = 3;
+        for words in [1, 4, 5] {
+            for n in [0, 1, NODES, 3 * NODES + 1] {
+                let (a, b) = (
+                    Machine::new(Config::default().nodes(NODES)),
+                    Machine::new(Config::default().nodes(NODES)),
+                );
+                // Something allocated before, so the batch starts mid-arena.
+                assert_eq!(a.alloc_on(1, 3), b.alloc_on(1, 3));
+                let (first, stride) = a.alloc_striped(n, words);
+                for i in 0..n {
+                    let want = b.alloc_on(i % NODES, words);
+                    assert_eq!(first.plus(i as u64 * stride), want, "n={n} w={words} i={i}");
+                }
+                assert_eq!(a.alloc_on(2, 1), b.alloc_on(2, 1), "n={n} w={words}");
+                let (sa, sb) = (a.st.borrow(), b.st.borrow());
+                assert_eq!(sa.line_home, sb.line_home, "n={n} w={words}");
+                assert_eq!(sa.next_word, sb.next_word);
+                assert_eq!(sa.mem.len(), sb.mem.len());
+                assert_eq!(sa.line_ver.len(), sb.line_ver.len());
+                assert_eq!(sa.cache.len(), sb.cache.len());
+            }
+        }
+    }
+
+    #[test]
+    fn striped_allocation_grows_each_arena_once_and_exactly() {
+        let m = Machine::new(Config::default().nodes(4));
+        m.alloc_striped(1_000, 5);
+        let st = m.st.borrow();
+        let lines = 2 * 1_000;
+        assert_eq!(st.line_home.capacity(), lines);
+        assert_eq!(st.line_ver.capacity(), lines);
+        assert_eq!(st.dir.capacity(), lines);
+        assert_eq!(st.watchers.capacity(), lines);
+        assert_eq!(st.cache.capacity(), 4 * lines);
+        assert_eq!(st.mem.capacity(), 4 * lines);
+        assert_eq!(st.full_bits.capacity(), 4 * lines);
+    }
+
+    #[test]
+    fn wait_queue_batch_has_consecutive_ids() {
+        let m = Machine::new(Config::default().nodes(2));
+        let before = m.new_wait_queue();
+        let first = m.new_wait_queues(5);
+        assert_eq!(first, before.offset(1));
+        let after = m.new_wait_queue();
+        assert_eq!(after, first.offset(5));
+        assert_eq!(m.new_wait_queues(0), after.offset(1));
+        assert_eq!(m.new_wait_queue(), after.offset(1));
+        assert_eq!(m.st.borrow().wait_queues.len(), 8);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::fault::FaultEvent;
 use crate::msg::{ActiveMsg, HandlerFn};
 use crate::queue::EventQueue;
 use crate::stats::Stats;
-use crate::thread::NodeSched;
+use crate::thread::{NodeSched, WaitQueue};
 
 /// A word address in simulated globally-shared memory.
 ///
@@ -167,7 +167,7 @@ pub(crate) struct State {
     pub mem: Vec<u64>,
     pub full_bits: Vec<bool>,
     pub next_word: u64,
-    pub line_home: Vec<usize>,
+    pub line_home: Vec<u32>,
     pub line_ver: Vec<u64>,
     pub dir: Vec<DirEntry>,
     /// Flattened cache-state table, line-major: line `l` on node `n`
@@ -186,7 +186,10 @@ pub(crate) struct State {
 
     // --- thread runtime ---
     pub scheds: Vec<NodeSched>,
-    pub wait_queues: Vec<VecDeque<TaskId>>,
+    pub wait_queues: Vec<WaitQueue>,
+    /// `wait_link[tid]` is the thread queued behind `tid` on the one
+    /// wait queue it is blocked on (grown when a task id first blocks).
+    pub wait_link: Vec<u32>,
 
     // --- fault injection ---
     /// Per-node liveness; killed nodes stay dead until a recovery.
@@ -207,6 +210,16 @@ pub(crate) struct State {
 /// Factory producing a fresh recovery future each time its node
 /// recovers from a kill.
 pub(crate) type RecoveryFn = Box<dyn Fn() -> BoxFut>;
+
+/// Grow an arena to `len` entries of `fill`. With `exact` it is
+/// reallocated at most once, to exactly `len` (a batch of allocations);
+/// without, `Vec`'s doubling keeps one-at-a-time growth amortised.
+pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T, exact: bool) {
+    if exact {
+        v.reserve_exact(len.saturating_sub(v.len()));
+    }
+    v.resize(len, fill);
+}
 
 impl State {
     pub fn new(
@@ -258,6 +271,7 @@ impl State {
             rpc_pending: RpcSlab::default(),
             scheds: (0..nodes).map(|_| NodeSched::new(contexts)).collect(),
             wait_queues: Vec::new(),
+            wait_link: Vec::new(),
             alive: vec![true; nodes],
             abort_epoch: vec![0; nodes],
             recovery: (0..nodes).map(|_| None).collect(),
@@ -368,8 +382,7 @@ impl State {
     pub fn home_of(&self, line: LineId) -> usize {
         self.line_home
             .get(line.idx())
-            .copied()
-            .unwrap_or(line.idx() % self.nodes_n)
+            .map_or(line.idx() % self.nodes_n, |&h| h as usize)
     }
 
     /// Allocate `words` words of shared memory whose lines are homed on
@@ -379,28 +392,55 @@ impl State {
     #[cold]
     pub fn alloc_on(&mut self, node: usize, words: u64) -> Addr {
         assert!(node < self.nodes_n, "alloc_on: node out of range");
-        assert!(words > 0, "alloc_on: zero-sized allocation");
-        // Round up to a line boundary.
+        self.alloc_blocks(1, words, false, |_| node).0
+    }
+
+    /// `n` allocations of `words` words, allocation `i` homed on node
+    /// `i % nodes`: the addresses, lines and homes of `n` successive
+    /// [`State::alloc_on`] calls, with every arena grown once, to its
+    /// exact new size. Returns the first address and the stride.
+    #[cold]
+    pub fn alloc_striped(&mut self, n: usize, words: u64) -> (Addr, u64) {
+        let nodes = self.nodes_n;
+        self.alloc_blocks(n, words, true, |i| i % nodes)
+    }
+
+    /// `n` line-aligned blocks of `words` words, block `i` homed on
+    /// `home(i)`. `exact` reserves each arena's new size up front; a
+    /// single allocation keeps `Vec`'s amortised doubling instead.
+    fn alloc_blocks(
+        &mut self,
+        n: usize,
+        words: u64,
+        exact: bool,
+        home: impl Fn(usize) -> usize,
+    ) -> (Addr, u64) {
+        assert!(words > 0, "alloc: zero-sized allocation");
         let lw = self.line_words;
-        if !self.next_word.is_multiple_of(lw) {
-            self.next_word += lw - self.next_word % lw;
+        let lines_each = words.div_ceil(lw);
+        // Round up to a line boundary.
+        let base = self.next_word.next_multiple_of(lw);
+        if n == 0 {
+            return (Addr(base), lines_each * lw);
         }
-        let base = self.next_word;
-        let lines = words.div_ceil(lw);
-        self.next_word += lines * lw;
-        self.mem.resize(self.next_word as usize, 0);
-        self.full_bits.resize(self.next_word as usize, false);
-        let first_line = base / lw;
-        let lines_total = (first_line + lines) as usize;
-        self.line_home.resize(lines_total, 0);
-        for l in first_line..first_line + lines {
-            self.line_home[l as usize] = node;
+        self.next_word = base + n as u64 * lines_each * lw;
+        let words_total = self.next_word as usize;
+        let lines_total = words_total / lw as usize;
+        grow(&mut self.mem, words_total, 0, exact);
+        grow(&mut self.full_bits, words_total, false, exact);
+        let first_line = (base / lw) as usize;
+        grow(&mut self.line_home, lines_total, 0, exact);
+        for (i, homes) in self.line_home[first_line..]
+            .chunks_exact_mut(lines_each as usize)
+            .enumerate()
+        {
+            homes.fill(home(i) as u32);
         }
-        self.line_ver.resize(lines_total, 0);
-        self.dir.resize_with(lines_total, DirEntry::default);
-        self.watchers.resize_with(lines_total, Vec::new);
-        self.cache.resize(lines_total * self.nodes_n, None);
-        Addr(base)
+        grow(&mut self.line_ver, lines_total, 0, exact);
+        grow(&mut self.dir, lines_total, DirEntry::default(), exact);
+        grow(&mut self.watchers, lines_total, Vec::new(), exact);
+        grow(&mut self.cache, lines_total * self.nodes_n, None, exact);
+        (Addr(base), lines_each * lw)
     }
 
     /// Bump the line version (invalidation epoch) and wake all watchers.

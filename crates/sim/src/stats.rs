@@ -273,14 +273,24 @@ impl Stats {
         }
     }
 
-    /// Add `n` to the named counter.
+    /// Add `n` to the named counter. Only the first bump of a name
+    /// allocates its key.
     pub fn bump(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
-    /// Record a waiting time into the named histogram.
+    /// Record a waiting time into the named histogram. Only the first
+    /// record under a name allocates its key.
     pub fn record_wait(&mut self, name: &str, t: u64) {
-        self.waits.entry(name.to_string()).or_default().record(t);
+        match self.waits.get_mut(name) {
+            Some(h) => h.record(t),
+            None => self.waits.entry(name.to_string()).or_default().record(t),
+        }
     }
 
     /// Read a named counter (0 if absent).

@@ -20,6 +20,73 @@ use crate::state::State;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct WaitQueueId(pub(crate) usize);
 
+impl WaitQueueId {
+    /// The queue `i` places after this one: queue `i` of a batch made by
+    /// [`crate::Machine::new_wait_queues`], given the batch's first id.
+    pub fn offset(self, i: usize) -> WaitQueueId {
+        WaitQueueId(self.0 + i)
+    }
+}
+
+/// End of a wait-queue chain.
+const NIL: u32 = u32::MAX;
+
+/// A FIFO of blocked threads, intrusive: the chain runs through
+/// `State::wait_link`, one `u32` per task, which is enough because a
+/// blocked thread sits on exactly one queue. 12 bytes, no heap buffer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WaitQueue {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+const _: () = assert!(size_of::<WaitQueue>() == 12);
+
+impl WaitQueue {
+    const EMPTY: WaitQueue = WaitQueue {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+
+    fn push_back(&mut self, link: &mut Vec<u32>, tid: TaskId) {
+        assert!(tid.0 < NIL as usize, "task id overflows a wait-queue link");
+        let t = tid.0 as u32;
+        if link.len() <= tid.0 {
+            link.resize(tid.0 + 1, NIL);
+        }
+        link[tid.0] = NIL;
+        if self.len == 0 {
+            self.head = t;
+        } else {
+            link[self.tail as usize] = t;
+        }
+        self.tail = t;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self, link: &[u32]) -> Option<TaskId> {
+        if self.len == 0 {
+            return None;
+        }
+        let t = self.head;
+        self.head = link[t as usize];
+        self.len -= 1;
+        Some(TaskId(t as usize))
+    }
+
+    /// Drop every thread `keep` rejects, leaving the rest in order.
+    pub fn retain(&mut self, link: &mut Vec<u32>, keep: impl Fn(TaskId) -> bool) {
+        let mut old = std::mem::replace(self, WaitQueue::EMPTY);
+        while let Some(t) = old.pop_front(link) {
+            if keep(t) {
+                self.push_back(link, t);
+            }
+        }
+    }
+}
+
 /// Per-node scheduler state. The hardware-context count lives in the
 /// machine configuration; loaded threads beyond it still work (capacity
 /// is advisory), and blocked threads always unload.
@@ -90,10 +157,12 @@ pub(crate) fn thread_exited(st: &mut State, node: usize) {
     st.schedule(now, Ev::Dispatch(node as u32));
 }
 
-/// Create a fresh wait queue.
-pub(crate) fn new_wait_queue(st: &mut State) -> WaitQueueId {
-    st.wait_queues.push(VecDeque::new());
-    WaitQueueId(st.wait_queues.len() - 1)
+/// Create `n` fresh wait queues with consecutive ids; returns the first.
+/// A batch grows the queue table once, to its exact new size.
+pub(crate) fn new_wait_queues(st: &mut State, n: usize) -> WaitQueueId {
+    let first = st.wait_queues.len();
+    crate::state::grow(&mut st.wait_queues, first + n, WaitQueue::EMPTY, n > 1);
+    WaitQueueId(first)
 }
 
 /// Block the current thread on `q`. Returns the completion the caller
@@ -115,7 +184,7 @@ pub(crate) fn begin_block(st: &mut State, node: usize, q: WaitQueueId) -> Comple
         info.resume = Some(comp.clone());
         info.loaded = false;
     }
-    st.wait_queues[q.0].push_back(tid);
+    st.wait_queues[q.0].push_back(&mut st.wait_link, tid);
     st.scheds[node].running = None;
     let at = st.now + st.cost.unload;
     st.schedule(at, Ev::Dispatch(node as u32));
@@ -125,7 +194,7 @@ pub(crate) fn begin_block(st: &mut State, node: usize, q: WaitQueueId) -> Comple
 /// Pop one blocked thread from `q` and make it ready. Returns whether a
 /// thread was woken. The *caller* pays the reenable cost separately.
 pub(crate) fn signal_one(st: &mut State, q: WaitQueueId) -> bool {
-    match st.wait_queues[q.0].pop_front() {
+    match st.wait_queues[q.0].pop_front(&st.wait_link) {
         Some(tid) => {
             let node = st.tasks[tid.0]
                 .as_ref()
@@ -171,5 +240,5 @@ pub(crate) fn ready_count(st: &State, node: usize) -> usize {
 
 /// Number of threads blocked on `q`.
 pub(crate) fn queue_len(st: &State, q: WaitQueueId) -> usize {
-    st.wait_queues[q.0].len()
+    st.wait_queues[q.0].len as usize
 }

@@ -29,7 +29,6 @@ fn mixed_synchronization_pipeline() {
         let cpu = m.cpu(p);
         let tickets = tickets.clone();
         let journal_lock = journal_lock.clone();
-        let stage = stage.clone();
         m.spawn(p, async move {
             let mut bctx = BarrierCtx::default();
             for r in 0..rounds {
