@@ -20,7 +20,7 @@
 //! private xorshift64* stream derived from their seed argument, never
 //! from the machine's stream.
 
-use crate::exec::{Ev, TaskId};
+use crate::exec::{BoxFut, Ev, TaskId};
 use crate::state::State;
 
 /// A pre-run schedule of fault actions, installed with
@@ -161,9 +161,12 @@ pub enum FaultEvent {
 
 /// Kill `node`: destroy its threads, wipe its volatile cache/directory
 /// presence, keep NVM. Runs at an event boundary (no poll in flight).
-pub(crate) fn kill_node(st: &mut State, node: usize) {
+/// Returns the dead threads' futures (the volatile registers) for the
+/// caller to drop once its borrow of the state has ended, since their
+/// destructors may use a `Cpu`.
+pub(crate) fn kill_node(st: &mut State, node: usize) -> Vec<BoxFut> {
     if !st.alive[node] {
-        return;
+        return Vec::new();
     }
     st.alive[node] = false;
     // Destroy every scheduler-managed thread on the node. Slots are
@@ -172,6 +175,7 @@ pub(crate) fn kill_node(st: &mut State, node: usize) {
     // stale wake onto a fresh task. The leak is bounded by kills.
     let mut dead = vec![false; st.tasks.len()];
     let mut killed = 0u64;
+    let mut futs = Vec::new();
     for (i, slot) in dead.iter_mut().enumerate() {
         let on_node = st.tasks[i]
             .as_ref()
@@ -180,7 +184,7 @@ pub(crate) fn kill_node(st: &mut State, node: usize) {
         if on_node {
             *slot = true;
             killed += 1;
-            st.futs[i] = None; // the future IS the volatile registers
+            futs.extend(st.futs[i].take());
             st.tasks[i] = None;
             st.live_tasks -= 1;
         }
@@ -212,6 +216,7 @@ pub(crate) fn kill_node(st: &mut State, node: usize) {
         node,
         tasks_killed: killed,
     });
+    futs
 }
 
 /// Recover `node`: mark it alive and spawn its registered recovery

@@ -106,8 +106,31 @@ impl Config {
 }
 
 /// A simulated multiprocessor. See the crate docs for an example.
+///
+/// The machine owns what it is given to run: spawned tasks, message
+/// handlers and recovery factories. Dropping it drops all of them,
+/// whether the run finished, deadlocked, or never started; each is
+/// dropped after the machine lets go of its state, so a destructor may
+/// still use a [`Cpu`] it holds. A `Cpu` that outlives its machine keeps
+/// the state alive and can still read it, but nothing runs any more.
 pub struct Machine {
     st: Rc<RefCell<State>>,
+}
+
+impl Drop for Machine {
+    fn drop(&mut self) {
+        // Each of these may hold a `Cpu`, a second `Rc` to the state, so
+        // left in place they would keep the state, and themselves, alive.
+        // A state already borrowed is left as it is: a drop must not panic.
+        let Ok(mut st) = self.st.try_borrow_mut() else {
+            return;
+        };
+        let futs: Vec<_> = st.futs.iter_mut().filter_map(Option::take).collect();
+        let handlers: Vec<_> = st.handlers.iter_mut().map(std::mem::take).collect();
+        let recovery: Vec<_> = st.recovery.iter_mut().filter_map(Option::take).collect();
+        drop(st);
+        drop((futs, handlers, recovery));
+    }
 }
 
 impl Machine {
@@ -324,6 +347,9 @@ impl Machine {
         // A finished poll's bookkeeping is deferred into the next
         // iteration's borrow, so each task event costs one borrow.
         let mut finished: Option<(TaskId, exec::PolledFut, Option<exec::SpentCompletion>)> = None;
+        // A kill's dead futures, dropped once the borrow has ended: a
+        // task's destructor may use its `Cpu`.
+        let mut killed = Vec::new();
         loop {
             // Engine events (directory, message, dispatch) take `&mut
             // State` directly, so consecutive runs of them — the common
@@ -360,14 +386,23 @@ impl Machine {
                         Ev::MsgArrive(n, idx) => msg::msg_arrive(&mut st, n as usize, idx),
                         Ev::MsgService(n) => msg::msg_service(&mut st, n as usize),
                         Ev::Dispatch(n) => thread::dispatch(&mut st, n as usize),
-                        Ev::Kill(n) => fault::kill_node(&mut st, n as usize),
+                        Ev::Kill(n) => {
+                            killed = fault::kill_node(&mut st, n as usize);
+                            if !killed.is_empty() {
+                                break None;
+                            }
+                        }
                         Ev::Recover(n) => fault::recover_node(&mut st, n as usize),
                         Ev::Abort(n) => fault::abort_node(&mut st, n as usize),
                     }
                 }
             };
             let Some((tid, mut fut, spent)) = poll_next else {
-                break;
+                if killed.is_empty() {
+                    break;
+                }
+                killed.clear();
+                continue;
             };
             let res = exec::poll_once(&mut fut);
             finished = Some((tid, (fut, res), spent));
@@ -641,6 +676,21 @@ mod tests {
             (t, m.stats().net_msgs)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn dropping_a_machine_frees_its_state() {
+        let m = Machine::new(Config::default().nodes(2));
+        let (c0, c1, c2) = (m.cpu(0), m.cpu(1), m.cpu(1));
+        m.spawn(0, async move { c0.work(10).await });
+        m.register_handler(1, Port(3), move |_, _| assert_eq!(c1.node(), 1));
+        m.on_recovery(1, move || {
+            let c = c2.clone();
+            Box::pin(async move { c.work(1).await })
+        });
+        let st = Rc::downgrade(&m.st);
+        drop(m);
+        assert!(st.upgrade().is_none(), "the state outlived its machine");
     }
 
     #[test]
