@@ -228,7 +228,9 @@ fn app_digest_mp3d_is_stable_and_matches_golden() {
 // above never reach: the shared-memory fetch-op's combining tree and
 // the two SM<->MP objects. Captured before the sub-locks moved into
 // `sync_protocols::spin`; a drift means a simulated memory operation
-// was added, dropped or reordered.
+// was added, dropped or reordered. The barrier and robust-lock digests
+// also fold the `SwitchLog` each object reports to, and pin both switch
+// directions of the two kernel-built objects nothing else here covers.
 // ---------------------------------------------------------------------
 
 fn reactive_machine(nodes: usize) -> Machine {
@@ -316,9 +318,131 @@ fn run_digest_mp_fetch_op() -> u64 {
     fnv(digest_stats(elapsed, &m.stats()), f.switches())
 }
 
+/// Fold a `SwitchLog`'s events (time, endpoints, approving residual)
+/// into `h`.
+fn digest_events(mut h: u64, log: &reactive_core::SwitchLog) -> u64 {
+    for e in log.events() {
+        for x in [e.time, e.from.0 as u64, e.to.0 as u64, e.residual.to_bits()] {
+            h = fnv(h, x);
+        }
+    }
+    h
+}
+
+/// 6 participants on a `ReactiveBarrier`: ten bunched rounds melt the
+/// central counter (central -> tree), then eight rounds with arrivals
+/// 400 cycles apart calm the tree (tree -> central). The prototype cost
+/// model's shorter network latency is what lets an uncontended leaf
+/// counter come in under `TREE_LAT_LOW`.
+fn run_digest_barrier() -> u64 {
+    let m = Machine::new(
+        Config::default()
+            .nodes(6)
+            .seed(0x5EED_601D)
+            .cost(alewife_sim::CostModel::prototype()),
+    );
+    let log = std::rc::Rc::new(reactive_core::SwitchLog::new());
+    let bar = reactive_core::ReactiveBarrier::builder(&m, 0, 6)
+        .instrument(log.clone())
+        .build();
+    let spin = sim_apps::alg::AnyWait::make(sim_apps::alg::WaitAlg::Spin);
+    for p in 0..6 {
+        let (cpu, bar) = (m.cpu(p), bar.clone());
+        m.spawn(p, async move {
+            let mut ctx = Default::default();
+            for _ in 0..10 {
+                cpu.work(cpu.rand_below(50)).await;
+                bar.wait(&cpu, &mut ctx, &spin).await;
+            }
+            for _ in 0..8 {
+                cpu.work(p as u64 * 400).await;
+                bar.wait(&cpu, &mut ctx, &spin).await;
+            }
+        });
+    }
+    let elapsed = m.run();
+    assert_eq!(m.live_tasks(), 0);
+    let st = m.stats();
+    assert!(
+        st.counter("reactive_barrier.to_tree") >= 1,
+        "never left central"
+    );
+    assert!(
+        st.counter("reactive_barrier.to_central") >= 1,
+        "never came back to central"
+    );
+    assert_eq!(log.count() as u64, bar.switches());
+    digest_events(fnv(digest_stats(elapsed, &st), bar.switches()), &log)
+}
+
+/// A `RobustLock` on 4 nodes: a `FaultPlan` kill of node 3 drives it
+/// abortable -> recoverable, the crash-free passages after it drive it
+/// back, and every third attempt carries a tight deadline (some abort).
+fn run_digest_robust_lock() -> u64 {
+    use alewife_sim::FaultPlan;
+    let m = Machine::new(
+        Config::default()
+            .nodes(4)
+            .seed(0x5EED_601D)
+            .faults(FaultPlan::new().kill_for(2_000, 3, 1_000)),
+    );
+    let log = std::rc::Rc::new(reactive_core::SwitchLog::new());
+    let lock = reactive_core::RobustLock::builder(&m, 0, 4)
+        .instrument(log.clone())
+        .build();
+    let shared = m.alloc_on(1, 1);
+    for p in 0..3 {
+        let (cpu, lock) = (m.cpu(p), lock.clone());
+        m.spawn(p, async move {
+            for i in 0..60u64 {
+                let deadline = if i % 3 == 0 {
+                    cpu.now() + 150
+                } else {
+                    u64::MAX
+                };
+                match lock.acquire(&cpu, p, deadline).await {
+                    Some(t) => {
+                        let v = cpu.read(shared).await;
+                        cpu.work(20 + cpu.rand_below(40)).await;
+                        cpu.write(shared, v + 1).await;
+                        lock.release(&cpu, p, t).await;
+                    }
+                    None => cpu.bump("robust_golden.aborts", 1),
+                }
+                cpu.work(cpu.rand_below(100)).await;
+            }
+        });
+    }
+    let (rcpu, rlock) = (m.cpu(3), lock.clone());
+    m.on_recovery(3, move || {
+        let (cpu, lock) = (rcpu.clone(), rlock.clone());
+        Box::pin(async move {
+            lock.recover(&cpu, 3).await;
+        })
+    });
+    let elapsed = m.run();
+    assert_eq!(m.live_tasks(), 0);
+    let st = m.stats();
+    let aborts = st.counter("robust_golden.aborts");
+    assert!(aborts > 0, "no deadline aborted");
+    assert_eq!(m.read_word(shared) + aborts, 3 * 60);
+    assert!(
+        st.counter("robust_lock.to_recoverable") >= 1,
+        "kill drove no switch"
+    );
+    assert!(
+        st.counter("robust_lock.to_abortable") >= 1,
+        "calm passages never switched back"
+    );
+    assert_eq!(log.count() as u64, lock.switches());
+    digest_events(fnv(digest_stats(elapsed, &st), lock.switches()), &log)
+}
+
 const GOLDEN_FETCH_OP_TREE_32: u64 = 0x4FCB_294F_2DAE_19F6;
 const GOLDEN_MP_LOCK_8: u64 = 0xB4C7_2721_2F2F_C99E;
 const GOLDEN_MP_FETCH_OP_16: u64 = 0xCB9D_83B0_17CB_B9E7;
+const GOLDEN_BARRIER_6: u64 = 0x688F_D115_AAF6_A833;
+const GOLDEN_ROBUST_LOCK_4: u64 = 0x1581_00C8_A6CD_D078;
 
 fn assert_stable_golden(name: &str, run: fn() -> u64, golden: u64) {
     let (a, b) = (run(), run());
@@ -343,4 +467,14 @@ fn reactive_digest_mp_lock_is_stable_and_matches_golden() {
 #[test]
 fn reactive_digest_mp_fetch_op_is_stable_and_matches_golden() {
     assert_stable_golden("MP fetch-op", run_digest_mp_fetch_op, GOLDEN_MP_FETCH_OP_16);
+}
+
+#[test]
+fn reactive_digest_barrier_is_stable_and_matches_golden() {
+    assert_stable_golden("barrier", run_digest_barrier, GOLDEN_BARRIER_6);
+}
+
+#[test]
+fn reactive_digest_robust_lock_is_stable_and_matches_golden() {
+    assert_stable_golden("robust lock", run_digest_robust_lock, GOLDEN_ROBUST_LOCK_4);
 }
