@@ -158,6 +158,26 @@ pub enum SwitchStyle {
 /// simulated memory operations; native implementations never await and
 /// are driven synchronously with [`drive`].
 ///
+/// # The consensus-object discipline (§3.2.5)
+///
+/// A reactive object serializes protocol changes with protocol
+/// executions through per-protocol *consensus objects* (a lock word, a
+/// queue tail, a manager's validity flag). Its protocols and these hooks
+/// must guarantee:
+///
+/// 1. **Executions of an invalid protocol never take effect** — they
+///    observe the invalidity through the consensus object and return
+///    *retry* (a pinned-busy lock flag, an `INVALID` queue signal, a
+///    bounce reply from a manager).
+/// 2. **Only a process holding the currently valid consensus object
+///    changes protocols**, which C-serializes the change with every
+///    execution.
+/// 3. The *combinator* (the N-way reactive object), not each protocol,
+///    maintains the global invariant that **at most one protocol is
+///    valid at any time** — e.g. the reactive lock's "the two sub-locks
+///    are never both free". Individual protocols only promise (1) and
+///    (2) locally.
+///
 /// # Contract
 ///
 /// * `validate` / `invalidate` run while the switching process holds

@@ -20,9 +20,6 @@
 //!   boxing any impl. [`online_rule`] runs any of them as the on-line
 //!   player of a task system, which is how the 3-competitive bound is
 //!   checked against the shipped code.
-//! * [`Protocol`] — identity and documentation of the consensus-object
-//!   discipline each protocol slot must obey (invalid protocols bounce
-//!   executions with *retry*; the combinator keeps at most one valid).
 //! * [`SwitchEvent`] / [`Instrument`] / [`SwitchLog`] — instrumentation:
 //!   every protocol change is reported with time, endpoints, and the
 //!   residual estimate that triggered it, so experiments read switch
@@ -32,7 +29,10 @@
 //!   workspace is built on. Protocol registration, the valid/invalid
 //!   state machine, policy handling, waiter-migration ordering, and
 //!   switch-event emission live here once; objects supply only the
-//!   per-world [`SwitchableObject`] hooks.
+//!   per-world [`SwitchableObject`] hooks, whose docs carry the
+//!   consensus-object discipline every protocol slot must obey
+//!   (invalid protocols bounce executions with *retry*; the object
+//!   keeps at most one valid).
 //! * [`oracle`] — the §3.2 correctness checkers (C-seriality,
 //!   at-most-one-valid) runnable against any kernel commit log.
 
@@ -65,11 +65,6 @@ use std::sync::Mutex;
 pub struct ProtocolId(pub u8);
 
 impl ProtocolId {
-    /// Construct from a raw slot index.
-    pub const fn new(id: u8) -> ProtocolId {
-        ProtocolId(id)
-    }
-
     /// The slot index as a usize (for table lookups).
     pub const fn index(self) -> usize {
         self.0 as usize
@@ -89,44 +84,6 @@ pub struct ProtocolInfo {
     pub id: ProtocolId,
     /// Short human-readable name (e.g. `"tts"`, `"mcs-queue"`).
     pub name: &'static str,
-}
-
-/// Identity of a protocol participating in a reactive object, plus the
-/// behavioral contract its implementation must obey.
-///
-/// # The consensus-object discipline (§3.2.5)
-///
-/// A reactive object serializes protocol changes with protocol
-/// executions through per-protocol *consensus objects* (a lock word, a
-/// queue tail, a manager's validity flag). Implementations must
-/// guarantee:
-///
-/// 1. **Executions of an invalid protocol never take effect** — they
-///    observe the invalidity through the consensus object and return
-///    *retry* (a pinned-busy lock flag, an `INVALID` queue signal, a
-///    bounce reply from a manager).
-/// 2. **Only a process holding the currently valid consensus object
-///    changes protocols**, which C-serializes the change with every
-///    execution.
-/// 3. The *combinator* (the N-way reactive object), not each protocol,
-///    maintains the global invariant that **at most one protocol is
-///    valid at any time** — e.g. the reactive lock's "the two sub-locks
-///    are never both free". Individual protocols only promise (1) and
-///    (2) locally.
-pub trait Protocol {
-    /// The slot this protocol occupies in its reactive object.
-    fn id(&self) -> ProtocolId;
-
-    /// Short human-readable protocol name.
-    fn name(&self) -> &'static str;
-
-    /// Bundled identity record.
-    fn info(&self) -> ProtocolInfo {
-        ProtocolInfo {
-            id: self.id(),
-            name: self.name(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -131,6 +131,18 @@ impl AnyLock {
     }
 }
 
+impl Lock for AnyLock {
+    type Token = AnyToken;
+
+    async fn acquire(&self, cpu: &Cpu) -> AnyToken {
+        AnyLock::acquire(self, cpu).await
+    }
+
+    async fn release(&self, cpu: &Cpu, t: AnyToken) {
+        AnyLock::release(self, cpu, t).await
+    }
+}
+
 /// Selectable fetch-and-op algorithm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FetchOpAlg {
@@ -192,6 +204,12 @@ impl AnyFetchOp {
             AnyFetchOp::MpCentral(f) => f.fetch_add(cpu, delta).await,
             AnyFetchOp::MpTree(f) => f.fetch_add(cpu, delta).await,
         }
+    }
+}
+
+impl FetchOp for AnyFetchOp {
+    async fn fetch_add(&self, cpu: &Cpu, delta: u64) -> u64 {
+        AnyFetchOp::fetch_add(self, cpu, delta).await
     }
 }
 

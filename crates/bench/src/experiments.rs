@@ -1,13 +1,15 @@
 //! Shared experiment runners for the paper's tables and figures.
 
+use std::fmt::Debug;
 use std::rc::Rc;
 
 use alewife_sim::{Config, CostModel, Machine};
-use reactive_core::mp::{ReactiveMpFetchOp, ReactiveMpLock};
 use reactive_core::policy::{Instrument, SwitchLog};
 use reactive_core::ReactiveBarrier;
-use sim_apps::alg::{AnyFetchOp, AnyLock, FetchOpAlg, LockAlg};
+use sim_apps::alg::{AnyLock, LockAlg};
 use sync_protocols::barrier::{BarrierCtx, SenseBarrier, TreeBarrier};
+use sync_protocols::fetch_op::FetchOp;
+use sync_protocols::spin::Lock;
 use sync_protocols::waiting::AlwaysSpin;
 
 /// Processor counts swept by the baseline experiments.
@@ -21,16 +23,17 @@ const CS: u64 = 100;
 /// Mean think time in the baselines (paper: U(0,500), mean 250).
 const THINK_BOUND: u64 = 500;
 
-/// Average overhead (cycles) added per critical section by `alg` with
-/// `procs` contenders — the baseline test of §3.5.1 / Figure 3.15 left
-/// — over `total_ops` acquisitions, so the scenario layer can run
+/// Average overhead (cycles) added per critical section by the lock
+/// `make` builds, with `procs` contenders — the baseline test of §3.5.1 /
+/// Figure 3.15 left (and, for the reactive SM/MP lock, Figure 3.26) —
+/// over `total_ops` acquisitions, so the scenario layer can run
 /// scaled-down deterministic variants.
-pub fn lock_overhead_n(
-    alg: LockAlg,
+pub fn lock_overhead_n<L: Lock + Debug>(
     procs: usize,
     cost: CostModel,
     full_map: bool,
     total_ops: u64,
+    make: impl FnOnce(&Machine) -> L,
 ) -> f64 {
     let m = Machine::new(
         Config::default()
@@ -38,7 +41,7 @@ pub fn lock_overhead_n(
             .cost(cost)
             .full_map(full_map),
     );
-    let lock = AnyLock::make(&m, 0, alg, procs);
+    let lock = make(&m);
     let iters = (total_ops / procs as u64).max(8);
     for p in 0..procs {
         let cpu = m.cpu(p);
@@ -53,7 +56,7 @@ pub fn lock_overhead_n(
         });
     }
     let elapsed = m.run();
-    assert_eq!(m.live_tasks(), 0, "{alg:?} deadlocked at {procs} procs");
+    assert_eq!(m.live_tasks(), 0, "{lock:?} deadlocked at {procs} procs");
     let total_cs = iters * procs as u64;
     let per_cs = elapsed as f64 / total_cs as f64;
     // Test-loop latency per critical section (§3.5.1): the think time
@@ -62,11 +65,17 @@ pub fn lock_overhead_n(
     (per_cs - ideal).max(0.0)
 }
 
-/// Average overhead per fetch-and-increment (Figure 3.15 right) over
+/// Average overhead per fetch-and-increment of the object `make` builds
+/// (Figure 3.15 right; Figure 3.26 for the reactive SM/MP fetch-op) over
 /// `total_ops` operations.
-pub fn fetchop_overhead_n(alg: FetchOpAlg, procs: usize, cost: CostModel, total_ops: u64) -> f64 {
+pub fn fetchop_overhead_n<F: FetchOp + Debug>(
+    procs: usize,
+    cost: CostModel,
+    total_ops: u64,
+    make: impl FnOnce(&Machine) -> F,
+) -> f64 {
     let m = Machine::new(Config::default().nodes(procs.max(2)).cost(cost));
-    let f = AnyFetchOp::make(&m, 0, alg, procs);
+    let f = make(&m);
     let iters = (total_ops / procs as u64).max(8);
     for p in 0..procs {
         let cpu = m.cpu(p);
@@ -79,59 +88,11 @@ pub fn fetchop_overhead_n(alg: FetchOpAlg, procs: usize, cost: CostModel, total_
         });
     }
     let elapsed = m.run();
-    assert_eq!(m.live_tasks(), 0, "{alg:?} deadlocked at {procs} procs");
+    assert_eq!(m.live_tasks(), 0, "{f:?} deadlocked at {procs} procs");
     let ops = iters * procs as u64;
     let per_op = elapsed as f64 / ops as f64;
     let ideal = (THINK_BOUND / 2) as f64 / procs as f64;
     (per_op - ideal).max(0.0)
-}
-
-/// Reactive shared-memory-vs-message-passing lock baseline (Fig 3.26)
-/// over `total_ops` acquisitions.
-pub fn mp_reactive_lock_overhead_n(procs: usize, total_ops: u64) -> f64 {
-    let m = Machine::new(Config::default().nodes(procs.max(2)));
-    let lock = ReactiveMpLock::new(&m, 0, 0, procs);
-    let iters = (total_ops / procs as u64).max(8);
-    for p in 0..procs {
-        let cpu = m.cpu(p);
-        let lock = lock.clone();
-        m.spawn(p, async move {
-            for _ in 0..iters {
-                let t = lock.acquire(&cpu).await;
-                cpu.work(CS).await;
-                lock.release(&cpu, t).await;
-                cpu.work(cpu.rand_below(THINK_BOUND)).await;
-            }
-        });
-    }
-    let elapsed = m.run();
-    assert_eq!(m.live_tasks(), 0, "reactive MP lock deadlocked");
-    let total_cs = iters * procs as u64;
-    let ideal = ((CS + THINK_BOUND / 2) as f64 / procs as f64).max(CS as f64);
-    (elapsed as f64 / total_cs as f64 - ideal).max(0.0)
-}
-
-/// Reactive shared-memory-vs-message-passing fetch-op baseline over
-/// `total_ops` operations.
-pub fn mp_reactive_fetchop_overhead_n(procs: usize, total_ops: u64) -> f64 {
-    let m = Machine::new(Config::default().nodes(procs.max(2)));
-    let f = ReactiveMpFetchOp::new(&m, 0, 0, procs);
-    let iters = (total_ops / procs as u64).max(8);
-    for p in 0..procs {
-        let cpu = m.cpu(p);
-        let f = f.clone();
-        m.spawn(p, async move {
-            for _ in 0..iters {
-                f.fetch_add(&cpu, 1).await;
-                cpu.work(cpu.rand_below(THINK_BOUND)).await;
-            }
-        });
-    }
-    let elapsed = m.run();
-    assert_eq!(m.live_tasks(), 0, "reactive MP fetch-op deadlocked");
-    let ops = iters * procs as u64;
-    let ideal = (THINK_BOUND / 2) as f64 / procs as f64;
-    (elapsed as f64 / ops as f64 - ideal).max(0.0)
 }
 
 /// One multiple-lock contention pattern (Figures 3.17-3.19): a list of
@@ -365,6 +326,7 @@ pub fn barrier_overhead_counted(alg: BarrierAlg, procs: usize, rounds: u64) -> (
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_apps::alg::{AnyFetchOp, FetchOpAlg};
 
     #[test]
     fn baseline_shapes_hold() {
@@ -372,7 +334,11 @@ mod tests {
         // beats test&set at 16 procs, and the reactive lock is near the
         // better protocol at both ends.
         let nwo = CostModel::nwo;
-        let overhead = |alg, procs| lock_overhead_n(alg, procs, nwo(), false, BASELINE_OPS);
+        let overhead = |alg, procs| {
+            lock_overhead_n(procs, nwo(), false, BASELINE_OPS, |m| {
+                AnyLock::make(m, 0, alg, procs)
+            })
+        };
         let tts1 = overhead(LockAlg::Tts, 1);
         let mcs1 = overhead(LockAlg::Mcs, 1);
         let re1 = overhead(LockAlg::Reactive, 1);
@@ -388,7 +354,11 @@ mod tests {
 
     #[test]
     fn fetchop_crossover_holds() {
-        let overhead = |alg, procs| fetchop_overhead_n(alg, procs, CostModel::nwo(), BASELINE_OPS);
+        let overhead = |alg, procs| {
+            fetchop_overhead_n(procs, CostModel::nwo(), BASELINE_OPS, |m| {
+                AnyFetchOp::make(m, 0, alg, procs)
+            })
+        };
         let tree1 = overhead(FetchOpAlg::Combining, 1);
         let lock1 = overhead(FetchOpAlg::TtsLock, 1);
         assert!(lock1 < tree1, "uncontended: lock {lock1} !< tree {tree1}");

@@ -31,7 +31,8 @@
 
 use alewife_sim::CostModel;
 use lock_service::ArenaMode;
-use sim_apps::alg::{FetchOpAlg, LockAlg, WaitAlg};
+use reactive_core::mp::{ReactiveMpFetchOp, ReactiveMpLock};
+use sim_apps::alg::{AnyFetchOp, AnyLock, FetchOpAlg, LockAlg, WaitAlg};
 use sim_apps::{aq, cgrad, cholesky, countnet, fib, fibheap, gamteb, jacobi, mp3d, mutex_app, tsp};
 use waiting_theory::expected::{worst_case_factor, Family};
 use waiting_theory::optimal::optimal_alpha;
@@ -657,14 +658,22 @@ fn fig_3_15() -> Scenario {
         for (label, alg, fm) in lock_algs {
             let pts = procs
                 .iter()
-                .map(|&p| (p as f64, exp::lock_overhead_n(alg, p, nwo(), fm, ops)))
+                .map(|&p| {
+                    let o =
+                        exp::lock_overhead_n(p, nwo(), fm, ops, |m| AnyLock::make(m, 0, alg, p));
+                    (p as f64, o)
+                })
                 .collect();
             o.push(label, pts);
         }
         for (label, alg) in fo_algs {
             let pts = procs
                 .iter()
-                .map(|&p| (p as f64, exp::fetchop_overhead_n(alg, p, nwo(), ops)))
+                .map(|&p| {
+                    let o =
+                        exp::fetchop_overhead_n(p, nwo(), ops, |m| AnyFetchOp::make(m, 0, alg, p));
+                    (p as f64, o)
+                })
                 .collect();
             o.push(label, pts);
         }
@@ -741,7 +750,11 @@ fn fig_3_16() -> Scenario {
         for (label, alg, fm) in algs {
             let pts = procs
                 .iter()
-                .map(|&p| (p as f64, exp::lock_overhead_n(alg, p, proto(), fm, ops)))
+                .map(|&p| {
+                    let o =
+                        exp::lock_overhead_n(p, proto(), fm, ops, |m| AnyLock::make(m, 0, alg, p));
+                    (p as f64, o)
+                })
                 .collect();
             o.push(label, pts);
         }
@@ -1239,7 +1252,9 @@ fn fig_3_26() -> Scenario {
                 .map(|&p| {
                     (
                         p as f64,
-                        exp::lock_overhead_n(alg, p, CostModel::nwo(), false, ops),
+                        exp::lock_overhead_n(p, CostModel::nwo(), false, ops, |m| {
+                            AnyLock::make(m, 0, alg, p)
+                        }),
                     )
                 })
                 .collect();
@@ -1249,7 +1264,12 @@ fn fig_3_26() -> Scenario {
             "lock/reactive-smmp",
             procs
                 .iter()
-                .map(|&p| (p as f64, exp::mp_reactive_lock_overhead_n(p, ops)))
+                .map(|&p| {
+                    let o = exp::lock_overhead_n(p, CostModel::nwo(), false, ops, |m| {
+                        ReactiveMpLock::new(m, 0, 0, p)
+                    });
+                    (p as f64, o)
+                })
                 .collect(),
         );
         let fo_algs: [(&'static str, FetchOpAlg); 3] = [
@@ -1263,7 +1283,9 @@ fn fig_3_26() -> Scenario {
                 .map(|&p| {
                     (
                         p as f64,
-                        exp::fetchop_overhead_n(alg, p, CostModel::nwo(), ops),
+                        exp::fetchop_overhead_n(p, CostModel::nwo(), ops, |m| {
+                            AnyFetchOp::make(m, 0, alg, p)
+                        }),
                     )
                 })
                 .collect();
@@ -1273,7 +1295,12 @@ fn fig_3_26() -> Scenario {
             "fo/reactive-smmp",
             procs
                 .iter()
-                .map(|&p| (p as f64, exp::mp_reactive_fetchop_overhead_n(p, ops)))
+                .map(|&p| {
+                    let o = exp::fetchop_overhead_n(p, CostModel::nwo(), ops, |m| {
+                        ReactiveMpFetchOp::new(m, 0, 0, p)
+                    });
+                    (p as f64, o)
+                })
                 .collect(),
         );
         let hi = procs.len() - 1;

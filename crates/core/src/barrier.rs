@@ -40,9 +40,8 @@ use alewife_sim::{Addr, Cpu, Machine, WaitQueueId};
 use sync_protocols::barrier::{ArrivalTree, BarrierCtx};
 use sync_protocols::waiting::WaitStrategy;
 
-use crate::policy::{
-    Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
-};
+use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};
+use crate::{Builder, InitialProtocol, Reactive};
 
 /// Slot of the centralized sense-reversing protocol (cheap).
 pub const PROTO_CENTRAL: ProtocolId = ProtocolId(0);
@@ -60,82 +59,42 @@ pub const TREE_LAT_LOW: u64 = 45;
 /// Consecutive calm tree rounds before proposing the central protocol.
 pub const TREE_CALM_LIMIT: u64 = 3;
 
-/// Builder for [`ReactiveBarrier`].
-pub struct ReactiveBarrierBuilder<'m> {
-    m: &'m Machine,
-    home: usize,
-    participants: usize,
-    fanout: usize,
-    policy: Box<dyn Policy>,
-    sink: Option<Rc<dyn Instrument>>,
-    initial: ProtocolId,
-}
+impl Reactive for ReactiveBarrier {
+    /// The arrival-tree fanout.
+    type Params = usize;
 
-impl<'m> ReactiveBarrierBuilder<'m> {
-    /// Arrival-tree fanout (processors sharing one counter line;
-    /// default 4).
-    pub fn fanout(mut self, f: usize) -> Self {
-        self.fanout = f;
-        self
-    }
+    const PROTOCOLS: &'static [(&'static str, SwitchStyle)] = &[
+        ("central-sense", SwitchStyle::Handoff),
+        ("combining-tree", SwitchStyle::Handoff),
+    ];
 
-    /// Use the given switching policy (default: [`Always`]).
-    pub fn policy(mut self, p: impl Policy + 'static) -> Self {
-        self.policy = Box::new(p);
-        self
-    }
-
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// Report every committed protocol change to `sink`.
-    pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Start in the given protocol ([`PROTO_CENTRAL`] by default).
-    ///
-    /// # Panics
-    /// If `p` is not one of this barrier's two protocol slots.
-    pub fn initial_protocol(mut self, p: ProtocolId) -> Self {
-        assert!(
-            p == PROTO_CENTRAL || p == PROTO_TREE,
-            "reactive barrier has protocols {PROTO_CENTRAL} and {PROTO_TREE}, not {p}"
-        );
-        self.initial = p;
-        self
-    }
-
-    /// Allocate and initialize the barrier.
-    pub fn build(self) -> ReactiveBarrier {
-        let m = self.m;
-        let mut kernel = SimKernel::builder()
-            .register(PROTO_CENTRAL, "central-sense", SwitchStyle::Handoff)
-            .register(PROTO_TREE, "combining-tree", SwitchStyle::Handoff)
-            .policy(self.policy)
-            .initial(self.initial);
-        if let Some(sink) = self.sink {
-            kernel = kernel.sink(sink);
-        }
-        let count = m.alloc_on(self.home, 1);
-        let sense = m.alloc_on(self.home, 1);
-        let mode = m.alloc_on(self.home, 1);
-        m.write_word(mode, self.initial.0 as u64);
+    fn assemble(m: &Machine, home: usize, n: usize, fanout: usize, kernel: Rc<SimKernel>) -> Self {
+        let count = m.alloc_on(home, 1);
+        let sense = m.alloc_on(home, 1);
+        let mode = m.alloc_on(home, 1);
+        m.write_word(mode, kernel.current().0 as u64);
         ReactiveBarrier {
             count,
             sense,
             mode,
-            tree: ArrivalTree::new(m, self.participants, self.fanout),
+            tree: ArrivalTree::new(m, n, fanout),
             q: m.new_wait_queue(),
-            participants: self.participants as u64,
-            kernel: Rc::new(kernel.build()),
+            participants: n as u64,
+            kernel,
             round_lat: Rc::new(Cell::new(0)),
             calm_streak: Rc::new(Cell::new(0)),
         }
+    }
+}
+
+impl InitialProtocol for ReactiveBarrier {}
+
+impl Builder<'_, ReactiveBarrier> {
+    /// Arrival-tree fanout (processors sharing one counter line;
+    /// default 4).
+    pub fn fanout(mut self, f: usize) -> Self {
+        self.params = f;
+        self
     }
 }
 
@@ -170,21 +129,13 @@ impl ReactiveBarrier {
     /// Start building a reactive barrier for participants
     /// `0..participants` (who call [`ReactiveBarrier::wait`] from their
     /// own node), homed on `home`.
-    pub fn builder(m: &Machine, home: usize, participants: usize) -> ReactiveBarrierBuilder<'_> {
+    pub fn builder(m: &Machine, home: usize, participants: usize) -> Builder<'_, ReactiveBarrier> {
         assert!(participants > 0, "barrier needs at least one participant");
-        ReactiveBarrierBuilder {
-            m,
-            home,
-            participants,
-            fanout: 4,
-            policy: Box::new(Always),
-            sink: None,
-            initial: PROTO_CENTRAL,
-        }
+        Builder::new(m, home, participants, 4)
     }
 
-    /// Create with defaults (central protocol initially, [`Always`]
-    /// policy, fanout 4).
+    /// Create with defaults (central protocol initially,
+    /// [`Always`](crate::policy::Always) policy, fanout 4).
     pub fn new(m: &Machine, home: usize, participants: usize) -> ReactiveBarrier {
         ReactiveBarrier::builder(m, home, participants).build()
     }

@@ -21,14 +21,14 @@
 //! streaks (queue → TTS), queue waiting time (queue → tree, the queue is
 //! FIFO so waiting time estimates contention), and the combining rate
 //! observed at the root (tree → queue). The monitor only *proposes* a
-//! better protocol through an [`Observation`]; the configured [`Policy`]
-//! decides, and may direct a change to **any** of the three slots — the
-//! switch machinery below handles all six ordered protocol pairs, which
-//! is what lets a 3-protocol object express e.g. "switch from the
-//! queue-counter straight to the combining tree". The paper's
-//! optimization of keeping the fetch-and-op value "in a common location
-//! so updates are not necessary" is used: all three protocols mutate the
-//! same counter word.
+//! better protocol through an [`Observation`]; the configured
+//! [`Policy`](crate::policy::Policy) decides, and may direct a change to
+//! **any** of the three slots — the switch machinery below handles all
+//! six ordered protocol pairs, which is what lets a 3-protocol object
+//! express e.g. "switch from the queue-counter straight to the combining
+//! tree". The paper's optimization of keeping the fetch-and-op value "in
+//! a common location so updates are not necessary" is used: all three
+//! protocols mutate the same counter word.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -39,9 +39,8 @@ use sync_protocols::spin::{Backoff, Lock, McsLock, TtsLock, FREE, INVALID_PTR, N
 
 pub use crate::lock::{EMPTY_QUEUE_LIMIT, TTS_RETRY_LIMIT};
 use crate::lock::{QUEUE_RESIDUAL, TTS_RESIDUAL};
-use crate::policy::{
-    Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
-};
+use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};
+use crate::{Builder, MaxProcs, Reactive};
 
 /// Slot of the TTS-lock-protected counter.
 pub const PROTO_TTS: ProtocolId = ProtocolId(0);
@@ -60,82 +59,46 @@ pub const TREE_COMBINE_MIN: usize = 2;
 /// Consecutive low-combining root visits before leaving the tree.
 pub const TREE_LOW_STREAK: u64 = 4;
 
-/// Builder for [`ReactiveFetchOp`].
-pub struct ReactiveFetchOpBuilder<'m> {
-    m: &'m Machine,
-    home: usize,
-    max_procs: usize,
-    policy: Box<dyn Policy>,
-    sink: Option<Rc<dyn Instrument>>,
-}
+impl Reactive for ReactiveFetchOp {
+    type Params = ();
 
-impl<'m> ReactiveFetchOpBuilder<'m> {
-    /// Size the combining tree and backoff bounds for up to `n`
-    /// requesters (default: the machine's node count).
-    pub fn max_procs(mut self, n: usize) -> Self {
-        self.max_procs = n;
-        self
-    }
+    // All three slots are holder-based consensus objects (two lock
+    // words and the root lock guarding `tree_valid`); the tree's
+    // invalidation is performed at decision time under the root lock,
+    // so its invalidate hook is a no-op (see the kernel's hook
+    // contract).
+    const PROTOCOLS: &'static [(&'static str, SwitchStyle)] = &[
+        ("tts-counter", SwitchStyle::Handoff),
+        ("queue-counter", SwitchStyle::Handoff),
+        ("combining-tree", SwitchStyle::Handoff),
+    ];
 
-    /// Use the given switching policy (default: [`Always`]).
-    pub fn policy(mut self, p: impl Policy + 'static) -> Self {
-        self.policy = Box::new(p);
-        self
-    }
-
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// Report every committed protocol change to `sink`.
-    pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Allocate and initialize the object (TTS valid; queue and tree
-    /// invalid).
-    pub fn build(self) -> ReactiveFetchOp {
-        let m = self.m;
-        let locks = m.alloc_on(self.home, 2);
-        let mode = m.alloc_on(self.home, 1);
-        let var = m.alloc_on(self.home, 1);
-        let root = m.alloc_on(self.home, 2);
-        // Initial state: TTS mode.
+    /// TTS valid; queue and tree invalid.
+    fn assemble(m: &Machine, home: usize, n: usize, _: (), kernel: Rc<SimKernel>) -> Self {
+        let locks = m.alloc_on(home, 2);
+        let mode = m.alloc_on(home, 1);
+        let var = m.alloc_on(home, 1);
+        let root = m.alloc_on(home, 2);
         m.write_word(locks, FREE);
         m.write_word(locks.plus(1), INVALID_PTR);
         m.write_word(mode, MODE_TTS);
         m.write_word(root, 0); // root lock free
         m.write_word(root.plus(1), 0); // tree invalid
-
-        // All three slots are holder-based consensus objects (two lock
-        // words and the root lock guarding `tree_valid`); the tree's
-        // invalidation is performed at decision time under the root
-        // lock, so its invalidate hook is a no-op (see the kernel's
-        // hook contract).
-        let mut kernel = SimKernel::builder()
-            .register(PROTO_TTS, "tts-counter", SwitchStyle::Handoff)
-            .register(PROTO_QUEUE, "queue-counter", SwitchStyle::Handoff)
-            .register(PROTO_TREE, "combining-tree", SwitchStyle::Handoff)
-            .policy(self.policy);
-        if let Some(sink) = self.sink {
-            kernel = kernel.sink(sink);
-        }
         ReactiveFetchOp {
-            tts: TtsLock::over(locks, self.max_procs),
+            tts: TtsLock::over(locks, n),
             queue: McsLock::over(m, locks.plus(1)),
             mode,
             var,
             root,
-            tree: CombiningTree::new(m, self.home, self.max_procs),
-            kernel: Rc::new(kernel.build()),
+            tree: CombiningTree::new(m, home, n),
+            kernel,
             empty_streak: Rc::new(Cell::new(0)),
             low_combine_streak: Rc::new(Cell::new(0)),
         }
     }
 }
+
+impl MaxProcs for ReactiveFetchOp {}
 
 /// The reactive fetch-and-op object. Cheap to clone; clones share state.
 #[derive(Clone)]
@@ -166,22 +129,14 @@ impl std::fmt::Debug for ReactiveFetchOp {
 
 impl ReactiveFetchOp {
     /// Start building a reactive fetch-and-op homed on `home`.
-    pub fn builder(m: &Machine, home: usize) -> ReactiveFetchOpBuilder<'_> {
-        ReactiveFetchOpBuilder {
-            m,
-            home,
-            max_procs: m.nodes(),
-            policy: Box::new(Always),
-            sink: None,
-        }
+    pub fn builder(m: &Machine, home: usize) -> Builder<'_, ReactiveFetchOp> {
+        Builder::new(m, home, m.nodes(), ())
     }
 
     /// Create a reactive fetch-and-op homed on `home`, with a combining
     /// tree sized for `max_procs` and the default always-switch policy.
     pub fn new(m: &Machine, home: usize, max_procs: usize) -> ReactiveFetchOp {
-        ReactiveFetchOp::builder(m, home)
-            .max_procs(max_procs)
-            .build()
+        Builder::new(m, home, max_procs, ()).build()
     }
 
     fn root_lock(&self) -> Addr {
@@ -534,7 +489,7 @@ impl FetchOp for ReactiveFetchOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Decision, SwitchLog};
+    use crate::policy::{Decision, Policy, SwitchLog};
     use alewife_sim::{Config, Machine};
     use std::cell::RefCell;
 

@@ -10,9 +10,10 @@
 //!   switch-immediately, 3-competitive, and hysteresis impls; protocol
 //!   ids; switch-event instrumentation) plus the simulator-side
 //!   [`policy::SimKernel`] — the switching kernel every reactive
-//!   object here embeds and routes its mode changes through. All
-//!   reactive objects are constructed through builders
-//!   (`ReactiveLock::builder(&m, 0).policy(..).instrument(..)`).
+//!   object here embeds and routes its mode changes through.
+//! * [`builder`] — the one [`Builder`] every reactive object here is
+//!   constructed through (`ReactiveLock::builder(&m, 0).policy(..)
+//!   .instrument(..).build()`), carrying the kernel's own builder.
 //! * [`lock`] — the reactive spin lock (§3.3.1, Figures 3.27-3.29):
 //!   dynamically selects between test-and-test-and-set and the MCS queue
 //!   lock, using the lock words themselves as consensus objects (an
@@ -39,6 +40,7 @@
 #![deny(missing_docs)]
 
 pub mod barrier;
+pub mod builder;
 pub mod fetch_op;
 pub mod framework;
 pub mod lock;
@@ -61,8 +63,8 @@ pub mod policy {
 
     pub use reactive_api::{
         drive, Always, Competitive3, Decision, Hysteresis, Instrument, KernelBuilder, LocalWorld,
-        Observation, Policy, Protocol, ProtocolId, ProtocolInfo, SwitchEvent, SwitchKernel,
-        SwitchLog, SwitchStyle, SwitchTally, SwitchableObject,
+        Observation, Policy, ProtocolId, ProtocolInfo, SwitchEvent, SwitchKernel, SwitchLog,
+        SwitchStyle, SwitchTally, SwitchableObject,
     };
 
     /// The switching kernel instantiated for the simulator world.
@@ -122,6 +124,7 @@ pub mod policy {
 }
 
 pub use barrier::ReactiveBarrier;
+pub use builder::{Builder, InitialProtocol, MaxProcs, Reactive};
 pub use fetch_op::ReactiveFetchOp;
 pub use lock::ReactiveLock;
 pub use policy::{

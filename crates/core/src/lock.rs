@@ -20,9 +20,9 @@
 //! `test&set` attempts per acquisition estimates contention; in queue
 //! mode a streak of empty-queue acquisitions signals its absence. The
 //! monitor turns those signals into [`Observation`]s; the configured
-//! [`Policy`] decides whether to actually switch, and every committed
-//! change is reported to the [`Instrument`] sink as a
-//! [`crate::policy::SwitchEvent`].
+//! [`Policy`](crate::Policy) decides whether to actually switch, and every
+//! committed change is reported to the [`Instrument`](crate::Instrument)
+//! sink as a [`crate::policy::SwitchEvent`].
 //!
 //! Construction goes through the builder:
 //!
@@ -45,9 +45,8 @@ use std::rc::Rc;
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::spin::{Lock, McsLock, TtsLock, BUSY, FREE, INVALID_PTR, NIL};
 
-use crate::policy::{
-    Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
-};
+use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};
+use crate::{Builder, InitialProtocol, MaxProcs, Reactive};
 
 /// Slot of the test-and-test-and-set protocol (cheap, low latency).
 pub const PROTO_TTS: ProtocolId = ProtocolId(0);
@@ -92,66 +91,23 @@ pub enum ReleaseMode {
     QueueToTts(Addr),
 }
 
-/// Builder for [`ReactiveLock`]: placement is positional (machine and
-/// home node), everything else — contender sizing, switching policy,
-/// instrumentation — is optional with the paper's defaults.
-pub struct ReactiveLockBuilder<'m> {
-    m: &'m Machine,
-    home: usize,
-    max_procs: usize,
-    policy: Box<dyn Policy>,
-    sink: Option<Rc<dyn Instrument>>,
-    initial: ProtocolId,
-}
+impl Reactive for ReactiveLock {
+    type Params = ();
 
-impl<'m> ReactiveLockBuilder<'m> {
-    /// Size backoff bounds and the queue-node pool for up to `n`
-    /// contenders (default: the machine's node count).
-    pub fn max_procs(mut self, n: usize) -> Self {
-        self.max_procs = n;
-        self
-    }
+    // Both sub-locks are holder-based consensus objects: mode changes
+    // run under the paper's handoff discipline (validate the target,
+    // publish the hint, leave the source pinned).
+    const PROTOCOLS: &'static [(&'static str, SwitchStyle)] = &[
+        ("tts", SwitchStyle::Handoff),
+        ("mcs-queue", SwitchStyle::Handoff),
+    ];
 
-    /// Use the given switching policy (default: [`Always`]).
-    pub fn policy(mut self, p: impl Policy + 'static) -> Self {
-        self.policy = Box::new(p);
-        self
-    }
-
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// Report every committed protocol change to `sink`.
-    pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Start in the given protocol ([`PROTO_TTS`] by default). §3.5
-    /// shows the initial choice matters for short-running applications:
-    /// start scalable when contention is expected from the outset.
-    ///
-    /// # Panics
-    /// If `p` is not one of this lock's two protocol slots.
-    pub fn initial_protocol(mut self, p: ProtocolId) -> Self {
-        assert!(
-            p == PROTO_TTS || p == PROTO_QUEUE,
-            "reactive lock has protocols {PROTO_TTS} and {PROTO_QUEUE}, not {p}"
-        );
-        self.initial = p;
-        self
-    }
-
-    /// Allocate and initialize the lock (the initial protocol's
-    /// sub-lock free, the other pinned busy — never both free).
-    pub fn build(self) -> ReactiveLock {
-        let m = self.m;
-        let locks = m.alloc_on(self.home, 2);
-        let mode = m.alloc_on(self.home, 1);
-        if self.initial == PROTO_QUEUE {
+    /// The initial protocol's sub-lock free, the other pinned busy —
+    /// never both free.
+    fn assemble(m: &Machine, home: usize, n: usize, _: (), kernel: Rc<SimKernel>) -> Self {
+        let locks = m.alloc_on(home, 2);
+        let mode = m.alloc_on(home, 1);
+        if kernel.current() == PROTO_QUEUE {
             // Queue mode: queue valid and empty, TTS pinned busy.
             m.write_word(locks, BUSY);
             m.write_word(locks.plus(1), NIL);
@@ -162,26 +118,18 @@ impl<'m> ReactiveLockBuilder<'m> {
             m.write_word(locks.plus(1), INVALID_PTR);
             m.write_word(mode, MODE_TTS);
         }
-        // Both sub-locks are holder-based consensus objects: mode
-        // changes run under the paper's handoff discipline (validate
-        // the target, publish the hint, leave the source pinned).
-        let mut kernel = SimKernel::builder()
-            .register(PROTO_TTS, "tts", SwitchStyle::Handoff)
-            .register(PROTO_QUEUE, "mcs-queue", SwitchStyle::Handoff)
-            .policy(self.policy)
-            .initial(self.initial);
-        if let Some(sink) = self.sink {
-            kernel = kernel.sink(sink);
-        }
         ReactiveLock {
-            tts: TtsLock::over(locks, self.max_procs),
+            tts: TtsLock::over(locks, n),
             queue: McsLock::over(m, locks.plus(1)),
             mode,
-            kernel: Rc::new(kernel.build()),
+            kernel,
             empty_streak: Rc::new(Cell::new(0)),
         }
     }
 }
+
+impl MaxProcs for ReactiveLock {}
+impl InitialProtocol for ReactiveLock {}
 
 /// The reactive spin lock. Cheap to clone; clones share the lock.
 #[derive(Clone)]
@@ -209,21 +157,14 @@ impl std::fmt::Debug for ReactiveLock {
 
 impl ReactiveLock {
     /// Start building a reactive lock homed on `home`.
-    pub fn builder(m: &Machine, home: usize) -> ReactiveLockBuilder<'_> {
-        ReactiveLockBuilder {
-            m,
-            home,
-            max_procs: m.nodes(),
-            policy: Box::new(Always),
-            sink: None,
-            initial: PROTO_TTS,
-        }
+    pub fn builder(m: &Machine, home: usize) -> Builder<'_, ReactiveLock> {
+        Builder::new(m, home, m.nodes(), ())
     }
 
     /// Create a reactive lock homed on `home` with the default
     /// switch-immediately policy, sized for `max_procs` contenders.
     pub fn new(m: &Machine, home: usize, max_procs: usize) -> ReactiveLock {
-        ReactiveLock::builder(m, home).max_procs(max_procs).build()
+        Builder::new(m, home, max_procs, ()).build()
     }
 
     /// Number of protocol changes performed so far.
@@ -424,7 +365,7 @@ impl Lock for ReactiveLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Competitive3, SwitchLog};
+    use crate::policy::{Always, Competitive3, SwitchLog};
     use alewife_sim::{Config, Machine};
 
     fn hammer(

@@ -16,22 +16,22 @@
 //!   Protocol changes transfer the counter value; the changer performs
 //!   them while holding the currently-valid consensus object.
 //!
-//! Both are built through builders and speak the shared reactive API:
-//! monitors emit [`Observation`]s, the pluggable [`Policy`] decides, and
-//! committed changes are counted and reported to the configured
-//! [`Instrument`] sink.
+//! Both are built through the shared [`Builder`] and speak the shared
+//! reactive API: monitors emit [`Observation`]s, the pluggable
+//! [`Policy`](crate::Policy) decides, and committed changes are counted
+//! and reported to the configured [`Instrument`](crate::Instrument) sink.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
+use sync_protocols::fetch_op::FetchOp;
 use sync_protocols::mp::{MpCombiningTree, MpCounter, MpQueueLock};
 use sync_protocols::spin::{Lock, TtsLock};
 
 use crate::lock::{TTS_RESIDUAL, TTS_RETRY_LIMIT};
-use crate::policy::{
-    Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
-};
+use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};
+use crate::{Builder, MaxProcs, Reactive};
 
 /// Slot of the shared-memory TTS protocol (locks and fetch-ops).
 pub const PROTO_TTS: ProtocolId = ProtocolId(0);
@@ -59,67 +59,34 @@ pub enum MpReleaseMode {
     MpToTts,
 }
 
-/// Builder for [`ReactiveMpLock`].
-pub struct ReactiveMpLockBuilder<'m> {
-    m: &'m Machine,
-    home: usize,
-    manager: usize,
-    max_procs: usize,
-    policy: Box<dyn Policy>,
-    sink: Option<Rc<dyn Instrument>>,
-}
+impl Reactive for ReactiveMpLock {
+    /// The node the MP handlers run on.
+    type Params = usize;
 
-impl<'m> ReactiveMpLockBuilder<'m> {
-    /// Size backoff bounds for up to `n` contenders (default: the
-    /// machine's node count).
-    pub fn max_procs(mut self, n: usize) -> Self {
-        self.max_procs = n;
-        self
-    }
+    // Both consensus objects are holder-based here: the TTS flag is
+    // pinned busy while invalid, and the manager's validity flips under
+    // the lock holder's RPC.
+    const PROTOCOLS: &'static [(&'static str, SwitchStyle)] = &[
+        ("tts", SwitchStyle::Handoff),
+        ("mp-queue", SwitchStyle::Handoff),
+    ];
 
-    /// Use the given switching policy (default: [`Always`]).
-    pub fn policy(mut self, p: impl Policy + 'static) -> Self {
-        self.policy = Box::new(p);
-        self
-    }
-
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// Report every committed protocol change to `sink`.
-    pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Allocate and initialize (TTS valid; MP manager invalid).
-    pub fn build(self) -> ReactiveMpLock {
-        let m = self.m;
-        let tts = TtsLock::new(m, self.home, self.max_procs);
-        let mode = m.alloc_on(self.home, 1);
+    /// TTS valid; MP manager invalid.
+    fn assemble(m: &Machine, home: usize, n: usize, manager: usize, kernel: Rc<SimKernel>) -> Self {
+        let tts = TtsLock::new(m, home, n);
+        let mode = m.alloc_on(home, 1);
         m.write_word(mode, MODE_TTS);
-        // Both consensus objects are holder-based here: the TTS flag is
-        // pinned busy while invalid, and the manager's validity flips
-        // under the lock holder's RPC.
-        let mut kernel = SimKernel::builder()
-            .register(PROTO_TTS, "tts", SwitchStyle::Handoff)
-            .register(PROTO_MP, "mp-queue", SwitchStyle::Handoff)
-            .policy(self.policy);
-        if let Some(sink) = self.sink {
-            kernel = kernel.sink(sink);
-        }
         ReactiveMpLock {
             tts,
             mode,
-            mp: MpQueueLock::with_validity(m, self.manager, false),
-            kernel: Rc::new(kernel.build()),
+            mp: MpQueueLock::with_validity(m, manager, false),
+            kernel,
             empty_streak: Rc::new(Cell::new(0)),
         }
     }
 }
+
+impl MaxProcs for ReactiveMpLock {}
 
 /// Reactive spin lock selecting between a shared-memory TTS protocol
 /// and a message-passing queue-lock protocol (§3.6).
@@ -143,23 +110,14 @@ impl std::fmt::Debug for ReactiveMpLock {
 impl ReactiveMpLock {
     /// Start building a lock homed on `home` whose MP manager runs on
     /// `manager`.
-    pub fn builder(m: &Machine, home: usize, manager: usize) -> ReactiveMpLockBuilder<'_> {
-        ReactiveMpLockBuilder {
-            m,
-            home,
-            manager,
-            max_procs: m.nodes(),
-            policy: Box::new(Always),
-            sink: None,
-        }
+    pub fn builder(m: &Machine, home: usize, manager: usize) -> Builder<'_, ReactiveMpLock> {
+        Builder::new(m, home, m.nodes(), manager)
     }
 
     /// Create with the TTS protocol initially valid; the MP lock manager
     /// is installed on `manager`.
     pub fn new(m: &Machine, home: usize, manager: usize, max_procs: usize) -> ReactiveMpLock {
-        ReactiveMpLock::builder(m, home, manager)
-            .max_procs(max_procs)
-            .build()
+        Builder::new(m, home, max_procs, manager).build()
     }
 
     /// Number of protocol changes so far.
@@ -294,73 +252,51 @@ impl SwitchableObject for MpLockSwitch<'_> {
     }
 }
 
-/// Builder for [`ReactiveMpFetchOp`].
-pub struct ReactiveMpFetchOpBuilder<'m> {
-    m: &'m Machine,
-    home: usize,
-    manager: usize,
-    max_procs: usize,
-    policy: Box<dyn Policy>,
-    sink: Option<Rc<dyn Instrument>>,
+impl Lock for ReactiveMpLock {
+    type Token = MpReleaseMode;
+
+    async fn acquire(&self, cpu: &Cpu) -> MpReleaseMode {
+        ReactiveMpLock::acquire(self, cpu).await
+    }
+
+    async fn release(&self, cpu: &Cpu, t: MpReleaseMode) {
+        ReactiveMpLock::release(self, cpu, t).await
+    }
 }
 
-impl<'m> ReactiveMpFetchOpBuilder<'m> {
-    /// Size the MP combining tree for up to `n` requesters (default:
-    /// the machine's node count).
-    pub fn max_procs(mut self, n: usize) -> Self {
-        self.max_procs = n;
-        self
-    }
+impl Reactive for ReactiveMpFetchOp {
+    /// The node the MP handlers run on.
+    type Params = usize;
 
-    /// Use the given switching policy (default: [`Always`]).
-    pub fn policy(mut self, p: impl Policy + 'static) -> Self {
-        self.policy = Box::new(p);
-        self
-    }
+    // Every slot here is value-carrying consensus: leaving a protocol
+    // must capture the counter atomically with its invalidation and
+    // install it into the target, so all exits use the kernel's
+    // Transfer discipline.
+    const PROTOCOLS: &'static [(&'static str, SwitchStyle)] = &[
+        ("tts-counter", SwitchStyle::Transfer),
+        ("mp-central", SwitchStyle::Transfer),
+        ("mp-combining-tree", SwitchStyle::Transfer),
+    ];
 
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy>) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// Report every committed protocol change to `sink`.
-    pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Allocate and initialize (shared-memory TTS valid; MP protocols
-    /// invalid).
-    pub fn build(self) -> ReactiveMpFetchOp {
-        let m = self.m;
-        let tts = TtsLock::new(m, self.home, self.max_procs);
-        let var = m.alloc_on(self.home, 1);
-        let mode = m.alloc_on(self.home, 1);
+    /// Shared-memory TTS valid; MP protocols invalid.
+    fn assemble(m: &Machine, home: usize, n: usize, manager: usize, kernel: Rc<SimKernel>) -> Self {
+        let tts = TtsLock::new(m, home, n);
+        let var = m.alloc_on(home, 1);
+        let mode = m.alloc_on(home, 1);
         m.write_word(mode, MODE_TTS);
-        // Every slot here is value-carrying consensus: leaving a
-        // protocol must capture the counter atomically with its
-        // invalidation and install it into the target, so all exits
-        // use the kernel's Transfer discipline.
-        let mut kernel = SimKernel::builder()
-            .register(PROTO_TTS, "tts-counter", SwitchStyle::Transfer)
-            .register(PROTO_MP, "mp-central", SwitchStyle::Transfer)
-            .register(PROTO_MP_TREE, "mp-combining-tree", SwitchStyle::Transfer)
-            .policy(self.policy);
-        if let Some(sink) = self.sink {
-            kernel = kernel.sink(sink);
-        }
         ReactiveMpFetchOp {
             tts,
             var,
             mode,
-            central: MpCounter::with_validity(m, self.manager, false),
-            tree: MpCombiningTree::with_validity(m, self.manager, self.max_procs, false),
-            kernel: Rc::new(kernel.build()),
+            central: MpCounter::with_validity(m, manager, false),
+            tree: MpCombiningTree::with_validity(m, manager, n, false),
+            kernel,
             calm_streak: Rc::new(Cell::new(0)),
         }
     }
 }
+
+impl MaxProcs for ReactiveMpFetchOp {}
 
 /// Reactive fetch-and-op selecting among a shared-memory TTS-lock
 /// counter, a centralized message-passing counter, and a
@@ -398,23 +334,14 @@ const RTT_LOW: u64 = 260;
 impl ReactiveMpFetchOp {
     /// Start building a fetch-op homed on `home` whose MP handlers run
     /// on `manager`.
-    pub fn builder(m: &Machine, home: usize, manager: usize) -> ReactiveMpFetchOpBuilder<'_> {
-        ReactiveMpFetchOpBuilder {
-            m,
-            home,
-            manager,
-            max_procs: m.nodes(),
-            policy: Box::new(Always),
-            sink: None,
-        }
+    pub fn builder(m: &Machine, home: usize, manager: usize) -> Builder<'_, ReactiveMpFetchOp> {
+        Builder::new(m, home, m.nodes(), manager)
     }
 
     /// Create with the shared-memory TTS protocol initially valid; MP
     /// handlers are installed on `manager`.
     pub fn new(m: &Machine, home: usize, manager: usize, max_procs: usize) -> ReactiveMpFetchOp {
-        ReactiveMpFetchOp::builder(m, home, manager)
-            .max_procs(max_procs)
-            .build()
+        Builder::new(m, home, max_procs, manager).build()
     }
 
     /// Number of protocol changes so far.
@@ -601,6 +528,12 @@ impl SwitchableObject for MpFopSwitch<'_> {
         if to == PROTO_MP {
             self.f.calm_streak.set(0);
         }
+    }
+}
+
+impl FetchOp for ReactiveMpFetchOp {
+    async fn fetch_add(&self, cpu: &Cpu, delta: u64) -> u64 {
+        ReactiveMpFetchOp::fetch_add(self, cpu, delta).await
     }
 }
 

@@ -42,9 +42,8 @@ use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::abortable::{AbortableMcsLock, Acquired};
 use sync_protocols::recover::{RecoverableMutex, Recovery};
 
-use crate::policy::{
-    Always, Instrument, Observation, Policy, ProtocolId, SimKernel, SwitchStyle, SwitchableObject,
-};
+use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};
+use crate::{Builder, InitialProtocol, Reactive};
 use reactive_api::SwitchRecovery;
 
 /// Slot of the abortable MCS protocol (cheap, deadline-capable).
@@ -103,89 +102,46 @@ impl std::fmt::Debug for RobustLock {
     }
 }
 
-/// Builder for [`RobustLock`].
-pub struct RobustLockBuilder<'m> {
-    m: &'m Machine,
-    home: usize,
-    procs: usize,
-    policy: Box<dyn Policy>,
-    sink: Option<Rc<dyn Instrument>>,
-    initial: ProtocolId,
-}
+impl Reactive for RobustLock {
+    type Params = ();
 
-impl<'m> RobustLockBuilder<'m> {
-    /// Use the given switching policy (default: [`Always`]).
-    pub fn policy(mut self, p: impl Policy + 'static) -> Self {
-        self.policy = Box::new(p);
-        self
-    }
+    const PROTOCOLS: &'static [(&'static str, SwitchStyle)] = &[
+        ("abortable-mcs", SwitchStyle::Handoff),
+        ("recoverable-tree", SwitchStyle::Handoff),
+    ];
 
-    /// Report every committed protocol change to `sink`.
-    pub fn instrument(mut self, sink: Rc<dyn Instrument>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Start in the given protocol ([`PROTO_ABORTABLE`] by default) —
-    /// crash-prone deployments start recoverable.
-    ///
-    /// # Panics
-    /// If `p` is not one of the two protocol slots.
-    pub fn initial_protocol(mut self, p: ProtocolId) -> Self {
-        assert!(
-            p == PROTO_ABORTABLE || p == PROTO_RECOVERABLE,
-            "robust lock has protocols {PROTO_ABORTABLE} and {PROTO_RECOVERABLE}, not {p}"
-        );
-        self.initial = p;
-        self
-    }
-
-    /// Allocate and initialize (the initial protocol's validity word
-    /// set, the other clear).
-    pub fn build(self) -> RobustLock {
-        let m = self.m;
-        let valid = m.alloc_on(self.home, 2);
-        let mode = m.alloc_on(self.home, 1);
-        let crashes = m.alloc_on(self.home, 1);
-        m.write_word(valid.plus(self.initial.index() as u64), 1);
-        m.write_word(mode, self.initial.0 as u64);
-        let mut kernel = SimKernel::builder()
-            .register(PROTO_ABORTABLE, "abortable-mcs", SwitchStyle::Handoff)
-            .register(PROTO_RECOVERABLE, "recoverable-tree", SwitchStyle::Handoff)
-            .policy(self.policy)
-            .initial(self.initial);
-        if let Some(sink) = self.sink {
-            kernel = kernel.sink(sink);
-        }
+    /// The initial protocol's validity word set, the other clear.
+    fn assemble(m: &Machine, home: usize, n: usize, _: (), kernel: Rc<SimKernel>) -> Self {
+        let initial = kernel.current();
+        let valid = m.alloc_on(home, 2);
+        let mode = m.alloc_on(home, 1);
+        let crashes = m.alloc_on(home, 1);
+        m.write_word(valid.plus(initial.index() as u64), 1);
+        m.write_word(mode, initial.0 as u64);
         RobustLock {
-            abortable: AbortableMcsLock::new(m, self.home, self.procs),
-            recoverable: RecoverableMutex::new(m, self.procs),
+            abortable: AbortableMcsLock::new(m, home, n),
+            recoverable: RecoverableMutex::new(m, n),
             valid,
             mode,
             crashes,
-            kernel: Rc::new(kernel.build()),
+            kernel,
             seen_crashes: Rc::new(Cell::new(0)),
             calm_streak: Rc::new(Cell::new(0)),
         }
     }
 }
 
+impl InitialProtocol for RobustLock {}
+
 impl RobustLock {
     /// Start building a robust lock for `procs` processes, control
     /// words homed on `home`.
-    pub fn builder(m: &Machine, home: usize, procs: usize) -> RobustLockBuilder<'_> {
-        RobustLockBuilder {
-            m,
-            home,
-            procs,
-            policy: Box::new(Always),
-            sink: None,
-            initial: PROTO_ABORTABLE,
-        }
+    pub fn builder(m: &Machine, home: usize, procs: usize) -> Builder<'_, RobustLock> {
+        Builder::new(m, home, procs, ())
     }
 
-    /// Build with the defaults (abortable initial protocol, [`Always`]
-    /// policy).
+    /// Build with the defaults (abortable initial protocol,
+    /// [`Always`](crate::policy::Always) policy).
     pub fn new(m: &Machine, home: usize, procs: usize) -> RobustLock {
         RobustLock::builder(m, home, procs).build()
     }

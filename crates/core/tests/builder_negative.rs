@@ -1,15 +1,19 @@
-//! Negative-path tests for the simulator-side reactive builders: the
+//! Negative-path tests for the simulator-side reactive builder: the
 //! documented panic behaviour on misconfiguration — duplicate protocol
 //! registration, unknown initial protocol, zero-protocol build, and
-//! invalid policy parameters — is part of the public API contract.
+//! invalid policy parameters — is part of the public API contract, and
+//! so is a fresh object that has not switched.
 
 use std::rc::Rc;
 
 use alewife_sim::{Config, Machine};
+use reactive_core::mp::{ReactiveMpFetchOp, ReactiveMpLock};
 use reactive_core::policy::{
     Competitive3, Hysteresis, Instrument, ProtocolId, SimKernel, SwitchLog, SwitchStyle,
 };
-use reactive_core::{ReactiveFetchOp, ReactiveLock};
+use reactive_core::{
+    Builder, Reactive, ReactiveBarrier, ReactiveFetchOp, ReactiveLock, RobustLock,
+};
 
 fn machine() -> Machine {
     Machine::new(Config::default().nodes(4))
@@ -66,6 +70,13 @@ fn lock_builder_rejects_fetch_op_only_protocol() {
     let _ = ReactiveLock::builder(&m, 0).initial_protocol(ProtocolId(2));
 }
 
+#[test]
+#[should_panic(expected = "not P2")]
+fn robust_lock_builder_rejects_unknown_initial_protocol() {
+    let m = machine();
+    let _ = RobustLock::builder(&m, 0, 4).initial_protocol(ProtocolId(2));
+}
+
 // -- policy parameter validation through the builders ------------------
 
 #[test]
@@ -99,4 +110,31 @@ fn valid_builder_configurations_still_build() {
         .policy(Competitive3::new(8_800.0))
         .build();
     assert_eq!(log.count(), 0, "building must not emit switch events");
+}
+
+/// Build `b` with a fresh `SwitchLog` attached and the default policy;
+/// the new object must neither report an event nor count a switch.
+fn assert_builds_quiet<O: Reactive>(b: Builder<'_, O>, switches: impl Fn(&O) -> u64) {
+    let log = Rc::new(SwitchLog::new());
+    let obj = b.instrument(log.clone() as Rc<dyn Instrument>).build();
+    let name = std::any::type_name::<O>();
+    assert_eq!(log.count(), 0, "{name}: building emitted a switch event");
+    assert_eq!(switches(&obj), 0, "{name}: a fresh object counts a switch");
+}
+
+#[test]
+fn every_object_builds_without_switching() {
+    let m = machine();
+    assert_builds_quiet(ReactiveLock::builder(&m, 0), ReactiveLock::switches);
+    assert_builds_quiet(ReactiveFetchOp::builder(&m, 0), ReactiveFetchOp::switches);
+    assert_builds_quiet(ReactiveMpLock::builder(&m, 0, 1), ReactiveMpLock::switches);
+    assert_builds_quiet(
+        ReactiveMpFetchOp::builder(&m, 0, 1),
+        ReactiveMpFetchOp::switches,
+    );
+    assert_builds_quiet(
+        ReactiveBarrier::builder(&m, 0, 4),
+        ReactiveBarrier::switches,
+    );
+    assert_builds_quiet(RobustLock::builder(&m, 0, 4), RobustLock::switches);
 }

@@ -32,7 +32,7 @@ proptest! {
         };
         let lock = ReactiveLock::builder(&m, 0)
             .max_procs(procs)
-            .boxed_policy(policy)
+            .policy(policy)
             .build();
         let shared = m.alloc_on(1, 1);
         let rounds = 3u64;

@@ -37,8 +37,8 @@ use crate::sync::{
 };
 
 use reactive_api::{
-    drive, Instrument, Observation, Policy, ProtocolId, SharedWorld, SwitchKernel, SwitchStyle,
-    SwitchableObject,
+    drive, Instrument, KernelBuilder, Observation, Policy, ProtocolId, SharedWorld, SwitchKernel,
+    SwitchStyle, SwitchableObject,
 };
 
 use crate::mcs::{McsLock, McsNode};
@@ -50,7 +50,6 @@ pub const PROTO_TTS: ProtocolId = ProtocolId(0);
 pub const PROTO_QUEUE: ProtocolId = ProtocolId(1);
 
 const MODE_TTS: u8 = PROTO_TTS.0;
-const MODE_QUEUE: u8 = PROTO_QUEUE.0;
 
 /// Failed test&set attempts in one acquisition that signal high
 /// contention.
@@ -99,31 +98,25 @@ enum HeldKind {
     Queue { node: Box<McsNode>, switch: bool },
 }
 
-/// Builder for [`ReactiveLock`]: switching policy and instrumentation
-/// are optional with the paper's defaults ([`Always`](reactive_api::Always), no sink).
+/// Builder for [`ReactiveLock`]: switching policy, instrumentation and
+/// initial protocol are optional with the paper's defaults
+/// ([`Always`](reactive_api::Always), no sink, [`PROTO_TTS`]); each goes
+/// straight into the kernel's own builder.
 #[derive(Default)]
 pub struct ReactiveLockBuilder {
-    policy: Option<Box<dyn Policy + Send>>,
-    sink: Option<Arc<dyn Instrument + Send + Sync>>,
-    start_in_queue: bool,
+    kernel: KernelBuilder<SharedWorld>,
 }
 
 impl ReactiveLockBuilder {
     /// Use the given switching policy (default: [`Always`](reactive_api::Always)).
     pub fn policy(mut self, p: impl Policy + Send + 'static) -> Self {
-        self.policy = Some(Box::new(p));
-        self
-    }
-
-    /// Use an already-boxed policy (for `dyn Policy` plumbing).
-    pub fn boxed_policy(mut self, p: Box<dyn Policy + Send>) -> Self {
-        self.policy = Some(p);
+        self.kernel = self.kernel.policy(Box::new(p));
         self
     }
 
     /// Report every committed protocol change to `sink`.
     pub fn instrument(mut self, sink: Arc<dyn Instrument + Send + Sync>) -> Self {
-        self.sink = Some(sink);
+        self.kernel = self.kernel.sink(sink);
         self
     }
 
@@ -138,7 +131,7 @@ impl ReactiveLockBuilder {
             p == PROTO_TTS || p == PROTO_QUEUE,
             "reactive lock has protocols {PROTO_TTS} and {PROTO_QUEUE}, not {p}"
         );
-        self.start_in_queue = p == PROTO_QUEUE;
+        self.kernel = self.kernel.initial(p);
         self
     }
 
@@ -150,34 +143,23 @@ impl ReactiveLockBuilder {
         // still deny entry, so no racing thread can commit an opposite
         // change ahead of this one and the sink's events stay in true
         // commit order.
-        let mut kernel = SwitchKernel::<SharedWorld>::builder()
+        let kernel = self
+            .kernel
             .register(PROTO_TTS, "tts", SwitchStyle::CommitFirst)
             .register(PROTO_QUEUE, "mcs-queue", SwitchStyle::CommitFirst)
-            .initial(if self.start_in_queue {
-                PROTO_QUEUE
-            } else {
-                PROTO_TTS
-            });
-        if let Some(p) = self.policy {
-            kernel = kernel.policy(p);
-        }
-        if let Some(sink) = self.sink {
-            kernel = kernel.sink(sink);
-        }
+            .build();
+        let initial = kernel.current();
+        let start_in_queue = initial == PROTO_QUEUE;
         let lock = ReactiveLock {
-            mode: AtomicU8::new(if self.start_in_queue {
-                MODE_QUEUE
-            } else {
-                MODE_TTS
-            }),
+            mode: AtomicU8::new(initial.0),
             tts: TtsLock::new(),
             queue: McsLock::new(),
-            queue_valid: AtomicU8::new(u8::from(self.start_in_queue)),
+            queue_valid: AtomicU8::new(u8::from(start_in_queue)),
             empty_streak: AtomicU64::new(0),
-            kernel: kernel.build(),
+            kernel,
             epoch: Instant::now(),
         };
-        if self.start_in_queue {
+        if start_in_queue {
             // Queue mode: the TTS flag is pinned busy from birth.
             let pinned = lock.tts.try_lock();
             debug_assert!(pinned, "fresh TTS sub-lock must be free to pin");

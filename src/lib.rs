@@ -8,9 +8,11 @@
 //! * [`sim`] — the Alewife/NWO-like deterministic multiprocessor
 //!   simulator the experiments run on.
 //! * [`api`] — the shared reactive protocol-selection API: the
-//!   [`Policy`](api::Policy) and [`Protocol`](api::Protocol) traits,
-//!   [`ProtocolId`](api::ProtocolId)s, and switch-event instrumentation,
-//!   implemented by both the simulator-side and native reactive objects.
+//!   [`Policy`](api::Policy) trait, [`ProtocolId`](api::ProtocolId)s,
+//!   the switching kernel with its
+//!   [`SwitchableObject`](api::SwitchableObject) hooks, and switch-event
+//!   instrumentation, used by both the simulator-side and native
+//!   reactive objects.
 //! * [`protocols`] — the passive synchronization protocols the paper
 //!   compares (test-and-set/TTS/MCS locks, lock-based and combining-tree
 //!   fetch-and-op, message-passing protocols, barriers, J-structures).
