@@ -216,7 +216,7 @@ impl Path {
 /// Single-thread cost of one uncontended acquire + guard drop per path,
 /// without and with a (never-expiring) deadline, plus the lock-level
 /// reactive-vs-TTS overhead: the per-stage cost table of the native
-/// acquire (ROADMAP 1b).
+/// acquire (ROADMAP item 5's native side-note).
 #[derive(Debug)]
 pub struct PathCosts {
     /// `(path, ns without a deadline, ns with one)`.

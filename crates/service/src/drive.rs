@@ -39,7 +39,7 @@ use crate::arena::Footprint;
 use crate::exec::ArenaMode;
 use crate::limiter::LimiterConfig;
 use crate::native::NativeService;
-use crate::oracle::{Stampede, SwitchRecord};
+use crate::oracle::Stampede;
 use crate::workload::{think_time, Arrivals, Load, TenantConfig, Zipf};
 
 /// Spins between clock reads while waiting out a scheduled gap or a
@@ -137,14 +137,10 @@ pub struct NativeReport {
     pub aborts_by_tenant: Vec<u64>,
     /// Measured memory footprint at run end.
     pub footprint: Footprint,
-    /// Combined inflation/deflation log for the oracle: each shard's
-    /// most recent records (the service keeps a bounded ring).
-    pub switch_log: Vec<SwitchRecord>,
-    /// Older records the rings dropped from [`Self::switch_log`].
-    pub switch_log_dropped: u64,
-    /// No-stampede violations the service caught online, as records
-    /// arrived — unaffected by what the rings dropped since.
-    pub online_stampedes: Vec<Stampede>,
+    /// The no-stampede verdict for this run (empty = clean; meaningful
+    /// only when a limiter was configured): the violations the shards
+    /// caught as switches committed, exact over the whole run.
+    pub stampedes: Vec<Stampede>,
     /// Limiter in force, if any.
     pub limiter: Option<LimiterConfig>,
 }
@@ -197,15 +193,6 @@ impl NativeReport {
             return 0.0;
         }
         (self.inflations + self.deflations) as f64 * 1e9 / self.elapsed_ns as f64
-    }
-
-    /// The no-stampede verdict for this run (empty = clean; meaningful
-    /// only when a limiter was configured): the violations the shards
-    /// caught online. That check is exact over the whole stream, so
-    /// [`crate::check_no_stampede`] over the retained log can add
-    /// nothing to it.
-    pub fn stampedes(&self) -> Vec<Stampede> {
-        self.online_stampedes.clone()
     }
 }
 
@@ -340,9 +327,7 @@ pub fn run_native(cfg: &NativeRunConfig) -> NativeReport {
         tenant_adjusted,
         aborts_by_tenant,
         footprint: svc.footprint(),
-        switch_log: svc.switch_log(),
-        switch_log_dropped: svc.switch_log_dropped(),
-        online_stampedes: svc.online_stampedes(),
+        stampedes: svc.stampedes(),
         limiter: cfg.limiter,
     }
 }
@@ -565,7 +550,7 @@ mod tests {
         assert!(r.p50_ns() <= r.p99_ns() && r.p99_ns() <= r.p999_ns());
         let _ = r.tenant_p999_ns(0);
         assert_eq!(r.inflations - r.deflations, r.live_inflated);
-        assert!(r.stampedes().is_empty(), "limiter bound violated");
+        assert!(r.stampedes.is_empty(), "limiter bound violated");
     }
 
     #[test]

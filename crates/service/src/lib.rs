@@ -19,7 +19,8 @@
 //!   seeded and deterministic.
 //! * [`limiter`] — the per-shard switch-rate [`TokenBucket`], and
 //! * [`oracle`] — the offline no-stampede checker that holds it to its
-//!   window bound from the switch log alone.
+//!   window bound from the switch log alone, and the online form a
+//!   native shard runs over the `burst + 65` commit times it needs.
 //! * [`exec`] — the deterministic virtual-time executor
 //!   ([`ServiceSim`]) behind every CI-gated number: p50/p99/p999
 //!   acquire latency, switch and abort rates, bytes/object.

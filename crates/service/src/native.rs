@@ -78,9 +78,9 @@
 //! inflated-path *admission*; once a thread registers, it is committed
 //! (the sim's abortable queues model mid-wait abort).
 //! Inflations and deflations are gated by the same per-shard
-//! [`TokenBucket`] as simulated switches and logged as
-//! [`SwitchRecord`]s, so the no-stampede oracle applies to native runs
-//! too.
+//! [`TokenBucket`] as simulated switches, and each shard with a limiter
+//! checks the [`crate::oracle`]'s no-stampede invariant as its switches
+//! commit, keeping only the commit times that check reads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -92,7 +92,7 @@ use reactive_native::ReactiveLock;
 use crate::arena::{Footprint, ObjectArena};
 use crate::exec::ArenaMode;
 use crate::limiter::{LimiterConfig, TokenBucket};
-use crate::oracle::{Stampede, SwitchRecord, SwitchRing};
+use crate::oracle::{Stampede, StampedeCheck};
 use crate::slab::{Retired, Slab};
 use crate::slot;
 
@@ -124,18 +124,27 @@ const BACKOFF_MAX: u32 = 256;
 /// the microsecond-scale holds the service targets.
 const LONG_WAIT_SPINS: u32 = 8 * DEADLINE_CHECK_SPINS;
 
-/// Per-shard native state: the switch limiter and the inflation/
-/// deflation log (the most recent records; see [`SwitchRing`]).
+/// Per-shard native state: the switch limiter and the online
+/// no-stampede check of the inflations and deflations it lets through
+/// (see [`StampedeCheck`]), or neither.
 struct ShardNative {
-    limiter: Option<TokenBucket>,
-    log: SwitchRing,
+    limiter: Option<(TokenBucket, StampedeCheck)>,
 }
 
 impl ShardNative {
     /// Ask the limiter for a switch token at `now` (always granted
     /// without a limiter).
     fn try_token(&mut self, now: u64) -> bool {
-        self.limiter.as_mut().is_none_or(|b| b.try_acquire(now))
+        self.limiter
+            .as_mut()
+            .is_none_or(|(b, _)| b.try_acquire(now))
+    }
+
+    /// Hand a switch committed at `now` to the stampede check.
+    fn commit(&mut self, now: u64) {
+        if let Some((_, check)) = &mut self.limiter {
+            check.push(now);
+        }
     }
 }
 
@@ -220,10 +229,10 @@ impl NativeService {
             arena: ObjectArena::new(objects, shards),
             slab: Slab::new(),
             shards: (0..shards)
-                .map(|_| {
+                .map(|shard| {
                     Mutex::new(ShardNative {
-                        limiter: limiter.map(TokenBucket::new),
-                        log: SwitchRing::new(limiter),
+                        limiter: limiter
+                            .map(|cfg| (TokenBucket::new(cfg), StampedeCheck::new(shard, cfg))),
                     })
                 })
                 .collect(),
@@ -245,7 +254,8 @@ impl NativeService {
         }
     }
 
-    /// Nanoseconds since service start (the native switch-log clock).
+    /// Nanoseconds since service start (the clock switch commits are
+    /// checked against).
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -398,8 +408,8 @@ impl NativeService {
     fn try_inflate(&self, object: u64, word: u64) {
         let shard = self.arena.shard_of(object);
         let mut sh = self.shards[shard as usize].lock().expect("shard poisoned");
-        // Stamped under the shard lock, so a shard's log is in time
-        // order.
+        // Stamped under the shard lock, so a shard's commits are in
+        // time order.
         let now = self.now_ns();
         if !sh.try_token(now) {
             // Denied: back off by clearing the evidence (and HELD). A
@@ -417,13 +427,7 @@ impl NativeService {
                 .initial_protocol(PROTO_QUEUE)
                 .build(),
         );
-        sh.log.push(SwitchRecord {
-            time_ns: now,
-            shard,
-            object,
-            from: PROTO_TTS.0,
-            to: PROTO_QUEUE.0,
-        });
+        sh.commit(now);
         drop(sh);
         // order: Relaxed — statistics counter.
         self.inflations.fetch_add(1, Ordering::Relaxed);
@@ -547,17 +551,7 @@ impl NativeService {
         // word is the arbiter.
         match self.arena.cas(object, word, slot::deflated(word)) {
             Ok(_) => {
-                // The record captures the representation demotion
-                // (inflated, queue-capable → flat, TTS-like), mirroring
-                // the inflation record — the word's mode field already
-                // reached TTS while the streak accrued.
-                sh.log.push(SwitchRecord {
-                    time_ns: now,
-                    shard,
-                    object,
-                    from: PROTO_QUEUE.0,
-                    to: PROTO_TTS.0,
-                });
+                sh.commit(now);
                 drop(sh);
                 // order: Relaxed — statistics counter.
                 self.deflations.fetch_add(1, Ordering::Relaxed);
@@ -613,46 +607,31 @@ impl NativeService {
         self.slab.lock_switches()
     }
 
-    /// A copy of the combined per-shard switch (inflation/deflation)
-    /// log: each shard's most recent records, in time order.
-    pub fn switch_log(&self) -> Vec<SwitchRecord> {
+    /// The no-stampede verdict: violations the shards caught as their
+    /// inflations and deflations committed (empty = clean, and always
+    /// empty without a limiter).
+    pub fn stampedes(&self) -> Vec<Stampede> {
         let mut out = Vec::new();
         for sh in &self.shards {
-            out.extend(sh.lock().expect("shard poisoned").log.records().copied());
-        }
-        out.sort_unstable_by_key(|r| (r.time_ns, r.shard, r.object));
-        out
-    }
-
-    /// Switch records no longer in [`Self::switch_log`] because their
-    /// shard's ring moved past them.
-    pub fn switch_log_dropped(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| sh.lock().expect("shard poisoned").log.dropped())
-            .sum()
-    }
-
-    /// No-stampede violations the shards caught as records arrived —
-    /// the part of the oracle's verdict that survives log truncation.
-    pub fn online_stampedes(&self) -> Vec<Stampede> {
-        let mut out = Vec::new();
-        for sh in &self.shards {
-            out.extend(sh.lock().expect("shard poisoned").log.stampedes());
+            let sh = sh.lock().expect("shard poisoned");
+            out.extend(sh.limiter.iter().flat_map(|(_, c)| c.stampedes()));
         }
         out
     }
 
     /// Measured footprint: slots + shard fixed state + live inflated
-    /// locks, the slab's table and the switch rings. Deflation shrinks
-    /// `hot_bytes`: a retired entry frees its lock and leaves only its
-    /// table cell and a free-list index awaiting reuse.
+    /// locks, the slab's table and the stampede checks' look-backs.
+    /// Deflation shrinks `hot_bytes`: a retired entry frees its lock and
+    /// leaves only its table cell and a free-list index awaiting reuse.
     pub fn footprint(&self) -> Footprint {
         let live = self.slab.live();
-        let log_bytes: u64 = self
+        let check_bytes: u64 = self
             .shards
             .iter()
-            .map(|s| s.lock().expect("shard poisoned").log.heap_bytes())
+            .map(|s| {
+                let s = s.lock().expect("shard poisoned");
+                s.limiter.as_ref().map_or(0, |(_, c)| c.heap_bytes())
+            })
             .sum();
         Footprint {
             objects: self.arena.objects(),
@@ -661,7 +640,7 @@ impl NativeService {
                 * std::mem::size_of::<Mutex<ShardNative>>() as u64,
             hot_bytes: live * std::mem::size_of::<ReactiveLock>() as u64
                 + self.slab.table_bytes()
-                + log_bytes,
+                + check_bytes,
             hot_objects: live,
         }
     }
@@ -710,8 +689,7 @@ mod tests {
     fn contended_object_inflates_once() {
         let svc = NativeService::new(1, 1, None);
         seed_hot(&svc, 0, 0);
-        assert_eq!(svc.inflations(), 1);
-        assert_eq!(svc.switch_log().len(), 1);
+        assert_eq!((svc.inflations(), svc.deflations()), (1, 0));
         // Subsequent acquisitions go through the reactive lock.
         let g = svc.acquire(0, None).unwrap();
         assert!(g.held.is_some());
@@ -847,46 +825,44 @@ mod tests {
         // ...and re-inflation reuses the retired entry instead of
         // growing the slab.
         seed_hot(&svc, 0, 0);
-        assert_eq!(svc.inflations(), 2);
+        assert_eq!(
+            (svc.inflations(), svc.deflations()),
+            (2, 1),
+            "inflate + deflate + re-inflate"
+        );
         assert_eq!(svc.live_inflated(), 1);
         assert_eq!(svc.slab_entries(), 1, "free list must recycle the entry");
-        assert_eq!(
-            svc.switch_log().len(),
-            3,
-            "inflate + deflate + re-inflate are all logged"
-        );
     }
 
     #[test]
-    fn switch_log_is_a_bounded_ring() {
-        let svc = NativeService::new(1, 1, None);
-        // Inflate/deflate round trips until the shard's ring has
-        // wrapped.
-        let mut switches = 0;
-        while switches <= 4_200 {
-            seed_hot(&svc, 0, 0);
-            while svc.live_inflated() == 1 {
-                drop(svc.acquire(0, None).unwrap());
+    fn switch_check_footprint_is_bounded_by_its_lookback() {
+        // A limiter that never denies: a fresh token every nanosecond.
+        let cfg = LimiterConfig {
+            burst: 8,
+            period_ns: 1,
+        };
+        let lookback_bytes = (u64::from(cfg.burst) + 65) * std::mem::size_of::<u64>() as u64;
+        for (limiter, kept) in [(Some(cfg), lookback_bytes), (None, 0)] {
+            let svc = NativeService::new(1, 1, limiter);
+            // Inflate/deflate round trips, far more than the check keeps.
+            while svc.inflations() + svc.deflations() <= 4_200 {
+                seed_hot(&svc, 0, 0);
+                while svc.live_inflated() == 1 {
+                    drop(svc.acquire(0, None).unwrap());
+                }
             }
-            switches = svc.inflations() + svc.deflations();
+            assert_eq!(svc.slab_entries(), 1);
+            assert!(svc.stampedes().is_empty());
+            // Nothing is live, so the hot side is the slab's one table
+            // chunk plus the check's look-back — or nothing at all
+            // without a limiter.
+            let hot = svc.footprint().hot_bytes;
+            assert_eq!(
+                hot - svc.slab.table_bytes(),
+                kept,
+                "limiter {limiter:?}: hot side {hot} B"
+            );
         }
-        let log = svc.switch_log();
-        assert_eq!(log.len(), 4_096, "ring keeps the most recent records");
-        assert_eq!(svc.switch_log_dropped(), switches - 4_096);
-        assert!(log.windows(2).all(|w| w[0].time_ns <= w[1].time_ns));
-        assert_eq!(
-            (log[4_095].from, log[4_095].to),
-            (PROTO_QUEUE.0, PROTO_TTS.0)
-        );
-        assert_eq!(svc.slab_entries(), 1);
-        // No limiter, no invariant to check online.
-        assert!(svc.online_stampedes().is_empty());
-        let ring_bytes = 4_096 * std::mem::size_of::<SwitchRecord>() as u64;
-        let hot = svc.footprint().hot_bytes;
-        assert!(
-            (ring_bytes..2 * ring_bytes).contains(&hot),
-            "hot side is the full ring plus one table chunk, got {hot}"
-        );
     }
 
     #[test]

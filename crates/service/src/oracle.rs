@@ -14,10 +14,10 @@
 //! periods — a stampede that squeaks past one window length is caught
 //! by another.
 //!
-//! A long-running native service cannot keep every record, so its
-//! per-shard log is a `SwitchRing`: the most recent records, plus the
-//! same invariant checked *as each record arrives* against exactly the
-//! look-back the offline windows need — truncation hides nothing.
+//! A long-running native service keeps no log: each shard checks the
+//! same invariant *as each switch commits*, over the times of its last
+//! `burst + 65` commits — exactly the look-back the offline windows
+//! need, so forgetting older commits hides nothing.
 //!
 //! The checker has teeth: the bench's stampede scenario also runs a
 //! limiter-off control and asserts the oracle *rejects* it (see
@@ -109,100 +109,93 @@ pub fn check_no_stampede(log: &[SwitchRecord], cfg: LimiterConfig) -> Vec<Stampe
     violations
 }
 
-/// Records a [`SwitchRing`] keeps before it starts dropping the oldest.
-const RING_RECORDS: usize = 4096;
-
-/// One shard's bounded switch log with the no-stampede check run
-/// online.
+/// One shard's no-stampede check, run online as switches commit.
 ///
 /// A window of `m` periods is over-dense exactly when some
 /// `burst + m + 2` consecutive switches span less than `m` periods, so
-/// at each push it is enough to compare the new timestamp with the one
-/// `burst + m + 1` records back, for each `m` in the oracle's window
-/// set: a look-back of at most `burst + 65` records. The ring always
-/// retains that many (4096, or more under an oversized burst), so a
-/// violation is seen when it happens, whatever is dropped later.
-pub(crate) struct SwitchRing {
-    /// Most recent records, oldest first; grows on demand up to `cap`.
-    recent: VecDeque<SwitchRecord>,
-    cap: usize,
-    dropped: u64,
-    limiter: Option<LimiterConfig>,
-    /// First online violation per window length.
+/// at each commit it is enough to compare the new time with the one
+/// `burst + m + 1` commits back, for each `m` in the oracle's window
+/// set. The check therefore keeps the times of the last `burst + 65`
+/// commits and the first violation per window length — nothing else —
+/// and its verdict is the one [`check_no_stampede`] gives over the
+/// whole stream.
+pub(crate) struct StampedeCheck {
+    shard: u32,
+    cfg: LimiterConfig,
+    /// Most recent commit times, oldest first; at most
+    /// [`Self::lookback`] of them, and never more capacity.
+    times: VecDeque<u64>,
+    /// First violation per window length.
     stampedes: [Option<Stampede>; WINDOW_PERIODS.len()],
 }
 
-impl SwitchRing {
-    /// An empty ring checking against `limiter` (no check without one).
-    pub(crate) fn new(limiter: Option<LimiterConfig>) -> Self {
-        let lookback = limiter.map_or(0, |l| l.burst as usize + 65);
-        SwitchRing {
-            recent: VecDeque::new(),
-            cap: RING_RECORDS.max(lookback),
-            dropped: 0,
-            limiter,
+impl StampedeCheck {
+    /// An empty check of `shard` against `cfg`; allocates nothing until
+    /// the first commit.
+    pub(crate) fn new(shard: u32, cfg: LimiterConfig) -> Self {
+        StampedeCheck {
+            shard,
+            cfg,
+            times: VecDeque::new(),
             stampedes: [None; WINDOW_PERIODS.len()],
         }
     }
 
-    /// Append a record. Times must be non-decreasing (the caller stamps
-    /// them under the shard lock that serializes pushes).
-    pub(crate) fn push(&mut self, rec: SwitchRecord) {
-        debug_assert!(self.recent.back().is_none_or(|b| b.time_ns <= rec.time_ns));
-        if let Some(cfg) = self.limiter {
-            for (slot, &mult) in self.stampedes.iter_mut().zip(&WINDOW_PERIODS) {
-                let w = cfg.period_ns.saturating_mul(mult);
-                let allowed = u64::from(cfg.burst) + mult + 1;
-                // The record that opens a window holding `allowed + 1`
-                // switches once `rec` joins it.
-                let Some(first) = (self.recent.len() as u64)
-                    .checked_sub(allowed)
-                    .map(|i| self.recent[i as usize])
-                else {
-                    continue;
-                };
-                if slot.is_none() && rec.time_ns < first.time_ns.saturating_add(w) {
-                    *slot = Some(Stampede {
-                        shard: rec.shard,
-                        window_start_ns: first.time_ns,
-                        window_ns: w,
-                        observed: allowed + 1,
-                        allowed,
-                    });
-                }
+    /// Commit times kept: `burst + 65`, the longest window's `allowed`.
+    fn lookback(&self) -> usize {
+        self.cfg.burst as usize + WINDOW_PERIODS[WINDOW_PERIODS.len() - 1] as usize + 1
+    }
+
+    /// Check a commit at `time_ns`. Times must be non-decreasing (the
+    /// caller stamps them under the shard lock that serializes pushes).
+    pub(crate) fn push(&mut self, time_ns: u64) {
+        debug_assert!(self.times.back().is_none_or(|&b| b <= time_ns));
+        for (slot, &mult) in self.stampedes.iter_mut().zip(&WINDOW_PERIODS) {
+            let w = self.cfg.period_ns.saturating_mul(mult);
+            let allowed = u64::from(self.cfg.burst) + mult + 1;
+            // The commit that opens a window holding `allowed + 1`
+            // switches once this one joins it.
+            let Some(first) = (self.times.len() as u64)
+                .checked_sub(allowed)
+                .map(|i| self.times[i as usize])
+            else {
+                continue;
+            };
+            if slot.is_none() && time_ns < first.saturating_add(w) {
+                *slot = Some(Stampede {
+                    shard: self.shard,
+                    window_start_ns: first,
+                    window_ns: w,
+                    observed: allowed + 1,
+                    allowed,
+                });
             }
         }
-        if self.recent.len() == self.cap {
-            self.recent.pop_front();
-            self.dropped += 1;
+        let (len, lookback) = (self.times.len(), self.lookback());
+        if len == lookback {
+            self.times.pop_front();
+        } else if len == self.times.capacity() {
+            // Grow by doubling, but never past the look-back.
+            self.times.reserve_exact(len.max(4).min(lookback - len));
         }
-        self.recent.push_back(rec);
+        self.times.push_back(time_ns);
     }
 
-    /// The retained tail, oldest first.
-    pub(crate) fn records(&self) -> impl Iterator<Item = &SwitchRecord> {
-        self.recent.iter()
-    }
-
-    /// Records pushed out of the ring so far.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Violations caught at push time (at most one per window length).
+    /// Violations caught so far (at most one per window length).
     pub(crate) fn stampedes(&self) -> impl Iterator<Item = Stampede> + '_ {
         self.stampedes.iter().flatten().copied()
     }
 
-    /// Heap bytes the ring occupies.
+    /// Heap bytes the kept times occupy.
     pub(crate) fn heap_bytes(&self) -> u64 {
-        (self.recent.capacity() * std::mem::size_of::<SwitchRecord>()) as u64
+        (self.times.capacity() * std::mem::size_of::<u64>()) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alewife_sim::rng::below;
 
     fn rec(time_ns: u64, shard: u32) -> SwitchRecord {
         SwitchRecord {
@@ -270,60 +263,95 @@ mod tests {
         assert!(!check_no_stampede(&log, CFG).is_empty());
     }
 
-    /// Push a timeline through a fresh ring; returns it.
-    fn ring(times: impl IntoIterator<Item = u64>, cfg: LimiterConfig) -> SwitchRing {
-        let mut r = SwitchRing::new(Some(cfg));
-        for t in times {
-            r.push(rec(t, 0));
+    /// Push `times` through a fresh online check.
+    fn check(times: &[u64], cfg: LimiterConfig) -> StampedeCheck {
+        let mut c = StampedeCheck::new(0, cfg);
+        for &t in times {
+            c.push(t);
         }
-        r
+        c
+    }
+
+    /// `(window_ns, window_start_ns)` of each violation, in report order.
+    fn windows(v: impl Iterator<Item = Stampede>) -> Vec<(u64, u64)> {
+        v.map(|s| (s.window_ns, s.window_start_ns)).collect()
+    }
+
+    /// Assert that the online check and the offline oracle find the
+    /// same windows in a one-shard timeline; returns them.
+    fn agree(times: &[u64], cfg: LimiterConfig) -> Vec<(u64, u64)> {
+        let log: Vec<_> = times.iter().map(|&t| rec(t, 0)).collect();
+        let offline = windows(check_no_stampede(&log, cfg).into_iter());
+        let online = windows(check(times, cfg).stampedes());
+        assert_eq!(
+            online,
+            offline,
+            "burst {}, {} commits",
+            cfg.burst,
+            times.len()
+        );
+        offline
+    }
+
+    /// A seeded timeline of bursts (commits a few ns apart), gaps (up to
+    /// 100 periods) and steady runs (a commit every half to one and a
+    /// half periods, fixed per run), reaching well past the look-back.
+    fn random_timeline(seed: &mut u64, cfg: LimiterConfig) -> Vec<u64> {
+        let (p, burst) = (cfg.period_ns, u64::from(cfg.burst));
+        let len = 1 + below(seed, 6 * burst + 400);
+        let (mut t, mut times) = (0, Vec::new());
+        while (times.len() as u64) < len {
+            let (n, lo, hi) = match below(seed, 3) {
+                0 => (below(seed, 2 * burst + 70), 0, p / 16),
+                1 => (1, 0, 100 * p),
+                _ => {
+                    let step = p / 2 + below(seed, p + 1);
+                    (below(seed, 300), step, step)
+                }
+            };
+            for _ in 0..n {
+                t += lo + below(seed, hi - lo + 1);
+                times.push(t);
+            }
+        }
+        times
     }
 
     #[test]
     fn online_check_agrees_with_the_offline_oracle() {
-        let timelines: [Vec<u64>; 4] = [
-            vec![0, 0, 100, 200, 300, 400],
-            (0..20).collect(),
-            (0..200u64).map(|i| i * 50).collect(),
-            // Legal rate, then a burst late in the run.
-            (0..100u64)
-                .map(|i| i * 100)
-                .chain((0..10).map(|i| 10_000 + i))
-                .collect(),
-        ];
-        for times in timelines {
-            let log: Vec<_> = times.iter().map(|&t| rec(t, 0)).collect();
-            let offline: Vec<u64> = check_no_stampede(&log, CFG)
-                .iter()
-                .map(|s| s.window_ns)
-                .collect();
-            let online: Vec<u64> = ring(times, CFG).stampedes().map(|s| s.window_ns).collect();
-            assert_eq!(online, offline);
+        agree(&[0, 0, 100, 200, 300, 400], CFG);
+        agree(&(0..20).collect::<Vec<_>>(), CFG);
+        agree(&(0..200).map(|i| i * 50).collect::<Vec<_>>(), CFG);
+        // Legal rate, then a burst late in the run.
+        let late: Vec<_> = (0..100).map(|i| i * 100).chain(10_000..10_010).collect();
+        agree(&late, CFG);
+        // Seeded timelines under small, default and oversized bursts.
+        let mut seed = 0x0005_7A3B_EDE5_EED5;
+        for burst in [1, 8, 300] {
+            let cfg = LimiterConfig {
+                burst,
+                period_ns: 100,
+            };
+            let stampeded = (0..100)
+                .filter(|_| !agree(&random_timeline(&mut seed, cfg), cfg).is_empty())
+                .count();
+            // Both verdicts are common, so agreement is not vacuous.
+            assert!(
+                (10..=90).contains(&stampeded),
+                "burst {burst}: {stampeded}/100"
+            );
         }
     }
 
     #[test]
-    fn ring_keeps_the_tail_and_what_it_saw() {
-        // A stampede first, then legal traffic long enough to push the
-        // stampede out of the ring.
-        let calm = (1..=RING_RECORDS as u64 + 10).map(|i| i * 1_000);
-        let r = ring((0..20).chain(calm), CFG);
-        assert_eq!(r.records().count(), RING_RECORDS);
-        assert_eq!(r.dropped(), 30);
-        assert_eq!(
-            r.records().last().map(|r| r.time_ns),
-            Some((RING_RECORDS as u64 + 10) * 1_000)
-        );
-        let tail: Vec<_> = r.records().copied().collect();
-        assert!(
-            check_no_stampede(&tail, CFG).is_empty(),
-            "tail alone is clean"
-        );
-        assert!(
-            r.stampedes().next().is_some(),
-            "truncation must not hide the burst"
-        );
-        assert!(r.heap_bytes() >= (RING_RECORDS * std::mem::size_of::<SwitchRecord>()) as u64);
+    fn check_keeps_its_lookback_and_what_it_saw() {
+        // A stampede first, then legal traffic long enough to leave it
+        // far behind the look-back.
+        let times: Vec<_> = (0..20).chain((1..=10_000).map(|i| i * 1_000)).collect();
+        let c = check(&times, CFG);
+        assert!(c.stampedes().next().is_some(), "the burst must stay seen");
+        assert_eq!(c.times.len(), c.lookback());
+        assert_eq!(c.heap_bytes(), 8 * c.lookback() as u64);
     }
 
     #[test]
@@ -333,9 +361,7 @@ mod tests {
             period_ns: 100,
         };
         // burst + 3 switches at one instant break the 1-period window;
-        // the ring must still hold the record that opens it.
-        let r = ring(std::iter::repeat_n(7, 10_003), cfg);
-        assert_eq!(r.dropped(), 0);
-        assert_eq!(r.stampedes().count(), 1);
+        // the look-back must still reach the commit that opens it.
+        assert_eq!(agree(&[7; 10_003], cfg), [(100, 7)]);
     }
 }
