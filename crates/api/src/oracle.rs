@@ -13,10 +13,10 @@
 //! * [`check_at_most_one_valid`] — the §3.2.3 manager invariant:
 //!   replaying the change operations in serialization order, at most
 //!   one protocol object is ever valid.
-//! * [`switch_events_to_records`] — lowers a [`SwitchEvent`] stream (the
-//!   kernel's commit log) into change-operation records, so both
-//!   checkers run against any instrumented reactive object without
-//!   per-object recording code.
+//! * [`check_switch_history`] — a [`SwitchEvent`] stream (the kernel's
+//!   commit log) replayed as a chain: each change leaves the protocol
+//!   the previous one entered, so any instrumented reactive object is
+//!   checked without per-object recording code.
 
 use crate::{ProtocolId, SwitchEvent};
 
@@ -154,57 +154,48 @@ pub fn check_no_lost_waiters(
     Ok(())
 }
 
-/// Lower a committed-switch event stream into change-operation records:
-/// each event becomes an `Invalidate(from)` immediately followed by a
-/// `Validate(to)` at the commit instant (the kernel serializes the
-/// whole transaction under one consensus holder, so the pair is
-/// atomic with respect to every other change).
+/// Check a kernel commit log against §3.2 by replaying it as a chain.
 ///
-/// Because commit instants are points, the intervals are zero-length
-/// and [`check_c_serial`] holds *by construction* for any lowering —
-/// the kernel's serialization is what makes the history C-serial, and
-/// the record format encodes exactly that. The operative check on a
-/// lowered log is therefore [`check_at_most_one_valid`], which catches
-/// inconsistent event chains (e.g. two changes leaving the same
-/// protocol without an intervening change back).
-///
-/// Feed the result to [`check_at_most_one_valid`] with `initial_valid`
-/// set to the object's initial protocol, or use
-/// [`check_switch_history`].
-pub fn switch_events_to_records(events: &[SwitchEvent]) -> Vec<OpRecord> {
-    let mut out = Vec::with_capacity(events.len() * 2);
-    for ev in events {
-        out.push(OpRecord {
-            proc_id: 0,
-            obj: ev.from.index(),
-            kind: OpKind::Invalidate,
-            start: ev.time,
-            end: ev.time,
-            valid_execution: true,
-        });
-        out.push(OpRecord {
-            proc_id: 0,
-            obj: ev.to.index(),
-            kind: OpKind::Validate,
-            start: ev.time,
-            end: ev.time,
-            valid_execution: true,
-        });
-    }
-    out
-}
-
-/// Convenience wrapper: run both checkers against a kernel commit log
-/// (see [`switch_events_to_records`]: for point-interval lowerings the
-/// at-most-one-valid replay is the discriminating check).
+/// Every change is made by the holder of the consensus object of the
+/// one valid protocol, so a log is correct exactly when each event
+/// leaves the protocol the previous event entered (`initial` for the
+/// first), enters a different one of the `protocols` slots, and is
+/// stamped no earlier than its predecessor. The replay keeps two
+/// values, the valid protocol and the last commit time; the first
+/// event that breaks a rule is named, by index, in the `Err`.
 pub fn check_switch_history(
     events: &[SwitchEvent],
     protocols: usize,
     initial: ProtocolId,
 ) -> Result<(), String> {
-    let records = switch_events_to_records(events);
-    check_c_serial(&records)?;
-    check_at_most_one_valid(&records, protocols, initial.index())
+    if initial.index() >= protocols {
+        return Err(format!(
+            "initial protocol {initial} is not one of {protocols} slots"
+        ));
+    }
+    let (mut valid, mut last) = (initial, 0);
+    for (i, ev) in events.iter().enumerate() {
+        let broken = if ev.from != valid {
+            format!("leaves {} while {valid} is the valid protocol", ev.from)
+        } else if ev.to == valid {
+            format!("switches {valid} to itself")
+        } else if ev.to.index() >= protocols {
+            format!("enters {}, not one of {protocols} slots", ev.to)
+        } else if ev.time < last {
+            format!(
+                "commits at t={} before its predecessor at t={last}",
+                ev.time
+            )
+        } else {
+            (valid, last) = (ev.to, ev.time);
+            continue;
+        };
+        return Err(format!(
+            "event {i} ({} -> {} at t={}) {broken}",
+            ev.from, ev.to, ev.time
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -480,29 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn event_streams_lower_to_well_formed_histories() {
-        let a = ProtocolId(0);
-        let b = ProtocolId(1);
-        let evs = vec![
-            SwitchEvent {
-                time: 10,
-                from: a,
-                to: b,
-                residual: 1.0,
-            },
-            SwitchEvent {
-                time: 20,
-                from: b,
-                to: a,
-                residual: 2.0,
-            },
-        ];
-        let recs = switch_events_to_records(&evs);
-        assert_eq!(recs.len(), 4);
-        assert!(check_switch_history(&evs, 2, a).is_ok());
-    }
-
-    #[test]
     fn crash_lock_checkers_accept_a_faulty_but_correct_history() {
         use LockOpKind::*;
         // p0 acquires, crashes in CS, recovers; p1's wait spans the
@@ -522,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_histories_catch_inconsistent_event_chains() {
+    fn replay_catches_inconsistent_event_chains() {
         // A second A -> B change without an intervening change back
         // means two protocols would have been valid.
         let a = ProtocolId(0);
@@ -541,6 +509,7 @@ mod tests {
                 residual: 0.0,
             },
         ];
+        assert!(check_switch_history(&evs[..1], 3, a).is_ok());
         assert!(check_switch_history(&evs, 3, a).is_err());
     }
 }

@@ -47,8 +47,78 @@ fn double_valid_commit_log_is_rejected() {
     let bad = vec![ev(10, 0, 1), ev(30, 0, 2)];
     let err = check_switch_history(&bad, 3, ProtocolId(0)).unwrap_err();
     assert!(
-        err.contains("2 objects valid"),
-        "rejection must name the double-valid count, got: {err}"
+        err.contains("event 1 (P0 -> P2 at t=30) leaves P0 while P1 is the valid protocol"),
+        "rejection must name the event that broke the chain, got: {err}"
+    );
+}
+
+/// Commit-log corruption (a): the same `A -> B` committed twice, the
+/// footprint of two consensus holders at once (the `double_commit`
+/// mutant of the kernel).
+#[test]
+fn repeated_commit_is_rejected() {
+    assert!(check_switch_history(&[ev(10, 0, 1)], 2, ProtocolId(0)).is_ok());
+
+    let bad = [ev(10, 0, 1), ev(20, 0, 1)];
+    let err = check_switch_history(&bad, 2, ProtocolId(0)).unwrap_err();
+    assert!(err.starts_with("event 1 "), "must name event 1, got: {err}");
+    assert!(
+        err.contains("leaves P0 while P1 is the valid protocol"),
+        "got: {err}"
+    );
+}
+
+/// Commit-log corruption (b): the first change leaves `B` although `A`
+/// is the initial protocol.
+#[test]
+fn first_commit_leaving_the_wrong_protocol_is_rejected() {
+    assert!(check_switch_history(&[ev(10, 1, 0)], 2, ProtocolId(1)).is_ok());
+
+    let err = check_switch_history(&[ev(10, 1, 0)], 2, ProtocolId(0)).unwrap_err();
+    assert!(err.starts_with("event 0 "), "must name event 0, got: {err}");
+    assert!(
+        err.contains("leaves P1 while P0 is the valid protocol"),
+        "got: {err}"
+    );
+}
+
+/// Commit-log corruption (c): a self-switch `A -> A` is no change at
+/// all, so no consensus holder would commit it.
+#[test]
+fn self_switch_is_rejected() {
+    let bad = [ev(10, 0, 1), ev(20, 1, 1)];
+    let err = check_switch_history(&bad, 2, ProtocolId(0)).unwrap_err();
+    assert!(err.starts_with("event 1 "), "must name event 1, got: {err}");
+    assert!(err.contains("switches P1 to itself"), "got: {err}");
+}
+
+/// Commit-log corruption (d): an event entering slot 5 of an object
+/// with 2 protocols is an error, not a panic; so is an out-of-range
+/// initial protocol.
+#[test]
+fn out_of_range_slot_is_rejected() {
+    let bad = [ev(10, 0, 1), ev(20, 1, 5)];
+    let err = check_switch_history(&bad, 2, ProtocolId(0)).unwrap_err();
+    assert!(err.starts_with("event 1 "), "must name event 1, got: {err}");
+    assert!(err.contains("enters P5, not one of 2 slots"), "got: {err}");
+
+    let err = check_switch_history(&[], 2, ProtocolId(5)).unwrap_err();
+    assert!(err.contains("initial protocol P5"), "got: {err}");
+}
+
+/// Commit-log corruption (e): a commit stamped before the one it
+/// follows. Commits are serialized, so their times cannot go back.
+#[test]
+fn commit_stamped_before_its_predecessor_is_rejected() {
+    let good = [ev(10, 0, 1), ev(10, 1, 0), ev(30, 0, 1)];
+    assert!(check_switch_history(&good, 2, ProtocolId(0)).is_ok());
+
+    let bad = [ev(10, 0, 1), ev(30, 1, 0), ev(20, 0, 1)];
+    let err = check_switch_history(&bad, 2, ProtocolId(0)).unwrap_err();
+    assert!(err.starts_with("event 2 "), "must name event 2, got: {err}");
+    assert!(
+        err.contains("commits at t=20 before its predecessor at t=30"),
+        "got: {err}"
     );
 }
 

@@ -241,35 +241,9 @@ impl WaitAlg {
     }
 }
 
-/// A waiting strategy of any algorithm (enum dispatch over [`WaitAlg`]).
-#[derive(Clone, Copy, Debug)]
-pub enum AnyWait {
-    /// Always poll.
-    Spin(AlwaysSpin),
-    /// Always block.
-    Block(AlwaysBlock),
-    /// Two-phase.
-    TwoPhase(TwoPhase),
-    /// Switch-spin.
-    SwitchSpin(SwitchSpin),
-    /// Two-phase switch-spin.
-    TwoPhaseSs(TwoPhaseSwitchSpin),
-}
-
-impl AnyWait {
-    /// Construct from the algorithm selector.
-    pub fn make(alg: WaitAlg) -> AnyWait {
-        match alg {
-            WaitAlg::Spin => AnyWait::Spin(AlwaysSpin),
-            WaitAlg::Block => AnyWait::Block(AlwaysBlock),
-            WaitAlg::TwoPhase(l) => AnyWait::TwoPhase(TwoPhase::new(l)),
-            WaitAlg::SwitchSpin => AnyWait::SwitchSpin(SwitchSpin),
-            WaitAlg::TwoPhaseSwitchSpin(l) => AnyWait::TwoPhaseSs(TwoPhaseSwitchSpin { lpoll: l }),
-        }
-    }
-}
-
-impl WaitStrategy for AnyWait {
+/// Enum dispatch: each wait builds the selected algorithm's strategy
+/// value and runs it.
+impl WaitStrategy for WaitAlg {
     async fn wait(
         &self,
         cpu: &Cpu,
@@ -277,12 +251,14 @@ impl WaitStrategy for AnyWait {
         q: WaitQueueId,
         cond: impl Fn([u64; 2]) -> Option<u64> + Unpin,
     ) -> u64 {
-        match self {
-            AnyWait::Spin(w) => w.wait(cpu, addr, q, cond).await,
-            AnyWait::Block(w) => w.wait(cpu, addr, q, cond).await,
-            AnyWait::TwoPhase(w) => w.wait(cpu, addr, q, cond).await,
-            AnyWait::SwitchSpin(w) => w.wait(cpu, addr, q, cond).await,
-            AnyWait::TwoPhaseSs(w) => w.wait(cpu, addr, q, cond).await,
+        match *self {
+            WaitAlg::Spin => AlwaysSpin.wait(cpu, addr, q, cond).await,
+            WaitAlg::Block => AlwaysBlock.wait(cpu, addr, q, cond).await,
+            WaitAlg::TwoPhase(l) => TwoPhase::new(l).wait(cpu, addr, q, cond).await,
+            WaitAlg::SwitchSpin => SwitchSpin.wait(cpu, addr, q, cond).await,
+            WaitAlg::TwoPhaseSwitchSpin(lpoll) => {
+                TwoPhaseSwitchSpin { lpoll }.wait(cpu, addr, q, cond).await
+            }
         }
     }
 }
@@ -406,13 +382,12 @@ mod tests {
         ] {
             let m = Machine::new(Config::default().nodes(4));
             let lock = WaitLock::new(&m, 0);
-            let w = AnyWait::make(alg);
             let shared = m.alloc_on(1, 1);
             for p in 0..4 {
                 let cpu = m.cpu(p);
                 m.spawn(p, async move {
                     for _ in 0..10 {
-                        lock.acquire(&cpu, &w).await;
+                        lock.acquire(&cpu, &alg).await;
                         let v = cpu.read(shared).await;
                         cpu.work(20).await;
                         cpu.write(shared, v + 1).await;

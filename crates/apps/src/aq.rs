@@ -16,7 +16,7 @@ use std::rc::Rc;
 use alewife_sim::{Config, Machine};
 use sync_protocols::pc::FutureCell;
 
-use crate::alg::{AnyFetchOp, AnyWait, FetchOpAlg, WaitAlg};
+use crate::alg::{AnyFetchOp, FetchOpAlg, WaitAlg};
 use crate::AppResult;
 
 /// AQ configuration.
@@ -162,10 +162,10 @@ pub fn run_queue(cfg: &AqConfig) -> AppResult {
 pub fn run_futures(cfg: &AqConfig) -> AppResult {
     let m = Machine::new(Config::default().nodes(cfg.procs).seed(cfg.seed));
     let result = m.alloc_on(0, 1);
-    let w = AnyWait::make(match cfg.wait {
+    let w = match cfg.wait {
         WaitAlg::Spin => WaitAlg::SwitchSpin,
         other => other,
-    });
+    };
     let procs = cfg.procs;
     let max_depth = cfg.depth.min(7);
 
@@ -173,7 +173,7 @@ pub fn run_futures(cfg: &AqConfig) -> AppResult {
     fn eval(
         m_nodes: usize,
         cpu: alewife_sim::Cpu,
-        w: AnyWait,
+        w: WaitAlg,
         id: u64,
         depth: u32,
         max_depth: u32,

@@ -7,7 +7,7 @@
 use alewife_sim::{Config, Machine};
 use sync_protocols::barrier::{BarrierCtx, SenseBarrier};
 
-use crate::alg::{AnyWait, WaitAlg};
+use crate::alg::WaitAlg;
 use crate::AppResult;
 
 /// CGrad configuration.
@@ -43,7 +43,7 @@ pub fn run(cfg: &CgradConfig) -> AppResult {
     let m = Machine::new(Config::default().nodes(cfg.procs).seed(cfg.seed));
     let bar = SenseBarrier::new(&m, 0, cfg.procs as u64);
     let dot = m.alloc_on(0, 1);
-    let w = AnyWait::make(cfg.wait);
+    let w = cfg.wait;
 
     for p in 0..cfg.procs {
         let cpu = m.cpu(p);

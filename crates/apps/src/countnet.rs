@@ -8,7 +8,7 @@
 
 use alewife_sim::{Config, Machine};
 
-use crate::alg::{AnyWait, WaitAlg, WaitLock};
+use crate::alg::{WaitAlg, WaitLock};
 use crate::AppResult;
 
 /// CountNet configuration.
@@ -52,7 +52,7 @@ pub fn run(cfg: &CountNetConfig) -> AppResult {
         .collect();
     let toggles = m.alloc_on(0, BALANCERS.len() as u64);
     let wires = m.alloc_on(1, WIDTH as u64);
-    let w = AnyWait::make(cfg.wait);
+    let w = cfg.wait;
 
     for p in 0..cfg.procs {
         let cpu = m.cpu(p);

@@ -8,7 +8,7 @@
 use alewife_sim::{Config, Cpu, Machine};
 use sync_protocols::pc::FutureCell;
 
-use crate::alg::{AnyWait, WaitAlg};
+use crate::alg::WaitAlg;
 use crate::AppResult;
 
 /// Fib configuration.
@@ -51,7 +51,7 @@ fn fib_exact(n: u32) -> u64 {
 
 fn fib_task(
     cpu: Cpu,
-    w: AnyWait,
+    w: WaitAlg,
     n: u32,
     cutoff: u32,
     procs: usize,
@@ -89,10 +89,10 @@ fn fib_task(
 /// deadlock (§2.2.4); Alewife's futures poll by switch-spinning.
 pub fn run(cfg: &FibConfig) -> AppResult {
     let m = Machine::new(Config::default().nodes(cfg.procs).seed(cfg.seed));
-    let w = AnyWait::make(match cfg.wait {
+    let w = match cfg.wait {
         WaitAlg::Spin => WaitAlg::SwitchSpin,
         other => other,
-    });
+    };
     let result = m.alloc_on(0, 1);
     let root = FutureCell::new(&m, 0);
     let (n, cutoff, procs) = (cfg.n, cfg.cutoff, cfg.procs);

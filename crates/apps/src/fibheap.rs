@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use alewife_sim::{Config, Machine};
 
-use crate::alg::{AnyWait, WaitAlg, WaitLock};
+use crate::alg::{WaitAlg, WaitLock};
 use crate::AppResult;
 
 /// FibHeap configuration.
@@ -48,7 +48,7 @@ pub fn run(cfg: &FibHeapConfig) -> AppResult {
     let m = Machine::new(Config::default().nodes(cfg.procs).seed(cfg.seed));
     let lock = WaitLock::new(&m, 0);
     let heap: Rc<RefCell<BinaryHeap<u64>>> = Rc::new(RefCell::new(BinaryHeap::new()));
-    let w = AnyWait::make(cfg.wait);
+    let w = cfg.wait;
 
     for p in 0..cfg.procs {
         let cpu = m.cpu(p);

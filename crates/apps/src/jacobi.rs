@@ -13,7 +13,7 @@ use alewife_sim::{Config, Machine};
 use sync_protocols::barrier::{BarrierCtx, SenseBarrier};
 use sync_protocols::pc::JStructure;
 
-use crate::alg::{AnyWait, WaitAlg};
+use crate::alg::WaitAlg;
 use crate::AppResult;
 
 /// Jacobi configuration.
@@ -53,7 +53,7 @@ pub fn run_jstructures(cfg: &JacobiConfig) -> AppResult {
     // One slot per (iteration, proc, side): publish down-edge and
     // up-edge values each iteration.
     let slots = JStructure::new(&m, cfg.iterations * cfg.procs * 2);
-    let w = AnyWait::make(cfg.wait);
+    let w = cfg.wait;
     let procs = cfg.procs;
 
     for p in 0..procs {
@@ -88,7 +88,7 @@ pub fn run_jstructures(cfg: &JacobiConfig) -> AppResult {
 pub fn run_barrier(cfg: &JacobiConfig) -> AppResult {
     let m = Machine::new(Config::default().nodes(cfg.procs).seed(cfg.seed));
     let bar = SenseBarrier::new(&m, 0, cfg.procs as u64);
-    let w = AnyWait::make(cfg.wait);
+    let w = cfg.wait;
 
     for p in 0..cfg.procs {
         let cpu = m.cpu(p);

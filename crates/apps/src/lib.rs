@@ -22,7 +22,7 @@
 //! | [`mutex_app`] | Synthetic mutex benchmark | one mutex, tunable load |
 //!
 //! The [`alg`] module provides runtime-selectable wrappers
-//! ([`alg::AnyLock`], [`alg::AnyFetchOp`], [`alg::AnyWait`],
+//! ([`alg::AnyLock`], [`alg::AnyFetchOp`], [`alg::WaitAlg`],
 //! [`alg::WaitLock`]) so the benchmark harness can sweep algorithms.
 
 #![deny(missing_docs)]

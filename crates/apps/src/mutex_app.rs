@@ -4,7 +4,7 @@
 
 use alewife_sim::{Config, Machine};
 
-use crate::alg::{AnyWait, WaitAlg, WaitLock};
+use crate::alg::{WaitAlg, WaitLock};
 use crate::AppResult;
 
 /// Mutex benchmark configuration.
@@ -43,7 +43,7 @@ pub fn run(cfg: &MutexConfig) -> AppResult {
     let m = Machine::new(Config::default().nodes(cfg.procs).seed(cfg.seed));
     let lock = WaitLock::new(&m, 0);
     let counter = m.alloc_on(1 % cfg.procs, 1);
-    let w = AnyWait::make(cfg.wait);
+    let w = cfg.wait;
 
     for p in 0..cfg.procs {
         let cpu = m.cpu(p);

@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use alewife_sim::{Config, FaultPlan, Machine, Stats};
-use sim_apps::alg::{AnyWait, WaitAlg, WaitLock};
+use sim_apps::alg::{WaitAlg, WaitLock};
 use sync_protocols::pc::FutureCell;
 
 const SEED: u64 = 0x5EED_601D;
@@ -80,14 +80,13 @@ fn run_wait_lock(alg: WaitAlg) -> u64 {
     let m = Machine::new(Config::default().nodes(NODES).contexts(2).seed(SEED));
     let lock = WaitLock::new(&m, 0);
     let counter = m.alloc_on(1, 1);
-    let w = AnyWait::make(alg);
     let done = trace_table(THREADS);
     for t in 0..THREADS {
         let cpu = m.cpu(t % NODES);
         let done = done.clone();
         m.spawn(t % NODES, async move {
             for _ in 0..OPS {
-                lock.acquire(&cpu, &w).await;
+                lock.acquire(&cpu, &alg).await;
                 let v = cpu.read(counter).await;
                 cpu.work(120).await;
                 cpu.write(counter, v + 1).await;
@@ -114,7 +113,6 @@ fn run_wait_lock(alg: WaitAlg) -> u64 {
 fn run_futures(alg: WaitAlg) -> u64 {
     const CELLS: usize = 10;
     let m = Machine::new(Config::default().nodes(4).contexts(2).seed(SEED));
-    let w = AnyWait::make(alg);
     let cells: Vec<Vec<FutureCell>> = (0..2)
         .map(|n| (0..CELLS).map(|_| FutureCell::new(&m, n)).collect())
         .collect();
@@ -136,7 +134,7 @@ fn run_futures(alg: WaitAlg) -> u64 {
             let mut sum = 0;
             for i in 0..CELLS {
                 for producer in &cells {
-                    sum += producer[i].touch(&cpu, &w).await;
+                    sum += producer[i].touch(&cpu, &alg).await;
                     cpu.work(cpu.rand_below(200)).await;
                 }
             }

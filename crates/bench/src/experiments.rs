@@ -4,8 +4,8 @@ use std::fmt::Debug;
 use std::rc::Rc;
 
 use alewife_sim::{Config, CostModel, Machine};
-use reactive_core::policy::{Instrument, SwitchLog};
-use reactive_core::ReactiveBarrier;
+use reactive_core::policy::SwitchLog;
+use reactive_core::{barrier, ReactiveBarrier};
 use sim_apps::alg::{AnyLock, LockAlg};
 use sync_protocols::barrier::{BarrierCtx, SenseBarrier, TreeBarrier};
 use sync_protocols::fetch_op::FetchOp;
@@ -190,20 +190,21 @@ pub fn multi_object(pattern: &Pattern, alg: Option<LockAlg>, acq_per_proc: u64) 
 /// high-contention (16 procs, 100-cycle CS, 250-cycle think) phases.
 /// `period_len` = locks acquired per period, `contention_pct` = fraction
 /// acquired in the high phase, `periods` repetitions. Runs on the
-/// 16-node prototype cost model. Returns elapsed cycles. `sink`, when
-/// given, is attached to the lock as its switch-event sink, so figure
-/// reproductions read protocol-change counts from the reactive API
-/// instead of poking object internals.
-pub fn time_varying_with(
+/// 16-node prototype cost model. Returns `(elapsed_cycles,
+/// protocol_switches)`, the switches read from a [`SwitchLog`] attached
+/// to the lock (always 0 for the static algorithms), so scenarios can
+/// claim both the cost and the adaptation behaviour of a reactive
+/// variant.
+pub fn time_varying(
     alg: LockAlg,
     period_len: u64,
     contention_pct: u64,
     periods: u64,
-    sink: Option<Rc<dyn Instrument>>,
-) -> u64 {
+) -> (u64, u64) {
     let procs = 16usize;
     let m = Machine::new(Config::default().nodes(procs).cost(CostModel::prototype()));
-    let lock = AnyLock::make_instrumented(&m, 0, alg, procs, sink);
+    let log = Rc::new(SwitchLog::new());
+    let lock = AnyLock::make_instrumented(&m, 0, alg, procs, Some(log.clone()));
     let bar = SenseBarrier::new(&m, 0, procs as u64);
     let high_total = period_len * contention_pct / 100;
     let high_each = (high_total / procs as u64).max(1);
@@ -237,27 +238,7 @@ pub fn time_varying_with(
     }
     let elapsed = m.run();
     assert_eq!(m.live_tasks(), 0, "time-varying deadlock");
-    elapsed
-}
-
-/// [`time_varying_with`] with a fresh [`SwitchLog`] attached: returns
-/// `(elapsed_cycles, protocol_switches)` so scenarios can claim both
-/// the cost and the adaptation behaviour of a reactive variant.
-pub fn time_varying_counted(
-    alg: LockAlg,
-    period_len: u64,
-    contention_pct: u64,
-    periods: u64,
-) -> (u64, u64) {
-    let log = Rc::new(SwitchLog::new());
-    let t = time_varying_with(
-        alg,
-        period_len,
-        contention_pct,
-        periods,
-        Some(log.clone() as Rc<dyn Instrument>),
-    );
-    (t, log.count() as u64)
+    (elapsed, log.count() as u64)
 }
 
 /// Barrier arrival protocols compared by the `barrier_reactive`
@@ -272,16 +253,8 @@ pub enum BarrierAlg {
     Reactive,
 }
 
-/// Arrival-tree fanout used by the barrier experiments.
-pub const BARRIER_FANOUT: usize = 4;
-
-/// Cycles per barrier round for `procs` participants.
-pub fn barrier_overhead_n(alg: BarrierAlg, procs: usize, rounds: u64) -> f64 {
-    barrier_overhead_counted(alg, procs, rounds).0
-}
-
-/// [`barrier_overhead_n`] plus the reactive barrier's protocol-switch
-/// count (0 for the static protocols).
+/// Cycles per barrier round for `procs` participants, and the reactive
+/// barrier's protocol-switch count (0 for the static protocols).
 pub fn barrier_overhead_counted(alg: BarrierAlg, procs: usize, rounds: u64) -> (f64, u64) {
     #[derive(Clone)]
     enum AnyBar {
@@ -292,12 +265,8 @@ pub fn barrier_overhead_counted(alg: BarrierAlg, procs: usize, rounds: u64) -> (
     let m = Machine::new(Config::default().nodes(procs));
     let bar = match alg {
         BarrierAlg::Central => AnyBar::Central(SenseBarrier::new(&m, 0, procs as u64)),
-        BarrierAlg::Tree => AnyBar::Tree(TreeBarrier::new(&m, 0, procs, BARRIER_FANOUT)),
-        BarrierAlg::Reactive => AnyBar::Reactive(
-            ReactiveBarrier::builder(&m, 0, procs)
-                .fanout(BARRIER_FANOUT)
-                .build(),
-        ),
+        BarrierAlg::Tree => AnyBar::Tree(TreeBarrier::new(&m, 0, procs, barrier::FANOUT)),
+        BarrierAlg::Reactive => AnyBar::Reactive(ReactiveBarrier::new(&m, 0, procs)),
     };
     for p in 0..procs {
         let cpu = m.cpu(p);
@@ -380,7 +349,7 @@ mod tests {
 
     #[test]
     fn time_varying_runs() {
-        let t = time_varying_with(LockAlg::Reactive, 64, 50, 2, None);
+        let (t, _) = time_varying(LockAlg::Reactive, 64, 50, 2);
         assert!(t > 0);
     }
 }

@@ -894,8 +894,8 @@ fn fig_3_21() -> Scenario {
             let mut ratio = Vec::new();
             let mut switches = Vec::new();
             for &l in lengths {
-                let mcs = exp::time_varying_with(LockAlg::Mcs, l, pct, periods, None) as f64;
-                let (t, s) = exp::time_varying_counted(LockAlg::Reactive, l, pct, periods);
+                let mcs = exp::time_varying(LockAlg::Mcs, l, pct, periods).0 as f64;
+                let (t, s) = exp::time_varying(LockAlg::Reactive, l, pct, periods);
                 ratio.push((l as f64, t as f64 / mcs));
                 switches.push((l as f64, s as f64));
             }
@@ -989,9 +989,9 @@ fn fig_3_22() -> Scenario {
         let mut comp_sw = Vec::new();
         let mut always_sw = Vec::new();
         for &l in lengths {
-            let mcs = exp::time_varying_with(LockAlg::Mcs, l, pct, periods, None) as f64;
-            let (ta, sa) = exp::time_varying_counted(LockAlg::Reactive, l, pct, periods);
-            let (tc, sc) = exp::time_varying_counted(LockAlg::ReactiveCompetitive, l, pct, periods);
+            let mcs = exp::time_varying(LockAlg::Mcs, l, pct, periods).0 as f64;
+            let (ta, sa) = exp::time_varying(LockAlg::Reactive, l, pct, periods);
+            let (tc, sc) = exp::time_varying(LockAlg::ReactiveCompetitive, l, pct, periods);
             always.push((l as f64, ta as f64 / mcs));
             comp.push((l as f64, tc as f64 / mcs));
             always_sw.push((l as f64, sa as f64));
@@ -1079,9 +1079,9 @@ fn fig_3_23() -> Scenario {
             row("always/mcs", LockAlg::Reactive),
         ];
         for &l in lengths {
-            let mcs = exp::time_varying_with(LockAlg::Mcs, l, pct, periods, None) as f64;
+            let mcs = exp::time_varying(LockAlg::Mcs, l, pct, periods).0 as f64;
             for r in rows.iter_mut() {
-                let (t, s) = exp::time_varying_counted(r.alg, l, pct, periods);
+                let (t, s) = exp::time_varying(r.alg, l, pct, periods);
                 r.ratio.push((l as f64, t as f64 / mcs));
                 r.switches.push((l as f64, s as f64));
             }
@@ -1919,9 +1919,12 @@ fn barrier_reactive() -> Scenario {
             let x = p as f64;
             central.push((
                 x,
-                exp::barrier_overhead_n(exp::BarrierAlg::Central, p, rounds),
+                exp::barrier_overhead_counted(exp::BarrierAlg::Central, p, rounds).0,
             ));
-            tree.push((x, exp::barrier_overhead_n(exp::BarrierAlg::Tree, p, rounds)));
+            tree.push((
+                x,
+                exp::barrier_overhead_counted(exp::BarrierAlg::Tree, p, rounds).0,
+            ));
             let (r, s) = exp::barrier_overhead_counted(exp::BarrierAlg::Reactive, p, rounds);
             reactive.push((x, r));
             switches_hi = s;

@@ -5,8 +5,8 @@
 //! as to locks and fetch-and-op: a **centralized sense-reversing
 //! barrier** has minimal fixed cost but every arrival contends on one
 //! counter line, while a **software combining arrival tree** bounds
-//! sharing per line at `fanout` but pays a level of counter updates per
-//! `log_f P`. This object selects between them at run time.
+//! sharing per line at [`FANOUT`] but pays a level of counter updates
+//! per `log_f P`. This object selects between them at run time.
 //!
 //! It exists to demonstrate the switching-kernel architecture: the
 //! whole mode-change machinery — registration, valid/invalid
@@ -58,17 +58,18 @@ pub const CENTRAL_LAT_LIMIT: u64 = 60;
 pub const TREE_LAT_LOW: u64 = 45;
 /// Consecutive calm tree rounds before proposing the central protocol.
 pub const TREE_CALM_LIMIT: u64 = 3;
+/// Arrival-tree fanout: processors sharing one counter line.
+pub const FANOUT: usize = 4;
 
 impl Reactive for ReactiveBarrier {
-    /// The arrival-tree fanout.
-    type Params = usize;
+    type Params = ();
 
     const PROTOCOLS: &'static [(&'static str, SwitchStyle)] = &[
         ("central-sense", SwitchStyle::Handoff),
         ("combining-tree", SwitchStyle::Handoff),
     ];
 
-    fn assemble(m: &Machine, home: usize, n: usize, fanout: usize, kernel: Rc<SimKernel>) -> Self {
+    fn assemble(m: &Machine, home: usize, n: usize, _: (), kernel: Rc<SimKernel>) -> Self {
         let count = m.alloc_on(home, 1);
         let sense = m.alloc_on(home, 1);
         let mode = m.alloc_on(home, 1);
@@ -77,7 +78,7 @@ impl Reactive for ReactiveBarrier {
             count,
             sense,
             mode,
-            tree: ArrivalTree::new(m, n, fanout),
+            tree: ArrivalTree::new(m, n, FANOUT),
             q: m.new_wait_queue(),
             participants: n as u64,
             kernel,
@@ -88,15 +89,6 @@ impl Reactive for ReactiveBarrier {
 }
 
 impl InitialProtocol for ReactiveBarrier {}
-
-impl Builder<'_, ReactiveBarrier> {
-    /// Arrival-tree fanout (processors sharing one counter line;
-    /// default 4).
-    pub fn fanout(mut self, f: usize) -> Self {
-        self.params = f;
-        self
-    }
-}
 
 /// A reactive barrier: centralized sense-reversing under light arrival
 /// contention, combining arrival tree under heavy, switching at run
@@ -131,11 +123,11 @@ impl ReactiveBarrier {
     /// own node), homed on `home`.
     pub fn builder(m: &Machine, home: usize, participants: usize) -> Builder<'_, ReactiveBarrier> {
         assert!(participants > 0, "barrier needs at least one participant");
-        Builder::new(m, home, participants, 4)
+        Builder::new(m, home, participants, ())
     }
 
     /// Create with defaults (central protocol initially,
-    /// [`Always`](crate::policy::Always) policy, fanout 4).
+    /// [`Always`](crate::policy::Always) policy).
     pub fn new(m: &Machine, home: usize, participants: usize) -> ReactiveBarrier {
         ReactiveBarrier::builder(m, home, participants).build()
     }

@@ -1,8 +1,8 @@
 //! The one builder every simulator reactive object is constructed
 //! through. It carries the kernel's own [`KernelBuilder`]; what differs
 //! from object to object is its [`Reactive`] impl (protocol table, word
-//! layout) and which options it offers: `max_procs` ([`MaxProcs`]),
-//! `initial_protocol` ([`InitialProtocol`]), and the barrier's `fanout`.
+//! layout) and which options it offers: `max_procs` ([`MaxProcs`]) and
+//! `initial_protocol` ([`InitialProtocol`]).
 
 use std::rc::Rc;
 
@@ -14,8 +14,7 @@ use crate::policy::{
 
 /// A simulator reactive object that [`Builder`] constructs.
 pub trait Reactive: Sized {
-    /// The object's own parameters (the MP manager node, the barrier's
-    /// fanout).
+    /// The object's own parameters (the MP manager node).
     type Params;
 
     /// The protocol slots as `(name, exit style)`, in id order.
@@ -41,7 +40,7 @@ pub struct Builder<'m, O: Reactive> {
     m: &'m Machine,
     home: usize,
     procs: usize,
-    pub(crate) params: O::Params,
+    params: O::Params,
     kernel: KernelBuilder<LocalWorld>,
 }
 

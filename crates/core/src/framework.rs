@@ -1,5 +1,5 @@
 //! The protocol-selection framework of §3.2: the naive lock-based
-//! reference design, plus the kernel's cross-object oracle.
+//! reference design and the checkers for its recorded histories.
 //!
 //! The practical reactive algorithms ([`crate::lock`],
 //! [`crate::fetch_op`]) collapse this layering for performance (§3.2.6)
@@ -12,8 +12,7 @@
 //!   correct for *any* protocol, but with the serialization overheads
 //!   §3.2.4 identifies.
 //! * [`History`] records per-object operation intervals, and the §3.2
-//!   checkers — re-exported from [`reactive_api::oracle`], where they
-//!   double as the **kernel's cross-object oracle** — verify them:
+//!   checkers — re-exported from [`reactive_api::oracle`] — verify them:
 //!   [`check_c_serial`] (Definition 1: every protocol-change operation
 //!   is totally ordered with respect to every other operation at its
 //!   object) and [`check_at_most_one_valid`] (§3.2.3: at any time, at
@@ -21,12 +20,13 @@
 //!   intervals* (the locked sections), whose C-seriality witnesses an
 //!   equivalent legal C-serial history for the full request/response
 //!   history.
-//! * [`switch_events_to_records`] lowers any kernel commit log into the
-//!   same record format, so every kernel-built reactive object — the
-//!   sim lock/fetch-op/MP objects, the barrier, the native lock — is
-//!   checked against the framework's correctness conditions in tests
-//!   (`crates/core/tests/kernel_oracle.rs`,
-//!   `crates/native/tests/kernel_oracle.rs`).
+//!
+//! Kernel-built reactive objects — the sim lock/fetch-op/MP objects,
+//! the barrier, the native lock — record no intervals: their commit logs
+//! are replayed as a chain by
+//! [`reactive_api::oracle::check_switch_history`] in tests
+//! (`crates/core/tests/kernel_oracle.rs`,
+//! `crates/native/tests/kernel_oracle.rs`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,10 +34,7 @@ use std::rc::Rc;
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::spin::{Lock, TtsLock};
 
-pub use reactive_api::oracle::{
-    check_at_most_one_valid, check_c_serial, check_switch_history, switch_events_to_records,
-    OpKind, OpRecord,
-};
+pub use reactive_api::oracle::{check_at_most_one_valid, check_c_serial, OpKind, OpRecord};
 
 /// A shared recorder of operation intervals.
 #[derive(Clone, Debug, Default)]

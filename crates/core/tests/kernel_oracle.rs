@@ -1,9 +1,7 @@
-//! The §3.2 framework checkers as a cross-object oracle: every
-//! kernel-built reactive object's commit log must lower to a legal
-//! change history in which at most one protocol is ever valid (the
-//! C-seriality half holds by construction for point-interval commit
-//! logs — the kernel serializes each change — so the validity replay
-//! is the discriminating check; see `reactive_api::oracle`).
+//! The §3.2 framework's correctness condition as a cross-object oracle:
+//! every kernel-built reactive object's commit log must replay as a
+//! chain — each change leaves the protocol the previous one entered, so
+//! at most one protocol is ever valid (see `reactive_api::oracle`).
 //!
 //! The naive reference design (`framework::NaiveManager`) is checked
 //! from its own recorded histories in the `framework` module tests;
@@ -16,7 +14,7 @@
 use std::rc::Rc;
 
 use alewife_sim::{Config, Machine};
-use reactive_core::framework::check_switch_history;
+use reactive_api::oracle::check_switch_history;
 use reactive_core::policy::{Instrument, SwitchLog};
 use reactive_core::{barrier, fetch_op, lock, mp, ReactiveBarrier, ReactiveFetchOp, ReactiveLock};
 use sync_protocols::barrier::BarrierCtx;

@@ -1,11 +1,9 @@
-//! The §3.2 framework checkers against the *native* reactive lock: the
-//! kernel's commit log from a real multi-threaded run must lower to a
-//! legal change history in which at most one protocol is ever valid
-//! (C-seriality holds by construction for point-interval commit logs;
-//! the validity replay is the discriminating check) — the
-//! same oracle the simulator-side objects are checked with
-//! (`reactive-core/tests/kernel_oracle.rs`), closing the cross-world
-//! loop.
+//! The §3.2 commit-log oracle against the *native* reactive lock: the
+//! kernel's commit log from a real multi-threaded run must replay as a
+//! chain in which each change leaves the protocol the previous one
+//! entered, in commit order — the same oracle the simulator-side
+//! objects are checked with (`reactive-core/tests/kernel_oracle.rs`),
+//! closing the cross-world loop.
 
 use std::sync::Arc;
 

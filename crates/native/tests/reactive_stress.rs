@@ -7,6 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
+use reactive_api::oracle::check_switch_history;
 use reactive_native::api::{Decision, Observation, Policy, SwitchLog};
 use reactive_native::reactive::{PROTO_QUEUE, PROTO_TTS};
 use reactive_native::{ReactiveLock, ReactiveMutex};
@@ -90,15 +91,7 @@ fn forced_flips_keep_mutual_exclusion_and_lose_no_wakeups() {
         "policy was consulted per acquisition; expected many forced flips, got {}",
         evs.len()
     );
-    let mut expect_from = PROTO_TTS;
-    let mut last_time = 0u64;
-    for ev in &evs {
-        assert_eq!(ev.from, expect_from, "switch chain broken");
-        assert_ne!(ev.from, ev.to);
-        assert!(ev.time >= last_time, "events out of commit order");
-        expect_from = ev.to;
-        last_time = ev.time;
-    }
+    check_switch_history(&evs, 2, PROTO_TTS).expect("switch chain broken");
 }
 
 #[test]

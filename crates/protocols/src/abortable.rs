@@ -51,13 +51,6 @@ pub enum Acquired {
     Aborted,
 }
 
-impl Acquired {
-    /// Whether the lock was obtained.
-    pub fn is_granted(&self) -> bool {
-        matches!(self, Acquired::Granted(_))
-    }
-}
-
 /// The abortable MCS-style queue lock. Cheaply cloneable.
 #[derive(Clone)]
 pub struct AbortableMcsLock {

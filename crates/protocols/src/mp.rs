@@ -182,12 +182,6 @@ impl MpQueueLock {
         self.state.borrow_mut().valid = true;
     }
 
-    /// Force the held bit (protocol changes leave the inactive sub-lock
-    /// busy so it can never be acquired, §3.3.1).
-    pub fn set_held(&self, held: bool) {
-        self.state.borrow_mut().held = held;
-    }
-
     /// Acquire; returns `false` if the manager bounced us (invalid).
     pub async fn try_acquire(&self, cpu: &Cpu) -> bool {
         cpu.rpc(self.manager, self.req, [0; 4]).await != MP_RETRY
@@ -220,7 +214,6 @@ pub struct MpCounter {
     port: Port,
     chg: Port,
     value: Rc<RefCell<u64>>,
-    valid: Rc<RefCell<bool>>,
 }
 
 impl MpCounter {
@@ -283,7 +276,6 @@ impl MpCounter {
             port,
             chg,
             value,
-            valid: valid_flag,
         }
     }
 
@@ -316,11 +308,6 @@ impl MpCounter {
     /// Set the value (protocol-change transfer).
     pub fn set_value(&self, v: u64) {
         *self.value.borrow_mut() = v;
-    }
-
-    /// Flip validity (protocol change).
-    pub fn set_valid(&self, v: bool) {
-        *self.valid.borrow_mut() = v;
     }
 
     /// One operation; `Err(())` means the manager bounced us (invalid).
@@ -379,7 +366,6 @@ pub struct MpCombiningTree {
     places: Rc<Vec<(usize, Port, Port)>>,
     leaves: usize,
     counter: Rc<RefCell<u64>>,
-    valid: Rc<RefCell<bool>>,
     chg: Port,
 }
 
@@ -533,7 +519,6 @@ impl MpCombiningTree {
             places,
             leaves,
             counter,
-            valid: valid_flag,
             chg,
         };
         let _ = root_place;
@@ -574,14 +559,6 @@ impl MpCombiningTree {
     /// Set the counter (protocol-change transfer).
     pub fn set_value(&self, v: u64) {
         *self.counter.borrow_mut() = v;
-    }
-
-    /// Flip validity (protocol change): an invalid root answers every
-    /// combined batch with [`MP_RETRY`], which fans back down to all
-    /// combined requesters — the message-passing analogue of aborting at
-    /// an invalid consensus object.
-    pub fn set_valid(&self, v: bool) {
-        *self.valid.borrow_mut() = v;
     }
 
     /// One operation; `Err(())` means the root bounced the batch.

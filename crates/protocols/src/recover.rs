@@ -187,12 +187,6 @@ impl RecoverableMutex {
             Recovery::WasAcquiring
         }
     }
-
-    /// The CS word (helpful for external double-grant checks): holds
-    /// `holder + 1`, or 0 when free.
-    pub fn cs_word(&self) -> Addr {
-        self.cs
-    }
 }
 
 #[cfg(test)]

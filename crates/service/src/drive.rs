@@ -161,14 +161,6 @@ impl NativeReport {
         self.wait.p999()
     }
 
-    /// 99.9th-percentile acquire latency of one tenant (ns).
-    ///
-    /// # Panics
-    /// If `tenant` is out of range for the run's tenant list.
-    pub fn tenant_p999_ns(&self, tenant: usize) -> u64 {
-        self.tenant_wait[tenant].p999()
-    }
-
     /// 99.9th-percentile *deadline-adjusted* latency of one tenant
     /// (ns): aborts count as samples at the tenant's full deadline.
     ///
@@ -548,7 +540,6 @@ mod tests {
         assert!(r.elapsed_ns >= cfg.run_ns);
         assert_eq!(r.threads, 2);
         assert!(r.p50_ns() <= r.p99_ns() && r.p99_ns() <= r.p999_ns());
-        let _ = r.tenant_p999_ns(0);
         assert_eq!(r.inflations - r.deflations, r.live_inflated);
         assert!(r.stampedes.is_empty(), "limiter bound violated");
     }

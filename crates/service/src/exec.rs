@@ -216,11 +216,6 @@ impl ServiceReport {
         self.wait.p999()
     }
 
-    /// Mean acquire latency (ns).
-    pub fn mean_wait_ns(&self) -> f64 {
-        self.wait.mean()
-    }
-
     /// Committed switches per second of virtual time.
     pub fn switches_per_sec(&self) -> f64 {
         if self.end_ns == 0 {

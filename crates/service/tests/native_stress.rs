@@ -2,7 +2,7 @@
 //! across the flat path, the inflated path, and — the dangerous part —
 //! the promotion between them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -126,12 +126,26 @@ fn inflate_deflate_reinflate_roundtrip() {
     let svc = Arc::new(NativeService::new(1, 1, None));
     let in_cs = Arc::new(AtomicU64::new(0));
     let storm = |svc: &Arc<NativeService>, in_cs: &Arc<AtomicU64>| {
+        // Every thread keeps contending until all have done ITERS
+        // passes, so a storm never ends in a solo tail: `DEFLATE_STREAK`
+        // calm passes there would deflate the object before the calm
+        // phase gets to measure it.
+        let finished = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let svc = Arc::clone(svc);
                 let in_cs = Arc::clone(in_cs);
+                let finished = Arc::clone(&finished);
                 std::thread::spawn(move || {
-                    for _ in 0..ITERS {
+                    let mut passes = 0;
+                    // order: SeqCst — publishes no data, but a stale
+                    // read only costs an extra pass either way.
+                    while finished.load(Ordering::SeqCst) < THREADS {
+                        passes += 1;
+                        if passes == ITERS {
+                            // order: SeqCst — see above.
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        }
                         let guard = svc.acquire(0, None).expect("no deadline, must acquire");
                         // order: SeqCst — the test's whole point is
                         // cross-thread visibility of the overlap

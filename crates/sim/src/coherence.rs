@@ -20,7 +20,7 @@
 
 use crate::exec::{Completion, Ev};
 use crate::net;
-use crate::state::{Addr, LineId, State};
+use crate::state::{Addr, LineId, State, HW_PTRS};
 
 /// State of a line in a node's local cache (absence means invalid).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,7 +266,7 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
                     sharers.push(from32);
                 }
             }
-            if !st.full_map && sharers.len() > st.hw_ptrs {
+            if !st.full_map && sharers.len() > HW_PTRS {
                 if !extended {
                     extended = true;
                 }

@@ -145,17 +145,6 @@ impl Cpu {
         self.read_fut(a)
     }
 
-    /// Load a word together with its full/empty bit.
-    pub fn read_full(&self, a: Addr) -> impl Future<Output = FullEmpty> {
-        MapFut::new(self.read_fut(a), |[v, f]| {
-            if f != 0 {
-                FullEmpty::Full(v)
-            } else {
-                FullEmpty::Empty
-            }
-        })
-    }
-
     /// Store a word.
     pub fn write(&self, a: Addr, v: u64) -> impl Future<Output = ()> {
         MapFut::new(self.own_fut(a, RmwOp::Write(v)), |_| ())
@@ -393,11 +382,6 @@ impl Cpu {
             }
             None => false,
         }
-    }
-
-    /// Number of other threads ready to run on this node.
-    pub fn ready_peers(&self) -> usize {
-        thread::ready_count(&self.st.borrow(), self.node)
     }
 
     /// Spawn a new scheduler-managed thread on `node` (dynamic thread

@@ -262,44 +262,21 @@ pub(crate) fn end_poll(
             let slot = st.tasks[tid.0].take();
             st.free_tasks.push(tid.0);
             st.live_tasks -= 1;
-            if let Some(slot) = slot {
-                if let Some(thr) = slot.thread {
-                    crate::thread::thread_exited(st, thr.node);
-                }
+            if let Some(thr) = slot {
+                crate::thread::thread_exited(st, thr.node);
             }
         }
     }
 }
 
-/// Create a raw (scheduler-independent) task and schedule its first poll.
-pub(crate) fn spawn_raw(
-    st: &mut State,
-    fut: impl Future<Output = ()> + 'static,
-    start_at: u64,
-) -> TaskId {
-    let slot = TaskSlotInit { fut: Box::pin(fut) };
-    let id = insert_task(st, slot.fut, None);
-    st.schedule(start_at, Ev::Wake(id));
-    id
-}
-
-pub(crate) struct TaskSlotInit {
-    pub fut: BoxFut,
-}
-
-pub(crate) fn insert_task(
-    st: &mut State,
-    fut: BoxFut,
-    thread: Option<crate::state::ThreadInfo>,
-) -> TaskId {
-    let slot = crate::state::TaskSlot { thread };
+pub(crate) fn insert_task(st: &mut State, fut: BoxFut, thread: crate::state::ThreadInfo) -> TaskId {
     st.live_tasks += 1;
     if let Some(i) = st.free_tasks.pop() {
-        st.tasks[i] = Some(slot);
+        st.tasks[i] = Some(thread);
         st.futs[i] = Some(fut);
         TaskId(i)
     } else {
-        st.tasks.push(Some(slot));
+        st.tasks.push(Some(thread));
         st.futs.push(Some(fut));
         TaskId(st.tasks.len() - 1)
     }

@@ -177,10 +177,7 @@ pub(crate) fn kill_node(st: &mut State, node: usize) -> Vec<BoxFut> {
     let mut killed = 0u64;
     let mut futs = Vec::new();
     for (i, slot) in dead.iter_mut().enumerate() {
-        let on_node = st.tasks[i]
-            .as_ref()
-            .and_then(|s| s.thread.as_ref())
-            .is_some_and(|t| t.node == node);
+        let on_node = st.tasks[i].as_ref().is_some_and(|t| t.node == node);
         if on_node {
             *slot = true;
             killed += 1;
@@ -239,12 +236,7 @@ pub(crate) fn abort_node(st: &mut State, node: usize) {
     st.abort_epoch[node] += 1;
     st.fault_log.push(FaultEvent::Abort { at: st.now, node });
     let tids: Vec<TaskId> = (0..st.tasks.len())
-        .filter(|&i| {
-            st.tasks[i]
-                .as_ref()
-                .and_then(|s| s.thread.as_ref())
-                .is_some_and(|t| t.node == node)
-        })
+        .filter(|&i| st.tasks[i].as_ref().is_some_and(|t| t.node == node))
         .map(TaskId)
         .collect();
     let now = st.now;

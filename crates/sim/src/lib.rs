@@ -83,7 +83,7 @@ pub use state::Addr;
 pub use stats::{Stats, WaitHistogram};
 pub use thread::WaitQueueId;
 
-/// Result of a full/empty-bit tagged read (see [`Cpu::read_full`]).
+/// Result of a full/empty-bit tagged read (see [`Cpu::take_if_full`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FullEmpty {
     /// The word was full; the payload is its value.

@@ -28,8 +28,6 @@ pub struct Config {
     pub(crate) nodes: usize,
     pub(crate) contexts: usize,
     pub(crate) cost: CostModel,
-    pub(crate) line_words: u64,
-    pub(crate) hw_ptrs: usize,
     pub(crate) full_map: bool,
     pub(crate) seed: u64,
     pub(crate) faults: FaultPlan,
@@ -41,8 +39,6 @@ impl Default for Config {
             nodes: 1,
             contexts: 1,
             cost: CostModel::nwo(),
-            line_words: 4,
-            hw_ptrs: 5,
             full_map: false,
             seed: 0xA1EF_17E5,
             faults: FaultPlan::new(),
@@ -68,19 +64,6 @@ impl Config {
     /// Cycle cost model.
     pub fn cost(mut self, c: CostModel) -> Self {
         self.cost = c;
-        self
-    }
-
-    /// Words per cache line (default 4).
-    pub fn line_words(mut self, w: u64) -> Self {
-        assert!(w > 0);
-        self.line_words = w;
-        self
-    }
-
-    /// Hardware directory pointers before LimitLESS extension (default 5).
-    pub fn hw_ptrs(mut self, n: usize) -> Self {
-        self.hw_ptrs = n;
         self
     }
 
@@ -136,15 +119,7 @@ impl Drop for Machine {
 impl Machine {
     /// Build a machine from a configuration.
     pub fn new(cfg: Config) -> Machine {
-        let mut st = State::new(
-            cfg.nodes,
-            cfg.contexts,
-            cfg.cost,
-            cfg.line_words,
-            cfg.hw_ptrs,
-            cfg.full_map,
-            cfg.seed,
-        );
+        let mut st = State::new(cfg.nodes, cfg.contexts, cfg.cost, cfg.full_map, cfg.seed);
         // The fault plan becomes ordinary events up front; an empty
         // plan schedules nothing, so event sequence numbers (and hence
         // the determinism goldens) are untouched.
@@ -195,11 +170,6 @@ impl Machine {
         self.st.borrow_mut().alloc_striped(n, words)
     }
 
-    /// Allocate a single word homed on `node`.
-    pub fn alloc_var(&self, node: usize) -> Addr {
-        self.alloc_on(node, 1)
-    }
-
     /// Read a word directly (no cycles charged; for setup/inspection).
     pub fn read_word(&self, a: Addr) -> u64 {
         self.st.borrow().mem[a.0 as usize]
@@ -220,14 +190,6 @@ impl Machine {
     pub fn spawn(&self, node: usize, fut: impl Future<Output = ()> + 'static) -> TaskId {
         assert!(node < self.st.borrow().nodes_n, "spawn: node out of range");
         thread::spawn_thread(&mut self.st.borrow_mut(), node, Box::pin(fut))
-    }
-
-    /// Spawn a raw task that bypasses the thread scheduler (for drivers
-    /// and helpers that should not occupy a simulated processor).
-    pub fn spawn_task(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
-        let mut st = self.st.borrow_mut();
-        let now = st.now;
-        exec::spawn_raw(&mut st, fut, now)
     }
 
     /// Create a wait queue for blocking threads.
@@ -419,11 +381,12 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::HW_PTRS;
 
     #[test]
     fn single_processor_counter() {
         let m = Machine::new(Config::default());
-        let a = m.alloc_var(0);
+        let a = m.alloc_on(0, 1);
         let cpu = m.cpu(0);
         m.spawn(0, async move {
             for _ in 0..100 {
@@ -695,27 +658,27 @@ mod tests {
 
     #[test]
     fn limitless_traps_fire_beyond_hw_pointers() {
-        let m = Machine::new(Config::default().nodes(16).hw_ptrs(5));
-        let a = m.alloc_on(0, 1);
-        for p in 0..16 {
-            let cpu = m.cpu(p);
-            m.spawn(p, async move {
-                cpu.read(a).await;
-            });
+        // LimitLESS traps taken when `readers` distinct nodes of a
+        // 16-node machine read one line homed on node 0.
+        let traps = |readers: &[usize], full_map: bool| {
+            let m = Machine::new(Config::default().nodes(16).full_map(full_map));
+            let a = m.alloc_on(0, 1);
+            for &p in readers {
+                let cpu = m.cpu(p);
+                m.spawn(p, async move {
+                    cpu.read(a).await;
+                });
+            }
+            m.run();
+            m.stats().limitless_traps
+        };
+        for first in [0, 1] {
+            let readers = |n: usize| (first..first + n).collect::<Vec<_>>();
+            assert_eq!(traps(&readers(HW_PTRS), false), 0);
+            assert_eq!(traps(&readers(HW_PTRS + 1), false), 1);
+            assert_eq!(traps(&readers(HW_PTRS + 2), false), 2);
         }
-        m.run();
-        assert!(m.stats().limitless_traps > 0);
-
-        let m2 = Machine::new(Config::default().nodes(16).hw_ptrs(5).full_map(true));
-        let a2 = m2.alloc_on(0, 1);
-        for p in 0..16 {
-            let cpu = m2.cpu(p);
-            m2.spawn(p, async move {
-                cpu.read(a2).await;
-            });
-        }
-        m2.run();
-        assert_eq!(m2.stats().limitless_traps, 0);
+        assert_eq!(traps(&(0..16).collect::<Vec<_>>(), true), 0);
     }
 
     #[test]

@@ -207,19 +207,6 @@ impl ShardCtx<'_> {
     pub fn mail(&self) -> RemoteMail {
         self.mail.clone()
     }
-
-    /// Global id of this shard's local node `local`.
-    pub fn to_global(&self, local: usize) -> usize {
-        assert!(local < self.shard_nodes);
-        self.node_base + local
-    }
-
-    /// Local id of global node `global` if this shard owns it.
-    pub fn to_local(&self, global: usize) -> Option<usize> {
-        global
-            .checked_sub(self.node_base)
-            .filter(|&l| l < self.shard_nodes)
-    }
 }
 
 /// The merged result of a cluster run.

@@ -22,10 +22,18 @@ use crate::thread::{NodeSched, WaitQueue};
 /// A word address in simulated globally-shared memory.
 ///
 /// Addresses are word-granular; the unit of coherence is the *line*
-/// (`Config::line_words` consecutive words). Use [`Addr::plus`] to address
-/// into an allocation.
+/// (four consecutive words). Use [`Addr::plus`] to address into an
+/// allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr(pub u64);
+
+/// Words per cache line (Alewife's four-word line); a power of two, so
+/// dividing by it compiles to one shift.
+pub(crate) const LINE_WORDS: u64 = 4;
+/// Hardware directory pointers per line; a read that would track more
+/// sharers takes a LimitLESS software trap unless the machine models a
+/// full-map directory.
+pub(crate) const HW_PTRS: usize = 5;
 
 impl Addr {
     /// The address `words` words past `self`.
@@ -47,7 +55,9 @@ impl LineId {
     }
 }
 
-/// Per-thread bookkeeping attached to scheduler-managed tasks.
+/// Task table entry: every task is a scheduler-managed thread. The
+/// pollable future lives in the parallel `State::futs` vector so the
+/// per-event poll touches only that row.
 #[derive(Debug)]
 pub(crate) struct ThreadInfo {
     pub node: usize,
@@ -55,12 +65,6 @@ pub(crate) struct ThreadInfo {
     pub resume: Option<Completion>,
     /// Whether the thread's registers are resident in a hardware context.
     pub loaded: bool,
-}
-
-/// Task table entry: the pollable future lives in the parallel
-/// `State::futs` vector so the per-event poll touches only that row.
-pub(crate) struct TaskSlot {
-    pub thread: Option<ThreadInfo>,
 }
 
 /// One node's serially-occupied engine (directory or message handler):
@@ -129,11 +133,6 @@ pub(crate) struct State {
     pub nodes_n: usize,
     pub contexts: usize,
     pub cost: CostModel,
-    pub line_words: u64,
-    /// `log2(line_words)` when it is a power of two (the common case),
-    /// letting [`State::line_of`] shift instead of divide.
-    pub line_shift: Option<u32>,
-    pub hw_ptrs: usize,
     pub full_map: bool,
     /// Mesh side length (coordinates are precomputed in `coords`; kept
     /// for inspection and tests).
@@ -147,7 +146,7 @@ pub(crate) struct State {
     pub now: u64,
     pub seq: u64,
     pub events: EventQueue,
-    pub tasks: Vec<Option<TaskSlot>>,
+    pub tasks: Vec<Option<ThreadInfo>>,
     /// `futs[tid]` is the task's future, taken out while it runs.
     pub futs: Vec<Option<BoxFut>>,
     pub free_tasks: Vec<usize>,
@@ -222,25 +221,12 @@ pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T, exact: bool) {
 }
 
 impl State {
-    pub fn new(
-        nodes: usize,
-        contexts: usize,
-        cost: CostModel,
-        line_words: u64,
-        hw_ptrs: usize,
-        full_map: bool,
-        seed: u64,
-    ) -> State {
+    pub fn new(nodes: usize, contexts: usize, cost: CostModel, full_map: bool, seed: u64) -> State {
         let mesh_dim = crate::net::mesh_dim(nodes);
         State {
             nodes_n: nodes,
             contexts,
             cost,
-            line_words,
-            line_shift: line_words
-                .is_power_of_two()
-                .then(|| line_words.trailing_zeros()),
-            hw_ptrs,
             full_map,
             mesh_dim,
             coords: crate::net::coords_for(nodes),
@@ -372,11 +358,7 @@ impl State {
 
     #[inline]
     pub fn line_of(&self, addr: Addr) -> LineId {
-        let l = match self.line_shift {
-            Some(s) => addr.0 >> s,
-            None => addr.0 / self.line_words,
-        };
-        LineId(l as u32)
+        LineId((addr.0 / LINE_WORDS) as u32)
     }
 
     pub fn home_of(&self, line: LineId) -> usize {
@@ -416,7 +398,7 @@ impl State {
         home: impl Fn(usize) -> usize,
     ) -> (Addr, u64) {
         assert!(words > 0, "alloc: zero-sized allocation");
-        let lw = self.line_words;
+        let lw = LINE_WORDS;
         let lines_each = words.div_ceil(lw);
         // Round up to a line boundary.
         let base = self.next_word.next_multiple_of(lw);

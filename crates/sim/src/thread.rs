@@ -112,7 +112,7 @@ pub(crate) fn spawn_thread(st: &mut State, node: usize, fut: crate::exec::BoxFut
         resume: None,
         loaded: false,
     };
-    let tid = crate::exec::insert_task(st, fut, Some(info));
+    let tid = crate::exec::insert_task(st, fut, info);
     st.scheds[node].ready.push_back(tid);
     let now = st.now;
     st.schedule(now, Ev::Dispatch(node as u32));
@@ -132,8 +132,7 @@ pub(crate) fn dispatch(st: &mut State, node: usize) {
     let (cost, resume) = {
         let info = st.tasks[tid.0]
             .as_mut()
-            .and_then(|s| s.thread.as_mut())
-            .expect("dispatched a non-thread task");
+            .expect("dispatched a finished task");
         let cost = if info.loaded {
             st.cost.ctx_switch
         } else {
@@ -179,8 +178,7 @@ pub(crate) fn begin_block(st: &mut State, node: usize, q: WaitQueueId) -> Comple
     {
         let info = st.tasks[tid.0]
             .as_mut()
-            .and_then(|s| s.thread.as_mut())
-            .expect("block_on by a non-thread task");
+            .expect("block_on by a finished task");
         info.resume = Some(comp.clone());
         info.loaded = false;
     }
@@ -198,8 +196,7 @@ pub(crate) fn signal_one(st: &mut State, q: WaitQueueId) -> bool {
         Some(tid) => {
             let node = st.tasks[tid.0]
                 .as_ref()
-                .and_then(|s| s.thread.as_ref())
-                .expect("signalled a non-thread task")
+                .expect("signalled a finished task")
                 .node;
             st.scheds[node].ready.push_back(tid);
             let now = st.now;
@@ -219,10 +216,7 @@ pub(crate) fn begin_yield(st: &mut State, node: usize) -> Option<Completion> {
     let tid = st.current_task.expect("yield outside a task");
     let comp = st.new_completion();
     {
-        let info = st.tasks[tid.0]
-            .as_mut()
-            .and_then(|s| s.thread.as_mut())
-            .expect("yield by a non-thread task");
+        let info = st.tasks[tid.0].as_mut().expect("yield by a finished task");
         info.resume = Some(comp.clone());
         // Stays loaded: this is a cheap context switch, not an unload.
     }
@@ -231,11 +225,6 @@ pub(crate) fn begin_yield(st: &mut State, node: usize) -> Option<Completion> {
     let now = st.now;
     st.schedule(now, Ev::Dispatch(node as u32));
     Some(comp)
-}
-
-/// Number of threads ready to run on `node` (excluding the running one).
-pub(crate) fn ready_count(st: &State, node: usize) -> usize {
-    st.scheds[node].ready.len()
 }
 
 /// Number of threads blocked on `q`.

@@ -16,19 +16,10 @@ proptest! {
     #[test]
     fn fetch_add_linearizes_any_shape(
         nodes in 1usize..20,
-        line_words in 1u64..9,
-        hw_ptrs in 1usize..8,
         full_map in any::<bool>(),
         seed in 1u64..u64::MAX,
     ) {
-        let m = Machine::new(
-            Config::default()
-                .nodes(nodes)
-                .line_words(line_words)
-                .hw_ptrs(hw_ptrs)
-                .full_map(full_map)
-                .seed(seed),
-        );
+        let m = Machine::new(Config::default().nodes(nodes).full_map(full_map).seed(seed));
         let a = m.alloc_on(0, 1);
         let seen = Rc::new(RefCell::new(Vec::new()));
         let iters = 12u64;

@@ -345,7 +345,7 @@ fn run_digest_barrier() -> u64 {
     let bar = reactive_core::ReactiveBarrier::builder(&m, 0, 6)
         .instrument(log.clone())
         .build();
-    let spin = sim_apps::alg::AnyWait::make(sim_apps::alg::WaitAlg::Spin);
+    let spin = sim_apps::alg::WaitAlg::Spin;
     for p in 0..6 {
         let (cpu, bar) = (m.cpu(p), bar.clone());
         m.spawn(p, async move {
