@@ -1,22 +1,23 @@
 //! The kernel's cross-object oracle: C-serializability and
 //! single-validity checkers (§3.2, Definitions 1-2).
 //!
-//! These checkers began life next to the naive protocol-manager
-//! reference design (Figures 3.5-3.7, `reactive_core::framework`); they
-//! live here so that **every** kernel-built reactive object — simulator
-//! or native — can be checked against the framework's correctness
-//! conditions from recorded histories:
+//! Two kinds of history are checked here:
 //!
-//! * [`check_c_serial`] — Definition 1: at every object, each
-//!   protocol-change operation (`Invalidate`/`Validate`) is totally
-//!   ordered with respect to every other operation on that object.
-//! * [`check_at_most_one_valid`] — the §3.2.3 manager invariant:
-//!   replaying the change operations in serialization order, at most
-//!   one protocol object is ever valid.
-//! * [`check_switch_history`] — a [`SwitchEvent`] stream (the kernel's
-//!   commit log) replayed as a chain: each change leaves the protocol
-//!   the previous one entered, so any instrumented reactive object is
-//!   checked without per-object recording code.
+//! * Operation intervals ([`OpRecord`]s), as the naive protocol-manager
+//!   reference design (Figures 3.5-3.7, `reactive_core::framework`'s
+//!   `NaiveManager`) records them:
+//!   * [`check_c_serial`] — Definition 1: at every object, each
+//!     protocol-change operation (`Invalidate`/`Validate`) is totally
+//!     ordered with respect to every other operation on that object.
+//!   * [`check_at_most_one_valid`] — the §3.2.3 manager invariant:
+//!     replaying the change operations in serialization order, at most
+//!     one protocol object is ever valid.
+//!   * [`check_no_lost_waiters`] — every execution ran against the
+//!     object valid at its start.
+//! * Commit logs: [`check_switch_history`] replays a [`SwitchEvent`]
+//!   stream as a chain — each change leaves the protocol the previous
+//!   one entered — so every kernel-built reactive object, simulator or
+//!   native, is checked without per-object recording code.
 
 use crate::{ProtocolId, SwitchEvent};
 
@@ -72,14 +73,26 @@ pub fn check_c_serial(records: &[OpRecord]) -> Result<(), String> {
     Ok(())
 }
 
-/// Check the §3.2.3 manager invariant: replaying the change operations
-/// in serialization order, at most one object is ever valid (given
-/// `initial_valid`).
-pub fn check_at_most_one_valid(
+/// What both validity replays start from: the change operations in
+/// serialization order, and the validity of the `objects` protocol
+/// objects before them (only `initial_valid`). An `initial_valid` or a
+/// record's `obj` outside `0..objects` is an `Err` naming it.
+fn replay_start(
     records: &[OpRecord],
     objects: usize,
     initial_valid: usize,
-) -> Result<(), String> {
+) -> Result<(Vec<&OpRecord>, Vec<bool>), String> {
+    if initial_valid >= objects {
+        return Err(format!(
+            "initial object {initial_valid} is not one of {objects} objects"
+        ));
+    }
+    if let Some((i, r)) = records.iter().enumerate().find(|(_, r)| r.obj >= objects) {
+        return Err(format!(
+            "record {i} ({r:?}) names object {}, not one of {objects} objects",
+            r.obj
+        ));
+    }
     let mut changes: Vec<&OpRecord> = records
         .iter()
         .filter(|r| r.kind != OpKind::DoProtocol)
@@ -87,19 +100,25 @@ pub fn check_at_most_one_valid(
     changes.sort_by_key(|r| r.start);
     let mut valid = vec![false; objects];
     valid[initial_valid] = true;
+    Ok((changes, valid))
+}
+
+/// Check the §3.2.3 manager invariant: replaying the change operations
+/// in serialization order, at most one object is ever valid (given
+/// `initial_valid`). An object id outside `0..objects` is an `Err`.
+pub fn check_at_most_one_valid(
+    records: &[OpRecord],
+    objects: usize,
+    initial_valid: usize,
+) -> Result<(), String> {
+    let (changes, mut valid) = replay_start(records, objects, initial_valid)?;
     for c in changes {
-        match c.kind {
-            OpKind::Invalidate => valid[c.obj] = false,
-            OpKind::Validate => {
-                valid[c.obj] = true;
-                let count = valid.iter().filter(|&&v| v).count();
-                if count > 1 {
-                    return Err(format!(
-                        "{count} objects valid after {c:?} (invariant: ≤ 1)"
-                    ));
-                }
-            }
-            OpKind::DoProtocol => unreachable!(),
+        valid[c.obj] = c.kind == OpKind::Validate;
+        let count = valid.iter().filter(|&&v| v).count();
+        if count > 1 {
+            return Err(format!(
+                "{count} objects valid after {c:?} (invariant: ≤ 1)"
+            ));
         }
     }
     Ok(())
@@ -116,17 +135,14 @@ pub fn check_at_most_one_valid(
 /// runs against a dead object and the process hangs. Under C-seriality
 /// change operations never overlap a `DoProtocol` interval, so the
 /// object's validity is constant across the interval and checking the
-/// start instant suffices; run [`check_c_serial`] first.
+/// start instant suffices; run [`check_c_serial`] first. An object id
+/// outside `0..objects` is an `Err`.
 pub fn check_no_lost_waiters(
     records: &[OpRecord],
     objects: usize,
     initial_valid: usize,
 ) -> Result<(), String> {
-    let mut changes: Vec<&OpRecord> = records
-        .iter()
-        .filter(|r| r.kind != OpKind::DoProtocol)
-        .collect();
-    changes.sort_by_key(|r| r.start);
+    let (changes, initial) = replay_start(records, objects, initial_valid)?;
     for r in records.iter().filter(|r| r.kind == OpKind::DoProtocol) {
         if !r.valid_execution {
             return Err(format!(
@@ -134,14 +150,9 @@ pub fn check_no_lost_waiters(
                  invalidated protocol object"
             ));
         }
-        let mut valid = vec![false; objects];
-        valid[initial_valid] = true;
+        let mut valid = initial.clone();
         for c in changes.iter().filter(|c| c.end <= r.start) {
-            match c.kind {
-                OpKind::Invalidate => valid[c.obj] = false,
-                OpKind::Validate => valid[c.obj] = true,
-                OpKind::DoProtocol => unreachable!(),
-            }
+            valid[c.obj] = c.kind == OpKind::Validate;
         }
         if !valid[r.obj] {
             return Err(format!(

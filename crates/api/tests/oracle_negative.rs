@@ -220,6 +220,53 @@ fn change_overlapping_execution_is_rejected() {
     assert!(err.contains("overlaps"), "got: {err}");
 }
 
+/// Corruption 3c: an object id outside the checked range — as the
+/// initial object, or in a record — is an error that names it, not a
+/// panic.
+#[test]
+fn out_of_range_object_in_a_validity_replay_is_rejected() {
+    let good = vec![rec(1, 0, OpKind::Invalidate, 10, 11)];
+    let err = check_at_most_one_valid(&good, 2, 2).unwrap_err();
+    assert!(
+        err.contains("initial object 2 is not one of 2 objects"),
+        "got: {err}"
+    );
+
+    let bad = vec![
+        rec(1, 0, OpKind::Invalidate, 10, 11),
+        rec(1, 5, OpKind::Validate, 12, 13),
+    ];
+    let err = check_at_most_one_valid(&bad, 2, 0).unwrap_err();
+    assert!(
+        err.starts_with("record 1 "),
+        "must name record 1, got: {err}"
+    );
+    assert!(err.contains("names object 5"), "got: {err}");
+}
+
+/// Corruption 3d: the same two out-of-range ids given to the
+/// lost-waiter replay.
+#[test]
+fn out_of_range_object_in_a_lost_waiter_replay_is_rejected() {
+    let good = vec![rec(2, 0, OpKind::DoProtocol, 20, 25)];
+    let err = check_no_lost_waiters(&good, 2, 7).unwrap_err();
+    assert!(
+        err.contains("initial object 7 is not one of 2 objects"),
+        "got: {err}"
+    );
+
+    let bad = vec![
+        rec(2, 0, OpKind::DoProtocol, 20, 25),
+        rec(3, 4, OpKind::DoProtocol, 30, 35),
+    ];
+    let err = check_no_lost_waiters(&bad, 2, 0).unwrap_err();
+    assert!(
+        err.starts_with("record 1 "),
+        "must name record 1, got: {err}"
+    );
+    assert!(err.contains("names object 4"), "got: {err}");
+}
+
 // ---------------------------------------------------------------------
 // Crash-aware lock-history corruptions
 // ---------------------------------------------------------------------

@@ -9,16 +9,15 @@
 //! cargo bench --bench experiments -- --only fig_3_15_baseline,rmr_abortable
 //! ```
 //!
-//! Without `--only` it writes the record at the repository root, all
-//! from the one run: `BENCH_experiments.json` (every row) and the
-//! `scenario::SLICES` family files `BENCH_rmr.json`,
-//! `BENCH_service.json` and `BENCH_service_native.json`, the last with
-//! its single-thread `"path_cost"` table. With `--only` it runs just
-//! the named rows and writes no file; an unknown row name exits 2 with
-//! the list of valid keys before anything runs.
+//! Without `--only` it writes each row once, at the repository root:
+//! the `scenario::WALL_CLOCK_ROWS` and the single-thread `"path_cost"`
+//! table to `BENCH_service_native.json`, every other row to
+//! `BENCH_experiments.json`. With `--only` it runs just the named rows
+//! and writes no file; an unknown row name exits 2 with the list of
+//! valid keys before anything runs.
 
 use repro_bench::record::{rows_json, Row};
-use repro_bench::scenario::{self, Scale};
+use repro_bench::scenario::{self, Scale, WALL_CLOCK_ROWS};
 use repro_bench::service_native::path_costs;
 
 fn usage(problem: &str) -> ! {
@@ -96,14 +95,12 @@ fn main() {
         .collect();
 
     let wrote = if only.is_none() {
-        let every: Vec<&Row> = rows.iter().collect();
-        write_record("experiments", quick, &every, None);
-        for (bench, keys) in scenario::SLICES {
-            let slice: Vec<&Row> = rows.iter().filter(|r| keys.contains(&r.name)).collect();
-            let extra = (bench == "service_native").then(|| path_cost_member(scale));
-            write_record(bench, quick, &slice, extra.as_deref());
-        }
-        "wrote BENCH_{experiments,rmr,service,service_native}.json"
+        let (wall, counted): (Vec<&Row>, Vec<&Row>) =
+            rows.iter().partition(|r| WALL_CLOCK_ROWS.contains(&r.name));
+        write_record("experiments", quick, &counted, None);
+        let path_cost = path_cost_member(scale);
+        write_record("service_native", quick, &wall, Some(&path_cost));
+        "wrote BENCH_experiments.json and BENCH_service_native.json"
     } else {
         "--only run, no file written"
     };

@@ -1,6 +1,6 @@
-//! The rows record: the one writer behind `BENCH_experiments.json` and
-//! its family slices (`BENCH_rmr.json`, `BENCH_service.json`,
-//! `BENCH_service_native.json`).
+//! The rows record: the one writer behind `BENCH_experiments.json`
+//! (the counted rows) and `BENCH_service_native.json` (the wall-clock
+//! rows).
 //!
 //! The shape is fixed — top-level `bench`, `quick`, `rows`; per row
 //! `name`, `figure`, `status`, `headline`, `claims` — with the scenario
@@ -46,7 +46,7 @@ fn esc(s: &str) -> String {
 
 /// Render one record file. `extra`, when given, is a pre-rendered
 /// top-level member (two-space indented, newline-terminated) placed
-/// after `rows` — the native family's `path_cost` table.
+/// after `rows` — the wall-clock record's `path_cost` table.
 pub fn rows_json(bench: &str, quick: bool, rows: &[&Row], extra: Option<&str>) -> String {
     let mut json = format!("{{\n  \"bench\": \"{bench}\",\n  \"quick\": {quick},\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {

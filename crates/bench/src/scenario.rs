@@ -25,9 +25,10 @@
 //!
 //! The `experiments` bench target is the only row runner: it runs all
 //! scenarios (or the `--only` selection) in `EXPERIMENTS.md` table order
-//! and writes `BENCH_experiments.json` plus the [`SLICES`] family files
-//! (stable keys, stable order) with the measured headline and claim
-//! verdicts per row.
+//! and writes each row once, with its measured headline and claim
+//! verdicts (stable keys, stable order): the [`WALL_CLOCK_ROWS`] to
+//! `BENCH_service_native.json`, every other row to
+//! `BENCH_experiments.json`.
 
 use alewife_sim::CostModel;
 use lock_service::ArenaMode;
@@ -475,29 +476,11 @@ pub fn all() -> Vec<Scenario> {
     ]
 }
 
-/// The family slices of the record: `(bench, row keys in table
-/// order)`. The `experiments` bench writes each slice's rows to
-/// `BENCH_<bench>.json` beside `BENCH_experiments.json`, from the same
-/// run.
-pub const SLICES: [(&str, &[&str]); 3] = [
-    (
-        "rmr",
-        &["rmr_recoverable", "rmr_abortable", "storm_robustness"],
-    ),
-    (
-        "service",
-        &[
-            "service_tail_latency",
-            "service_bytes_per_object",
-            "service_stampede",
-            "service_tracks_best",
-        ],
-    ),
-    (
-        "service_native",
-        &["service_native_tail", "service_native_deflation"],
-    ),
-];
+/// The rows timed on the host's wall clock rather than counted in
+/// simulated or virtual time, in table order. The `experiments` bench
+/// writes them to `BENCH_service_native.json` and every other row to
+/// `BENCH_experiments.json`, which therefore regenerates byte for byte.
+pub const WALL_CLOCK_ROWS: [&str; 2] = ["service_native_tail", "service_native_deflation"];
 
 /// Look a scenario up by its row key.
 pub fn by_name(name: &str) -> Option<Scenario> {
@@ -2894,6 +2877,9 @@ mod tests {
             assert!(!sc.claims.is_empty(), "{} has no claims", sc.name);
         }
         let mut names: Vec<&str> = s.iter().map(|sc| sc.name).collect();
+        for row in WALL_CLOCK_ROWS {
+            assert!(names.contains(&row), "wall-clock row {row} is not in all()");
+        }
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 29, "duplicate scenario names");
@@ -2909,28 +2895,6 @@ mod tests {
     #[test]
     fn by_name_rejects_unknown() {
         assert!(by_name("fig_9_99_nonsense").is_none());
-    }
-
-    #[test]
-    fn slices_are_disjoint_table_ordered_subsets_of_the_registry() {
-        let names: Vec<&str> = all().iter().map(|s| s.name).collect();
-        let mut seen = Vec::new();
-        for (bench, keys) in SLICES {
-            let at: Vec<usize> = keys
-                .iter()
-                .map(|k| {
-                    names
-                        .iter()
-                        .position(|n| n == k)
-                        .unwrap_or_else(|| panic!("{bench} slice row {k} is not in all()"))
-                })
-                .collect();
-            assert!(at.windows(2).all(|w| w[0] < w[1]), "{bench} out of order");
-            for k in keys {
-                assert!(!seen.contains(k), "{k} is in two slices");
-                seen.push(k);
-            }
-        }
     }
 
     #[test]

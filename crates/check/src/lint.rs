@@ -20,22 +20,20 @@
 //!   nothing to check).
 //! * `event-size` — the compile-time 16-byte bound on simulator events
 //!   must stay present in `exec.rs`.
-//! * `experiments-keys`, `rmr-keys`, `service-keys`,
-//!   `service-native-keys` — one table-driven rule (`KEY_RULES`) over
-//!   the four row files the `experiments` bench writes: every row name
-//!   in the file must be an `EXPERIMENTS.md` table key, and every
-//!   `EXPERIMENTS.md` key in the file's family must have a row in it,
-//!   so an artifact the CI uploads cannot silently drop a gated
-//!   scenario. `BENCH_experiments.json`'s family is every key (md-only
-//!   keys may be allowlisted: benches that write other artifacts);
-//!   the slices' families go by key prefix.
+//! * `experiments-keys` — over the two row files the `experiments`
+//!   bench writes (`BENCH_experiments.json`, the counted rows, and
+//!   `BENCH_service_native.json`, the wall-clock rows): every row name
+//!   must be an `EXPERIMENTS.md` table key, and every key must have a
+//!   row in exactly one of the files, so the record cannot silently
+//!   drop a gated scenario or carry one twice. Keys whose results live
+//!   in other artifacts are allowlisted.
 //! * `quick-record` — every committed `BENCH_*.json` at the root must
 //!   read `"quick": false`: a `--quick` bench run overwrites the
 //!   full-scale record in place, and this catches committing that.
 //!
 //! The allowlist is `crates/check/lint_allow.txt`: `<rule> <key>` per
 //! line, `#` comments. Keys are workspace-relative paths for the file
-//! rules, scenario keys for the `*-keys` rules.
+//! rules, scenario keys for `experiments-keys`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -370,10 +368,10 @@ fn experiment_md_keys(text: &str) -> BTreeSet<String> {
     keys
 }
 
-/// `"name": "<key>"` values from `BENCH_experiments.json` (hand parse:
+/// `"name": "<key>"` values of a row file, in file order (hand parse:
 /// the workspace has no JSON dependency, and the format is ours).
-fn experiment_json_keys(text: &str) -> BTreeSet<String> {
-    let mut keys = BTreeSet::new();
+fn experiment_json_keys(text: &str) -> Vec<String> {
+    let mut keys = Vec::new();
     let mut rest = text;
     while let Some(pos) = rest.find("\"name\"") {
         rest = &rest[pos + "\"name\"".len()..];
@@ -381,76 +379,53 @@ fn experiment_json_keys(text: &str) -> BTreeSet<String> {
         let tail = rest[colon + 1..].trim_start();
         if let Some(val) = tail.strip_prefix('"') {
             if let Some((key, _)) = val.split_once('"') {
-                keys.insert(key.to_string());
+                keys.push(key.to_string());
             }
         }
     }
     keys
 }
 
-/// One row file's key contract against `EXPERIMENTS.md`: `(file, rule
-/// id, family prefixes, carved-out prefixes)`. An `EXPERIMENTS.md` key
-/// is in the file's family — and must have a row in it — when it
-/// starts with a family prefix and with no carved-out one (a
-/// sub-family another file owns).
-type KeyRule = (
-    &'static str,
-    &'static str,
-    &'static [&'static str],
-    &'static [&'static str],
-);
+/// The row files the `experiments` bench writes: the counted rows and
+/// the wall-clock rows.
+const ROW_FILES: [&str; 2] = ["BENCH_experiments.json", "BENCH_service_native.json"];
 
-/// The four row files the `experiments` bench writes.
-const KEY_RULES: [KeyRule; 4] = [
-    ("BENCH_experiments.json", "experiments-keys", &[""], &[]),
-    ("BENCH_rmr.json", "rmr-keys", &["rmr_", "storm_"], &[]),
-    (
-        "BENCH_service.json",
-        "service-keys",
-        &["service_"],
-        &["service_native_"],
-    ),
-    (
-        "BENCH_service_native.json",
-        "service-native-keys",
-        &["service_native_"],
-        &[],
-    ),
-];
-
-/// Check one row file's text against the `EXPERIMENTS.md` keys: every
-/// row name must be a table key, and every key in the file's family
-/// must have a row (or an allowlist entry).
+/// The `experiments-keys` rule over the row files' `(name, text)`:
+/// every row name must be an `EXPERIMENTS.md` table key, and every key
+/// that is not allowlisted must have exactly one row across the files.
 fn key_rule(
-    &(file, rule, family, carved): &KeyRule,
     md_keys: &BTreeSet<String>,
-    json: &str,
+    files: &[(&str, String)],
     allow: &Allowlist,
     findings: &mut Vec<Finding>,
 ) {
-    let json_keys = experiment_json_keys(json);
-    for key in &json_keys {
-        if !md_keys.contains(key) {
-            findings.push(Finding {
-                rule,
-                file: "EXPERIMENTS.md".to_string(),
-                line: 0,
-                msg: format!("{file} row `{key}` has no EXPERIMENTS.md table row"),
-            });
+    const RULE: &str = "experiments-keys";
+    let mut rows = Vec::new();
+    for (file, json) in files {
+        for key in experiment_json_keys(json) {
+            if !md_keys.contains(&key) {
+                findings.push(Finding {
+                    rule: RULE,
+                    file: file.to_string(),
+                    line: 0,
+                    msg: format!("row `{key}` has no EXPERIMENTS.md table row"),
+                });
+            }
+            rows.push(key);
         }
     }
-    let any = |prefixes: &[&str], key: &str| prefixes.iter().any(|p| key.starts_with(p));
-    for key in md_keys {
-        let in_family = any(family, key) && !any(carved, key);
-        if in_family && !json_keys.contains(key) && !allow.allows(rule, key) {
+    for key in md_keys.iter().filter(|key| !allow.allows(RULE, key)) {
+        let n = rows.iter().filter(|row| *row == key).count();
+        if n != 1 {
             findings.push(Finding {
-                rule,
-                file: file.to_string(),
+                rule: RULE,
+                file: "EXPERIMENTS.md".to_string(),
                 line: 0,
                 msg: format!(
-                    "EXPERIMENTS.md scenario `{key}` has no {file} row (add it to \
-                     `scenario::all()` and its `SLICES` family in crates/bench, or \
-                     allowlist it if another artifact carries it)"
+                    "scenario `{key}` has {n} rows across {}, not exactly one (write it \
+                     once from `scenario::all()` in crates/bench, or allowlist it if \
+                     another artifact carries it)",
+                    ROW_FILES.join(" and ")
                 ),
             });
         }
@@ -473,7 +448,7 @@ fn quick_record_rule(file: &str, json: &str, findings: &mut Vec<Finding>) {
 }
 
 /// The record rules: `quick-record` over every `BENCH_*.json` at the
-/// root, then [`KEY_RULES`] over the row files.
+/// root, then `experiments-keys` over the [`ROW_FILES`].
 fn record_rules(root: &Path, allow: &Allowlist, findings: &mut Vec<Finding>) -> io::Result<()> {
     let mut records = Vec::new();
     for entry in fs::read_dir(root)? {
@@ -487,10 +462,11 @@ fn record_rules(root: &Path, allow: &Allowlist, findings: &mut Vec<Finding>) -> 
         quick_record_rule(file, &fs::read_to_string(root.join(file))?, findings);
     }
     let md_keys = experiment_md_keys(&fs::read_to_string(root.join("EXPERIMENTS.md"))?);
-    for rule in &KEY_RULES {
-        let json = fs::read_to_string(root.join(rule.0))?;
-        key_rule(rule, &md_keys, &json, allow, findings);
-    }
+    let files = ROW_FILES
+        .iter()
+        .map(|file| Ok((*file, fs::read_to_string(root.join(file))?)))
+        .collect::<io::Result<Vec<_>>>()?;
+    key_rule(&md_keys, &files, allow, findings);
     Ok(())
 }
 
@@ -612,49 +588,60 @@ mod tests {
         );
     }
 
-    /// `(rule, file)` of every key-rule finding for one synthetic
-    /// `EXPERIMENTS.md` and the four row files' `"name"`s.
-    fn key_findings(rows: [&[&str]; 4], allow: &str) -> Vec<(&'static str, String)> {
-        let md = "| `fig_1` |\n| `rmr_a` |\n| `storm_b` |\n| `service_c` |\n\
-                  | `service_native_d` |\n| `switch_cost` |\n";
-        let (md_keys, allow) = (experiment_md_keys(md), Allowlist::parse(allow));
-        let mut f = Vec::new();
-        for (rule, names) in KEY_RULES.iter().zip(rows) {
-            let json: String = names
+    /// `(file, message)` of every `experiments-keys` finding for one
+    /// synthetic `EXPERIMENTS.md` and the two row files' `"name"`s.
+    fn key_findings(counted: &[&str], wall: &[&str], allow: &str) -> Vec<(String, String)> {
+        let md = "| `fig_1` |\n| `rmr_a` |\n| `service_native_d` |\n| `switch_cost` |\n";
+        let json = |names: &[&str]| -> String {
+            names
                 .iter()
                 .map(|n| format!("{{\"name\": \"{n}\"}}"))
-                .collect();
-            key_rule(rule, &md_keys, &json, &allow, &mut f);
-        }
-        f.into_iter().map(|f| (f.rule, f.file)).collect()
+                .collect()
+        };
+        let files = [(ROW_FILES[0], json(counted)), (ROW_FILES[1], json(wall))];
+        let mut f = Vec::new();
+        key_rule(
+            &experiment_md_keys(md),
+            &files,
+            &Allowlist::parse(allow),
+            &mut f,
+        );
+        assert!(f.iter().all(|f| f.rule == "experiments-keys"), "{f:?}");
+        f.into_iter().map(|f| (f.file, f.msg)).collect()
     }
 
-    const ALL: &[&str] = &["fig_1", "rmr_a", "storm_b", "service_c", "service_native_d"];
+    const COUNTED: &[&str] = &["fig_1", "rmr_a"];
+    const WALL: &[&str] = &["service_native_d"];
     const ALLOW: &str = "experiments-keys switch_cost\n";
 
     #[test]
-    fn key_rules_scope_each_file_to_its_family() {
-        // Consistent: `service_native_d` is carved out of the service
-        // family, so BENCH_service.json is not asked for it, and the
-        // md-only `switch_cost` is allowlisted.
-        let rmr: &[&str] = &["rmr_a", "storm_b"];
-        let native: &[&str] = &["service_native_d"];
-        let f = key_findings([ALL, rmr, &["service_c"], native], ALLOW);
-        assert!(f.is_empty(), "{f:?}");
-        // A row missing from a slice is its own rule's finding, in
-        // that slice's file.
-        let f = key_findings([ALL, &["rmr_a"], &["service_c"], native], ALLOW);
-        assert_eq!(f, [("rmr-keys", "BENCH_rmr.json".to_string())]);
-        // An extra row is a finding against EXPERIMENTS.md.
-        let f = key_findings([ALL, rmr, &["service_c", "service_zzz"], native], ALLOW);
-        assert_eq!(f, [("service-keys", "EXPERIMENTS.md".to_string())]);
-        // Empty files and no allowlist: every key of each family, once.
-        let f = key_findings([&[]; 4], "");
-        let count = |rule| f.iter().filter(|f| f.0 == rule).count();
-        assert_eq!(count("experiments-keys"), 6);
-        assert_eq!(count("rmr-keys"), 2);
-        assert_eq!(count("service-keys"), 1);
-        assert_eq!(count("service-native-keys"), 1);
+    fn each_key_has_one_row_across_the_row_files() {
+        // Consistent: each key in one file, the md-only `switch_cost`
+        // allowlisted.
+        assert_eq!(key_findings(COUNTED, WALL, ALLOW), []);
+        let only = |f: Vec<(String, String)>| -> (String, String) {
+            assert_eq!(f.len(), 1, "{f:?}");
+            f.into_iter().next().unwrap()
+        };
+        // A row written to both files.
+        let (file, msg) = only(key_findings(
+            &["fig_1", "rmr_a", "service_native_d"],
+            WALL,
+            ALLOW,
+        ));
+        assert_eq!(file, "EXPERIMENTS.md");
+        assert!(msg.contains("`service_native_d` has 2 rows"), "{msg}");
+        // A key in neither file.
+        let (file, msg) = only(key_findings(&["fig_1"], WALL, ALLOW));
+        assert_eq!(file, "EXPERIMENTS.md");
+        assert!(msg.contains("`rmr_a` has 0 rows"), "{msg}");
+        // A row that is not a key, reported against its file.
+        let (file, msg) = only(key_findings(COUNTED, &["service_native_d", "zzz"], ALLOW));
+        assert_eq!(file, "BENCH_service_native.json");
+        assert!(msg.contains("row `zzz` has no EXPERIMENTS.md"), "{msg}");
+        // Without the allowlist the md-only key is a finding too.
+        let (_, msg) = only(key_findings(COUNTED, WALL, ""));
+        assert!(msg.contains("`switch_cost` has 0 rows"), "{msg}");
     }
 
     #[test]

@@ -68,11 +68,11 @@ mod tests {
 
     #[test]
     fn mesh_dimension_is_smallest_square() {
-        assert_eq!(mk(1).mesh_dim, 1);
-        assert_eq!(mk(4).mesh_dim, 2);
-        assert_eq!(mk(16).mesh_dim, 4);
-        assert_eq!(mk(17).mesh_dim, 5);
-        assert_eq!(mk(64).mesh_dim, 8);
+        assert_eq!(super::mesh_dim(1), 1);
+        assert_eq!(super::mesh_dim(4), 2);
+        assert_eq!(super::mesh_dim(16), 4);
+        assert_eq!(super::mesh_dim(17), 5);
+        assert_eq!(super::mesh_dim(64), 8);
     }
 
     #[test]

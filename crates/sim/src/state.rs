@@ -134,10 +134,6 @@ pub(crate) struct State {
     pub contexts: usize,
     pub cost: CostModel,
     pub full_map: bool,
-    /// Mesh side length (coordinates are precomputed in `coords`; kept
-    /// for inspection and tests).
-    #[allow(dead_code)]
-    pub mesh_dim: usize,
     /// Per-node mesh coordinates, precomputed so the network-latency
     /// hot path never divides.
     pub coords: Vec<(u16, u16)>,
@@ -222,13 +218,11 @@ pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T, exact: bool) {
 
 impl State {
     pub fn new(nodes: usize, contexts: usize, cost: CostModel, full_map: bool, seed: u64) -> State {
-        let mesh_dim = crate::net::mesh_dim(nodes);
         State {
             nodes_n: nodes,
             contexts,
             cost,
             full_map,
-            mesh_dim,
             coords: crate::net::coords_for(nodes),
             now: 0,
             seq: 0,

@@ -4,45 +4,31 @@
 //!
 //! Run with: `cargo run --release --example contention_sweep`
 
-use reactive_sync::sim::CostModel;
-use repro_bench_shim::{lock_overhead, LockAlg};
+use reactive_sync::apps::alg::{AnyLock, LockAlg};
+use reactive_sync::sim::{Config, CostModel, Machine};
 
-/// Thin re-exports so the example only needs the facade crate plus the
-/// public experiment API (the bench crate is not a dependency of the
-/// facade; we inline the tiny runner here instead).
-mod repro_bench_shim {
-    pub use sim_apps_shim::LockAlg;
-
-    mod sim_apps_shim {
-        pub use reactive_sync::apps::alg::LockAlg;
+/// Average overhead per critical section (same method as §3.5.1).
+fn lock_overhead(alg: LockAlg, procs: usize, cost: CostModel) -> f64 {
+    let m = Machine::new(Config::default().nodes(procs.max(2)).cost(cost));
+    let lock = AnyLock::make(&m, 0, alg, procs);
+    let iters = (512 / procs as u64).max(8);
+    for p in 0..procs {
+        let cpu = m.cpu(p);
+        let lock = lock.clone();
+        m.spawn(p, async move {
+            for _ in 0..iters {
+                let t = lock.acquire(&cpu).await;
+                cpu.work(100).await;
+                lock.release(&cpu, t).await;
+                cpu.work(cpu.rand_below(500)).await;
+            }
+        });
     }
-
-    use reactive_sync::apps::alg::AnyLock;
-    use reactive_sync::sim::{Config, CostModel, Machine};
-
-    /// Average overhead per critical section (same method as §3.5.1).
-    pub fn lock_overhead(alg: LockAlg, procs: usize, cost: CostModel) -> f64 {
-        let m = Machine::new(Config::default().nodes(procs.max(2)).cost(cost));
-        let lock = AnyLock::make(&m, 0, alg, procs);
-        let iters = (512 / procs as u64).max(8);
-        for p in 0..procs {
-            let cpu = m.cpu(p);
-            let lock = lock.clone();
-            m.spawn(p, async move {
-                for _ in 0..iters {
-                    let t = lock.acquire(&cpu).await;
-                    cpu.work(100).await;
-                    lock.release(&cpu, t).await;
-                    cpu.work(cpu.rand_below(500)).await;
-                }
-            });
-        }
-        let elapsed = m.run();
-        assert_eq!(m.live_tasks(), 0);
-        let per_cs = elapsed as f64 / (iters * procs as u64) as f64;
-        let ideal = ((100.0 + 250.0) / procs as f64).max(100.0);
-        (per_cs - ideal).max(0.0)
-    }
+    let elapsed = m.run();
+    assert_eq!(m.live_tasks(), 0);
+    let per_cs = elapsed as f64 / (iters * procs as u64) as f64;
+    let ideal = ((100.0 + 250.0) / procs as f64).max(100.0);
+    (per_cs - ideal).max(0.0)
 }
 
 fn main() {
