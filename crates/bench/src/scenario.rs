@@ -2877,9 +2877,6 @@ mod tests {
             assert!(!sc.claims.is_empty(), "{} has no claims", sc.name);
         }
         let mut names: Vec<&str> = s.iter().map(|sc| sc.name).collect();
-        for row in WALL_CLOCK_ROWS {
-            assert!(names.contains(&row), "wall-clock row {row} is not in all()");
-        }
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 29, "duplicate scenario names");
@@ -2895,6 +2892,38 @@ mod tests {
     #[test]
     fn by_name_rejects_unknown() {
         assert!(by_name("fig_9_99_nonsense").is_none());
+    }
+
+    #[test]
+    fn slices_are_disjoint_table_ordered_subsets_of_the_registry() {
+        // The two row files split the registry: the wall-clock rows go to
+        // BENCH_service_native.json, the counted rest to
+        // BENCH_experiments.json.
+        let names: Vec<&str> = all().iter().map(|s| s.name).collect();
+        let at: Vec<usize> = WALL_CLOCK_ROWS
+            .iter()
+            .map(|k| {
+                names
+                    .iter()
+                    .position(|n| n == k)
+                    .unwrap_or_else(|| panic!("wall-clock row {k} is not in all()"))
+            })
+            .collect();
+        assert!(
+            at.windows(2).all(|w| w[0] < w[1]),
+            "wall-clock rows out of order"
+        );
+        let counted: Vec<&str> = names
+            .iter()
+            .copied()
+            .filter(|n| !WALL_CLOCK_ROWS.contains(n))
+            .collect();
+        assert_eq!(
+            counted.len() + WALL_CLOCK_ROWS.len(),
+            names.len(),
+            "a row is in both slices or in neither"
+        );
+        assert!(!counted.is_empty(), "no counted rows");
     }
 
     #[test]
