@@ -13,6 +13,14 @@
 //!   the line pays a `limitless_trap` penalty, unless the machine is
 //!   configured as a full-map directory (`Dir_NB` in Figure 3.2).
 //!
+//! A directory entry stores what Alewife's directory stores: `HW_PTRS`
+//! sharer pointers inline, an owner, a count and the extended bit, with
+//! no heap. Only a line that outgrows its pointers pays for more: its
+//! whole sharer list moves to a slot of one slab ([`DirSpill`]), the
+//! slot index rides in the entry, and the slot returns to a free list
+//! (keeping its buffer) once the list fits inline again. Sharer order
+//! is insertion order, which is invalidation order, in either form.
+//!
 //! Values live in a single authoritative word array mutated at directory
 //! service time (or at local exclusive hits); because a processor stalls
 //! on each of its own memory operations and transactions serialize at the
@@ -34,22 +42,141 @@ pub enum CacheState {
 /// Sentinel for "no exclusive owner" in a directory entry.
 pub(crate) const NO_OWNER: u32 = u32::MAX;
 
-/// Directory entry for one line (compact: node ids are `u32`, owner is
-/// a sentinel-coded field — the entry is shuffled on every request).
-#[derive(Clone, Debug)]
+/// [`DirEntry::meta`]'s top bit: the line is software-extended.
+const EXTENDED: u32 = 1 << 31;
+
+/// Directory entry for one line: the owner (sentinel-coded), `HW_PTRS`
+/// inline sharer pointers, and the sharer count sharing a word with the
+/// extended bit. A line with more than `HW_PTRS` sharers keeps its whole
+/// list in a [`DirSpill`] slot whose index sits in `ptrs[0]`.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct DirEntry {
     pub owner: u32,
-    pub sharers: Vec<u32>,
-    pub extended: bool,
+    ptrs: [u32; HW_PTRS],
+    /// Sharer count in the low 31 bits, [`EXTENDED`] in the top one.
+    meta: u32,
 }
 
-impl Default for DirEntry {
-    fn default() -> Self {
-        DirEntry {
-            owner: NO_OWNER,
-            sharers: Vec::new(),
-            extended: false,
+const _: () = assert!(size_of::<DirEntry>() <= 28);
+
+impl DirEntry {
+    pub const EMPTY: DirEntry = DirEntry {
+        owner: NO_OWNER,
+        ptrs: [0; HW_PTRS],
+        meta: 0,
+    };
+
+    #[inline]
+    pub fn len(&self) -> usize {
+        (self.meta & !EXTENDED) as usize
+    }
+
+    /// `n` is at most the node count, far below the extended bit.
+    #[inline]
+    fn set_len(&mut self, n: usize) {
+        debug_assert!(n < EXTENDED as usize);
+        self.meta = (self.meta & EXTENDED) | n as u32;
+    }
+
+    #[inline]
+    pub fn extended(&self) -> bool {
+        self.meta & EXTENDED != 0
+    }
+
+    #[inline]
+    pub fn set_extended(&mut self, on: bool) {
+        if on {
+            self.meta |= EXTENDED;
+        } else {
+            self.meta &= !EXTENDED;
         }
+    }
+
+    /// The sharers in insertion (= invalidation) order.
+    #[inline]
+    pub fn sharers<'a>(&'a self, spill: &'a DirSpill) -> &'a [u32] {
+        let n = self.len();
+        if n > HW_PTRS {
+            &spill.slots[self.ptrs[0] as usize]
+        } else {
+            &self.ptrs[..n]
+        }
+    }
+
+    /// Append `s`; the sixth sharer moves the list to a spill slot.
+    #[inline]
+    pub fn push(&mut self, spill: &mut DirSpill, s: u32) {
+        let n = self.len();
+        if n < HW_PTRS {
+            self.ptrs[n] = s;
+        } else {
+            if n == HW_PTRS {
+                let slot = spill.take_slot();
+                spill.slots[slot as usize].extend_from_slice(&self.ptrs);
+                self.ptrs[0] = slot;
+            }
+            spill.slots[self.ptrs[0] as usize].push(s);
+        }
+        self.set_len(n + 1);
+    }
+
+    /// Keep only the sharers `keep` accepts, in order; a list that fits
+    /// inline again leaves its spill slot.
+    pub fn retain(&mut self, spill: &mut DirSpill, mut keep: impl FnMut(&u32) -> bool) {
+        let n = self.len();
+        if n <= HW_PTRS {
+            let mut k = 0;
+            for i in 0..n {
+                let s = self.ptrs[i];
+                if keep(&s) {
+                    self.ptrs[k] = s;
+                    k += 1;
+                }
+            }
+            self.set_len(k);
+            return;
+        }
+        let slot = self.ptrs[0];
+        let list = &mut spill.slots[slot as usize];
+        list.retain(keep);
+        let k = list.len();
+        if k <= HW_PTRS {
+            self.ptrs[..k].copy_from_slice(list);
+            spill.free_slot(slot);
+        }
+        self.set_len(k);
+    }
+
+    /// Forget every sharer.
+    pub fn clear(&mut self, spill: &mut DirSpill) {
+        if self.len() > HW_PTRS {
+            spill.free_slot(self.ptrs[0]);
+        }
+        self.set_len(0);
+    }
+}
+
+/// Sharer lists of the lines that outgrew their inline pointers, one
+/// slot per such line. A freed slot is emptied but keeps its buffer and
+/// is handed out again before the slab grows, so a line that is extended
+/// and written round after round reuses one slot.
+#[derive(Default)]
+pub(crate) struct DirSpill {
+    pub slots: Vec<Vec<u32>>,
+    free: Vec<u32>,
+}
+
+impl DirSpill {
+    fn take_slot(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Vec::new());
+            (self.slots.len() - 1) as u32
+        })
+    }
+
+    fn free_slot(&mut self, slot: u32) {
+        self.slots[slot as usize].clear();
+        self.free.push(slot);
     }
 }
 
@@ -227,12 +354,11 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
     st.stats.dir_requests += 1;
     let t0 = st.now;
     let li = req.line.idx();
-    // Take the entry's fields out of the arena (the sharer list by
-    // value, so its capacity survives the round trip); the directory is
-    // serially occupied, so nothing else reads the entry meanwhile.
-    let mut extended = st.dir[li].extended;
+    // The entry is edited in place: the directory is serially occupied,
+    // so nothing else touches it meanwhile, and a spilled sharer list
+    // stays in its slab slot. (A whole-entry copy out and back in costs
+    // a store-forwarding stall on every request.)
     let mut owner = st.dir[li].owner;
-    let mut sharers = std::mem::take(&mut st.dir[li].sharers);
     debug_assert!(from != NO_OWNER as usize);
     let from32 = req.from;
 
@@ -251,7 +377,7 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
                     // table (`Shared` ⟺ on the list), so the duplicate
                     // check is O(1) instead of a list scan.
                     if st.cache[slot] != Some(CacheState::Shared) {
-                        sharers.push(owner);
+                        st.dir[li].push(&mut st.dir_spill, owner);
                     }
                     st.cache[slot] = Some(CacheState::Shared);
                     owner = NO_OWNER;
@@ -263,13 +389,11 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
             if owner != from32 {
                 let slot = st.cache_slot(from, req.line);
                 if st.cache[slot] != Some(CacheState::Shared) {
-                    sharers.push(from32);
+                    st.dir[li].push(&mut st.dir_spill, from32);
                 }
             }
-            if !st.full_map && sharers.len() > HW_PTRS {
-                if !extended {
-                    extended = true;
-                }
+            if !st.full_map && st.dir[li].len() > HW_PTRS {
+                st.dir[li].set_extended(true);
                 st.stats.limitless_traps += 1;
                 t += st.cost.limitless_trap;
             }
@@ -284,7 +408,7 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
         }
         ReqKind::Own(op) => {
             let mut t = t0 + st.cost.dir_service;
-            if extended && !st.full_map {
+            if st.dir[li].extended() && !st.full_map {
                 st.stats.limitless_traps += 1;
                 t += st.cost.limitless_trap;
             }
@@ -300,8 +424,9 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
             }
             // Sequentially invalidate every other sharer; the grant waits
             // for the last acknowledgement.
-            sharers.retain(|&s| s != from32);
+            st.dir[li].retain(&mut st.dir_spill, |&s| s != from32);
             let mut last_ack = t;
+            let sharers = st.dir[li].sharers(&st.dir_spill);
             for (i, &s) in sharers.iter().enumerate() {
                 let issue_at = t + (i as u64 + 1) * st.cost.inval_issue;
                 let ack_at = issue_at + 2 * net::latency(st, node, s as usize);
@@ -314,8 +439,9 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
             grant_t = t.max(last_ack);
             result = apply(st, req.addr, op);
             owner = from32;
-            sharers.clear();
-            extended = false;
+            let e = &mut st.dir[li];
+            e.clear(&mut st.dir_spill);
+            e.set_extended(false);
             let slot = st.cache_slot(from, req.line);
             st.cache[slot] = Some(CacheState::Exclusive);
             // Wake read-pollers once the line has settled: they will
@@ -326,10 +452,7 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
         }
     }
 
-    let entry = &mut st.dir[li];
-    entry.owner = owner;
-    entry.sharers = sharers;
-    entry.extended = extended;
+    st.dir[li].owner = owner;
     let reply_at = grant_t + net::latency(st, node, from);
     st.stats.net_msgs += 2;
     let d = &mut st.dirs[node];
@@ -341,5 +464,89 @@ pub(crate) fn dir_service(st: &mut State, node: usize) {
     st.schedule_complete(reply_at, req.comp, result);
     if more {
         st.schedule(grant_t, Ev::DirService(node as u32));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Random push / retain / clear sequences on a few entries sharing
+    /// one spill slab, checked after every step against a `Vec<u32>` per
+    /// entry: same sharers in the same order, same extended bit, and a
+    /// slab that never holds more slots than were ever spilled at once.
+    fn sharers_match_a_vec(ids: u32, seed: u64) {
+        const LINES: usize = 4;
+        let mut rng = seed;
+        let mut below = |n: u64| crate::rng::below(&mut rng, n);
+        let mut spill = DirSpill::default();
+        let mut dir = [DirEntry::EMPTY; LINES];
+        let mut model: [(Vec<u32>, bool); LINES] = Default::default();
+        let (mut peak, mut crossings) = (0, [0usize; 2]);
+        for _ in 0..4_000 {
+            let l = below(LINES as u64) as usize;
+            let (e, (want, ext)) = (&mut dir[l], &mut model[l]);
+            let was_spilled = want.len() > HW_PTRS;
+            match below(20) {
+                // One new sharer: the protocol never lists a node twice.
+                0..=10 => {
+                    let s = below(ids as u64) as u32;
+                    if !want.contains(&s) {
+                        e.push(&mut spill, s);
+                        want.push(s);
+                    }
+                }
+                // Every missing id, so the list reaches `ids`.
+                11 => {
+                    for s in 0..ids {
+                        if !want.contains(&s) {
+                            e.push(&mut spill, s);
+                            want.push(s);
+                        }
+                    }
+                }
+                // A write drops its own node; a kill drops a dead one.
+                12..=15 => {
+                    let s = below(ids as u64) as u32;
+                    e.retain(&mut spill, |&x| x != s);
+                    want.retain(|&x| x != s);
+                }
+                // Drop most of the list at once.
+                16 | 17 => {
+                    let m = below(4) as u32 + 2;
+                    e.retain(&mut spill, |&x| x % m == 0);
+                    want.retain(|&x| x % m == 0);
+                }
+                18 => {
+                    e.clear(&mut spill);
+                    want.clear();
+                }
+                _ => {
+                    *ext = below(2) == 1;
+                    e.set_extended(*ext);
+                }
+            }
+            let spilled = want.len() > HW_PTRS;
+            if spilled != was_spilled {
+                crossings[spilled as usize] += 1;
+            }
+            assert_eq!(e.sharers(&spill), &want[..]);
+            assert_eq!(e.len(), want.len());
+            assert_eq!(e.extended(), *ext);
+            let now = model.iter().filter(|(w, _)| w.len() > HW_PTRS).count();
+            peak = peak.max(now);
+            assert_eq!(spill.slots.len(), peak, "a freed slot is reused first");
+            assert_eq!(spill.free.len(), peak - now);
+        }
+        assert!(crossings[0] > 10 && crossings[1] > 10, "{crossings:?}");
+    }
+
+    #[test]
+    fn sharers_match_a_vec_across_the_pointer_limit() {
+        for ids in [6, 64, 300] {
+            for seed in 1..=5 {
+                sharers_match_a_vec(ids, seed);
+            }
+        }
     }
 }

@@ -507,7 +507,7 @@ impl<C: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinRead<'_, C> {
                     // Watch the line and arm this round's deadline wake
                     // (registration first, then the timer — the order the
                     // unfused loop scheduled them in).
-                    st.watchers[line.idx()].push(tid);
+                    st.watch(line, tid);
                     if this.deadline != u64::MAX {
                         st.schedule(this.deadline, crate::exec::Ev::Wake(tid));
                     }
@@ -541,7 +541,7 @@ impl<C: Fn([u64; 2]) -> Option<u64> + Unpin> Future for SpinRead<'_, C> {
                     let cur = st
                         .current_task
                         .expect("sim future polled outside the sim executor");
-                    st.watchers[line.idx()].push(cur);
+                    st.watch(line, cur);
                     return Poll::Pending;
                 }
                 SpinSt::FinalRead { c, tid } => {

@@ -193,7 +193,7 @@ pub(crate) fn kill_node(st: &mut State, node: usize) -> Vec<BoxFut> {
         q.retain(&mut st.wait_link, |t| !dead[t.0]);
     }
     for w in &mut st.watchers {
-        w.retain(|t| !dead[t.0]);
+        st.watch_nodes.retain(w, |t| !dead[t.0]);
     }
     // Volatile cache contents are lost and the coherence directories
     // forget the node (a crashed cache can never acknowledge an
@@ -206,7 +206,7 @@ pub(crate) fn kill_node(st: &mut State, node: usize) -> Vec<BoxFut> {
         if d.owner == node as u32 {
             d.owner = crate::coherence::NO_OWNER;
         }
-        d.sharers.retain(|&s| s != node as u32);
+        d.retain(&mut st.dir_spill, |&s| s != node as u32);
     }
     st.fault_log.push(FaultEvent::Kill {
         at: st.now,

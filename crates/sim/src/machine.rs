@@ -520,6 +520,10 @@ mod tests {
         assert_eq!(st.cache.capacity(), 4 * lines);
         assert_eq!(st.mem.capacity(), 4 * lines);
         assert_eq!(st.full_bits.capacity(), 4 * lines);
+        // A line at rest pays only for its arena slots: no sharer spills
+        // over its inline pointers and nobody watches it.
+        assert_eq!(st.dir_spill.slots.capacity(), 0);
+        assert_eq!(st.watch_nodes.nodes.capacity(), 0);
     }
 
     #[test]

@@ -160,29 +160,36 @@ impl EventQueue {
     }
 
     /// Bulk-append watcher wakes for `tasks` at `time`, with sequence
-    /// numbers `base_seq + 1 ..= base_seq + tasks.len()` (the caller has
-    /// already advanced the global counter). Equivalent to pushing the
-    /// `Ev::Wake`s one by one, but the bucket is located and its
+    /// numbers `base_seq + 1 ..= base_seq + n`, and return `n` (the
+    /// caller advances the global counter by it). Equivalent to pushing
+    /// the `Ev::Wake`s one by one, but the bucket is located and its
     /// tail/occupancy updated once per burst — invalidation storms wake
     /// dozens of watchers at a single instant.
-    pub fn push_wakes(&mut self, time: u64, base_seq: u64, tasks: &[crate::exec::TaskId]) {
+    pub fn push_wakes(
+        &mut self,
+        time: u64,
+        base_seq: u64,
+        tasks: impl Iterator<Item = crate::exec::TaskId>,
+    ) -> u64 {
         debug_assert!(time >= self.window_start);
+        let mut seq = base_seq;
         if time >= self.window_start + WINDOW {
-            for (j, &t) in tasks.iter().enumerate() {
+            for t in tasks {
+                seq += 1;
                 self.overflow_min = self.overflow_min.min(time);
                 self.overflow.push(EventEntry {
                     time,
-                    seq: base_seq + 1 + j as u64,
+                    seq,
                     ev: Ev::Wake(t),
                 });
             }
-            return;
+            return seq - base_seq;
         }
         let slot = (time as usize) & (WINDOW as usize - 1);
         let mut first = NIL;
         let mut prev = NIL;
-        for (j, &t) in tasks.iter().enumerate() {
-            let seq = base_seq + 1 + j as u64;
+        for t in tasks {
+            seq += 1;
             let i = self.alloc_node(seq, Ev::Wake(t));
             if prev == NIL {
                 first = i;
@@ -192,7 +199,7 @@ impl EventQueue {
             prev = i;
         }
         if first == NIL {
-            return;
+            return 0;
         }
         let (h, t) = self.ends[slot];
         if h == NIL {
@@ -202,7 +209,9 @@ impl EventQueue {
             self.nodes[t as usize].next = first;
             self.ends[slot] = (h, prev);
         }
-        self.near += tasks.len();
+        let n = seq - base_seq;
+        self.near += n as usize;
+        n
     }
 
     /// Time of the next pending event, **without** committing any

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use crate::coherence::{CacheState, CohReq, DirEntry};
+use crate::coherence::{CacheState, CohReq, DirEntry, DirSpill};
 use crate::cost::CostModel;
 use crate::exec::{BoxFut, Completion, Ev, EventEntry, TaskId};
 use crate::fault::FaultEvent;
@@ -76,6 +76,125 @@ pub(crate) struct Engine {
     pub q: VecDeque<u32>,
     pub busy: u64,
     pub scheduled: bool,
+}
+
+/// End of a watcher chain.
+const NIL: u32 = u32::MAX;
+
+/// The tasks watching one line, oldest first: a FIFO threaded through
+/// the shared [`WatchSlab`], 8 bytes and no heap buffer per line. The
+/// links live in the slab's nodes rather than one per task because a
+/// task can be on one line's list twice (a deadline exit leaves its
+/// entry behind and a stale wake then registers again) and on two
+/// lines' lists at once, and each entry is one wake event.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WatchList {
+    head: u32,
+    tail: u32,
+}
+
+const _: () = assert!(size_of::<WatchList>() == 8);
+
+impl WatchList {
+    pub const EMPTY: WatchList = WatchList {
+        head: NIL,
+        tail: NIL,
+    };
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.head == NIL
+    }
+}
+
+/// The `(task, next)` nodes of every line's [`WatchList`]; free nodes are
+/// chained from `free` through the same `next` field.
+pub(crate) struct WatchSlab {
+    pub nodes: Vec<(u32, u32)>,
+    free: u32,
+}
+
+impl Default for WatchSlab {
+    fn default() -> Self {
+        WatchSlab {
+            nodes: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl WatchSlab {
+    /// Append `tid` to `list`.
+    #[inline]
+    pub fn push(&mut self, list: &mut WatchList, tid: TaskId) {
+        assert!(tid.0 < NIL as usize, "task id overflows a watcher node");
+        let node = (tid.0 as u32, NIL);
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].1;
+            self.nodes[i as usize] = node;
+            i
+        };
+        if list.head == NIL {
+            list.head = i;
+        } else {
+            self.nodes[list.tail as usize].1 = i;
+        }
+        list.tail = i;
+    }
+
+    /// The tasks on `list`, oldest first.
+    #[inline]
+    pub fn iter(&self, list: WatchList) -> impl Iterator<Item = TaskId> + '_ {
+        let mut i = list.head;
+        std::iter::from_fn(move || {
+            if i == NIL {
+                return None;
+            }
+            let (t, next) = self.nodes[i as usize];
+            i = next;
+            Some(TaskId(t as usize))
+        })
+    }
+
+    /// Empty `list`: its whole chain joins the free chain in one splice.
+    #[inline]
+    pub fn clear(&mut self, list: &mut WatchList) {
+        if !list.is_empty() {
+            self.nodes[list.tail as usize].1 = self.free;
+            self.free = list.head;
+            *list = WatchList::EMPTY;
+        }
+    }
+
+    /// Drop the tasks `keep` rejects from `list`; survivors keep their
+    /// order.
+    pub fn retain(&mut self, list: &mut WatchList, mut keep: impl FnMut(TaskId) -> bool) {
+        let mut kept = WatchList::EMPTY;
+        let mut i = list.head;
+        while i != NIL {
+            let (t, next) = self.nodes[i as usize];
+            if keep(TaskId(t as usize)) {
+                if kept.head == NIL {
+                    kept.head = i;
+                } else {
+                    self.nodes[kept.tail as usize].1 = i;
+                }
+                kept.tail = i;
+            } else {
+                self.nodes[i as usize].1 = self.free;
+                self.free = i;
+            }
+            i = next;
+        }
+        if !kept.is_empty() {
+            self.nodes[kept.tail as usize].1 = NIL;
+        }
+        *list = kept;
+    }
 }
 
 /// Cap on pooled [`Completion`] allocations (see
@@ -165,13 +284,17 @@ pub(crate) struct State {
     pub line_home: Vec<u32>,
     pub line_ver: Vec<u64>,
     pub dir: Vec<DirEntry>,
+    /// Sharer lists of the lines with more than `HW_PTRS` sharers.
+    pub dir_spill: DirSpill,
     /// Flattened cache-state table, line-major: line `l` on node `n`
     /// is `cache[l * nodes_n + n]`, so one line's states across all
     /// nodes share a cache line — a directory's sequential-invalidation
     /// sweep is a contiguous scan.
     pub cache: Vec<Option<CacheState>>,
     pub dirs: Vec<Engine>,
-    pub watchers: Vec<Vec<TaskId>>,
+    pub watchers: Vec<WatchList>,
+    /// The nodes every line's watcher list runs through.
+    pub watch_nodes: WatchSlab,
 
     // --- active messages ---
     /// `handlers[node][port]` — flat per-node dispatch table.
@@ -243,9 +366,11 @@ impl State {
             line_home: Vec::new(),
             line_ver: Vec::new(),
             dir: Vec::new(),
+            dir_spill: DirSpill::default(),
             cache: Vec::new(),
             dirs: (0..nodes).map(|_| Engine::default()).collect(),
             watchers: Vec::new(),
+            watch_nodes: WatchSlab::default(),
             handlers: (0..nodes).map(|_| Vec::new()).collect(),
             msgs: (0..nodes).map(|_| Engine::default()).collect(),
             rpc_pending: RpcSlab::default(),
@@ -413,10 +538,17 @@ impl State {
             homes.fill(home(i) as u32);
         }
         grow(&mut self.line_ver, lines_total, 0, exact);
-        grow(&mut self.dir, lines_total, DirEntry::default(), exact);
-        grow(&mut self.watchers, lines_total, Vec::new(), exact);
+        grow(&mut self.dir, lines_total, DirEntry::EMPTY, exact);
+        grow(&mut self.watchers, lines_total, WatchList::EMPTY, exact);
         grow(&mut self.cache, lines_total * self.nodes_n, None, exact);
         (Addr(base), lines_each * lw)
+    }
+
+    /// Register `tid` to be woken by the next [`State::touch_line`] of
+    /// `line`.
+    #[inline]
+    pub fn watch(&mut self, line: LineId, tid: TaskId) {
+        self.watch_nodes.push(&mut self.watchers[line.idx()], tid);
     }
 
     /// Bump the line version (invalidation epoch) and wake all watchers.
@@ -424,18 +556,15 @@ impl State {
     /// reach them) and re-check whatever condition they were watching.
     pub fn touch_line(&mut self, line: LineId, wake_at: u64) {
         self.line_ver[line.idx()] += 1;
-        if !self.watchers[line.idx()].is_empty() {
-            // Take the list out to appease the borrow checker, then put
-            // the drained Vec back so its capacity is reused. The whole
-            // burst lands at one instant, so the queue appends it to a
-            // single bucket in one go.
-            let mut ws = std::mem::take(&mut self.watchers[line.idx()]);
+        let list = &mut self.watchers[line.idx()];
+        if !list.is_empty() {
+            // The whole burst lands at one instant, so the queue appends
+            // it to a single bucket in one go, oldest watcher first.
             let at = wake_at.max(self.now);
-            let base = self.seq;
-            self.seq += ws.len() as u64;
-            self.events.push_wakes(at, base, &ws);
-            ws.clear();
-            self.watchers[line.idx()] = ws;
+            self.seq += self
+                .events
+                .push_wakes(at, self.seq, self.watch_nodes.iter(*list));
+            self.watch_nodes.clear(list);
         }
     }
 
@@ -447,5 +576,93 @@ impl State {
 
     pub fn rand_below(&mut self, bound: u64) -> u64 {
         crate::rng::below(&mut self.rng, bound)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::Ev;
+
+    fn listed(slab: &WatchSlab, list: WatchList) -> Vec<TaskId> {
+        slab.iter(list).collect()
+    }
+
+    /// Random register / touch / kill-retain sequences checked against a
+    /// `Vec<Vec<TaskId>>` after every step. Few task ids over few lines,
+    /// so one task sits on a list twice and on two lists at once.
+    #[test]
+    fn watchers_match_a_vec_per_line() {
+        const LINES: usize = 5;
+        for seed in 1..=20 {
+            let mut rng = seed;
+            let mut below = |n: u64| crate::rng::below(&mut rng, n) as usize;
+            let mut slab = WatchSlab::default();
+            let mut lists = [WatchList::EMPTY; LINES];
+            let mut model: [Vec<TaskId>; LINES] = Default::default();
+            let mut peak = 0;
+            for _ in 0..2_000 {
+                let l = below(LINES as u64);
+                match below(10) {
+                    0..=5 => {
+                        let t = TaskId(below(8));
+                        slab.push(&mut lists[l], t);
+                        model[l].push(t);
+                    }
+                    6 | 7 => {
+                        assert_eq!(listed(&slab, lists[l]), model[l]);
+                        slab.clear(&mut lists[l]);
+                        model[l].clear();
+                    }
+                    _ => {
+                        let dead = [below(8), below(8)];
+                        for (list, want) in lists.iter_mut().zip(&mut model) {
+                            slab.retain(list, |t| !dead.contains(&t.0));
+                            want.retain(|t| !dead.contains(&t.0));
+                        }
+                    }
+                }
+                for (list, want) in lists.iter().zip(&model) {
+                    assert_eq!(listed(&slab, *list), *want);
+                    assert_eq!(list.is_empty(), want.is_empty());
+                }
+                let live: usize = model.iter().map(Vec::len).sum();
+                peak = peak.max(live);
+                assert_eq!(slab.nodes.len(), peak, "a freed node is reused first");
+            }
+        }
+    }
+
+    #[test]
+    fn touch_line_wakes_each_entry_oldest_first() {
+        let mut st = State::new(2, 1, CostModel::nwo(), false, 1);
+        let a = st.alloc_on(0, LINE_WORDS);
+        let b = st.alloc_on(1, LINE_WORDS);
+        let (la, lb) = (st.line_of(a), st.line_of(b));
+        // Task 3 twice on line a and once on line b.
+        for (line, t) in [(la, 3), (lb, 3), (la, 1), (la, 3), (lb, 2)] {
+            st.watch(line, TaskId(t));
+        }
+        let woken = |st: &mut State, line| {
+            let seq = st.seq;
+            st.touch_line(line, 10);
+            let mut out = Vec::new();
+            while let Some(e) = st.events.pop() {
+                let Ev::Wake(t) = e.ev else {
+                    panic!("only wakes were scheduled")
+                };
+                assert_eq!((e.time, e.seq), (10, seq + 1 + out.len() as u64));
+                out.push(t.0);
+            }
+            assert_eq!(st.seq, seq + out.len() as u64);
+            out
+        };
+        assert_eq!(woken(&mut st, la), [3, 1, 3]);
+        assert_eq!(woken(&mut st, la), [0; 0]);
+        assert_eq!(woken(&mut st, lb), [3, 2]);
+        assert_eq!(st.line_ver[la.idx()], 2);
+        // The drained nodes serve the next registrations.
+        st.watch(lb, TaskId(4));
+        assert_eq!(st.watch_nodes.nodes.len(), 5);
     }
 }

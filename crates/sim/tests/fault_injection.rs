@@ -2,7 +2,7 @@
 //! NVM, recoveries respawn, aborts reach waiting futures, and the whole
 //! schedule is deterministic and replayable.
 
-use alewife_sim::{Config, FaultEvent, FaultPlan, Machine};
+use alewife_sim::{Config, CostModel, FaultEvent, FaultPlan, Machine};
 
 #[test]
 fn kill_destroys_threads_but_not_nvm() {
@@ -210,4 +210,53 @@ fn rmr_counters_follow_the_cost_models() {
     assert_eq!(s.rmr_cc[0], 0);
     assert_eq!(s.rmr_dsm[0], 0);
     assert_eq!(s.rmr_cc_total(), 2);
+}
+
+#[test]
+fn kill_drops_a_spilled_sharer_and_keeps_the_other_watchers_in_order() {
+    // Seven pollers share (and watch) one line, past the five hardware
+    // pointers; node 3 dies among them before node 8 writes. A flat
+    // mesh puts every poller as far from the home as every other, so
+    // their re-reads after the write reach the directory in wake order
+    // and each one's finish time ranks its wake.
+    let cost = CostModel {
+        net_per_hop: 0,
+        ..CostModel::nwo()
+    };
+    let m = Machine::new(
+        Config::default()
+            .nodes(9)
+            .cost(cost)
+            .faults(FaultPlan::new().kill_at(2_000, 3)),
+    );
+    let a = m.alloc_on(0, 1);
+    let done: Vec<_> = (0..9).map(|n| m.alloc_on(n, 1)).collect();
+    for (p, &out) in done.iter().enumerate().take(8).skip(1) {
+        let cpu = m.cpu(p);
+        m.spawn(p, async move {
+            cpu.poll_until(a, |v| v == 1).await;
+            cpu.write(out, cpu.now()).await;
+        });
+    }
+    let cpu = m.cpu(8);
+    m.spawn(8, async move {
+        cpu.work(3_000).await;
+        cpu.write(a, 1).await;
+    });
+    m.run();
+    let s = m.stats();
+    assert!(s.limitless_traps > 0, "the line never outgrew its pointers");
+    assert_eq!(
+        s.invalidations, 6,
+        "the write invalidates the six live sharers"
+    );
+    assert_eq!(m.read_word(done[3]), 0, "the dead poller never finished");
+    let mut woke: Vec<_> = [1, 2, 4, 5, 6, 7]
+        .into_iter()
+        .map(|p| (m.read_word(done[p]), p))
+        .collect();
+    assert!(woke.iter().all(|&(t, _)| t > 3_000), "{woke:?}");
+    woke.sort();
+    let order: Vec<_> = woke.iter().map(|&(_, p)| p).collect();
+    assert_eq!(order, [1, 2, 4, 5, 6, 7], "{woke:?}");
 }
