@@ -25,6 +25,14 @@
 //!   sequences the per-world [`SwitchableObject`] hooks (validate,
 //!   publish, invalidate/migrate) in the order the exiting protocol's
 //!   consensus discipline requires;
+//! * **the calm streak** — [`SwitchKernel::observe_calm`] counts the
+//!   run of calm executions (empty-queue grants, low combining rates,
+//!   short barrier latencies — §3.3's evidence that the cheap protocol
+//!   would do) and turns it into an [`Observation`]: optimal up to the
+//!   object's limit, then a proposal of the cheaper protocol. Any
+//!   other observation, every commit (including one
+//!   [`SwitchKernel::recover`] completes) and every rolled-back
+//!   transaction reset the run;
 //! * **commit bookkeeping** — switch counting, policy evidence reset,
 //!   and [`SwitchEvent`] emission through the configured
 //!   [`Instrument`] sink.
@@ -33,8 +41,8 @@
 //! be shared: the physical realization of "make protocol *i* valid /
 //! invalid" (pin a TTS flag busy, poison an MCS queue tail with the
 //! `INVALID` sentinel, RPC a manager's validity flag) and the monitor
-//! that produces observations. Those are supplied to the kernel as
-//! [`SwitchableObject`] hooks.
+//! that classifies each execution. Those are supplied to the kernel as
+//! [`SwitchableObject`] hooks and `observe`/`observe_calm` calls.
 //!
 //! # Worlds
 //!
@@ -222,10 +230,6 @@ pub trait SwitchableObject {
 
     /// Per-pair diagnostics (e.g. named machine counters).
     fn note_switch(&self, _ctx: &Self::Ctx, _from: ProtocolId, _to: ProtocolId) {}
-
-    /// Clear the monitor evidence for the protocol being entered (empty
-    /// streaks, combining-rate streaks, ...).
-    fn reset_monitor(&self, _to: ProtocolId) {}
 }
 
 /// Drive a hook future that never awaits to completion (the native
@@ -372,6 +376,9 @@ pub struct SwitchKernel<W: KernelWorld> {
     optimal_is_noop: bool,
     state: Mutex<KernelState<W>>,
     switches: AtomicU64,
+    /// Consecutive calm executions since the last other observation,
+    /// commit or rollback (see [`SwitchKernel::observe_calm`]).
+    calm_streak: AtomicU64,
     sink: Option<W::Sink>,
 }
 
@@ -473,6 +480,7 @@ impl<W: KernelWorld> KernelBuilder<W> {
                 journal: None,
             }),
             switches: AtomicU64::new(0),
+            calm_streak: AtomicU64::new(0),
             sink: self.sink,
         }
     }
@@ -490,9 +498,59 @@ impl<W: KernelWorld> SwitchKernel<W> {
 
     /// Feed one acquisition's observation to the policy. Returns the
     /// switch target if the policy directed a change (always a
-    /// registered, non-current slot), or `None` to stay.
+    /// registered, non-current slot), or `None` to stay. Ends any calm
+    /// streak.
     #[inline]
     pub fn observe(&self, obs: &Observation) -> Option<ProtocolId> {
+        self.end_calm_streak();
+        self.decide(obs)
+    }
+
+    /// Report one calm execution of `current` — an acquisition that met
+    /// no contention, the §3.3 evidence that `cheaper` would serve as
+    /// well for less. The kernel extends the calm streak and feeds the
+    /// policy `Observation::optimal(current)` while the streak is at
+    /// most `limit`, then `Observation::suboptimal(current, cheaper,
+    /// residual)`: the first proposal is calm execution `limit + 1`.
+    /// Returns what [`SwitchKernel::observe`] would for that
+    /// observation. Takes no lock below the limit when the policy's
+    /// [`Policy::optimal_is_noop`] holds.
+    #[inline]
+    pub fn observe_calm(
+        &self,
+        current: ProtocolId,
+        cheaper: ProtocolId,
+        limit: u64,
+        residual: f64,
+    ) -> Option<ProtocolId> {
+        // order: Relaxed — a monitoring heuristic guarding no data; on
+        // hardware the caller holds the object, and a bump lost to a
+        // racing reset only delays a proposal.
+        let streak = self.calm_streak.fetch_add(1, Ordering::Relaxed) + 1;
+        if streak > limit {
+            self.decide(&Observation::suboptimal(current, cheaper, residual))
+        } else {
+            self.decide(&Observation::optimal(current))
+        }
+    }
+
+    /// End the calm streak without consulting the policy: for
+    /// contention an object sees before its execution's observation is
+    /// ready (an enqueuer that finds the queue busy has broken the run
+    /// even while it still waits for its grant). [`SwitchKernel::observe`]
+    /// does this itself. Loads first so that a run of non-calm
+    /// executions (every uncontended TTS win) never writes the line.
+    #[inline]
+    pub fn end_calm_streak(&self) {
+        // order: Relaxed — see `observe_calm`.
+        if self.calm_streak.load(Ordering::Relaxed) != 0 {
+            // order: Relaxed — see `observe_calm`.
+            self.calm_streak.store(0, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    fn decide(&self, obs: &Observation) -> Option<ProtocolId> {
         if self.optimal_is_noop && obs.better.is_none() {
             // The policy promised `Stay` with no state change, and a
             // stay leaves `pending` alone: nothing to serialize.
@@ -636,7 +694,6 @@ impl<W: KernelWorld> SwitchKernel<W> {
                 obj.publish_mode(ctx, to).await;
                 self.commit(obj.now(ctx), from, to);
                 obj.note_switch(ctx, from, to);
-                obj.reset_monitor(to);
                 if crash == Some(CrashPoint::AfterCommit) {
                     return true;
                 }
@@ -678,7 +735,6 @@ impl<W: KernelWorld> SwitchKernel<W> {
                 obj.publish_mode(ctx, to).await;
                 self.commit(obj.now(ctx), from, to);
                 obj.note_switch(ctx, from, to);
-                obj.reset_monitor(to);
                 if crash == Some(CrashPoint::AfterCommit) {
                     return true;
                 }
@@ -697,7 +753,6 @@ impl<W: KernelWorld> SwitchKernel<W> {
                     obj.publish_mode(ctx, to).await;
                     self.commit(obj.now(ctx), from, to);
                     obj.note_switch(ctx, from, to);
-                    obj.reset_monitor(to);
                     self.mark_valid(to);
                     let inv = obj.invalidate(ctx, from, to).await;
                     assert!(inv.is_some(), "post-commit invalidation cannot lose");
@@ -706,7 +761,6 @@ impl<W: KernelWorld> SwitchKernel<W> {
                 }
                 self.commit(obj.now(ctx), from, to);
                 obj.note_switch(ctx, from, to);
-                obj.reset_monitor(to);
                 if crash == Some(CrashPoint::AfterCommit) {
                     return true;
                 }
@@ -775,6 +829,7 @@ impl<W: KernelWorld> SwitchKernel<W> {
                 st.pending = None;
             }
             st.journal = None;
+            self.end_calm_streak();
             return SwitchRecovery::RolledBack {
                 from: j.from,
                 to: j.to,
@@ -785,7 +840,6 @@ impl<W: KernelWorld> SwitchKernel<W> {
             // Crash landed between validate and commit.
             self.commit(obj.now(ctx), j.from, j.to);
             obj.note_switch(ctx, j.from, j.to);
-            obj.reset_monitor(j.to);
         }
         {
             // CommitFirst crashes can leave the target's shadow flag
@@ -846,7 +900,8 @@ impl<W: KernelWorld> SwitchKernel<W> {
     }
 
     /// Commit bookkeeping: advance `current`, bump the switch counter,
-    /// reset the policy's evidence, and emit the [`SwitchEvent`].
+    /// reset the policy's evidence and the calm streak, and emit the
+    /// [`SwitchEvent`].
     fn commit(&self, now: u64, from: ProtocolId, to: ProtocolId) {
         let residual = {
             let mut st = self.state();
@@ -868,6 +923,7 @@ impl<W: KernelWorld> SwitchKernel<W> {
         // order: Relaxed — diagnostic counter; transition ordering is
         // carried by the state mutex, not this increment.
         self.switches.fetch_add(1, Ordering::Relaxed);
+        self.end_calm_streak();
         if let Some(sink) = &self.sink {
             sink.switch_event(SwitchEvent {
                 time: now,
@@ -961,10 +1017,6 @@ mod tests {
         fn note_switch(&self, _ctx: &(), from: ProtocolId, to: ProtocolId) {
             self.calls.borrow_mut().push(format!("note {from}->{to}"));
         }
-
-        fn reset_monitor(&self, to: ProtocolId) {
-            self.calls.borrow_mut().push(format!("reset {to}"));
-        }
     }
 
     fn two(exit_a: SwitchStyle, exit_b: SwitchStyle) -> SwitchKernel<LocalWorld> {
@@ -985,7 +1037,6 @@ mod tests {
                 "validate P0->P1 state=0",
                 "publish P1",
                 "note P0->P1",
-                "reset P1",
                 "invalidate P0->P1",
             ]
         );
@@ -1005,7 +1056,6 @@ mod tests {
                 "validate P0->P1 state=42",
                 "publish P1",
                 "note P0->P1",
-                "reset P1",
             ]
         );
     }
@@ -1026,7 +1076,6 @@ mod tests {
             *r.calls.borrow(),
             vec![
                 "note P0->P1",
-                "reset P1",
                 "validate P0->P1 state=0",
                 "publish P1",
                 "invalidate P0->P1",
@@ -1173,6 +1222,102 @@ mod tests {
     fn shared_world_kernel_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SwitchKernel<SharedWorld>>();
+    }
+
+    // -- the calm streak -----------------------------------------------
+
+    const LIMIT: u64 = 3;
+
+    /// Report calm executions of `cur` until the kernel proposes
+    /// `cheaper`; returns how many it took.
+    fn calm_until_proposal(
+        k: &SwitchKernel<LocalWorld>,
+        cur: ProtocolId,
+        cheaper: ProtocolId,
+    ) -> u64 {
+        (1..=LIMIT + 1)
+            .find(|_| k.observe_calm(cur, cheaper, LIMIT, 5.0).is_some())
+            .expect("the calm streak never proposed the cheaper protocol")
+    }
+
+    #[test]
+    fn first_calm_proposal_is_execution_limit_plus_one() {
+        for limit in [0, 1, 4] {
+            let log = Rc::new(SwitchLog::new());
+            let k = SwitchKernel::<LocalWorld>::builder()
+                .register(A, "a", SwitchStyle::Handoff)
+                .register(B, "b", SwitchStyle::Handoff)
+                .sink(log.clone() as Rc<dyn Instrument>)
+                .initial(B)
+                .build();
+            for _ in 0..limit {
+                assert_eq!(k.observe_calm(B, A, limit, 5.0), None);
+            }
+            assert_eq!(k.observe_calm(B, A, limit, 5.0), Some(A), "limit {limit}");
+            // The proposal carries the object's residual to the commit.
+            drive(k.switch(&Recorder::default(), &(), B, A));
+            assert_eq!(log.events()[0].residual, 5.0);
+        }
+    }
+
+    #[test]
+    fn busy_executions_end_the_calm_streak() {
+        for case in 0..3 {
+            let k = two(SwitchStyle::Handoff, SwitchStyle::Handoff);
+            for _ in 0..LIMIT {
+                assert_eq!(k.observe_calm(A, B, LIMIT, 5.0), None);
+            }
+            match case {
+                0 => drop(k.observe(&Observation::optimal(A))),
+                1 => drop(k.observe(&Observation::suboptimal(A, B, 1.0))),
+                _ => k.end_calm_streak(),
+            }
+            assert_eq!(calm_until_proposal(&k, A, B), LIMIT + 1, "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_commit_ends_the_calm_streak() {
+        for style in [
+            SwitchStyle::Handoff,
+            SwitchStyle::Transfer,
+            SwitchStyle::CommitFirst,
+        ] {
+            let k = two(style, style);
+            for _ in 0..LIMIT {
+                assert_eq!(k.observe_calm(A, B, LIMIT, 5.0), None);
+            }
+            drive(k.switch(&Recorder::default(), &(), A, B));
+            assert_eq!(calm_until_proposal(&k, B, A), LIMIT + 1, "{style:?}");
+        }
+    }
+
+    #[test]
+    fn a_repaired_crash_ends_the_calm_streak() {
+        // Rolled back: the source is current again, with a fresh run.
+        let k = two(SwitchStyle::Handoff, SwitchStyle::Handoff);
+        let r = Recorder::default();
+        for _ in 0..LIMIT {
+            assert_eq!(k.observe_calm(A, B, LIMIT, 5.0), None);
+        }
+        drive(k.switch_crashed(&r, &(), A, B, CrashPoint::AfterSourceInvalidated));
+        assert_eq!(
+            drive(k.recover(&r, &())),
+            SwitchRecovery::RolledBack { from: A, to: B }
+        );
+        assert_eq!(calm_until_proposal(&k, A, B), LIMIT + 1);
+
+        // Completed: recovery commits, and the commit resets.
+        let k = two(SwitchStyle::Handoff, SwitchStyle::Handoff);
+        drive(k.switch_crashed(&r, &(), A, B, CrashPoint::AfterTargetValidated));
+        for _ in 0..LIMIT {
+            assert_eq!(k.observe_calm(B, A, LIMIT, 5.0), None);
+        }
+        assert_eq!(
+            drive(k.recover(&r, &())),
+            SwitchRecovery::Completed { from: A, to: B }
+        );
+        assert_eq!(calm_until_proposal(&k, B, A), LIMIT + 1);
     }
 
     // -- crash / recovery ---------------------------------------------

@@ -9,6 +9,10 @@
 //! observations ([`Policy::optimal_is_noop`]): a kernel whose policy
 //! declares the capability and one whose policy hides it behind a
 //! wrapper must emit identical traces.
+//!
+//! The calm streak is kernel state too: seeded runs of calm executions,
+//! broken by busy ones, must turn into the same proposals in both
+//! worlds.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -210,4 +214,87 @@ fn optimal_fast_path_leaves_kernel_traces_bit_identical() {
     fast_path_is_invisible(Always, 4);
     fast_path_is_invisible(Competitive3::new(8_800.0), 2);
     fast_path_is_invisible(Competitive3::new(8_800.0), 3);
+}
+
+/// A seeded sequence of executions for the calm-streak conformance:
+/// mostly calm (runs long enough to pass the limit), broken by busy
+/// executions of three kinds — an optimal observation, a proposal of
+/// the other protocol, and contention seen before any observation
+/// (`end_calm_streak`).
+fn calm_trace(len: u64) -> Vec<u8> {
+    let mut x = 0x2545_F491u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % 16) as u8
+        })
+        .collect()
+}
+
+/// Run a calm/busy sequence through one two-protocol kernel, switching
+/// whenever it approves; returns (decisions, events).
+fn run_calm<W: KernelWorld>(
+    kernel: &SwitchKernel<W>,
+    events: impl Fn() -> Vec<SwitchEvent>,
+    steps: &[u8],
+) -> (Vec<Option<ProtocolId>>, Vec<SwitchEvent>) {
+    const LIMIT: u64 = 4;
+    let obj = NullObject::default();
+    let mut cur = ProtocolId(0);
+    let mut decisions = Vec::new();
+    for &kind in steps {
+        let other = ProtocolId(1 - cur.0);
+        let d = match kind {
+            0 => kernel.observe(&Observation::optimal(cur)),
+            1 => kernel.observe(&Observation::suboptimal(cur, other, 900.0)),
+            2 => {
+                kernel.end_calm_streak();
+                None
+            }
+            _ => kernel.observe_calm(cur, other, LIMIT, 150.0),
+        };
+        decisions.push(d);
+        if let Some(t) = d {
+            drive(kernel.switch(&obj, &(), cur, t));
+            cur = t;
+        }
+    }
+    (decisions, events())
+}
+
+fn calm_conformance_with(make_policy: &dyn Fn() -> Box<dyn Policy + Send>) {
+    let steps = calm_trace(2_000);
+    let local_log = Rc::new(SwitchLog::new());
+    let local = SwitchKernel::<LocalWorld>::builder()
+        .policy(make_policy())
+        .sink(local_log.clone() as Rc<dyn Instrument>)
+        .register(ProtocolId(0), "p", SwitchStyle::Handoff)
+        .register(ProtocolId(1), "p", SwitchStyle::Handoff)
+        .build();
+    let shared_log = Arc::new(SwitchLog::new());
+    let shared = SwitchKernel::<SharedWorld>::builder()
+        .policy(make_policy())
+        .sink(shared_log.clone() as Arc<dyn Instrument + Send + Sync>)
+        .register(ProtocolId(0), "p", SwitchStyle::CommitFirst)
+        .register(ProtocolId(1), "p", SwitchStyle::CommitFirst)
+        .build();
+
+    let (ld, le) = run_calm(&local, || local_log.events(), &steps);
+    let (sd, se) = run_calm(&shared, || shared_log.events(), &steps);
+
+    assert_eq!(ld, sd, "decision sequences diverged across worlds");
+    assert_eq!(le, se, "switch-event sequences diverged across worlds");
+    assert!(
+        le.iter().any(|e| e.residual == 150.0),
+        "some switch must be the calm streak's proposal"
+    );
+}
+
+#[test]
+fn calm_streak_conforms_across_worlds() {
+    calm_conformance_with(&|| Box::new(Always));
+    calm_conformance_with(&|| Box::new(Competitive3::new(400.0)));
+    calm_conformance_with(&|| Box::new(Hysteresis::new(2, 2)));
 }

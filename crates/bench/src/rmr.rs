@@ -6,9 +6,9 @@
 //! stated over:
 //!
 //! * [`recoverable_rmr`] — the crash-recoverable mutex under a periodic
-//!   kill schedule; RMRs per passage in the CC model (the
-//!   Golab–Ramaraju sub-logarithmic regime — the DSM cost of a Peterson
-//!   tree is unbounded and deliberately not claimed).
+//!   kill schedule; RMRs per passage in the CC model (O(log n) for the
+//!   Peterson tree — the DSM cost of a Peterson tree is unbounded and
+//!   deliberately not claimed).
 //! * [`abortable_rmr`] — the abortable MCS lock under deadline pressure
 //!   plus an abort storm; RMRs per *operation* (passages + aborts) in
 //!   **both** cost models (the O(1)-amortized claim).

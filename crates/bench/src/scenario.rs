@@ -2008,9 +2008,9 @@ fn rmr_recoverable() -> Scenario {
         paper_says: "the crash-recoverable mutex costs O(log n) CC-model RMRs per passage \
                      even across crash/recovery schedules, and no passage is lost",
         claims: &[
-            // The sub-logarithmic regime: RMRs per passage grow no
-            // faster than c * log2(n) (c calibrated with headroom over
-            // the deterministic measurement).
+            // RMRs per passage grow no faster than c * log2(n) (c
+            // calibrated with headroom over the deterministic
+            // measurement).
             Claim::BoundedRatio {
                 num: "rmr/cc_per_passage_per_log",
                 den: None,
@@ -2365,7 +2365,9 @@ fn service_stampede() -> Scenario {
         let control = crate::service::run_burst(scale, false);
         let cfg = crate::service::BURST_LIMITER;
         let limited_viol = limited.stampedes().len();
-        let control_viol = lock_service::check_no_stampede(&control.switch_log, cfg).len();
+        let control_viol = lock_service::check_no_stampede(&control.switch_log, cfg)
+            .expect("the burst limiter has a positive period")
+            .len();
         let mut o = Outcome {
             sweep: "",
             headline: format!(

@@ -10,10 +10,13 @@
 //!
 //! It exists to demonstrate the switching-kernel architecture: the
 //! whole mode-change machinery — registration, valid/invalid
-//! bookkeeping, policy handling, commit, `SwitchEvent` emission — comes
-//! from [`SwitchKernel`](crate::policy::SwitchKernel); this file contributes only the two arrival
-//! protocols, a contention monitor (mean arrival-counter latency per
-//! round), and ~30 lines of [`SwitchableObject`] hooks. Compare with
+//! bookkeeping, policy handling, the calm streak, commit, `SwitchEvent`
+//! emission — comes from [`SwitchKernel`](crate::policy::SwitchKernel);
+//! this file contributes only the two arrival protocols, a contention
+//! monitor (mean arrival-counter latency per round: a tree round below
+//! [`TREE_LAT_LOW`] is a calm one, and [`TREE_CALM_LIMIT`] of them in a
+//! row propose the central protocol), and ~30 lines of
+//! [`SwitchableObject`] hooks. Compare with
 //! the ~600-line forks each new reactive object needed before the
 //! kernel existed.
 //!
@@ -83,7 +86,6 @@ impl Reactive for ReactiveBarrier {
             participants: n as u64,
             kernel,
             round_lat: Rc::new(Cell::new(0)),
-            calm_streak: Rc::new(Cell::new(0)),
         }
     }
 }
@@ -105,7 +107,6 @@ pub struct ReactiveBarrier {
     kernel: Rc<SimKernel>,
     /// Sum of this round's arrival-counter latencies (the monitor).
     round_lat: Rc<Cell<u64>>,
-    calm_streak: Rc<Cell<u64>>,
 }
 
 impl std::fmt::Debug for ReactiveBarrier {
@@ -181,29 +182,28 @@ impl ReactiveBarrier {
     /// sense word).
     async fn finish_round(&self, cpu: &Cpu, current: ProtocolId) {
         let avg = self.round_lat.take() / self.participants;
-        let obs = if current == PROTO_CENTRAL {
-            if avg > CENTRAL_LAT_LIMIT {
+        let target = if current == PROTO_CENTRAL {
+            self.kernel.observe(&if avg > CENTRAL_LAT_LIMIT {
                 let residual = ((avg - CENTRAL_LAT_LIMIT) * self.participants) as f64;
                 Observation::suboptimal(PROTO_CENTRAL, PROTO_TREE, residual)
             } else {
                 Observation::optimal(PROTO_CENTRAL)
-            }
+            })
         } else if avg < TREE_LAT_LOW {
-            let calm = self.calm_streak.get() + 1;
-            self.calm_streak.set(calm);
-            if calm > TREE_CALM_LIMIT {
-                Observation::suboptimal(PROTO_TREE, PROTO_CENTRAL, 50.0 * self.participants as f64)
-            } else {
-                Observation::optimal(PROTO_TREE)
-            }
+            let residual = 50.0 * self.participants as f64;
+            self.kernel
+                .observe_calm(PROTO_TREE, PROTO_CENTRAL, TREE_CALM_LIMIT, residual)
         } else {
-            self.calm_streak.set(0);
-            Observation::optimal(PROTO_TREE)
+            self.kernel.observe(&Observation::optimal(PROTO_TREE))
         };
-        if let Some(target) = self.kernel.observe(&obs) {
+        if let Some(target) = target {
             self.kernel
                 .switch(&BarrierSwitch { b: self }, cpu, current, target)
                 .await;
+            // A straggler's latency from the old protocol may have
+            // landed since `take`; the new protocol's first round
+            // starts from zero.
+            self.round_lat.set(0);
         }
     }
 }
@@ -248,11 +248,6 @@ impl SwitchableObject for BarrierSwitch<'_> {
             "reactive_barrier.to_central"
         };
         cpu.bump(name, 1);
-    }
-
-    fn reset_monitor(&self, _to: ProtocolId) {
-        self.b.calm_streak.set(0);
-        self.b.round_lat.set(0);
     }
 }
 

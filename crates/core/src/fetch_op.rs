@@ -17,10 +17,13 @@
 //! reaches an invalid root *completes the protocol* by distributing the
 //! retry down to everyone it combined with (§3.3.2).
 //!
-//! Monitoring (§3.3.2): failed `test&set`s (TTS → queue), empty-queue
-//! streaks (queue → TTS), queue waiting time (queue → tree, the queue is
-//! FIFO so waiting time estimates contention), and the combining rate
-//! observed at the root (tree → queue). The monitor only *proposes* a
+//! Monitoring (§3.3.2): failed `test&set`s (TTS → queue), queue waiting
+//! time (queue → tree, the queue is FIFO so waiting time estimates
+//! contention), and two kinds of calm execution — an empty-queue
+//! acquisition (queue → TTS) and a root visit that combined little
+//! (tree → queue) — whose runs the switching kernel's calm streak
+//! counts against [`EMPTY_QUEUE_LIMIT`] and [`TREE_LOW_STREAK`]. The
+//! monitor only *proposes* a
 //! better protocol through an [`Observation`]; the configured
 //! [`Policy`](crate::policy::Policy) decides, and may direct a change to
 //! **any** of the three slots — the switch machinery below handles all
@@ -30,7 +33,6 @@
 //! a common location so updates are not necessary" is used: all three
 //! protocols mutate the same counter word.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
@@ -92,8 +94,6 @@ impl Reactive for ReactiveFetchOp {
             root,
             tree: CombiningTree::new(m, home, n),
             kernel,
-            empty_streak: Rc::new(Cell::new(0)),
-            low_combine_streak: Rc::new(Cell::new(0)),
         }
     }
 }
@@ -115,8 +115,6 @@ pub struct ReactiveFetchOp {
     root: Addr,
     tree: CombiningTree,
     kernel: Rc<SimKernel>,
-    empty_streak: Rc<Cell<u64>>,
-    low_combine_streak: Rc<Cell<u64>>,
 }
 
 impl std::fmt::Debug for ReactiveFetchOp {
@@ -182,7 +180,6 @@ impl ReactiveFetchOp {
         // Critical section: apply the op.
         let old = cpu.read(self.var).await;
         cpu.write(self.var, old.wrapping_add(delta)).await;
-        self.empty_streak.set(0);
         let obs = if failures > TTS_RETRY_LIMIT {
             Observation::suboptimal(PROTO_TTS, PROTO_QUEUE, TTS_RESIDUAL)
         } else {
@@ -250,23 +247,19 @@ impl ReactiveFetchOp {
         // Monitoring: the queue is FIFO, so waiting time estimates
         // contention (§3.3.2). Long waits favour the combining tree;
         // empty-queue streaks favour TTS.
-        let obs = if empty {
-            let streak = self.empty_streak.get() + 1;
-            self.empty_streak.set(streak);
-            if streak > EMPTY_QUEUE_LIMIT {
-                Observation::suboptimal(PROTO_QUEUE, PROTO_TTS, QUEUE_RESIDUAL)
-            } else {
-                Observation::optimal(PROTO_QUEUE)
-            }
+        let target = if empty {
+            self.kernel
+                .observe_calm(PROTO_QUEUE, PROTO_TTS, EMPTY_QUEUE_LIMIT, QUEUE_RESIDUAL)
+        } else if wait_time > QUEUE_WAIT_LIMIT {
+            self.kernel.observe(&Observation::suboptimal(
+                PROTO_QUEUE,
+                PROTO_TREE,
+                wait_time as f64 / 4.0,
+            ))
         } else {
-            self.empty_streak.set(0);
-            if wait_time > QUEUE_WAIT_LIMIT {
-                Observation::suboptimal(PROTO_QUEUE, PROTO_TREE, wait_time as f64 / 4.0)
-            } else {
-                Observation::optimal(PROTO_QUEUE)
-            }
+            self.kernel.observe(&Observation::optimal(PROTO_QUEUE))
         };
-        match self.kernel.observe(&obs) {
+        match target {
             Some(target) if target == PROTO_TTS => {
                 // Switch queue -> TTS: the kernel invalidates the queue
                 // (bouncing waiters); freeing the TTS flag is our
@@ -326,26 +319,19 @@ impl ReactiveFetchOp {
 
                 // Monitoring: how much combining did this root visit
                 // carry? (The paper piggybacks a fetch-and-increment to
-                // measure the combining rate.)
+                // measure the combining rate.) Decide while we hold the
+                // root so an approved change can clear `tree_valid`
+                // atomically with the update (the tree's invalidation
+                // happens here, under its consensus object; the
+                // kernel's invalidate hook for the tree slot is
+                // therefore a no-op).
                 let combined = owed.len() + 1;
-                let obs = if combined < TREE_COMBINE_MIN {
-                    let streak = self.low_combine_streak.get() + 1;
-                    self.low_combine_streak.set(streak);
-                    if streak > TREE_LOW_STREAK {
-                        Observation::suboptimal(PROTO_TREE, PROTO_QUEUE, 400.0)
-                    } else {
-                        Observation::optimal(PROTO_TREE)
-                    }
+                let target = if combined < TREE_COMBINE_MIN {
+                    self.kernel
+                        .observe_calm(PROTO_TREE, PROTO_QUEUE, TREE_LOW_STREAK, 400.0)
                 } else {
-                    self.low_combine_streak.set(0);
-                    Observation::optimal(PROTO_TREE)
+                    self.kernel.observe(&Observation::optimal(PROTO_TREE))
                 };
-                // Decide while we hold the root so an approved change
-                // can clear `tree_valid` atomically with the update
-                // (the tree's invalidation happens here, under its
-                // consensus object; the kernel's invalidate hook for
-                // the tree slot is therefore a no-op).
-                let target = self.kernel.observe(&obs);
                 if target.is_some() {
                     cpu.write(self.tree_valid(), 0).await;
                 }
@@ -470,13 +456,6 @@ impl SwitchableObject for FopSwitch<'_> {
             _ => "reactive_fop.to_tts",
         };
         cpu.bump(name, 1);
-    }
-
-    fn reset_monitor(&self, to: ProtocolId) {
-        match to {
-            PROTO_TREE => self.f.low_combine_streak.set(0),
-            _ => self.f.empty_streak.set(0),
-        }
     }
 }
 

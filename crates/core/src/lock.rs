@@ -18,8 +18,10 @@
 //!
 //! Contention monitoring (§3.3.1): in TTS mode the number of failed
 //! `test&set` attempts per acquisition estimates contention; in queue
-//! mode a streak of empty-queue acquisitions signals its absence. The
-//! monitor turns those signals into [`Observation`]s; the configured
+//! mode an empty-queue acquisition is a calm execution, and the
+//! switching kernel's calm streak proposes TTS after
+//! [`EMPTY_QUEUE_LIMIT`] of them in a row. The monitor turns those
+//! signals into [`Observation`]s; the configured
 //! [`Policy`](crate::Policy) decides whether to actually switch, and every
 //! committed change is reported to the [`Instrument`](crate::Instrument)
 //! sink as a [`crate::policy::SwitchEvent`].
@@ -39,7 +41,6 @@
 //! # drop(lock);
 //! ```
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
@@ -123,7 +124,6 @@ impl Reactive for ReactiveLock {
             queue: McsLock::over(m, locks.plus(1)),
             mode,
             kernel,
-            empty_streak: Rc::new(Cell::new(0)),
         }
     }
 }
@@ -142,7 +142,6 @@ pub struct ReactiveLock {
     /// Mode hint on its own (mostly-read) line.
     mode: Addr,
     kernel: Rc<SimKernel>,
-    empty_streak: Rc<Cell<u64>>,
 }
 
 impl std::fmt::Debug for ReactiveLock {
@@ -209,7 +208,6 @@ impl ReactiveLock {
 
     /// Monitor + policy decision after winning the TTS sub-lock.
     fn decide_after_tts(&self, failures: u64) -> ReleaseMode {
-        self.empty_streak.set(0);
         let obs = if failures > TTS_RETRY_LIMIT {
             let residual = TTS_RESIDUAL * (failures as f64 / TTS_RETRY_LIMIT as f64).min(4.0);
             Observation::suboptimal(PROTO_TTS, PROTO_QUEUE, residual)
@@ -234,18 +232,16 @@ impl ReactiveLock {
             self.queue.invalidate_from(cpu, q).await;
             return None;
         }
-        let obs = if pred == NIL {
+        let target = if pred == NIL {
             // Empty queue: lock acquired immediately (low contention).
-            let streak = self.empty_streak.get() + 1;
-            self.empty_streak.set(streak);
-            if streak > EMPTY_QUEUE_LIMIT {
-                Observation::suboptimal(PROTO_QUEUE, PROTO_TTS, QUEUE_RESIDUAL)
-            } else {
-                Observation::optimal(PROTO_QUEUE)
-            }
+            self.kernel
+                .observe_calm(PROTO_QUEUE, PROTO_TTS, EMPTY_QUEUE_LIMIT, QUEUE_RESIDUAL)
         } else {
             self.queue.chain(cpu, q, pred).await;
-            self.empty_streak.set(0);
+            // A busy queue ends the calm run now, not at our grant: a
+            // usurper that finds the tail momentarily NIL in between
+            // (`release_qnode`'s race) starts a fresh run.
+            self.kernel.end_calm_streak();
             if !self.queue.wait_granted(cpu, q).await {
                 // The queue protocol was switched away while we waited;
                 // retry via dispatch (mode now points at TTS).
@@ -253,10 +249,10 @@ impl ReactiveLock {
             }
             // Honor the policy even on this optimal path: user policies
             // may direct a switch on any observation.
-            Observation::optimal(PROTO_QUEUE)
+            self.kernel.observe(&Observation::optimal(PROTO_QUEUE))
         };
         // The only other slot is TTS, so an approved target is it.
-        Some(match self.kernel.observe(&obs) {
+        Some(match target {
             Some(_tts) => ReleaseMode::QueueToTts(q),
             None => ReleaseMode::Queue(q),
         })
@@ -343,10 +339,6 @@ impl SwitchableObject for LockSwitch<'_> {
             "reactive_lock.to_tts"
         };
         cpu.bump(name, 1);
-    }
-
-    fn reset_monitor(&self, _to: ProtocolId) {
-        self.lock.empty_streak.set(0);
     }
 }
 

@@ -17,11 +17,13 @@
 //!   them while holding the currently-valid consensus object.
 //!
 //! Both are built through the shared [`Builder`] and speak the shared
-//! reactive API: monitors emit [`Observation`]s, the pluggable
+//! reactive API: monitors emit [`Observation`]s or report calm
+//! executions (a grant with an empty manager queue, a fast central
+//! round trip), whose runs the switching kernel's calm streak turns
+//! into a proposal of TTS after `EMPTY_LIMIT` of them; the pluggable
 //! [`Policy`](crate::Policy) decides, and committed changes are counted
 //! and reported to the configured [`Instrument`](crate::Instrument) sink.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
@@ -81,7 +83,6 @@ impl Reactive for ReactiveMpLock {
             mode,
             mp: MpQueueLock::with_validity(m, manager, false),
             kernel,
-            empty_streak: Rc::new(Cell::new(0)),
         }
     }
 }
@@ -96,7 +97,6 @@ pub struct ReactiveMpLock {
     mode: Addr,
     mp: MpQueueLock,
     kernel: Rc<SimKernel>,
-    empty_streak: Rc<Cell<u64>>,
 }
 
 impl std::fmt::Debug for ReactiveMpLock {
@@ -140,7 +140,6 @@ impl ReactiveMpLock {
 
     async fn acquire_tts(&self, cpu: &Cpu) -> Option<MpReleaseMode> {
         let failures = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await?;
-        self.empty_streak.set(0);
         let obs = if failures > TTS_RETRY_LIMIT {
             Observation::suboptimal(PROTO_TTS, PROTO_MP, TTS_RESIDUAL)
         } else {
@@ -155,19 +154,13 @@ impl ReactiveMpLock {
 
     async fn acquire_mp(&self, cpu: &Cpu) -> Option<MpReleaseMode> {
         let qlen = self.mp.try_acquire_with_qlen(cpu).await?;
-        let obs = if qlen == 0 {
-            let streak = self.empty_streak.get() + 1;
-            self.empty_streak.set(streak);
-            if streak > EMPTY_LIMIT {
-                Observation::suboptimal(PROTO_MP, PROTO_TTS, 40.0)
-            } else {
-                Observation::optimal(PROTO_MP)
-            }
+        let target = if qlen == 0 {
+            self.kernel
+                .observe_calm(PROTO_MP, PROTO_TTS, EMPTY_LIMIT, 40.0)
         } else {
-            self.empty_streak.set(0);
-            Observation::optimal(PROTO_MP)
+            self.kernel.observe(&Observation::optimal(PROTO_MP))
         };
-        Some(if self.kernel.observe(&obs).is_some() {
+        Some(if target.is_some() {
             MpReleaseMode::MpToTts
         } else {
             MpReleaseMode::Mp
@@ -246,10 +239,6 @@ impl SwitchableObject for MpLockSwitch<'_> {
         };
         cpu.bump(name, 1);
     }
-
-    fn reset_monitor(&self, _to: ProtocolId) {
-        self.lock.empty_streak.set(0);
-    }
 }
 
 impl Lock for ReactiveMpLock {
@@ -291,7 +280,6 @@ impl Reactive for ReactiveMpFetchOp {
             central: MpCounter::with_validity(m, manager, false),
             tree: MpCombiningTree::with_validity(m, manager, n, false),
             kernel,
-            calm_streak: Rc::new(Cell::new(0)),
         }
     }
 }
@@ -304,9 +292,9 @@ impl MaxProcs for ReactiveMpFetchOp {}
 ///
 /// Monitoring: failed `test&set`s promote TTS → central MP; central-MP
 /// round-trip times (which grow with manager occupancy) promote central
-/// → tree and demote tree → central; an empty machine demotes back to
-/// TTS. Counter-value transfer happens at switch time under the current
-/// consensus object.
+/// → tree and demote tree → central; a calm streak of fast central
+/// round trips demotes back to TTS. Counter-value transfer happens at
+/// switch time under the current consensus object.
 #[derive(Clone)]
 pub struct ReactiveMpFetchOp {
     tts: TtsLock,
@@ -315,7 +303,6 @@ pub struct ReactiveMpFetchOp {
     central: MpCounter,
     tree: MpCombiningTree,
     kernel: Rc<SimKernel>,
-    calm_streak: Rc<Cell<u64>>,
 }
 
 impl std::fmt::Debug for ReactiveMpFetchOp {
@@ -409,21 +396,19 @@ impl ReactiveMpFetchOp {
         let t0 = cpu.now();
         let old = self.central.try_fetch_add(cpu, delta).await.ok()?;
         let rtt = cpu.now() - t0;
-        let obs = if rtt > RTT_HIGH {
-            Observation::suboptimal(PROTO_MP, PROTO_MP_TREE, (rtt - RTT_HIGH) as f64)
+        let target = if rtt > RTT_HIGH {
+            self.kernel.observe(&Observation::suboptimal(
+                PROTO_MP,
+                PROTO_MP_TREE,
+                (rtt - RTT_HIGH) as f64,
+            ))
         } else if rtt < RTT_LOW {
-            let streak = self.calm_streak.get() + 1;
-            self.calm_streak.set(streak);
-            if streak > EMPTY_LIMIT {
-                Observation::suboptimal(PROTO_MP, PROTO_TTS, 40.0)
-            } else {
-                Observation::optimal(PROTO_MP)
-            }
+            self.kernel
+                .observe_calm(PROTO_MP, PROTO_TTS, EMPTY_LIMIT, 40.0)
         } else {
-            self.calm_streak.set(0);
-            Observation::optimal(PROTO_MP)
+            self.kernel.observe(&Observation::optimal(PROTO_MP))
         };
-        if let Some(target) = self.kernel.observe(&obs) {
+        if let Some(target) = target {
             // Any completed requester may decide a change here, so the
             // attempt is fallible: the manager handler arbitrates
             // between concurrent changers, and a loser abandons its
@@ -522,12 +507,6 @@ impl SwitchableObject for MpFopSwitch<'_> {
             _ => "reactive_mp_fop.to_tts",
         };
         cpu.bump(name, 1);
-    }
-
-    fn reset_monitor(&self, to: ProtocolId) {
-        if to == PROTO_MP {
-            self.f.calm_streak.set(0);
-        }
     }
 }
 

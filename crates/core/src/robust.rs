@@ -11,9 +11,10 @@
 //!   the protocol suboptimal (a future crash of a holder would wedge
 //!   the MCS queue) and the holder switches to the recoverable
 //!   protocol on release;
-//! * in **recoverable** mode, a long crash-free streak of passages
-//!   reports the `O(log n)` passages as overpriced and the holder
-//!   switches back.
+//! * in **recoverable** mode, each crash-free passage is a calm
+//!   execution; once the switching kernel's calm streak passes
+//!   [`CALM_LIMIT`] it reports the `O(log n)` passages as overpriced
+//!   and the holder switches back.
 //!
 //! Both mode changes run through [`crate::policy::SimKernel`] with the
 //! Handoff discipline: only the current holder switches, so changes are
@@ -89,8 +90,6 @@ pub struct RobustLock {
     kernel: Rc<SimKernel>,
     /// Crash count already reacted to by the monitor.
     seen_crashes: Rc<Cell<u64>>,
-    /// Crash-free passages while in recoverable mode.
-    calm_streak: Rc<Cell<u64>>,
 }
 
 impl std::fmt::Debug for RobustLock {
@@ -126,7 +125,6 @@ impl Reactive for RobustLock {
             crashes,
             kernel,
             seen_crashes: Rc::new(Cell::new(0)),
-            calm_streak: Rc::new(Cell::new(0)),
         }
     }
 }
@@ -188,14 +186,16 @@ impl RobustLock {
         }
     }
 
-    /// The monitor: consult the crash counter and the calm streak, ask
-    /// the policy, and bind any approved switch to this grant's token.
+    /// The monitor: consult the crash counter, report the passage to
+    /// the kernel (a crash-free recoverable passage is a calm one), and
+    /// bind any approved switch to this grant's token.
     async fn decide(&self, cpu: &Cpu, proto: ProtocolId, qnode: Option<Addr>) -> RobustToken {
         let crashes = cpu.read(self.crashes).await;
-        let fresh = crashes > self.seen_crashes.get();
-        let obs = if proto == PROTO_ABORTABLE {
-            if fresh {
-                let n = crashes - self.seen_crashes.get();
+        let seen = self.seen_crashes.replace(crashes);
+        let fresh = crashes > seen;
+        let switch_to = if proto == PROTO_ABORTABLE {
+            self.kernel.observe(&if fresh {
+                let n = crashes - seen;
                 Observation::suboptimal(
                     PROTO_ABORTABLE,
                     PROTO_RECOVERABLE,
@@ -203,24 +203,22 @@ impl RobustLock {
                 )
             } else {
                 Observation::optimal(PROTO_ABORTABLE)
-            }
+            })
         } else if fresh {
-            self.calm_streak.set(0);
-            Observation::optimal(PROTO_RECOVERABLE)
+            self.kernel
+                .observe(&Observation::optimal(PROTO_RECOVERABLE))
         } else {
-            let streak = self.calm_streak.get() + 1;
-            self.calm_streak.set(streak);
-            if streak > CALM_LIMIT {
-                Observation::suboptimal(PROTO_RECOVERABLE, PROTO_ABORTABLE, RECOVERABLE_RESIDUAL)
-            } else {
-                Observation::optimal(PROTO_RECOVERABLE)
-            }
+            self.kernel.observe_calm(
+                PROTO_RECOVERABLE,
+                PROTO_ABORTABLE,
+                CALM_LIMIT,
+                RECOVERABLE_RESIDUAL,
+            )
         };
-        self.seen_crashes.set(crashes);
         RobustToken {
             proto,
             qnode,
-            switch_to: self.kernel.observe(&obs),
+            switch_to,
         }
     }
 
@@ -312,10 +310,6 @@ impl SwitchableObject for RobustSwitch<'_> {
             "robust_lock.to_abortable"
         };
         cpu.bump(name, 1);
-    }
-
-    fn reset_monitor(&self, _to: ProtocolId) {
-        self.lock.calm_streak.set(0);
     }
 }
 

@@ -9,7 +9,10 @@
 //!
 //! The lock speaks the same reactive API as the simulator-side
 //! algorithms in `reactive-core`: contention monitoring produces
-//! [`Observation`]s, the pluggable [`Policy`] (shared trait from
+//! [`Observation`]s (failed test&set counts in TTS mode) and calm
+//! executions (empty-queue acquisitions, whose run the switching
+//! kernel's calm streak turns into a proposal of TTS after
+//! `EMPTY_QUEUE_LIMIT` of them), the pluggable [`Policy`] (shared trait from
 //! `reactive-api`) decides, and every committed protocol change is
 //! reported to the configured [`Instrument`] sink as a [`SwitchEvent`](reactive_api::SwitchEvent)
 //! stamped in nanoseconds since lock creation.
@@ -32,8 +35,7 @@
 use std::sync::Arc;
 
 use crate::sync::{
-    spin_loop, thread, AtomicU64, AtomicU8, Instant, Ordering, BACKOFF_INITIAL, BACKOFF_MAX,
-    MODE_CHECK_MASK,
+    spin_loop, thread, AtomicU8, Instant, Ordering, BACKOFF_INITIAL, BACKOFF_MAX, MODE_CHECK_MASK,
 };
 
 use reactive_api::{
@@ -155,7 +157,6 @@ impl ReactiveLockBuilder {
             tts: TtsLock::new(),
             queue: McsLock::new(),
             queue_valid: AtomicU8::new(u8::from(start_in_queue)),
-            empty_streak: AtomicU64::new(0),
             kernel,
             epoch: Instant::now(),
         };
@@ -178,7 +179,6 @@ pub struct ReactiveLock {
     /// changer flips it while holding the lock, so a stale enqueuer
     /// receives an eventual grant or observes invalidity and retries.
     queue_valid: AtomicU8,
-    empty_streak: AtomicU64,
     /// The switching kernel: policy consultation, validity bookkeeping,
     /// switch counting, and event emission. Consulted only by the
     /// current lock holder, so its internal mutex is never contended.
@@ -238,11 +238,6 @@ impl SwitchableObject for NativeLockSwitch<'_> {
     fn now(&self, _ctx: &()) -> u64 {
         self.lock.epoch.elapsed().as_nanos() as u64
     }
-
-    fn reset_monitor(&self, _to: ProtocolId) {
-        // order: Relaxed — monitoring heuristic; no data guarded.
-        self.lock.empty_streak.store(0, Ordering::Relaxed);
-    }
 }
 
 impl Default for ReactiveLock {
@@ -292,8 +287,6 @@ impl ReactiveLock {
         if !self.tts.try_lock() {
             return None;
         }
-        // order: Relaxed — monitoring heuristic; no data guarded.
-        self.empty_streak.store(0, Ordering::Relaxed);
         let switch = self.consult(&Observation::optimal(PROTO_TTS));
         Some(Held {
             kind: HeldKind::Tts { switch },
@@ -323,8 +316,6 @@ impl ReactiveLock {
                 // waiting: after a TTS -> queue change the flag is
                 // pinned busy *forever*, so a plain spin would livelock.
                 if let Some(failures) = self.acquire_tts_watching_mode() {
-                    // order: Relaxed — monitoring heuristic.
-                    self.empty_streak.store(0, Ordering::Relaxed);
                     let obs = if failures > TTS_RETRY_LIMIT {
                         let residual =
                             TTS_RESIDUAL * (failures as f64 / TTS_RETRY_LIMIT as f64).min(4.0);
@@ -352,21 +343,13 @@ impl ReactiveLock {
                 put_node(node);
                 continue;
             }
-            let obs = if empty {
-                // order: Relaxed — monitoring heuristic; we hold the
-                // lock, and occasional lost updates only delay a switch.
-                let s = self.empty_streak.fetch_add(1, Ordering::Relaxed) + 1;
-                if s > EMPTY_QUEUE_LIMIT {
-                    Observation::suboptimal(PROTO_QUEUE, PROTO_TTS, QUEUE_RESIDUAL)
-                } else {
-                    Observation::optimal(PROTO_QUEUE)
-                }
+            let switch = if empty {
+                self.kernel
+                    .observe_calm(PROTO_QUEUE, PROTO_TTS, EMPTY_QUEUE_LIMIT, QUEUE_RESIDUAL)
+                    .is_some()
             } else {
-                // order: Relaxed — monitoring heuristic.
-                self.empty_streak.store(0, Ordering::Relaxed);
-                Observation::optimal(PROTO_QUEUE)
+                self.consult(&Observation::optimal(PROTO_QUEUE))
             };
-            let switch = self.consult(&obs);
             return Held {
                 kind: HeldKind::Queue { node, switch },
             };

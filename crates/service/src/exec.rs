@@ -237,7 +237,10 @@ impl ServiceReport {
     /// clean; meaningful only when a limiter was configured).
     pub fn stampedes(&self) -> Vec<Stampede> {
         match self.limiter {
-            Some(cfg) => oracle::check_no_stampede(&self.switch_log, cfg),
+            // The executor's `TokenBucket` ran `cfg`, so its period is
+            // positive and the oracle accepts it.
+            Some(cfg) => oracle::check_no_stampede(&self.switch_log, cfg)
+                .expect("a limiter the executor ran has a positive period"),
             None => Vec::new(),
         }
     }

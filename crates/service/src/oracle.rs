@@ -66,7 +66,19 @@ const WINDOW_PERIODS: [u64; 4] = [1, 4, 16, 64];
 /// Check the no-stampede invariant over a switch log. Records may be
 /// in any order (they are sorted per shard internally). Returns every
 /// violation found, or an empty vec if the log is clean.
-pub fn check_no_stampede(log: &[SwitchRecord], cfg: LimiterConfig) -> Vec<Stampede> {
+///
+/// # Errors
+/// If `cfg.period_ns` is 0: such a limiter meters nothing, so there is
+/// no window bound to check against. The `Err` names the config.
+pub fn check_no_stampede(
+    log: &[SwitchRecord],
+    cfg: LimiterConfig,
+) -> Result<Vec<Stampede>, String> {
+    if cfg.period_ns == 0 {
+        return Err(format!(
+            "limiter config {cfg:?} has period_ns 0: no refill rate to check against"
+        ));
+    }
     let mut violations = Vec::new();
     let mut shards: Vec<u32> = log.iter().map(|r| r.shard).collect();
     shards.sort_unstable();
@@ -106,7 +118,7 @@ pub fn check_no_stampede(log: &[SwitchRecord], cfg: LimiterConfig) -> Vec<Stampe
             }
         }
     }
-    violations
+    Ok(violations)
 }
 
 /// One shard's no-stampede check, run online as switches commit.
@@ -219,14 +231,14 @@ mod tests {
             .iter()
             .map(|&t| rec(t, 0))
             .collect();
-        assert!(check_no_stampede(&log, CFG).is_empty());
+        assert!(check_no_stampede(&log, CFG).unwrap().is_empty());
     }
 
     #[test]
     fn violates_without_limiter() {
         // A stampede: 20 switches in one period-sized window.
         let log: Vec<_> = (0..20).map(|i| rec(i, 0)).collect();
-        let v = check_no_stampede(&log, CFG);
+        let v = check_no_stampede(&log, CFG).unwrap();
         assert!(!v.is_empty(), "oracle must reject an unthrottled burst");
         assert!(v[0].observed > v[0].allowed);
     }
@@ -236,7 +248,7 @@ mod tests {
         // 2 per period forever: each 1-period window holds 2 <= 2+1+1,
         // but a 64-period window holds 128 > 2+64+1.
         let log: Vec<_> = (0..200u64).map(|i| rec(i * 50, 0)).collect();
-        let v = check_no_stampede(&log, CFG);
+        let v = check_no_stampede(&log, CFG).unwrap();
         assert!(
             v.iter().any(|s| s.window_ns > CFG.period_ns),
             "sustained leak must be caught by a multi-period window"
@@ -253,14 +265,24 @@ mod tests {
                 log.push(rec(i * 100, shard));
             }
         }
-        assert!(check_no_stampede(&log, CFG).is_empty());
+        assert!(check_no_stampede(&log, CFG).unwrap().is_empty());
+    }
+
+    #[test]
+    fn zero_period_config_is_rejected_not_divided_by() {
+        let cfg = LimiterConfig {
+            burst: 2,
+            period_ns: 0,
+        };
+        let err = check_no_stampede(&[rec(0, 0), rec(1, 0)], cfg).unwrap_err();
+        assert!(err.contains("period_ns: 0"), "names the config: {err}");
     }
 
     #[test]
     fn unsorted_log_is_handled() {
         let mut log: Vec<_> = (0..20).map(|i| rec(i, 0)).collect();
         log.reverse();
-        assert!(!check_no_stampede(&log, CFG).is_empty());
+        assert!(!check_no_stampede(&log, CFG).unwrap().is_empty());
     }
 
     /// Push `times` through a fresh online check.
@@ -281,7 +303,7 @@ mod tests {
     /// same windows in a one-shard timeline; returns them.
     fn agree(times: &[u64], cfg: LimiterConfig) -> Vec<(u64, u64)> {
         let log: Vec<_> = times.iter().map(|&t| rec(t, 0)).collect();
-        let offline = windows(check_no_stampede(&log, cfg).into_iter());
+        let offline = windows(check_no_stampede(&log, cfg).unwrap().into_iter());
         let online = windows(check(times, cfg).stampedes());
         assert_eq!(
             online,

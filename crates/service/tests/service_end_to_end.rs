@@ -85,7 +85,7 @@ fn unlimited_control_run_fails_the_oracle() {
     // teeth on executor-produced logs.
     let r = run_service(mixed_config(50_000, ArenaMode::Adaptive, None));
     assert!(r.switches > 0);
-    let v = lock_service::check_no_stampede(&r.switch_log, LimiterConfig::default());
+    let v = lock_service::check_no_stampede(&r.switch_log, LimiterConfig::default()).unwrap();
     assert!(!v.is_empty(), "unthrottled run should stampede somewhere");
 }
 
