@@ -406,6 +406,48 @@ pub fn check_no_double_grant(events: &[LockEvent]) -> Result<(), String> {
     Ok(())
 }
 
+/// **Bounded bypass**: how often a waiter is overtaken. A process's
+/// bypass is the number of `Grant`s, between its `Request` and its own
+/// `Grant`, to other processes that requested after it (in the stable
+/// time order; a FIFO lock has bypass 0). A wait that ends in its own
+/// `Abort` or `Crash` is not charged, and neither is one still open
+/// when the history ends (a lost waiter is
+/// [`check_waiter_conservation`]'s finding). Returns the largest
+/// bypass, or an error naming the first waiter granted after more than
+/// `k` overtakes.
+pub fn check_bounded_bypass(events: &[LockEvent], k: usize) -> Result<usize, String> {
+    let n = events.iter().map(|e| e.proc_id + 1).max().unwrap_or(0);
+    // Per waiting process: (position of its request in the order,
+    // request time, overtakes so far).
+    let mut waits: Vec<Option<(usize, u64, usize)>> = vec![None; n];
+    let mut worst = 0;
+    for (i, ev) in sorted(events).into_iter().enumerate() {
+        let p = ev.proc_id;
+        match ev.kind {
+            LockOpKind::Request => waits[p] = Some((i, ev.time, 0)),
+            LockOpKind::Grant => {
+                let Some((order, requested, bypass)) = waits[p].take() else {
+                    continue;
+                };
+                for (_, _, overtaken) in waits.iter_mut().flatten().filter(|w| w.0 < order) {
+                    *overtaken += 1;
+                }
+                if bypass > k {
+                    return Err(format!(
+                        "bypass violation: proc {p} requested at t={requested} and was \
+                         overtaken {bypass} times before its grant at t={} (bound {k})",
+                        ev.time
+                    ));
+                }
+                worst = worst.max(bypass);
+            }
+            LockOpKind::Abort | LockOpKind::Crash => waits[p] = None,
+            LockOpKind::Release | LockOpKind::Recover => {}
+        }
+    }
+    Ok(worst)
+}
+
 /// Run all three crash-aware lock checkers
 /// ([`check_waiter_conservation`], [`check_abort_safety`],
 /// [`check_no_double_grant`]) over one history.

@@ -9,9 +9,9 @@
 //! these corruptions would silently pass broken kernels.
 
 use reactive_api::oracle::{
-    check_abort_safety, check_at_most_one_valid, check_c_serial, check_no_double_grant,
-    check_no_lost_waiters, check_switch_history, check_waiter_conservation, lock_event, LockEvent,
-    LockOpKind, OpKind, OpRecord,
+    check_abort_safety, check_at_most_one_valid, check_bounded_bypass, check_c_serial,
+    check_no_double_grant, check_no_lost_waiters, check_switch_history, check_waiter_conservation,
+    lock_event, LockEvent, LockOpKind, OpKind, OpRecord,
 };
 use reactive_api::{ProtocolId, SwitchEvent};
 
@@ -379,4 +379,87 @@ fn crash_vacates_hold_for_the_next_grant() {
     ];
     assert!(check_no_double_grant(&ok).is_ok());
     assert!(check_waiter_conservation(&ok).is_ok());
+}
+
+/// Bounded bypass, FIFO: p0, p1, p2 request in that order and are
+/// granted in that order, so nobody is overtaken.
+#[test]
+fn fifo_history_has_zero_bypass() {
+    let fifo = vec![
+        lock_event(0, 0, Request),
+        lock_event(1, 1, Request),
+        lock_event(2, 2, Request),
+        lock_event(3, 0, Grant),
+        lock_event(4, 0, Release),
+        lock_event(5, 1, Grant),
+        lock_event(6, 1, Release),
+        lock_event(7, 2, Grant),
+        lock_event(8, 2, Release),
+    ];
+    assert_eq!(check_bounded_bypass(&fifo, 0), Ok(0));
+}
+
+/// Bounded bypass, one overtake: p1 requests first but p2 is granted
+/// before it. That breaks `k = 0`, naming p1 and its request, and fits
+/// `k = 1`.
+#[test]
+fn one_overtake_breaks_zero_bypass() {
+    let overtaken = vec![
+        lock_event(0, 0, Request),
+        lock_event(1, 0, Grant),
+        lock_event(2, 1, Request),
+        lock_event(3, 2, Request),
+        lock_event(4, 0, Release),
+        lock_event(5, 2, Grant),
+        lock_event(6, 2, Release),
+        lock_event(7, 1, Grant),
+        lock_event(8, 1, Release),
+    ];
+    let err = check_bounded_bypass(&overtaken, 0).unwrap_err();
+    assert!(
+        err.contains("proc 1 requested at t=2 and was overtaken 1 times"),
+        "must name the waiter, its request and the count, got: {err}"
+    );
+    assert_eq!(check_bounded_bypass(&overtaken, 1), Ok(1));
+}
+
+/// Bounded bypass: overtakes of a waiter that then aborts are not
+/// charged. p1 is passed twice and gives up; its fresh request is
+/// served next.
+#[test]
+fn overtakes_of_an_aborted_wait_are_not_charged() {
+    let h = vec![
+        lock_event(0, 1, Request),
+        lock_event(1, 0, Request),
+        lock_event(2, 0, Grant),
+        lock_event(3, 0, Release),
+        lock_event(4, 0, Request),
+        lock_event(5, 0, Grant),
+        lock_event(6, 1, Abort),
+        lock_event(7, 1, Request),
+        lock_event(8, 0, Release),
+        lock_event(9, 1, Grant),
+    ];
+    assert_eq!(check_bounded_bypass(&h, 0), Ok(0));
+}
+
+/// Bounded bypass: a crash ends the wait. p1 is overtaken, crashes,
+/// recovers and requests again; only the fresh wait is charged.
+#[test]
+fn a_crash_ends_the_wait() {
+    let h = vec![
+        lock_event(0, 1, Request),
+        lock_event(1, 0, Request),
+        lock_event(2, 0, Grant),
+        lock_event(3, 1, Crash),
+        lock_event(4, 1, Recover),
+        lock_event(5, 1, Request),
+        lock_event(6, 0, Release),
+        lock_event(7, 1, Grant),
+    ];
+    assert_eq!(check_bounded_bypass(&h, 0), Ok(0));
+    // Without the crash the grant to p0 overtakes p1's first wait.
+    let no_crash = [h[0], h[1], h[2], h[6], h[7]];
+    let err = check_bounded_bypass(&no_crash, 0).unwrap_err();
+    assert!(err.contains("proc 1 requested at t=0"), "got: {err}");
 }

@@ -48,9 +48,14 @@ fn path_cost_member(scale: Scale) -> String {
         "  uncontended lock: tts {:.1}, reactive {:.1} ({ratio:.2}x)",
         costs.tts_ns, costs.reactive_ns
     );
+    println!(
+        "  reactive-lock protocol-change round trip: {:.1}",
+        costs.switch_round_trip_ns
+    );
     json.push_str(&format!(
-        "    \"tts_lock\": {:.1}, \"reactive_lock\": {:.1}, \"reactive_vs_tts\": {ratio:.2}\n  }}\n",
-        costs.tts_ns, costs.reactive_ns
+        "    \"tts_lock\": {:.1}, \"reactive_lock\": {:.1}, \"reactive_vs_tts\": {ratio:.2},\n    \
+         \"switch_round_trip\": {:.1}\n  }}\n",
+        costs.tts_ns, costs.reactive_ns, costs.switch_round_trip_ns
     ));
     json
 }

@@ -1,11 +1,13 @@
 //! Shared experiment runners for the paper's tables and figures.
 
+use std::cell::Cell;
 use std::fmt::Debug;
 use std::rc::Rc;
 
 use alewife_sim::{Config, CostModel, Machine};
-use reactive_core::policy::SwitchLog;
-use reactive_core::{barrier, ReactiveBarrier};
+use reactive_core::lock::{ReleaseMode, PROTO_QUEUE};
+use reactive_core::policy::{Decision, Observation, Policy, ProtocolId, SwitchLog};
+use reactive_core::{barrier, ReactiveBarrier, ReactiveLock};
 use sim_apps::alg::{AnyLock, LockAlg};
 use sync_protocols::barrier::{BarrierCtx, SenseBarrier, TreeBarrier};
 use sync_protocols::fetch_op::FetchOp;
@@ -239,6 +241,80 @@ pub fn time_varying(
     let elapsed = m.run();
     assert_eq!(m.live_tasks(), 0, "time-varying deadlock");
     (elapsed, log.count() as u64)
+}
+
+/// Always propose the other protocol of a 2-way object: every release
+/// under it is a protocol change.
+#[derive(Clone, Copy, Debug)]
+pub struct FlipFlop;
+
+impl Policy for FlipFlop {
+    fn decide(&mut self, obs: &Observation) -> Decision {
+        Decision::SwitchTo(ProtocolId(1 - obs.current.0))
+    }
+}
+
+/// Never switch: the plain-release baseline [`FlipFlop`] is measured
+/// against.
+#[derive(Clone, Copy, Debug)]
+pub struct Stay;
+
+impl Policy for Stay {
+    fn decide(&mut self, _obs: &Observation) -> Decision {
+        Decision::Stay
+    }
+}
+
+/// Mean release cycles of a 16-way contended [`ReactiveLock`] per
+/// release kind, `[tts, queue, tts_to_queue, queue_to_tts]` (NaN for a
+/// kind that never occurred), with `iters` acquisitions per processor.
+fn release_cycles(iters: u64, policy: impl Policy + 'static, start_in_queue: bool) -> [f64; 4] {
+    const PROCS: usize = 16;
+    let m = Machine::new(Config::default().nodes(PROCS));
+    let mut b = ReactiveLock::builder(&m, 0).max_procs(PROCS).policy(policy);
+    if start_in_queue {
+        b = b.initial_protocol(PROTO_QUEUE);
+    }
+    let lock = b.build();
+    let sums = Rc::new(Cell::new([(0u64, 0u64); 4]));
+    for p in 0..PROCS {
+        let cpu = m.cpu(p);
+        let lock = lock.clone();
+        let sums = sums.clone();
+        m.spawn(p, async move {
+            for _ in 0..iters {
+                let t = lock.acquire(&cpu).await;
+                cpu.work(10).await;
+                let kind = match t {
+                    ReleaseMode::Tts => 0,
+                    ReleaseMode::Queue(_) => 1,
+                    ReleaseMode::TtsToQueue => 2,
+                    ReleaseMode::QueueToTts(_) => 3,
+                };
+                let t0 = cpu.now();
+                lock.release(&cpu, t).await;
+                let mut s = sums.get();
+                s[kind] = (s[kind].0 + (cpu.now() - t0), s[kind].1 + 1);
+                sums.set(s);
+                cpu.work(cpu.rand_below(100)).await;
+            }
+        });
+    }
+    m.run();
+    assert_eq!(m.live_tasks(), 0, "switch-cost run deadlocked");
+    sums.get().map(|(sum, n)| sum as f64 / n as f64)
+}
+
+/// The §3.5.5 protocol-change cost of the reactive lock, in cycles:
+/// `[tts_to_queue, queue_to_tts]`, each the mean switching release
+/// under [`FlipFlop`] minus the mean plain release in the same mode
+/// under [`Stay`], all three runs 16-way contended (populated queues to
+/// invalidate, contended lines to hand around, as on Alewife).
+pub fn switch_cost_cycles(iters: u64) -> [f64; 2] {
+    let flip = release_cycles(iters, FlipFlop, false);
+    let tts = release_cycles(iters, Stay, false)[0];
+    let queue = release_cycles(iters, Stay, true)[1];
+    [flip[2] - tts, flip[3] - queue]
 }
 
 /// Barrier arrival protocols compared by the `barrier_reactive`

@@ -92,19 +92,24 @@ impl Outcome {
         self.scalars.push((name, v));
     }
 
-    /// Look a name up: scalars first, then a series' y-values.
-    fn values(&self, name: &str) -> Option<Vec<f64>> {
+    /// Look a name up: scalars first, then a series' y-values. A
+    /// missing name or an empty series is an error naming it.
+    fn values(&self, name: &str) -> Result<Vec<f64>, String> {
         if let Some(&(_, v)) = self.scalars.iter().find(|(n, _)| *n == name) {
-            return Some(vec![v]);
+            return Ok(vec![v]);
         }
-        self.series
-            .iter()
-            .find(|s| s.label == name)
-            .map(|s| s.points.iter().map(|&(_, y)| y).collect())
+        let s = self.series_named(name)?;
+        Ok(s.points.iter().map(|&(_, y)| y).collect())
     }
 
-    fn series_named(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.label == name)
+    /// The series labelled `name`; a missing or empty series is an
+    /// error naming it.
+    fn series_named(&self, name: &str) -> Result<&Series, String> {
+        match self.series.iter().find(|s| s.label == name) {
+            None => Err(format!("series {name} missing")),
+            Some(s) if s.points.is_empty() => Err(format!("series {name} is empty")),
+            Some(s) => Ok(s),
+        }
     }
 }
 
@@ -206,12 +211,8 @@ impl Claim {
     pub fn check(&self, o: &Outcome) -> Result<String, String> {
         match *self {
             Claim::Crossover { cheap, scalable } => {
-                let c = o
-                    .series_named(cheap)
-                    .ok_or_else(|| format!("series {cheap} missing"))?;
-                let s = o
-                    .series_named(scalable)
-                    .ok_or_else(|| format!("series {scalable} missing"))?;
+                let c = o.series_named(cheap)?;
+                let s = o.series_named(scalable)?;
                 let (c0, cn) = (c.points[0].1, c.points[c.points.len() - 1].1);
                 let (s0, sn) = (s.points[0].1, s.points[s.points.len() - 1].1);
                 if c0 > s0 {
@@ -229,9 +230,9 @@ impl Claim {
                 ))
             }
             Claim::BoundedRatio { num, den, min, max } => {
-                let n = o.values(num).ok_or_else(|| format!("{num} missing"))?;
+                let n = o.values(num)?;
                 let d = match den {
-                    Some(d) => o.values(d).ok_or_else(|| format!("{d} missing"))?,
+                    Some(d) => o.values(d)?,
                     None => vec![1.0],
                 };
                 let len = n.len().max(d.len());
@@ -261,9 +262,7 @@ impl Claim {
                 from_x,
                 factor,
             } => {
-                let s = o
-                    .series_named(series)
-                    .ok_or_else(|| format!("series {series} missing"))?;
+                let s = o.series_named(series)?;
                 let ys: Vec<f64> = s
                     .points
                     .iter()
@@ -292,16 +291,12 @@ impl Claim {
                 over,
                 slack,
             } => {
-                let s = o
-                    .series_named(series)
-                    .ok_or_else(|| format!("series {series} missing"))?;
+                let s = o.series_named(series)?;
                 let mut worst = 0f64;
                 for (i, &(x, y)) in s.points.iter().enumerate() {
                     let mut best = f64::INFINITY;
                     for &other in over {
-                        let os = o
-                            .series_named(other)
-                            .ok_or_else(|| format!("series {other} missing"))?;
+                        let os = o.series_named(other)?;
                         if os.points.len() != s.points.len() {
                             return Err(format!(
                                 "series {other} has {} points but {series} has {}",
@@ -328,10 +323,8 @@ impl Claim {
                 optimal,
                 factor,
             } => {
-                let v = o.values(value).ok_or_else(|| format!("{value} missing"))?[0];
-                let opt = o
-                    .values(optimal)
-                    .ok_or_else(|| format!("{optimal} missing"))?[0];
+                let v = o.values(value)?[0];
+                let opt = o.values(optimal)?[0];
                 if v > factor * opt || v < opt / factor {
                     Err(format!(
                         "{value} = {v:.4} not within {factor}x of {optimal} = {opt:.4}"
@@ -439,7 +432,7 @@ impl Scenario {
     }
 }
 
-/// All 29 scenarios, in `EXPERIMENTS.md` table order (Chapter 3 rows,
+/// All 30 scenarios, in `EXPERIMENTS.md` table order (Chapter 3 rows,
 /// then Chapter 4, then the beyond-the-paper rows).
 /// `BENCH_experiments.json` rows follow this order.
 pub fn all() -> Vec<Scenario> {
@@ -463,6 +456,7 @@ pub fn all() -> Vec<Scenario> {
         fig_4_14(),
         table_4_6(),
         barrier_reactive(),
+        switch_cost(),
         rmr_recoverable(),
         rmr_abortable(),
         storm_robustness(),
@@ -1963,6 +1957,63 @@ fn barrier_reactive() -> Scenario {
     }
 }
 
+/// §3.5.5's protocol-change round trip on Alewife, `d_AB + d_BA`
+/// (≈ 8000 + ≈ 800 cycles): the constant `Competitive3` takes.
+const PAPER_ROUND_TRIP: f64 = 8_800.0;
+
+fn switch_cost() -> Scenario {
+    fn run(scale: Scale) -> Outcome {
+        let [to_queue, to_tts] = exp::switch_cost_cycles(scale.pick(300, 30));
+        let round_trip = to_queue + to_tts;
+        let mut o = Outcome {
+            headline: format!(
+                "16-way contended sim: TTS→queue {to_queue:.1} cycles, queue→TTS \
+                 {to_tts:.1}, round trip {round_trip:.1} ({:.2}x the paper's ≈ 8000 + ≈ 800 \
+                 on Alewife); native round trip in BENCH_service_native.json `path_cost`",
+                round_trip / PAPER_ROUND_TRIP
+            ),
+            ..Outcome::default()
+        };
+        o.scalar("to_queue_cycles", to_queue);
+        o.scalar("to_tts_cycles", to_tts);
+        o.scalar("round_trip_cycles", round_trip);
+        o.scalar("paper_round_trip_cycles", PAPER_ROUND_TRIP);
+        o
+    }
+    Scenario {
+        name: "switch_cost",
+        figure: "§3.5.5 (the ≈8000-cycle figure)",
+        paper_says: "a protocol change costs a measurable constant d_AB + d_BA (≈ 8000 + ≈ 800 \
+                     cycles on Alewife), the round trip the 3-competitive policy is \
+                     parameterized by",
+        claims: &[
+            // Each direction's switching release costs more than a
+            // plain release in the same mode.
+            Claim::BoundedRatio {
+                num: "to_queue_cycles",
+                den: None,
+                min: 1.0,
+                max: f64::INFINITY,
+            },
+            Claim::BoundedRatio {
+                num: "to_tts_cycles",
+                den: None,
+                min: 1.0,
+                max: f64::INFINITY,
+            },
+            // The round trip is no dearer than Alewife's and not
+            // trivially small.
+            Claim::BoundedRatio {
+                num: "round_trip_cycles",
+                den: Some("paper_round_trip_cycles"),
+                min: 0.1,
+                max: 1.0,
+            },
+        ],
+        run,
+    }
+}
+
 // ---------------------------------------------------------------------
 // Beyond the paper — crash/abort robustness and RMR accounting
 // ---------------------------------------------------------------------
@@ -2874,14 +2925,14 @@ mod tests {
     #[test]
     fn all_scenarios_have_unique_names_and_claims() {
         let s = all();
-        assert_eq!(s.len(), 29, "EXPERIMENTS.md has 29 figure/table rows");
+        assert_eq!(s.len(), 30, "EXPERIMENTS.md has 30 figure/table rows");
         for sc in &s {
             assert!(!sc.claims.is_empty(), "{} has no claims", sc.name);
         }
         let mut names: Vec<&str> = s.iter().map(|sc| sc.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 29, "duplicate scenario names");
+        assert_eq!(names.len(), 30, "duplicate scenario names");
     }
 
     #[test]
@@ -3026,5 +3077,34 @@ mod tests {
         }
         .check(&o)
         .is_err());
+        // So is an empty series, for every kind of claim.
+        o.push("none", vec![]);
+        o.push("void", vec![]);
+        let empty = [
+            Claim::Crossover {
+                cheap: "none",
+                scalable: "b",
+            },
+            Claim::TracksBest {
+                series: "none",
+                over: &["b"],
+                slack: 4.0,
+            },
+            Claim::BoundedRatio {
+                num: "none",
+                den: Some("void"),
+                min: 0.0,
+                max: 1.0,
+            },
+            Claim::WithinFactorOfOptimal {
+                value: "none",
+                optimal: "s",
+                factor: 1.0,
+            },
+        ];
+        for claim in empty {
+            let err = claim.check(&o).expect_err(&claim.describe());
+            assert_eq!(err, "series none is empty", "{}", claim.describe());
+        }
     }
 }

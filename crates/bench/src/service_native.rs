@@ -20,6 +20,7 @@ use lock_service::{
     NativeService, TenantConfig,
 };
 
+use crate::experiments::{FlipFlop, Stay};
 use crate::scenario::Scale;
 
 /// Worker threads for the native rows: twice the cores (at least two),
@@ -225,6 +226,11 @@ pub struct PathCosts {
     pub tts_ns: f64,
     /// Uncontended default `ReactiveLock` acquire + release, ns.
     pub reactive_ns: f64,
+    /// The §3.5.5 protocol-change round trip of an uncontended
+    /// `ReactiveLock`, ns: twice the extra cost of a release that
+    /// switches protocol (under [`FlipFlop`]) over one that does not
+    /// (under [`Stay`]).
+    pub switch_round_trip_ns: f64,
 }
 
 /// Objects each path-cost arm cycles through: enough that the slab
@@ -300,15 +306,22 @@ pub fn path_costs(scale: Scale) -> PathCosts {
     };
     let tts = reactive_native::TtsLock::new();
     let reactive = reactive_native::ReactiveLock::new();
+    let lock_ns = |lock: reactive_native::ReactiveLock| {
+        per_op(&|| {
+            let held = lock.acquire();
+            lock.release(held);
+        })
+    };
+    let builder = reactive_native::ReactiveLock::builder;
     PathCosts {
         rows,
         tts_ns: per_op(&|| {
             tts.lock();
             tts.unlock();
         }),
-        reactive_ns: per_op(&|| {
-            let held = reactive.acquire();
-            reactive.release(held);
-        }),
+        reactive_ns: lock_ns(reactive),
+        switch_round_trip_ns: 2.0
+            * (lock_ns(builder().policy(FlipFlop).build())
+                - lock_ns(builder().policy(Stay).build())),
     }
 }

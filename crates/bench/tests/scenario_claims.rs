@@ -79,6 +79,7 @@ claim_test!(
     fig_4_14_mutex,
     table_4_6_lpoll_half,
     barrier_reactive,
+    switch_cost,
     rmr_recoverable,
     rmr_abortable,
     storm_robustness,

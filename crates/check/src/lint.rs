@@ -25,15 +25,14 @@
 //!   `BENCH_service_native.json`, the wall-clock rows): every row name
 //!   must be an `EXPERIMENTS.md` table key, and every key must have a
 //!   row in exactly one of the files, so the record cannot silently
-//!   drop a gated scenario or carry one twice. Keys whose results live
-//!   in other artifacts are allowlisted.
+//!   drop a gated scenario or carry one twice. No key is exempt.
 //! * `quick-record` — every committed `BENCH_*.json` at the root must
 //!   read `"quick": false`: a `--quick` bench run overwrites the
 //!   full-scale record in place, and this catches committing that.
 //!
 //! The allowlist is `crates/check/lint_allow.txt`: `<rule> <key>` per
 //! line, `#` comments. Keys are workspace-relative paths for the file
-//! rules, scenario keys for `experiments-keys`.
+//! rules.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -156,7 +155,7 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
             event_size_rule(&rel, &text, &mut findings);
         }
     }
-    record_rules(root, &allow, &mut findings)?;
+    record_rules(root, &mut findings)?;
     Ok(findings)
 }
 
@@ -392,13 +391,8 @@ const ROW_FILES: [&str; 2] = ["BENCH_experiments.json", "BENCH_service_native.js
 
 /// The `experiments-keys` rule over the row files' `(name, text)`:
 /// every row name must be an `EXPERIMENTS.md` table key, and every key
-/// that is not allowlisted must have exactly one row across the files.
-fn key_rule(
-    md_keys: &BTreeSet<String>,
-    files: &[(&str, String)],
-    allow: &Allowlist,
-    findings: &mut Vec<Finding>,
-) {
+/// must have exactly one row across the files.
+fn key_rule(md_keys: &BTreeSet<String>, files: &[(&str, String)], findings: &mut Vec<Finding>) {
     const RULE: &str = "experiments-keys";
     let mut rows = Vec::new();
     for (file, json) in files {
@@ -414,7 +408,7 @@ fn key_rule(
             rows.push(key);
         }
     }
-    for key in md_keys.iter().filter(|key| !allow.allows(RULE, key)) {
+    for key in md_keys {
         let n = rows.iter().filter(|row| *row == key).count();
         if n != 1 {
             findings.push(Finding {
@@ -423,8 +417,7 @@ fn key_rule(
                 line: 0,
                 msg: format!(
                     "scenario `{key}` has {n} rows across {}, not exactly one (write it \
-                     once from `scenario::all()` in crates/bench, or allowlist it if \
-                     another artifact carries it)",
+                     once from `scenario::all()` in crates/bench)",
                     ROW_FILES.join(" and ")
                 ),
             });
@@ -449,7 +442,7 @@ fn quick_record_rule(file: &str, json: &str, findings: &mut Vec<Finding>) {
 
 /// The record rules: `quick-record` over every `BENCH_*.json` at the
 /// root, then `experiments-keys` over the [`ROW_FILES`].
-fn record_rules(root: &Path, allow: &Allowlist, findings: &mut Vec<Finding>) -> io::Result<()> {
+fn record_rules(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
     let mut records = Vec::new();
     for entry in fs::read_dir(root)? {
         let name = entry?.file_name().to_string_lossy().into_owned();
@@ -466,7 +459,7 @@ fn record_rules(root: &Path, allow: &Allowlist, findings: &mut Vec<Finding>) -> 
         .iter()
         .map(|file| Ok((*file, fs::read_to_string(root.join(file))?)))
         .collect::<io::Result<Vec<_>>>()?;
-    key_rule(&md_keys, &files, allow, findings);
+    key_rule(&md_keys, &files, findings);
     Ok(())
 }
 
@@ -590,7 +583,7 @@ mod tests {
 
     /// `(file, message)` of every `experiments-keys` finding for one
     /// synthetic `EXPERIMENTS.md` and the two row files' `"name"`s.
-    fn key_findings(counted: &[&str], wall: &[&str], allow: &str) -> Vec<(String, String)> {
+    fn key_findings(counted: &[&str], wall: &[&str]) -> Vec<(String, String)> {
         let md = "| `fig_1` |\n| `rmr_a` |\n| `service_native_d` |\n| `switch_cost` |\n";
         let json = |names: &[&str]| -> String {
             names
@@ -600,48 +593,37 @@ mod tests {
         };
         let files = [(ROW_FILES[0], json(counted)), (ROW_FILES[1], json(wall))];
         let mut f = Vec::new();
-        key_rule(
-            &experiment_md_keys(md),
-            &files,
-            &Allowlist::parse(allow),
-            &mut f,
-        );
+        key_rule(&experiment_md_keys(md), &files, &mut f);
         assert!(f.iter().all(|f| f.rule == "experiments-keys"), "{f:?}");
         f.into_iter().map(|f| (f.file, f.msg)).collect()
     }
 
-    const COUNTED: &[&str] = &["fig_1", "rmr_a"];
+    const COUNTED: &[&str] = &["fig_1", "rmr_a", "switch_cost"];
     const WALL: &[&str] = &["service_native_d"];
-    const ALLOW: &str = "experiments-keys switch_cost\n";
 
     #[test]
     fn each_key_has_one_row_across_the_row_files() {
-        // Consistent: each key in one file, the md-only `switch_cost`
-        // allowlisted.
-        assert_eq!(key_findings(COUNTED, WALL, ALLOW), []);
+        // Consistent: each key in one file.
+        assert_eq!(key_findings(COUNTED, WALL), []);
         let only = |f: Vec<(String, String)>| -> (String, String) {
             assert_eq!(f.len(), 1, "{f:?}");
             f.into_iter().next().unwrap()
         };
         // A row written to both files.
         let (file, msg) = only(key_findings(
-            &["fig_1", "rmr_a", "service_native_d"],
+            &["fig_1", "rmr_a", "switch_cost", "service_native_d"],
             WALL,
-            ALLOW,
         ));
         assert_eq!(file, "EXPERIMENTS.md");
         assert!(msg.contains("`service_native_d` has 2 rows"), "{msg}");
-        // A key in neither file.
-        let (file, msg) = only(key_findings(&["fig_1"], WALL, ALLOW));
+        // A key in neither file: no key is exempt.
+        let (file, msg) = only(key_findings(&["fig_1", "rmr_a"], WALL));
         assert_eq!(file, "EXPERIMENTS.md");
-        assert!(msg.contains("`rmr_a` has 0 rows"), "{msg}");
+        assert!(msg.contains("`switch_cost` has 0 rows"), "{msg}");
         // A row that is not a key, reported against its file.
-        let (file, msg) = only(key_findings(COUNTED, &["service_native_d", "zzz"], ALLOW));
+        let (file, msg) = only(key_findings(COUNTED, &["service_native_d", "zzz"]));
         assert_eq!(file, "BENCH_service_native.json");
         assert!(msg.contains("row `zzz` has no EXPERIMENTS.md"), "{msg}");
-        // Without the allowlist the md-only key is a finding too.
-        let (_, msg) = only(key_findings(COUNTED, WALL, ""));
-        assert!(msg.contains("`switch_cost` has 0 rows"), "{msg}");
     }
 
     #[test]
@@ -664,9 +646,9 @@ mod tests {
 
     #[test]
     fn allowlist_parses_and_filters() {
-        let a = Allowlist::parse("# comment\nordering crates/x.rs\nexperiments-keys switch_cost\n");
+        let a = Allowlist::parse("# comment\nordering crates/x.rs\nhorizon-comments crates/y.rs\n");
         assert!(a.allows("ordering", "crates/x.rs"));
-        assert!(a.allows("experiments-keys", "switch_cost"));
+        assert!(a.allows("horizon-comments", "crates/y.rs"));
         assert!(!a.allows(UNSAFE_KW, "crates/x.rs"));
     }
 }

@@ -168,11 +168,14 @@ impl WaitHistogram {
     /// Moments and buckets combine exactly. The raw reservoirs combine
     /// by a weighted Algorithm R merge: when the union still fits the
     /// cap it is kept whole; past the cap, elements are drawn without
-    /// replacement from the two reservoirs with probabilities
-    /// proportional to the population each remaining element represents
-    /// (`count/len` per element), so the merged reservoir is again a
-    /// uniform sample of the combined population. Draws come from
-    /// `self`'s seeded stream, so a fixed merge order is reproducible.
+    /// replacement from the two reservoirs: a side with probability
+    /// proportional to the population its remaining elements represent
+    /// (`count/len` per element), then a uniformly random remaining
+    /// element of that side (a reservoir below its cap holds its
+    /// samples in arrival order, so taking them in order would keep
+    /// the oldest). The merged reservoir is again a uniform sample of
+    /// the combined population. Draws come from `self`'s seeded
+    /// stream, so a fixed merge order is reproducible.
     pub fn merge(&mut self, other: &WaitHistogram) {
         if other.count == 0 {
             return;
@@ -192,25 +195,22 @@ impl WaitHistogram {
             let (n1, n2) = (self.count as f64, other.count as f64);
             let (l1, l2) = (self.raw.len() as f64, other.raw.len() as f64);
             let (w1, w2) = (n1 / l1.max(1.0), n2 / l2.max(1.0));
+            // Each side's remaining elements, drawn by swap-remove; the
+            // two hold more than `cap` between them.
+            let mut left = [std::mem::take(&mut self.raw), other.raw.clone()];
             let mut out = Vec::with_capacity(cap);
-            let (mut i, mut j) = (0usize, 0usize);
-            while out.len() < cap && (i < self.raw.len() || j < other.raw.len()) {
-                let rem1 = w1 * (self.raw.len() - i) as f64;
-                let rem2 = w2 * (other.raw.len() - j) as f64;
-                let take_self = if j >= other.raw.len() {
-                    true
-                } else if i >= self.raw.len() {
-                    false
+            while out.len() < cap {
+                let rem1 = w1 * left[0].len() as f64;
+                let rem2 = w2 * left[1].len() as f64;
+                let side = if left[1].is_empty() {
+                    0
+                } else if left[0].is_empty() {
+                    1
                 } else {
-                    crate::rng::unit(&mut self.rng) * (rem1 + rem2) < rem1
+                    usize::from(crate::rng::unit(&mut self.rng) * (rem1 + rem2) >= rem1)
                 };
-                if take_self {
-                    out.push(self.raw[i]);
-                    i += 1;
-                } else {
-                    out.push(other.raw[j]);
-                    j += 1;
-                }
+                let k = crate::rng::below(&mut self.rng, left[side].len() as u64) as usize;
+                out.push(left[side].swap_remove(k));
             }
             self.raw = out;
         }

@@ -220,3 +220,32 @@ fn absorb_sums_partials() {
     assert_eq!(w.sum, parts.iter().map(|p| p.waits["acq"].sum).sum::<u64>());
     assert_eq!(w.max, 59);
 }
+
+/// Past the cap, a merge draws a *random* remaining sample of the side
+/// it picks. A reservoir that never overflowed holds its samples in
+/// arrival order, so taking them in order would keep each side's
+/// oldest samples: here, only the zeros of two runs that were fast
+/// early and slow late.
+#[test]
+fn merge_past_cap_keeps_late_samples() {
+    for seed in 1..=8u64 {
+        let run = |seed| {
+            let mut h = WaitHistogram::with_sampling(100, seed);
+            for t in [0, 1_000] {
+                for _ in 0..50 {
+                    h.record(t);
+                }
+            }
+            h
+        };
+        let mut a = run(seed);
+        a.merge(&run(seed ^ 0x9E37));
+        assert_eq!(a.raw.len(), 100);
+        let zeros = a.frac_below(1);
+        assert!(
+            (0.3..=0.7).contains(&zeros),
+            "seed {seed}: {zeros} of the merged reservoir is 0, half the union is 1000"
+        );
+        assert_eq!(a.p99(), 1_000, "seed {seed}");
+    }
+}
