@@ -4,8 +4,8 @@
 //!
 //! * each [`WaitAlg`] on both conditions — a contended [`WaitLock`]
 //!   (`wait_word`) and a future producer/consumer mesh (`wait_full`) —
-//!   on a 2-context machine, so switch-spinning has a peer to yield to
-//!   and blocking frees the processor for one;
+//!   with two threads per node, so switch-spinning has a peer to yield
+//!   to and blocking frees the processor for one;
 //! * `poll_until_deadline` / `poll_until_full_deadline` runs that time
 //!   out, are satisfied in time, or expire within cycles of a write;
 //! * `poll_until_abortable` under a seeded `FaultPlan::abort_storm`.
@@ -71,13 +71,13 @@ fn trace_table(n: usize) -> Rc<RefCell<Vec<u64>>> {
     Rc::new(RefCell::new(vec![0; n]))
 }
 
-/// `wait_word`: 4 nodes x 2 contexts, two threads per node contending
+/// `wait_word`: 4 nodes, two threads per node contending
 /// for one [`WaitLock`].
 fn run_wait_lock(alg: WaitAlg) -> u64 {
     const NODES: usize = 4;
     const THREADS: usize = 2 * NODES;
     const OPS: u64 = 12;
-    let m = Machine::new(Config::default().nodes(NODES).contexts(2).seed(SEED));
+    let m = Machine::new(Config::default().nodes(NODES).seed(SEED));
     let lock = WaitLock::new(&m, 0);
     let counter = m.alloc_on(1, 1);
     let done = trace_table(THREADS);
@@ -103,7 +103,7 @@ fn run_wait_lock(alg: WaitAlg) -> u64 {
     digest(elapsed, &m.stats(), &done)
 }
 
-/// `wait_full`: 4 nodes x 2 contexts. Nodes 0 and 1 each run a producer
+/// `wait_full`: 4 nodes. Nodes 0 and 1 each run a producer
 /// that determines its futures after random work; nodes 2 and 3 each
 /// run a consumer that touches every future of both producers in order
 /// (two touchers per future, so `signal_all` wakes more than one) beside
@@ -112,7 +112,7 @@ fn run_wait_lock(alg: WaitAlg) -> u64 {
 /// already-full to several blocking costs long.
 fn run_futures(alg: WaitAlg) -> u64 {
     const CELLS: usize = 10;
-    let m = Machine::new(Config::default().nodes(4).contexts(2).seed(SEED));
+    let m = Machine::new(Config::default().nodes(4).seed(SEED));
     let cells: Vec<Vec<FutureCell>> = (0..2)
         .map(|n| (0..CELLS).map(|_| FutureCell::new(&m, n)).collect())
         .collect();
@@ -306,13 +306,15 @@ fn assert_stable_golden(name: &str, run: impl Fn() -> u64, golden: u64) {
 }
 
 /// The five waiting algorithms of Chapter 4, with `Lpoll` set off the
-/// blocking cost so the two-phase deadline lands mid-wait.
+/// blocking cost so the two-phase deadline lands mid-wait. The goldens
+/// were captured when switch-spinning's limit was scaled by a 2-context
+/// count; 502 is that same 251 x 2-cycle deadline.
 const ALGS: [WaitAlg; 5] = [
     WaitAlg::Spin,
     WaitAlg::Block,
     WaitAlg::TwoPhase(251),
     WaitAlg::SwitchSpin,
-    WaitAlg::TwoPhaseSwitchSpin(251),
+    WaitAlg::TwoPhaseSwitchSpin(502),
 ];
 
 /// Captured from the three hand-rolled spin futures and the paired

@@ -25,8 +25,9 @@
 
 use std::time::Instant;
 
-use alewife_sim::parallel::{Cluster, ParallelConfig, ShardCtx};
-use alewife_sim::{Config, CostModel, Machine, Port};
+use alewife_sim::parallel::{Cluster, ParallelConfig};
+use alewife_sim::{Config, CostModel, Machine};
+use repro_bench::experiments::cluster_lock_tile;
 use repro_bench::table;
 use sim_apps::alg::{AnyLock, LockAlg};
 
@@ -102,35 +103,6 @@ fn run_shape(nodes: usize, regime: &'static str, cs: u64, think: u64, iters: u64
     }
 }
 
-/// The cluster workload: each shard's nodes hammer a shard-local
-/// reactive lock (the contended regime), and shard node 0 posts a
-/// heartbeat around the shard ring every few acquisitions.
-fn cluster_setup(ctx: &ShardCtx<'_>, iters: u64) {
-    let m = ctx.machine;
-    let n = ctx.shard_nodes;
-    let lock = AnyLock::make(m, 0, LockAlg::Reactive, n);
-    m.register_handler(0, Port(60), |hctx, _| {
-        hctx.bump("ring_hops", 1);
-    });
-    for p in 0..n {
-        let cpu = m.cpu(p);
-        let lock = lock.clone();
-        let mail = ctx.mail();
-        let (base, total) = (ctx.node_base, ctx.total_nodes);
-        m.spawn(p, async move {
-            for i in 0..iters {
-                let t = lock.acquire(&cpu).await;
-                cpu.work(5).await;
-                lock.release(&cpu, t).await;
-                cpu.work(cpu.rand_below(1)).await;
-                if p == 0 && i % 16 == 0 {
-                    mail.post(cpu.now(), base, (base + n) % total, Port(60), [i, 0, 0, 0]);
-                }
-            }
-        });
-    }
-}
-
 struct ClusterSample {
     nodes: usize,
     workers: usize,
@@ -172,10 +144,13 @@ fn run_cluster(nodes: usize, workers: usize, iters: u64) -> ClusterSample {
             },
         )
     };
-    let reference = mk().run_serial(|ctx| cluster_setup(ctx, iters));
+    // The contended regime, with a heartbeat every 16 acquisitions.
+    let reference =
+        mk().run_serial(|ctx| cluster_lock_tile(ctx, LockAlg::Reactive, 5, 1, iters, 16));
     assert_eq!(reference.live_tasks, 0, "cluster workload deadlocked");
     assert_eq!(reference.causality_violations, 0, "lookahead bound broken");
-    let threaded = mk().run_parallel(|ctx| cluster_setup(ctx, iters));
+    let threaded =
+        mk().run_parallel(|ctx| cluster_lock_tile(ctx, LockAlg::Reactive, 5, 1, iters, 16));
     assert_eq!(
         threaded.stats.sim_events, reference.stats.sim_events,
         "cross-mode event-count mismatch"

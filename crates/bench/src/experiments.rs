@@ -4,7 +4,8 @@ use std::cell::Cell;
 use std::fmt::Debug;
 use std::rc::Rc;
 
-use alewife_sim::{Config, CostModel, Machine};
+use alewife_sim::parallel::ShardCtx;
+use alewife_sim::{Config, CostModel, Machine, Port};
 use reactive_core::lock::{ReleaseMode, PROTO_QUEUE};
 use reactive_core::policy::{Decision, Observation, Policy, ProtocolId, SwitchLog};
 use reactive_core::{barrier, ReactiveBarrier, ReactiveLock};
@@ -315,6 +316,42 @@ pub fn switch_cost_cycles(iters: u64) -> [f64; 2] {
     let tts = release_cycles(iters, Stay, false)[0];
     let queue = release_cycles(iters, Stay, true)[1];
     [flip[2] - tts, flip[3] - queue]
+}
+
+/// One shard of the contended-lock cluster: the shard's nodes hammer a
+/// shard-local `alg` lock (`cs` cycles held, think time below `think`),
+/// and shard node 0 posts a heartbeat to the next shard every
+/// `heartbeat_every` acquisitions, which that shard's node 0 counts as
+/// `ring_hops`.
+pub fn cluster_lock_tile(
+    ctx: &ShardCtx<'_>,
+    alg: LockAlg,
+    cs: u64,
+    think: u64,
+    iters: u64,
+    heartbeat_every: u64,
+) {
+    let m = ctx.machine;
+    let n = ctx.shard_nodes;
+    let lock = AnyLock::make(m, 0, alg, n);
+    m.register_handler(0, Port(61), |hctx, _| hctx.bump("ring_hops", 1));
+    for p in 0..n {
+        let cpu = m.cpu(p);
+        let lock = lock.clone();
+        let mail = ctx.mail();
+        let (base, total) = (ctx.node_base, ctx.total_nodes);
+        m.spawn(p, async move {
+            for i in 0..iters {
+                let t = lock.acquire(&cpu).await;
+                cpu.work(cs).await;
+                lock.release(&cpu, t).await;
+                cpu.work(cpu.rand_below(think)).await;
+                if p == 0 && i % heartbeat_every == 0 {
+                    mail.post(cpu.now(), base, (base + n) % total, Port(61), [i, 0, 0, 0]);
+                }
+            }
+        });
+    }
 }
 
 /// Barrier arrival protocols compared by the `barrier_reactive`

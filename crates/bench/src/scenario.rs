@@ -92,14 +92,28 @@ impl Outcome {
         self.scalars.push((name, v));
     }
 
-    /// Look a name up: scalars first, then a series' y-values. A
-    /// missing name or an empty series is an error naming it.
+    /// Look a name up for a claim: scalars first, then a series'
+    /// y-values. A missing name, an empty series or a NaN value is an
+    /// error naming it.
     fn values(&self, name: &str) -> Result<Vec<f64>, String> {
         if let Some(&(_, v)) = self.scalars.iter().find(|(n, _)| *n == name) {
+            if v.is_nan() {
+                return Err(format!("scalar {name} is NaN"));
+            }
             return Ok(vec![v]);
         }
-        let s = self.series_named(name)?;
+        let s = self.claim_series(name)?;
         Ok(s.points.iter().map(|&(_, y)| y).collect())
+    }
+
+    /// [`Outcome::series_named`] for a claim: a NaN point is an error
+    /// too, since every comparison against it is false.
+    fn claim_series(&self, name: &str) -> Result<&Series, String> {
+        let s = self.series_named(name)?;
+        match s.points.iter().find(|&&(_, y)| y.is_nan()) {
+            Some(&(x, _)) => Err(format!("series {name} is NaN at x = {x}")),
+            None => Ok(s),
+        }
     }
 
     /// The series labelled `name`; a missing or empty series is an
@@ -211,8 +225,8 @@ impl Claim {
     pub fn check(&self, o: &Outcome) -> Result<String, String> {
         match *self {
             Claim::Crossover { cheap, scalable } => {
-                let c = o.series_named(cheap)?;
-                let s = o.series_named(scalable)?;
+                let c = o.claim_series(cheap)?;
+                let s = o.claim_series(scalable)?;
                 let (c0, cn) = (c.points[0].1, c.points[c.points.len() - 1].1);
                 let (s0, sn) = (s.points[0].1, s.points[s.points.len() - 1].1);
                 if c0 > s0 {
@@ -262,7 +276,7 @@ impl Claim {
                 from_x,
                 factor,
             } => {
-                let s = o.series_named(series)?;
+                let s = o.claim_series(series)?;
                 let ys: Vec<f64> = s
                     .points
                     .iter()
@@ -277,8 +291,9 @@ impl Claim {
                     .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &y| {
                         (l.min(y), h.max(y))
                     });
+                // All-zero points give 0/0: no spread was measured.
                 let spread = hi / lo;
-                if spread > factor {
+                if spread.is_nan() || spread > factor {
                     Err(format!(
                         "{series} spread {spread:.2}x > {factor}x ({lo:.1}..{hi:.1})"
                     ))
@@ -291,12 +306,12 @@ impl Claim {
                 over,
                 slack,
             } => {
-                let s = o.series_named(series)?;
+                let s = o.claim_series(series)?;
                 let mut worst = 0f64;
                 for (i, &(x, y)) in s.points.iter().enumerate() {
                     let mut best = f64::INFINITY;
                     for &other in over {
-                        let os = o.series_named(other)?;
+                        let os = o.claim_series(other)?;
                         if os.points.len() != s.points.len() {
                             return Err(format!(
                                 "series {other} has {} points but {series} has {}",
@@ -2746,34 +2761,8 @@ fn service_native_deflation() -> Scenario {
 }
 
 fn sim_parallel_scale() -> Scenario {
-    use alewife_sim::parallel::{Cluster, ClusterReport, ParallelConfig, ShardCtx};
-    use alewife_sim::{Config, Port};
-
-    /// Per-shard lock hammer with a cross-shard heartbeat ring — the
-    /// paper's contended-lock workload, tiled once per shard.
-    fn tile_setup(ctx: &ShardCtx<'_>, alg: LockAlg, cs: u64, think: u64, iters: u64) {
-        let m = ctx.machine;
-        let n = ctx.shard_nodes;
-        let lock = sim_apps::alg::AnyLock::make(m, 0, alg, n);
-        m.register_handler(0, Port(61), |hctx, _| hctx.bump("ring_hops", 1));
-        for p in 0..n {
-            let cpu = m.cpu(p);
-            let lock = lock.clone();
-            let mail = ctx.mail();
-            let (base, total) = (ctx.node_base, ctx.total_nodes);
-            m.spawn(p, async move {
-                for i in 0..iters {
-                    let t = lock.acquire(&cpu).await;
-                    cpu.work(cs).await;
-                    lock.release(&cpu, t).await;
-                    cpu.work(cpu.rand_below(think)).await;
-                    if p == 0 && i % 4 == 0 {
-                        mail.post(cpu.now(), base, (base + n) % total, Port(61), [i, 0, 0, 0]);
-                    }
-                }
-            });
-        }
-    }
+    use alewife_sim::parallel::{Cluster, ClusterReport, ParallelConfig};
+    use alewife_sim::Config;
 
     fn cluster(nodes: usize, workers: usize, epoch_window: u64) -> Cluster {
         Cluster::new(
@@ -2811,10 +2800,12 @@ fn sim_parallel_scale() -> Scenario {
 
         // Cross-mode conformance + causality on the contended reactive
         // cluster (the workload BENCH_sim.json's parallel rows run).
+        // The paper's contended-lock workload, tiled once per shard,
+        // with a heartbeat every 4 acquisitions.
         let serial = cluster(nodes, workers, window)
-            .run_serial(|c| tile_setup(c, LockAlg::Reactive, 5, 1, iters));
+            .run_serial(|c| exp::cluster_lock_tile(c, LockAlg::Reactive, 5, 1, iters, 4));
         let threaded = cluster(nodes, workers, window)
-            .run_parallel(|c| tile_setup(c, LockAlg::Reactive, 5, 1, iters));
+            .run_parallel(|c| exp::cluster_lock_tile(c, LockAlg::Reactive, 5, 1, iters, 4));
         let conforms = digest(&serial) == digest(&threaded)
             && serial.live_tasks == 0
             && threaded.live_tasks == 0;
@@ -2845,7 +2836,7 @@ fn sim_parallel_scale() -> Scenario {
         for &think in &thinks {
             for (ci, &(_, alg)) in algs.iter().enumerate() {
                 let r = cluster(nodes, workers, window)
-                    .run_serial(|c| tile_setup(c, alg, tb_cs, think, tb_iters));
+                    .run_serial(|c| exp::cluster_lock_tile(c, alg, tb_cs, think, tb_iters, 4));
                 assert_eq!(r.live_tasks, 0, "tile workload deadlocked");
                 let per_cs = r.elapsed as f64 / (tile_procs as u64 * tb_iters) as f64;
                 let ideal =
@@ -3105,6 +3096,74 @@ mod tests {
         for claim in empty {
             let err = claim.check(&o).expect_err(&claim.describe());
             assert_eq!(err, "series none is empty", "{}", claim.describe());
+        }
+        // A NaN value fails every kind of claim that reads it, naming
+        // it; every comparison against NaN is false, so none may pass
+        // by default.
+        o.push("nan_end", vec![(1.0, 1.0), (2.0, f64::NAN)]);
+        o.push("nan_mid", vec![(1.0, 1.0), (2.0, f64::NAN), (3.0, 1.5)]);
+        o.push("zeros", vec![(1.0, 0.0), (2.0, 0.0)]);
+        o.scalar("s_nan", f64::NAN);
+        let nan = [
+            (
+                Claim::Crossover {
+                    cheap: "nan_end",
+                    scalable: "b",
+                },
+                "nan_end",
+            ),
+            (
+                Claim::FlatScaling {
+                    series: "nan_mid",
+                    from_x: 1.0,
+                    factor: 2.0,
+                },
+                "nan_mid",
+            ),
+            (
+                Claim::FlatScaling {
+                    series: "zeros",
+                    from_x: 1.0,
+                    factor: 2.0,
+                },
+                "zeros",
+            ),
+            (
+                Claim::TracksBest {
+                    series: "nan_end",
+                    over: &["b"],
+                    slack: 4.0,
+                },
+                "nan_end",
+            ),
+            (
+                Claim::TracksBest {
+                    series: "a",
+                    over: &["nan_end"],
+                    slack: 4.0,
+                },
+                "nan_end",
+            ),
+            (
+                Claim::WithinFactorOfOptimal {
+                    value: "s_nan",
+                    optimal: "s",
+                    factor: 1.0,
+                },
+                "s_nan",
+            ),
+            (
+                Claim::WithinFactorOfOptimal {
+                    value: "s",
+                    optimal: "s_nan",
+                    factor: 1.0,
+                },
+                "s_nan",
+            ),
+        ];
+        for (claim, name) in nan {
+            let err = claim.check(&o).expect_err(&claim.describe());
+            assert!(err.contains(name), "{}: {err}", claim.describe());
         }
     }
 }

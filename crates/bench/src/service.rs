@@ -4,7 +4,7 @@
 //! measure exactly the same runs.
 
 use lock_service::{
-    run_service, ArenaMode, ArrivalCurve, LimiterConfig, Load, ServiceConfig, ServiceReport,
+    ArenaMode, ArrivalCurve, LimiterConfig, Load, ServiceConfig, ServiceReport, ServiceSim,
     TenantConfig,
 };
 
@@ -154,15 +154,15 @@ pub fn adjusted_mean_ns(r: &ServiceReport, deadline_ns: u64) -> f64 {
 /// Run one canonical mixed workload.
 pub fn run_mixed(scale: Scale, hot: bool, mode: ArenaMode) -> ServiceReport {
     let objects = scale.pick(100_000, 10_000);
-    run_service(mixed_config(scale, objects, hot, mode))
+    ServiceSim::new(mixed_config(scale, objects, hot, mode)).run()
 }
 
 /// Run the burst workload with the limiter on or off.
 pub fn run_burst(scale: Scale, limited: bool) -> ServiceReport {
-    run_service(burst_config(scale, limited))
+    ServiceSim::new(burst_config(scale, limited)).run()
 }
 
 /// Run the residency workload at a given arena size.
 pub fn run_residency(scale: Scale, objects: u64) -> ServiceReport {
-    run_service(residency_config(scale, objects))
+    ServiceSim::new(residency_config(scale, objects)).run()
 }

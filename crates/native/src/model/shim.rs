@@ -89,18 +89,29 @@ fn shim_op<R>(
 }
 
 macro_rules! shim_atomic {
-    ($name:ident, $std:ty, $t:ty) => {
+    // `fetch_add`, when given, names the one method `std` has only on
+    // the integer atomics.
+    ($name:ident $(<$p:ident>)?, $std:ty, $t:ty $(, $fetch_add:ident)?) => {
         /// Model-checked drop-in for the matching `std` atomic.
-        #[derive(Debug, Default)]
-        pub struct $name {
+        #[derive(Debug)]
+        pub struct $name$(<$p>)? {
             v: $std,
             id: ObjId,
         }
 
-        impl $name {
+        impl$(<$p>)? Default for $name$(<$p>)? {
+            fn default() -> Self {
+                Self {
+                    v: <$std>::default(),
+                    id: ObjId::new(),
+                }
+            }
+        }
+
+        impl$(<$p>)? $name$(<$p>)? {
             /// New atomic holding `v`.
-            pub const fn new(v: $t) -> $name {
-                $name {
+            pub const fn new(v: $t) -> Self {
+                Self {
                     v: <$std>::new(v),
                     id: ObjId::new(),
                 }
@@ -164,188 +175,26 @@ macro_rules! shim_atomic {
                 )
             }
 
-            /// Atomic fetch-add (a scheduling point in-run).
-            #[allow(dead_code, trivial_numeric_casts)]
-            pub fn fetch_add(&self, val: $t, ord: Ordering) -> $t
-            where
-                $std: FetchAdd<$t>,
-            {
-                shim_op(
-                    &self.id,
-                    stringify!($name),
-                    OpKind::Rmw,
-                    concat!(stringify!($name), "::fetch_add"),
-                    || (FetchAdd::fetch_add(&self.v, val, ord), rmw_edge(ord)),
-                )
-            }
+            $(
+                /// Atomic fetch-add (a scheduling point in-run).
+                pub fn $fetch_add(&self, val: $t, ord: Ordering) -> $t {
+                    shim_op(
+                        &self.id,
+                        stringify!($name),
+                        OpKind::Rmw,
+                        concat!(stringify!($name), "::", stringify!($fetch_add)),
+                        || (self.v.$fetch_add(val, ord), rmw_edge(ord)),
+                    )
+                }
+            )?
         }
     };
 }
 
-/// Helper trait so the macro can offer `fetch_add` only where the
-/// underlying std atomic has it.
-pub trait FetchAdd<T> {
-    /// Forward to the std `fetch_add`.
-    fn fetch_add(&self, val: T, ord: Ordering) -> T;
-}
-
-impl FetchAdd<u8> for std::sync::atomic::AtomicU8 {
-    fn fetch_add(&self, val: u8, ord: Ordering) -> u8 {
-        std::sync::atomic::AtomicU8::fetch_add(self, val, ord)
-    }
-}
-
-impl FetchAdd<u64> for std::sync::atomic::AtomicU64 {
-    fn fetch_add(&self, val: u64, ord: Ordering) -> u64 {
-        std::sync::atomic::AtomicU64::fetch_add(self, val, ord)
-    }
-}
-
-shim_atomic!(AtomicU8, std::sync::atomic::AtomicU8, u8);
-shim_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-
-/// Model-checked drop-in for `std::sync::atomic::AtomicBool`.
-#[derive(Debug, Default)]
-pub struct AtomicBool {
-    v: std::sync::atomic::AtomicBool,
-    id: ObjId,
-}
-
-impl AtomicBool {
-    /// New atomic holding `v`.
-    pub const fn new(v: bool) -> AtomicBool {
-        AtomicBool {
-            v: std::sync::atomic::AtomicBool::new(v),
-            id: ObjId::new(),
-        }
-    }
-
-    /// Atomic load (a scheduling point in-run).
-    pub fn load(&self, ord: Ordering) -> bool {
-        shim_op(
-            &self.id,
-            "AtomicBool",
-            OpKind::Load,
-            "AtomicBool::load",
-            || (self.v.load(ord), load_edge(ord)),
-        )
-    }
-
-    /// Atomic store (a scheduling point in-run).
-    pub fn store(&self, val: bool, ord: Ordering) {
-        shim_op(
-            &self.id,
-            "AtomicBool",
-            OpKind::Store,
-            "AtomicBool::store",
-            || (self.v.store(val, ord), store_edge(ord)),
-        )
-    }
-
-    /// Atomic compare-exchange (a scheduling point in-run).
-    pub fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        success: Ordering,
-        fail: Ordering,
-    ) -> Result<bool, bool> {
-        shim_op(
-            &self.id,
-            "AtomicBool",
-            OpKind::Rmw,
-            "AtomicBool::compare_exchange",
-            || {
-                let r = self.v.compare_exchange(current, new, success, fail);
-                let edge = match r {
-                    Ok(_) => rmw_edge(success),
-                    Err(_) => load_edge(fail),
-                };
-                (r, edge)
-            },
-        )
-    }
-}
-
-/// Model-checked drop-in for `std::sync::atomic::AtomicPtr`.
-#[derive(Debug)]
-pub struct AtomicPtr<T> {
-    v: std::sync::atomic::AtomicPtr<T>,
-    id: ObjId,
-}
-
-impl<T> Default for AtomicPtr<T> {
-    fn default() -> AtomicPtr<T> {
-        AtomicPtr::new(std::ptr::null_mut())
-    }
-}
-
-impl<T> AtomicPtr<T> {
-    /// New atomic holding `p`.
-    pub const fn new(p: *mut T) -> AtomicPtr<T> {
-        AtomicPtr {
-            v: std::sync::atomic::AtomicPtr::new(p),
-            id: ObjId::new(),
-        }
-    }
-
-    /// Atomic load (a scheduling point in-run).
-    pub fn load(&self, ord: Ordering) -> *mut T {
-        shim_op(
-            &self.id,
-            "AtomicPtr",
-            OpKind::Load,
-            "AtomicPtr::load",
-            || (self.v.load(ord), load_edge(ord)),
-        )
-    }
-
-    /// Atomic store (a scheduling point in-run).
-    pub fn store(&self, p: *mut T, ord: Ordering) {
-        shim_op(
-            &self.id,
-            "AtomicPtr",
-            OpKind::Store,
-            "AtomicPtr::store",
-            || (self.v.store(p, ord), store_edge(ord)),
-        )
-    }
-
-    /// Atomic swap (a scheduling point in-run).
-    pub fn swap(&self, p: *mut T, ord: Ordering) -> *mut T {
-        shim_op(
-            &self.id,
-            "AtomicPtr",
-            OpKind::Rmw,
-            "AtomicPtr::swap",
-            || (self.v.swap(p, ord), rmw_edge(ord)),
-        )
-    }
-
-    /// Atomic compare-exchange (a scheduling point in-run).
-    pub fn compare_exchange(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        success: Ordering,
-        fail: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        shim_op(
-            &self.id,
-            "AtomicPtr",
-            OpKind::Rmw,
-            "AtomicPtr::compare_exchange",
-            || {
-                let r = self.v.compare_exchange(current, new, success, fail);
-                let edge = match r {
-                    Ok(_) => rmw_edge(success),
-                    Err(_) => load_edge(fail),
-                };
-                (r, edge)
-            },
-        )
-    }
-}
+shim_atomic!(AtomicBool, std::sync::atomic::AtomicBool, bool);
+shim_atomic!(AtomicU8, std::sync::atomic::AtomicU8, u8, fetch_add);
+shim_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64, fetch_add);
+shim_atomic!(AtomicPtr<T>, std::sync::atomic::AtomicPtr<T>, *mut T);
 
 /// Poison marker for the shim [`Mutex`] (API parity with `std`).
 #[derive(Debug)]

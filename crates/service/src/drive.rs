@@ -244,9 +244,12 @@ struct WorkerOut {
 /// Run `cfg` and collect the measured report.
 ///
 /// # Panics
-/// If a tenant's object range reaches outside the arena (same contract
-/// as the virtual-time executor) or a worker thread panics.
+/// If a tenant's object range reaches outside the arena or the
+/// reservoir holds no sample (same contract as the virtual-time
+/// executor, checked before any thread starts), or a worker thread
+/// panics.
 pub fn run_native(cfg: &NativeRunConfig) -> NativeReport {
+    assert!(cfg.reservoir > 0, "wait-histogram reservoir of 0 samples");
     for t in &cfg.tenants {
         assert!(
             t.first_object + t.objects <= cfg.objects,
@@ -569,5 +572,19 @@ mod tests {
             deadline_ns: 0,
         });
         assert!(std::panic::catch_unwind(|| run_native(&cfg)).is_err());
+    }
+
+    #[test]
+    fn zero_reservoir_panics_before_the_run() {
+        let mut cfg = quick_cfg();
+        cfg.run_ns = 2_000_000_000;
+        cfg.reservoir = 0;
+        let t0 = Instant::now();
+        assert!(std::panic::catch_unwind(|| run_native(&cfg)).is_err());
+        assert!(
+            t0.elapsed().as_secs_f64() < 1.0,
+            "rejected only after {:?} of load",
+            t0.elapsed()
+        );
     }
 }

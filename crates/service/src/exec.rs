@@ -286,13 +286,14 @@ impl ServiceSim {
     /// Build the arena and seed every tenant's generator streams.
     ///
     /// # Panics
-    /// If the config has no tenants, or a tenant's object range falls
-    /// outside the arena.
+    /// If the config has no tenants, a tenant's object range falls
+    /// outside the arena, or the reservoir holds no sample.
     pub fn new(cfg: ServiceConfig) -> Self {
         assert!(
             !cfg.tenants.is_empty(),
             "service run needs at least one tenant"
         );
+        assert!(cfg.reservoir > 0, "wait-histogram reservoir of 0 samples");
         for t in &cfg.tenants {
             assert!(
                 t.first_object + t.objects <= cfg.objects,
@@ -327,7 +328,6 @@ impl ServiceSim {
             picks.push(crate::workload::Zipf::new(t.objects, t.theta, base ^ 2));
             think_rng.push(base ^ 3);
         }
-        let reservoir = cfg.reservoir.max(1);
         let seed = cfg.seed;
         ServiceSim {
             arena,
@@ -341,7 +341,7 @@ impl ServiceSim {
             arrivals,
             picks,
             think_rng,
-            wait: WaitHistogram::with_sampling(reservoir, seed ^ 0x5EED),
+            wait: WaitHistogram::with_sampling(cfg.reservoir, seed ^ 0x5EED),
             acquires: 0,
             aborts: 0,
             switches: 0,
@@ -626,11 +626,6 @@ impl ServiceSim {
     }
 }
 
-/// Convenience: build and run in one call.
-pub fn run_service(cfg: ServiceConfig) -> ServiceReport {
-    ServiceSim::new(cfg).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,5 +675,14 @@ mod tests {
         );
         assert!(sim.active.is_empty());
         assert_eq!(sim.held, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reservoir of 0 samples")]
+    fn zero_reservoir_is_rejected() {
+        let mut cfg = ServiceConfig::new(64, 4, 7);
+        cfg.tenants.push(closed_tenant(4, 1, 0));
+        cfg.reservoir = 0;
+        ServiceSim::new(cfg);
     }
 }

@@ -36,7 +36,7 @@
 //! entry point):
 //!
 //! ```
-//! use lock_service::{run_service, ArenaMode, Load, ServiceConfig, TenantConfig, Zipf};
+//! use lock_service::{Load, ServiceConfig, ServiceSim, TenantConfig, Zipf};
 //!
 //! let mut cfg = ServiceConfig::new(10_000, 8, 42);
 //! cfg.tenants.push(TenantConfig {
@@ -47,7 +47,7 @@
 //!     hold_ns: 200,
 //!     deadline_ns: 0,
 //! });
-//! let report = run_service(cfg);
+//! let report = ServiceSim::new(cfg).run();
 //! assert!(report.acquires > 0);
 //! assert!(report.stampedes().is_empty());
 //! ```
@@ -66,7 +66,7 @@ pub mod workload;
 
 pub use arena::{Footprint, ObjectArena};
 pub use drive::{run_native, NativeReport, NativeRunConfig};
-pub use exec::{run_service, ArenaMode, ServiceConfig, ServiceReport, ServiceSim};
+pub use exec::{ArenaMode, ServiceConfig, ServiceReport, ServiceSim};
 pub use limiter::{LimiterConfig, TokenBucket};
 pub use native::{NativeGuard, NativeService};
 pub use oracle::{check_no_stampede, Stampede, SwitchRecord};

@@ -8,7 +8,7 @@
 //! the history.
 
 use lock_service::{
-    run_service, ArenaMode, ArrivalCurve, LimiterConfig, Load, ServiceConfig, ServiceReport,
+    ArenaMode, ArrivalCurve, LimiterConfig, Load, ServiceConfig, ServiceReport, ServiceSim,
     TenantConfig,
 };
 
@@ -68,7 +68,7 @@ fn observe(r: &ServiceReport) -> [u64; 12] {
 
 #[track_caller]
 fn assert_golden(name: &str, cfg: ServiceConfig, want: [u64; 12]) {
-    let got = observe(&run_service(cfg));
+    let got = observe(&ServiceSim::new(cfg).run());
     for (field, (g, w)) in FIELDS.iter().zip(got.iter().zip(&want)) {
         assert_eq!(g, w, "{name}: {field} moved (full observation: {got:?})");
     }

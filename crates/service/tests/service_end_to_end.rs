@@ -4,7 +4,7 @@
 //! (not hand-built) switch log.
 
 use lock_service::{
-    run_service, ArenaMode, ArrivalCurve, LimiterConfig, Load, ServiceConfig, TenantConfig,
+    ArenaMode, ArrivalCurve, LimiterConfig, Load, ServiceConfig, ServiceSim, TenantConfig,
 };
 
 /// A two-tenant mixed workload: one hot closed-loop tenant (drives
@@ -40,16 +40,18 @@ fn mixed_config(objects: u64, mode: ArenaMode, limiter: Option<LimiterConfig>) -
 
 #[test]
 fn identical_configs_produce_identical_reports() {
-    let a = run_service(mixed_config(
+    let a = ServiceSim::new(mixed_config(
         50_000,
         ArenaMode::Adaptive,
         Some(LimiterConfig::default()),
-    ));
-    let b = run_service(mixed_config(
+    ))
+    .run();
+    let b = ServiceSim::new(mixed_config(
         50_000,
         ArenaMode::Adaptive,
         Some(LimiterConfig::default()),
-    ));
+    ))
+    .run();
     assert_eq!(a.acquires, b.acquires);
     assert_eq!(a.aborts, b.aborts);
     assert_eq!(a.switches, b.switches);
@@ -62,11 +64,12 @@ fn identical_configs_produce_identical_reports() {
 
 #[test]
 fn adaptive_run_switches_and_stays_stampede_free() {
-    let r = run_service(mixed_config(
+    let r = ServiceSim::new(mixed_config(
         50_000,
         ArenaMode::Adaptive,
         Some(LimiterConfig::default()),
-    ));
+    ))
+    .run();
     assert!(r.switches > 0, "hot tenant never triggered a switch");
     assert!(r.stampedes().is_empty(), "limited run must pass the oracle");
     assert!(r.aborts > 0, "deadline tenant never aborted");
@@ -83,7 +86,7 @@ fn unlimited_control_run_fails_the_oracle() {
     // default limiter parameters) must reject the resulting log,
     // proving both that the stampede is real and that the checker has
     // teeth on executor-produced logs.
-    let r = run_service(mixed_config(50_000, ArenaMode::Adaptive, None));
+    let r = ServiceSim::new(mixed_config(50_000, ArenaMode::Adaptive, None)).run();
     assert!(r.switches > 0);
     let v = lock_service::check_no_stampede(&r.switch_log, LimiterConfig::default()).unwrap();
     assert!(!v.is_empty(), "unthrottled run should stampede somewhere");
@@ -91,16 +94,18 @@ fn unlimited_control_run_fails_the_oracle() {
 
 #[test]
 fn at_rest_memory_stays_bounded_as_arena_grows() {
-    let small = run_service(mixed_config(
+    let small = ServiceSim::new(mixed_config(
         50_000,
         ArenaMode::Adaptive,
         Some(LimiterConfig::default()),
-    ));
-    let big = run_service(mixed_config(
+    ))
+    .run();
+    let big = ServiceSim::new(mixed_config(
         500_000,
         ArenaMode::Adaptive,
         Some(LimiterConfig::default()),
-    ));
+    ))
+    .run();
     for r in [&small, &big] {
         assert!(
             r.footprint.at_rest_bytes_per_object() <= 64.0,
@@ -140,7 +145,7 @@ fn no_grant_completes_past_its_deadline() {
             hold_ns: 400,
             deadline_ns: 2_000,
         });
-        let r = run_service(cfg);
+        let r = ServiceSim::new(cfg).run();
         assert!(r.aborts > 0, "deadline never bit in {mode:?}");
         assert!(r.acquires > 0, "nothing was ever granted in {mode:?}");
         assert!(
@@ -154,7 +159,7 @@ fn no_grant_completes_past_its_deadline() {
 #[test]
 fn static_modes_never_switch() {
     for mode in [ArenaMode::StaticTts, ArenaMode::StaticQueue] {
-        let r = run_service(mixed_config(20_000, mode, Some(LimiterConfig::default())));
+        let r = ServiceSim::new(mixed_config(20_000, mode, Some(LimiterConfig::default()))).run();
         assert_eq!(r.switches, 0);
         assert_eq!(r.switch_denials, 0);
         assert!(r.acquires > 0);

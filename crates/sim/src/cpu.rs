@@ -45,11 +45,6 @@ impl Cpu {
         self.st.borrow().nodes_n
     }
 
-    /// Hardware contexts on this node (Sparcle block multithreading).
-    pub fn contexts(&self) -> usize {
-        self.st.borrow().contexts
-    }
-
     /// Deterministic random value in `[0, bound)`.
     pub fn rand_below(&self, bound: u64) -> u64 {
         self.st.borrow_mut().rand_below(bound)

@@ -17,7 +17,8 @@ use crate::thread::{self, WaitQueueId};
 use crate::{coherence, fault, msg};
 
 /// Machine configuration. Construct with [`Config::default`] and chain
-/// the builder-style setters.
+/// the builder-style setters. A node runs any number of threads, one
+/// at a time; no hardware-context count is modelled.
 ///
 /// ```
 /// use alewife_sim::{Config, CostModel};
@@ -26,7 +27,6 @@ use crate::{coherence, fault, msg};
 #[derive(Clone, Debug)]
 pub struct Config {
     pub(crate) nodes: usize,
-    pub(crate) contexts: usize,
     pub(crate) cost: CostModel,
     pub(crate) full_map: bool,
     pub(crate) seed: u64,
@@ -37,7 +37,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             nodes: 1,
-            contexts: 1,
             cost: CostModel::nwo(),
             full_map: false,
             seed: 0xA1EF_17E5,
@@ -51,13 +50,6 @@ impl Config {
     pub fn nodes(mut self, n: usize) -> Self {
         assert!(n > 0, "a machine needs at least one node");
         self.nodes = n;
-        self
-    }
-
-    /// Hardware contexts per node (Sparcle block multithreading).
-    pub fn contexts(mut self, n: usize) -> Self {
-        assert!(n > 0, "a node needs at least one context");
-        self.contexts = n;
         self
     }
 
@@ -119,7 +111,7 @@ impl Drop for Machine {
 impl Machine {
     /// Build a machine from a configuration.
     pub fn new(cfg: Config) -> Machine {
-        let mut st = State::new(cfg.nodes, cfg.contexts, cfg.cost, cfg.full_map, cfg.seed);
+        let mut st = State::new(cfg.nodes, cfg.cost, cfg.full_map, cfg.seed);
         // The fault plan becomes ordinary events up front; an empty
         // plan schedules nothing, so event sequence numbers (and hence
         // the determinism goldens) are untouched.
@@ -563,7 +555,7 @@ mod tests {
 
     #[test]
     fn two_threads_share_one_processor_nonpreemptively() {
-        let m = Machine::new(Config::default().nodes(1).contexts(2));
+        let m = Machine::new(Config::default().nodes(1));
         let a = m.alloc_on(0, 2);
         let c0 = m.cpu(0);
         let c1 = m.cpu(0);

@@ -63,7 +63,7 @@ mod tests {
     use crate::state::State;
 
     fn mk(nodes: usize) -> State {
-        State::new(nodes, 1, CostModel::nwo(), false, 1)
+        State::new(nodes, CostModel::nwo(), false, 1)
     }
 
     #[test]

@@ -250,7 +250,6 @@ impl RpcSlab {
 pub(crate) struct State {
     // --- configuration ---
     pub nodes_n: usize,
-    pub contexts: usize,
     pub cost: CostModel,
     pub full_map: bool,
     /// Per-node mesh coordinates, precomputed so the network-latency
@@ -340,10 +339,9 @@ pub(crate) fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T, exact: bool) {
 }
 
 impl State {
-    pub fn new(nodes: usize, contexts: usize, cost: CostModel, full_map: bool, seed: u64) -> State {
+    pub fn new(nodes: usize, cost: CostModel, full_map: bool, seed: u64) -> State {
         State {
             nodes_n: nodes,
-            contexts,
             cost,
             full_map,
             coords: crate::net::coords_for(nodes),
@@ -374,7 +372,7 @@ impl State {
             handlers: (0..nodes).map(|_| Vec::new()).collect(),
             msgs: (0..nodes).map(|_| Engine::default()).collect(),
             rpc_pending: RpcSlab::default(),
-            scheds: (0..nodes).map(|_| NodeSched::new(contexts)).collect(),
+            scheds: (0..nodes).map(|_| NodeSched::default()).collect(),
             wait_queues: Vec::new(),
             wait_link: Vec::new(),
             alive: vec![true; nodes],
@@ -635,7 +633,7 @@ mod tests {
 
     #[test]
     fn touch_line_wakes_each_entry_oldest_first() {
-        let mut st = State::new(2, 1, CostModel::nwo(), false, 1);
+        let mut st = State::new(2, CostModel::nwo(), false, 1);
         let a = st.alloc_on(0, LINE_WORDS);
         let b = st.alloc_on(1, LINE_WORDS);
         let (la, lb) = (st.line_of(a), st.line_of(b));

@@ -87,22 +87,13 @@ impl WaitQueue {
     }
 }
 
-/// Per-node scheduler state. The hardware-context count lives in the
-/// machine configuration; loaded threads beyond it still work (capacity
-/// is advisory), and blocked threads always unload.
-#[derive(Debug)]
+/// Per-node scheduler state: one running thread and a FIFO of ready
+/// ones. A node holds any number of threads (no hardware-context
+/// limit is modelled), and blocked threads always unload.
+#[derive(Debug, Default)]
 pub(crate) struct NodeSched {
     pub running: Option<TaskId>,
     pub ready: VecDeque<TaskId>,
-}
-
-impl NodeSched {
-    pub fn new(_contexts: usize) -> NodeSched {
-        NodeSched {
-            running: None,
-            ready: VecDeque::new(),
-        }
-    }
 }
 
 /// Spawn a scheduler-managed thread on `node`.

@@ -123,13 +123,10 @@ proptest! {
     #[test]
     fn determinism_across_shapes(
         nodes in 1usize..16,
-        contexts in 1usize..4,
         seed in 1u64..u64::MAX,
     ) {
         let run = || {
-            let m = Machine::new(
-                Config::default().nodes(nodes).contexts(contexts).seed(seed),
-            );
+            let m = Machine::new(Config::default().nodes(nodes).seed(seed));
             let a = m.alloc_on(0, 1);
             for p in 0..nodes {
                 let cpu = m.cpu(p);

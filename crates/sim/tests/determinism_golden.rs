@@ -8,7 +8,7 @@
 //! touches: directory coherence (test&set + fetch&add + sequential
 //! invalidations of poll_until watchers), the line-version watcher
 //! machinery, active-message RPC, and the thread runtime
-//! (block/signal/yield across multiple contexts).
+//! (block/signal/yield among threads sharing a node).
 
 use alewife_sim::{Config, FullEmpty, Machine, Port, Stats};
 
@@ -53,13 +53,8 @@ fn digest_stats(elapsed: u64, st: &Stats) -> u64 {
 
 /// Run the fixed workload on one machine shape; digest the observable
 /// outcome (final time, memory results, and every machine counter).
-fn run_digest(nodes: usize, contexts: usize) -> u64 {
-    let m = Machine::new(
-        Config::default()
-            .nodes(nodes)
-            .contexts(contexts)
-            .seed(0x5EED_601D),
-    );
+fn run_digest(nodes: usize) -> u64 {
+    let m = Machine::new(Config::default().nodes(nodes).seed(0x5EED_601D));
     let lock = m.alloc_on(0, 1);
     let counter = m.alloc_on(1 % nodes, 1);
     let slot = m.alloc_on(nodes / 2, 1);
@@ -97,7 +92,7 @@ fn run_digest(nodes: usize, contexts: usize) -> u64 {
     }
 
     // A producer/consumer pair exercising full/empty bits and the
-    // blocking thread runtime (second context on node 0).
+    // blocking thread runtime (second thread on node 0).
     let c0 = m.cpu(0);
     m.spawn(0, async move {
         c0.block_on(q).await;
@@ -152,25 +147,24 @@ fn run_digest(nodes: usize, contexts: usize) -> u64 {
 
 /// Golden digests captured from the pre-refactor simulator (HashMap
 /// line tables + BinaryHeap event queue). The hot-path refactor must
-/// reproduce them bit-exactly.
+/// reproduce them bit-exactly. `4X2` names the 4-node machine's capture
+/// configuration of 2 hardware contexts per node, a count the scheduler
+/// never read.
 const GOLDEN_4X2: u64 = 0x2EBB_46DA_D3C4_624F;
 const GOLDEN_16X1: u64 = 0xEA08_32AE_447B_E995;
 
 #[test]
 fn digest_is_stable_across_runs_and_matches_golden_4x2() {
-    let a = run_digest(4, 2);
-    let b = run_digest(4, 2);
+    let a = run_digest(4);
+    let b = run_digest(4);
     assert_eq!(a, b, "same configuration, different digests");
-    assert_eq!(
-        a, GOLDEN_4X2,
-        "4-node/2-context digest drifted: got {a:#018x}"
-    );
+    assert_eq!(a, GOLDEN_4X2, "4-node digest drifted: got {a:#018x}");
 }
 
 #[test]
 fn digest_is_stable_across_runs_and_matches_golden_16x1() {
-    let a = run_digest(16, 1);
-    let b = run_digest(16, 1);
+    let a = run_digest(16);
+    let b = run_digest(16);
     assert_eq!(a, b, "same configuration, different digests");
     assert_eq!(a, GOLDEN_16X1, "16-node digest drifted: got {a:#018x}");
 }

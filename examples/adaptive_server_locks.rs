@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example adaptive_server_locks`
 
 use reactive_sync::service::{
-    run_service, ArenaMode, ArrivalCurve, Load, ServiceConfig, ServiceReport, TenantConfig,
+    ArenaMode, ArrivalCurve, Load, ServiceConfig, ServiceReport, ServiceSim, TenantConfig,
 };
 
 const OBJECTS: u64 = 100_000;
@@ -69,9 +69,9 @@ fn row(label: &str, r: &ServiceReport) {
 }
 
 fn main() {
-    let adaptive = run_service(config(ArenaMode::Adaptive));
-    let tts = run_service(config(ArenaMode::StaticTts));
-    let queue = run_service(config(ArenaMode::StaticQueue));
+    let adaptive = ServiceSim::new(config(ArenaMode::Adaptive)).run();
+    let tts = ServiceSim::new(config(ArenaMode::StaticTts)).run();
+    let queue = ServiceSim::new(config(ArenaMode::StaticQueue)).run();
 
     println!("{OBJECTS} objects, 2 tenants, 2 ms virtual time\n");
     row("adaptive", &adaptive);
