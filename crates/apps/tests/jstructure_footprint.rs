@@ -84,8 +84,8 @@ fn jacobi_heap_high_water_is_bounded() {
     eprintln!("jacobi 32 x 300 heap high-water: {mib:.2} MiB");
     assert!(r.elapsed > 0);
     assert!(
-        high <= 3 * MIB,
-        "jacobi 32 x 300 heap high-water {mib:.1} MiB > 3 MiB"
+        high <= 2 * MIB,
+        "jacobi 32 x 300 heap high-water {mib:.1} MiB > 2 MiB"
     );
     assert!(
         size_of::<JStructure>() <= 32,

@@ -20,6 +20,9 @@
 //!   nothing to check).
 //! * `event-size` — the compile-time 16-byte bound on simulator events
 //!   must stay present in `exec.rs`.
+//! * `dir-entry-size` — the compile-time 14-byte bound on a directory
+//!   entry must stay present in `coherence.rs`: every simulated line
+//!   pays for one.
 //! * `experiments-keys` — over the two row files the `experiments`
 //!   bench writes (`BENCH_experiments.json`, the counted rows, and
 //!   `BENCH_service_native.json`, the wall-clock rows): every row name
@@ -152,7 +155,10 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
             horizon_rule(&rel, &lines, &mut findings);
         }
         if rel == "crates/sim/src/exec.rs" {
-            event_size_rule(&rel, &text, &mut findings);
+            size_assert_rule("event-size", &rel, &text, EV_SIZE, &mut findings);
+        }
+        if rel == "crates/sim/src/coherence.rs" {
+            size_assert_rule("dir-entry-size", &rel, &text, DIR_ENTRY_SIZE, &mut findings);
         }
     }
     record_rules(root, &mut findings)?;
@@ -339,13 +345,23 @@ fn horizon_rule(file: &str, lines: &[&str], findings: &mut Vec<Finding>) {
     }
 }
 
-fn event_size_rule(file: &str, text: &str, findings: &mut Vec<Finding>) {
-    if !text.contains("size_of::<Ev>() <= 16") {
+const EV_SIZE: &str = "size_of::<Ev>() <= 16";
+const DIR_ENTRY_SIZE: &str = "size_of::<DirEntry>() <= 14";
+
+/// The compile-time size assert `needle` must stay in `text`.
+fn size_assert_rule(
+    rule: &'static str,
+    file: &str,
+    text: &str,
+    needle: &str,
+    findings: &mut Vec<Finding>,
+) {
+    if !text.contains(needle) {
         findings.push(Finding {
-            rule: "event-size",
+            rule,
             file: file.to_string(),
             line: 0,
-            msg: "compile-time `size_of::<Ev>() <= 16` assert is missing".to_string(),
+            msg: format!("compile-time `{needle}` assert is missing"),
         });
     }
 }
@@ -565,6 +581,18 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 0);
         assert!(f[0].msg.contains(CHANNEL_OPS[1]), "names the missing site");
+    }
+
+    #[test]
+    fn dir_entry_size_rule_requires_the_assert() {
+        let rule = |text: &str| {
+            let mut f = Vec::new();
+            size_assert_rule("dir-entry-size", "c.rs", text, DIR_ENTRY_SIZE, &mut f);
+            f.len()
+        };
+        let present = format!("const _: () = assert!({DIR_ENTRY_SIZE});");
+        assert_eq!(rule(&present), 0);
+        assert_eq!(rule("struct DirEntry;"), 1, "a missing assert is a finding");
     }
 
     #[test]

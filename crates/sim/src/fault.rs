@@ -200,13 +200,12 @@ pub(crate) fn kill_node(st: &mut State, node: usize) -> Vec<BoxFut> {
     // invalidation or service an owner fetch). Values are safe: the
     // authoritative word array is updated at grant time, so a dead
     // exclusive owner holds no data the directory still needs.
-    for l in 0..st.line_ver.len() {
-        st.cache[l * st.nodes_n + node] = None;
-        let d = &mut st.dir[l];
-        if d.owner == node as u32 {
+    let id = node as u16;
+    for d in &mut st.dir {
+        if d.owner == id {
             d.owner = crate::coherence::NO_OWNER;
         }
-        d.retain(&mut st.dir_spill, |&s| s != node as u32);
+        d.retain(&mut st.dir_spill, |&s| s != id);
     }
     st.fault_log.push(FaultEvent::Kill {
         at: st.now,

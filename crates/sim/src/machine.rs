@@ -110,7 +110,19 @@ impl Drop for Machine {
 
 impl Machine {
     /// Build a machine from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// If the configuration has more than 32767 nodes: a directory
+    /// entry names nodes with 16-bit pointers and counts its sharers in
+    /// 15 bits.
     pub fn new(cfg: Config) -> Machine {
+        assert!(
+            cfg.nodes <= coherence::MAX_NODES,
+            "a machine has at most {} nodes (a directory entry counts sharers in 15 bits), not {}",
+            coherence::MAX_NODES,
+            cfg.nodes
+        );
         let mut st = State::new(cfg.nodes, cfg.cost, cfg.full_map, cfg.seed);
         // The fault plan becomes ordinary events up front; an empty
         // plan schedules nothing, so event sequence numbers (and hence
@@ -175,7 +187,7 @@ impl Machine {
 
     /// Set a word's full/empty bit directly (setup only).
     pub fn set_full(&self, a: Addr, full: bool) {
-        self.st.borrow_mut().full_bits[a.0 as usize] = full;
+        crate::state::set_bit(&mut self.st.borrow_mut().full_bits, a.0 as usize, full);
     }
 
     /// Spawn a scheduler-managed thread on `node`.
@@ -494,7 +506,7 @@ mod tests {
                 assert_eq!(sa.next_word, sb.next_word);
                 assert_eq!(sa.mem.len(), sb.mem.len());
                 assert_eq!(sa.line_ver.len(), sb.line_ver.len());
-                assert_eq!(sa.cache.len(), sb.cache.len());
+                assert_eq!(sa.dir.len(), sb.dir.len());
             }
         }
     }
@@ -509,9 +521,8 @@ mod tests {
         assert_eq!(st.line_ver.capacity(), lines);
         assert_eq!(st.dir.capacity(), lines);
         assert_eq!(st.watchers.capacity(), lines);
-        assert_eq!(st.cache.capacity(), 4 * lines);
         assert_eq!(st.mem.capacity(), 4 * lines);
-        assert_eq!(st.full_bits.capacity(), 4 * lines);
+        assert_eq!(st.full_bits.capacity(), (4 * lines).div_ceil(64));
         // A line at rest pays only for its arena slots: no sharer spills
         // over its inline pointers and nobody watches it.
         assert_eq!(st.dir_spill.slots.capacity(), 0);
@@ -650,6 +661,13 @@ mod tests {
         let st = Rc::downgrade(&m.st);
         drop(m);
         assert!(st.upgrade().is_none(), "the state outlived its machine");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32767 nodes")]
+    fn a_node_count_past_the_directory_pointers_is_refused() {
+        assert_eq!(coherence::MAX_NODES, 32767);
+        Machine::new(Config::default().nodes(coherence::MAX_NODES + 1));
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! time, so ids are contiguous from 0), and the event queue is a
 //! bucketed calendar queue ([`crate::queue::EventQueue`]). No `HashMap`
 //! sits on the per-event or per-memory-op path.
+//!
+//! A line costs the same whatever the node count: its four words, one
+//! full/empty bit per word, a home, a version, a 14-byte directory entry
+//! and a watcher list — about 66 bytes. No table is kept per (line,
+//! node): which nodes cache a line is read off its directory entry.
 
 use std::collections::VecDeque;
 
-use crate::coherence::{CacheState, CohReq, DirEntry, DirSpill};
+use crate::coherence::{CohReq, DirEntry, DirSpill};
 use crate::cost::CostModel;
 use crate::exec::{BoxFut, Completion, Ev, EventEntry, TaskId};
 use crate::fault::FaultEvent;
@@ -44,7 +49,7 @@ impl Addr {
 
 /// Dense identifier of a cache line. Allocation hands out lines
 /// contiguously from 0, so a `LineId` indexes the per-line arenas
-/// (`line_ver`, `dir`, `watchers`, each node's cache map) directly.
+/// (`line_home`, `line_ver`, `dir`, `watchers`) directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct LineId(pub u32);
 
@@ -278,18 +283,14 @@ pub(crate) struct State {
 
     // --- shared memory & coherence (dense per-line arenas) ---
     pub mem: Vec<u64>,
-    pub full_bits: Vec<bool>,
+    /// One full/empty bit per word of `mem` (see [`bit`]).
+    pub full_bits: Vec<u64>,
     pub next_word: u64,
     pub line_home: Vec<u32>,
     pub line_ver: Vec<u64>,
     pub dir: Vec<DirEntry>,
     /// Sharer lists of the lines with more than `HW_PTRS` sharers.
     pub dir_spill: DirSpill,
-    /// Flattened cache-state table, line-major: line `l` on node `n`
-    /// is `cache[l * nodes_n + n]`, so one line's states across all
-    /// nodes share a cache line — a directory's sequential-invalidation
-    /// sweep is a contiguous scan.
-    pub cache: Vec<Option<CacheState>>,
     pub dirs: Vec<Engine>,
     pub watchers: Vec<WatchList>,
     /// The nodes every line's watcher list runs through.
@@ -328,6 +329,23 @@ pub(crate) struct State {
 /// recovers from a kill.
 pub(crate) type RecoveryFn = Box<dyn Fn() -> BoxFut>;
 
+/// Bit `i` of a bitset kept as `u64` words.
+#[inline]
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// Set or clear bit `i` of a bitset kept as `u64` words.
+#[inline]
+pub(crate) fn set_bit(words: &mut [u64], i: usize, on: bool) {
+    let m = 1 << (i % 64);
+    if on {
+        words[i / 64] |= m;
+    } else {
+        words[i / 64] &= !m;
+    }
+}
+
 /// Grow an arena to `len` entries of `fill`. With `exact` it is
 /// reallocated at most once, to exactly `len` (a batch of allocations);
 /// without, `Vec`'s doubling keeps one-at-a-time growth amortised.
@@ -364,8 +382,7 @@ impl State {
             line_home: Vec::new(),
             line_ver: Vec::new(),
             dir: Vec::new(),
-            dir_spill: DirSpill::default(),
-            cache: Vec::new(),
+            dir_spill: DirSpill::new(nodes),
             dirs: (0..nodes).map(|_| Engine::default()).collect(),
             watchers: Vec::new(),
             watch_nodes: WatchSlab::default(),
@@ -526,7 +543,7 @@ impl State {
         let words_total = self.next_word as usize;
         let lines_total = words_total / lw as usize;
         grow(&mut self.mem, words_total, 0, exact);
-        grow(&mut self.full_bits, words_total, false, exact);
+        grow(&mut self.full_bits, words_total.div_ceil(64), 0, exact);
         let first_line = (base / lw) as usize;
         grow(&mut self.line_home, lines_total, 0, exact);
         for (i, homes) in self.line_home[first_line..]
@@ -538,7 +555,6 @@ impl State {
         grow(&mut self.line_ver, lines_total, 0, exact);
         grow(&mut self.dir, lines_total, DirEntry::EMPTY, exact);
         grow(&mut self.watchers, lines_total, WatchList::EMPTY, exact);
-        grow(&mut self.cache, lines_total * self.nodes_n, None, exact);
         (Addr(base), lines_each * lw)
     }
 
@@ -564,12 +580,6 @@ impl State {
                 .push_wakes(at, self.seq, self.watch_nodes.iter(*list));
             self.watch_nodes.clear(list);
         }
-    }
-
-    /// Cache-state slot for (`node`, `line`) in the flattened table.
-    #[inline]
-    pub fn cache_slot(&self, node: usize, line: LineId) -> usize {
-        line.idx() * self.nodes_n + node
     }
 
     pub fn rand_below(&mut self, bound: u64) -> u64 {
