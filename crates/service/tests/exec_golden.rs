@@ -1,9 +1,13 @@
-//! Golden digests for the virtual-time executor: four small configs
-//! whose every counted output is pinned bit-exact. Captured before the
-//! side-table refactor of `exec.rs` (side entries only for contended
-//! objects, one-word heap key), so any silent change to event order,
-//! handoff choice, abort accounting or the footprint high-water mark
-//! shows up here as a mismatch. CI runs this file in debug and in
+//! Golden digests for the virtual-time executor: five small configs
+//! whose every counted output is pinned bit-exact. The first four were
+//! captured before the side-table refactor of `exec.rs` (side entries
+//! only for contended objects, one-word heap key); the reservoir digest
+//! and the `sparse` config were captured on the heap event loop before
+//! it moved to the calendar queue, so any silent change to event order,
+//! handoff choice, abort accounting, the retained latency samples or
+//! the footprint high-water mark shows up here as a mismatch. `sparse`
+//! schedules most events further ahead than the queue's window, so its
+//! overflow-spill path is pinned too. CI runs this file in debug and in
 //! release: the executor's debug-only invariant checks must not perturb
 //! the history.
 
@@ -12,7 +16,7 @@ use lock_service::{
     TenantConfig,
 };
 
-const FIELDS: [&str; 12] = [
+const FIELDS: [&str; 13] = [
     "acquires",
     "aborts",
     "switches",
@@ -25,6 +29,7 @@ const FIELDS: [&str; 12] = [
     "max_active",
     "footprint.hot_bytes",
     "switch_log digest",
+    "wait.raw digest",
 ];
 
 /// FNV-1a over a stream of u64s.
@@ -37,7 +42,7 @@ fn fnv(acc: u64, x: u64) -> u64 {
     h
 }
 
-fn observe(r: &ServiceReport) -> [u64; 12] {
+fn observe(r: &ServiceReport) -> [u64; 13] {
     let mut log = 0xcbf2_9ce4_8422_2325;
     for s in &r.switch_log {
         for x in [
@@ -50,6 +55,13 @@ fn observe(r: &ServiceReport) -> [u64; 12] {
             log = fnv(log, x);
         }
     }
+    // The retained reservoir, in order: which samples survive depends
+    // on the order the grants were recorded in.
+    let raw = r
+        .wait
+        .raw
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &x| fnv(h, x));
     [
         r.acquires,
         r.aborts,
@@ -63,11 +75,12 @@ fn observe(r: &ServiceReport) -> [u64; 12] {
         r.max_active,
         r.footprint.hot_bytes,
         log,
+        raw,
     ]
 }
 
 #[track_caller]
-fn assert_golden(name: &str, cfg: ServiceConfig, want: [u64; 12]) {
+fn assert_golden(name: &str, cfg: ServiceConfig, want: [u64; 13]) {
     let got = observe(&ServiceSim::new(cfg).run());
     for (field, (g, w)) in FIELDS.iter().zip(got.iter().zip(&want)) {
         assert_eq!(g, w, "{name}: {field} moved (full observation: {got:?})");
@@ -110,26 +123,75 @@ fn mixed(mode: ArenaMode, limiter: Option<LimiterConfig>) -> ServiceConfig {
     cfg
 }
 
+/// Mostly idle: a closed tenant that thinks 20 µs between requests
+/// and a diurnal open tenant whose trough spaces arrivals ≈ 20 µs
+/// apart, so most events are scheduled further ahead than the event
+/// queue's 4096 ns window and reach their bucket through the overflow
+/// heap. The peak (20 M arrivals/s on 64 objects, overlapping the
+/// closed tenant's 8) still contends, aborts and switches, and the
+/// 1 024-sample reservoir is small enough to start evicting.
+fn sparse() -> ServiceConfig {
+    let mut cfg = ServiceConfig::new(1_024, 4, 0x5A55_E000);
+    cfg.horizon_ns = 2_000_000;
+    cfg.reservoir = 1_024;
+    cfg.tenants.push(TenantConfig {
+        first_object: 0,
+        objects: 8,
+        theta: 0.9,
+        load: Load::Closed {
+            clients: 6,
+            think_ns: 20_000,
+        },
+        hold_ns: 400,
+        deadline_ns: 5_000,
+    });
+    cfg.tenants.push(TenantConfig {
+        first_object: 0,
+        objects: 64,
+        theta: 0.9,
+        load: Load::Open {
+            curve: ArrivalCurve::Diurnal {
+                low_per_sec: 5e4,
+                high_per_sec: 2e7,
+                period_ns: 1_000_000,
+            },
+        },
+        hold_ns: 200,
+        deadline_ns: 0,
+    });
+    cfg
+}
+
 // Field order is `FIELDS`.
 #[rustfmt::skip]
-const ADAPTIVE: [u64; 12] = [
+const ADAPTIVE: [u64; 13] = [
     9_851, 452, 56, 28, 402_287, 4_613_179,
     2_999, 15, 2_993, 16, 4_544, 12_334_599_346_080_932_841,
+    7_086_204_124_651_054_744,
 ];
 #[rustfmt::skip]
-const STATIC_TTS: [u64; 12] = [
+const STATIC_TTS: [u64; 13] = [
     8_086, 1_487, 0, 0, 401_689, 1_232_774,
     2_974, 15, 2_689, 15, 3_000, 14_695_981_039_346_656_037,
+    8_156_083_436_085_086_900,
 ];
 #[rustfmt::skip]
-const STATIC_QUEUE: [u64; 12] = [
+const STATIC_QUEUE: [u64; 13] = [
     10_058, 476, 0, 0, 401_650, 4_468_795,
     2_999, 28, 2_996, 14, 2_800, 14_695_981_039_346_656_037,
+    10_652_927_500_497_028_297,
 ];
 #[rustfmt::skip]
-const NO_LIMITER: [u64; 12] = [
+const NO_LIMITER: [u64; 13] = [
     9_825, 439, 79, 0, 401_997, 4_667_091,
     2_999, 15, 2_994, 16, 5_096, 17_567_111_011_936_093_450,
+    15_608_349_821_909_597_776,
+];
+#[rustfmt::skip]
+const SPARSE: [u64; 13] = [
+    20_616, 62, 86, 49, 1_997_920, 60_819_106,
+    86_285, 15, 75_190, 13, 4_664, 16_580_024_136_598_828_299,
+    7_881_948_833_013_675_806,
 ];
 
 #[test]
@@ -162,4 +224,9 @@ fn static_queue_fifo_handoff() {
 #[test]
 fn adaptive_without_limiter() {
     assert_golden("no_limiter", mixed(ArenaMode::Adaptive, None), NO_LIMITER);
+}
+
+#[test]
+fn sparse_events_spill_from_the_overflow_heap() {
+    assert_golden("sparse", sparse(), SPARSE);
 }
