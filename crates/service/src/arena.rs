@@ -86,6 +86,23 @@ impl ObjectArena {
         self.slots[object as usize].load(Ordering::Acquire)
     }
 
+    /// Ask the CPU to start pulling `object`'s slot word into cache, so
+    /// a load issued a little later does not stall on it. A hint only:
+    /// no value is read and nothing is ordered. Compiles to nothing off
+    /// `x86_64`.
+    #[inline]
+    pub fn prefetch(&self, object: u64) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let word: *const AtomicU64 = &self.slots[object as usize];
+            // SAFETY: a prefetch never faults and changes no memory.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(word.cast()) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = object;
+    }
+
     /// Unconditionally store a slot word (deterministic executor only,
     /// where the simulation loop is the sole mutator).
     pub fn store(&self, object: u64, word: u64) {

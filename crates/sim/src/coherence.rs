@@ -41,7 +41,7 @@ use crate::state::{bit, set_bit, Addr, LineId, State, HW_PTRS};
 /// State of a line in a node's local cache (absence means invalid),
 /// as the line's directory entry records it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheState {
+pub(crate) enum CacheState {
     /// Read-cached; other nodes may also hold copies.
     Shared,
     /// Exclusively owned (read/write hits, possibly dirty).

@@ -8,7 +8,6 @@
 //! `(time, sequence)`, so simulations are exactly reproducible.
 
 use std::cell::Cell;
-use std::cmp::Ordering;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -182,33 +181,6 @@ pub(crate) enum Ev {
 // calendar queue copies events densely); enforced at compile time and
 // checked by the repo lint (`cargo run -p check --bin lint`).
 const _: () = assert!(std::mem::size_of::<Ev>() <= 16);
-
-pub(crate) struct EventEntry {
-    pub time: u64,
-    pub seq: u64,
-    pub ev: Ev,
-}
-
-// BinaryHeap is a max-heap; invert the ordering to pop earliest first.
-impl Ord for EventEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-impl PartialOrd for EventEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for EventEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for EventEntry {}
 
 /// A polled future together with its poll result, awaiting end-of-poll
 /// bookkeeping.

@@ -71,7 +71,6 @@ mod state;
 pub mod stats;
 mod thread;
 
-pub use coherence::CacheState;
 pub use cost::CostModel;
 pub use cpu::Cpu;
 pub use exec::TaskId;
@@ -79,6 +78,7 @@ pub use fault::{FaultEvent, FaultPlan};
 pub use machine::{Config, Machine};
 pub use msg::{HandlerCtx, Port, PrivAddr, ReplyToken};
 pub use parallel::{Cluster, ClusterReport, ParallelConfig, RemoteMail, ShardCtx};
+pub use queue::{EventEntry, EventQueue};
 pub use state::Addr;
 pub use stats::{Stats, WaitHistogram};
 pub use thread::WaitQueueId;

@@ -1,84 +1,162 @@
-//! The bucketed calendar event queue.
+//! The bucketed calendar event queue, shared by both executors.
 //!
-//! The executor pops every simulation event in `(time, seq)` order. A
+//! A discrete-event executor pops every event in `(time, seq)` order. A
 //! `BinaryHeap` gives that order at O(log n) per operation with poor
-//! locality; this queue exploits the structure of simulator schedules —
-//! almost every event lands within a few hundred cycles of `now` — with
+//! locality; this queue exploits the structure of real schedules —
+//! almost every event lands within a bounded distance of `now` — with
 //! two levels:
 //!
-//! * **near**: a ring of [`WINDOW`] one-cycle buckets covering
+//! * **near**: a ring of `WINDOW` one-unit buckets covering
 //!   `[window_start, window_start + WINDOW)`, plus an occupancy bitmap
 //!   (one bit per bucket) so finding the next pending time is a
-//!   find-first-set scan instead of a cycle-by-cycle slide. Push and
-//!   pop are O(1). Within a bucket all events share the same time, and
+//!   find-first-set scan instead of a unit-by-unit slide. Push and pop
+//!   are O(1). Within a bucket all events share the same time, and
 //!   both live pushes (monotonically increasing `seq`) and overflow
 //!   spills (heap order) arrive in ascending `seq`, so FIFO order *is*
-//!   `seq` order.
+//!   `seq` order. A window wider than four occupancy words also keeps a
+//!   **summary** word (bit `w` set iff occupancy word `w` is non-zero),
+//!   so find-next is two `trailing_zeros` at any width up to 4096
+//!   buckets; at four words or fewer the upkeep is compiled out and the
+//!   scan walks the words.
 //! * **far**: a `BinaryHeap` fallback for events at or beyond the
 //!   window's end. As the window advances, events whose time comes into
 //!   range spill into their buckets before any live push can target
 //!   them, preserving the total `(time, seq)` order exactly.
 //!
+//! The window is a const parameter sized to the executor's spread of
+//! pending events: the simulator keeps 256 one-cycle buckets (most
+//! events land within a few dozen cycles of `now`), the virtual-time
+//! lock service 4096 one-ns buckets (its ≈ 34 pending events spread
+//! over ≈ 600 ns). The time unit is the caller's.
+//!
 //! Invariants:
-//! 1. no event exists with `time < window_start` (schedules clamp to
-//!    `now`, and `window_start` trails the last popped time);
+//! 1. no event exists with `time < window_start` (callers schedule at
+//!    or after the last popped time, and `window_start` trails it);
 //! 2. `overflow` holds only events with `time >= window_start + WINDOW`;
 //! 3. every bucket holds events of exactly one time value, in ascending
 //!    `seq` order;
-//! 4. `occ` bit `i` is set iff `buckets[i]` is non-empty.
+//! 4. `occ` bit `i` is set iff bucket `i` is non-empty, and (when kept)
+//!    `summary` bit `w` is set iff `occ[w] != 0`.
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::exec::{Ev, EventEntry};
-
-/// Width of the near window in cycles. Sized for cache residency of the
-/// bucket head/tail tables (2 KiB each): the bulk of simulator events
-/// land within a few dozen cycles of `now`, and the occasional long
-/// delay (blocking ≈ 465 cycles, think loops ≈ 500) rides the heap
-/// fallback instead.
-pub(crate) const WINDOW: u64 = 256;
-const WORDS: usize = (WINDOW as usize) / 64;
 /// Null link in the bucket lists.
 const NIL: u32 = u32::MAX;
+/// Most occupancy words a window may have: one summary bit each, so
+/// the widest window is 64 × 64 = 4096 buckets.
+const MAX_WORDS: usize = 64;
+
+/// One scheduled event: `ev` fires at `time`, and among events at the
+/// same time the lower `seq` fires first.
+///
+/// The ordering (`Ord`, `Eq`) looks at `(time, seq)` only and is
+/// *reversed*, so a `BinaryHeap` of entries pops the earliest first.
+#[derive(Debug)]
+pub struct EventEntry<E> {
+    /// Absolute time the event fires at, in the executor's unit.
+    pub time: u64,
+    /// Tie-breaker: unique, and strictly increasing in push order.
+    pub seq: u64,
+    /// The payload.
+    pub ev: E,
+}
+
+impl<E> Ord for EventEntry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+impl<E> PartialOrd for EventEntry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for EventEntry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+
+impl<E> Eq for EventEntry<E> {}
 
 /// One near-window event, linked into its bucket's list. Nodes live in
 /// a recycled slab so the hot set stays small and cache-resident.
-struct Node {
+struct Node<E> {
     seq: u64,
-    ev: Option<Ev>,
+    ev: Option<E>,
     next: u32,
 }
 
-/// Two-level bucketed event queue; see the module docs.
-pub(crate) struct EventQueue {
+/// Two-level bucketed calendar queue over payloads `E`, with a near
+/// window of `WINDOW` one-unit buckets; see the module docs.
+///
+/// `WINDOW` must be a power of two between 64 and 4096 (checked at
+/// compile time). Callers own the sequence numbers: every push must
+/// carry a `seq` above all earlier ones, and a `time` at or after the
+/// last popped event's.
+///
+/// ```
+/// use alewife_sim::{EventEntry, EventQueue};
+///
+/// let mut q: EventQueue<&str, 64> = EventQueue::new();
+/// q.push(EventEntry { time: 500, seq: 1, ev: "far" });
+/// q.push(EventEntry { time: 3, seq: 2, ev: "near" });
+/// assert_eq!(q.push_burst(3, 2, ["tie", "tie"]), 2);
+/// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.ev)).collect();
+/// assert_eq!(order, [(3, "near"), (3, "tie"), (3, "tie"), (500, "far")]);
+/// ```
+pub struct EventQueue<E, const WINDOW: usize> {
     /// Slab backing every bucket list (and the free list).
-    nodes: Vec<Node>,
+    nodes: Vec<Node<E>>,
     /// Head of the free list through `nodes[..].next`.
     free: u32,
     /// `ends[t % WINDOW]` is the `(head, tail)` of the bucket list for
     /// time `t`, for any `t` inside the current window, in ascending
     /// `seq` order. Fixed-size so masked indexing needs no bounds check.
-    ends: Box<[(u32, u32); WINDOW as usize]>,
-    /// Occupancy bitmap over the buckets.
-    occ: [u64; WORDS],
+    ends: Box<[(u32, u32); WINDOW]>,
+    /// Occupancy bitmap over the buckets; only the first `WORDS` words
+    /// are used.
+    occ: [u64; MAX_WORDS],
+    /// Bit `w` set iff `occ[w] != 0`; kept only when `SUMMARY`.
+    summary: u64,
     /// Earliest time any pending event may have.
     window_start: u64,
     /// Events currently in buckets.
     near: usize,
     /// Far-future events (`time >= window_start + WINDOW`).
-    overflow: BinaryHeap<EventEntry>,
+    overflow: BinaryHeap<EventEntry<E>>,
     /// `overflow`'s minimum time (`u64::MAX` when empty), cached so the
     /// per-pop spill check is a register compare.
     overflow_min: u64,
 }
 
-impl EventQueue {
-    pub fn new() -> EventQueue {
+impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
+    /// Occupancy words in use (the window's width is checked here, at
+    /// compile time, on first use).
+    const WORDS: usize = {
+        assert!(
+            WINDOW.is_power_of_two() && WINDOW >= 64 && WINDOW <= 64 * MAX_WORDS,
+            "an event-queue window is a power of two in 64..=4096"
+        );
+        WINDOW / 64
+    };
+    /// Keep the summary word: a scan over four words or fewer costs no
+    /// more than the upkeep on every mark and unmark would.
+    const SUMMARY: bool = Self::WORDS > 4;
+    const MASK: usize = WINDOW - 1;
+
+    /// An empty queue whose window starts at time 0.
+    pub fn new() -> Self {
+        let _ = Self::WORDS;
         EventQueue {
             nodes: Vec::new(),
             free: NIL,
-            ends: Box::new([(NIL, NIL); WINDOW as usize]),
-            occ: [0; WORDS],
+            ends: Box::new([(NIL, NIL); WINDOW]),
+            occ: [0; MAX_WORDS],
+            summary: 0,
             window_start: 0,
             near: 0,
             overflow: BinaryHeap::new(),
@@ -87,23 +165,35 @@ impl EventQueue {
     }
 
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.near + self.overflow.len()
     }
 
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     #[inline]
     fn mark(&mut self, slot: usize) {
         self.occ[slot / 64] |= 1 << (slot % 64);
+        if Self::SUMMARY {
+            self.summary |= 1 << (slot / 64);
+        }
+    }
+
+    #[inline]
+    fn unmark(&mut self, slot: usize) {
+        let w = slot / 64;
+        self.occ[w] &= !(1 << (slot % 64));
+        if Self::SUMMARY && self.occ[w] == 0 {
+            self.summary &= !(1 << w);
+        }
     }
 
     /// Take a slab node off the free list (or grow) for `(seq, ev)`.
     #[inline]
-    fn alloc_node(&mut self, seq: u64, ev: Ev) -> u32 {
+    fn alloc_node(&mut self, seq: u64, ev: E) -> u32 {
         if self.free != NIL {
             let i = self.free;
             let n = &mut self.nodes[i as usize];
@@ -119,8 +209,8 @@ impl EventQueue {
 
     /// Append to the tail of `time`'s bucket list.
     #[inline]
-    fn place(&mut self, time: u64, seq: u64, ev: Ev) {
-        let slot = (time as usize) & (WINDOW as usize - 1);
+    fn place(&mut self, time: u64, seq: u64, ev: E) {
+        let slot = (time as usize) & Self::MASK;
         let i = self.alloc_node(seq, ev);
         let (h, t) = self.ends[slot];
         if h == NIL {
@@ -134,7 +224,7 @@ impl EventQueue {
     }
 
     #[cold]
-    fn grow_slab(nodes: &mut Vec<Node>, seq: u64, ev: Ev) -> u32 {
+    fn grow_slab(nodes: &mut Vec<Node<E>>, seq: u64, ev: E) -> u32 {
         nodes.push(Node {
             seq,
             ev: Some(ev),
@@ -143,15 +233,16 @@ impl EventQueue {
         (nodes.len() - 1) as u32
     }
 
+    /// Schedule one event.
     #[inline]
-    pub fn push(&mut self, e: EventEntry) {
+    pub fn push(&mut self, e: EventEntry<E>) {
         debug_assert!(
             e.time >= self.window_start,
             "event scheduled in the past ({} < {})",
             e.time,
             self.window_start
         );
-        if e.time < self.window_start + WINDOW {
+        if e.time < self.window_start + WINDOW as u64 {
             self.place(e.time, e.seq, e.ev);
         } else {
             self.overflow_min = self.overflow_min.min(e.time);
@@ -159,38 +250,34 @@ impl EventQueue {
         }
     }
 
-    /// Bulk-append watcher wakes for `tasks` at `time`, with sequence
-    /// numbers `base_seq + 1 ..= base_seq + n`, and return `n` (the
-    /// caller advances the global counter by it). Equivalent to pushing
-    /// the `Ev::Wake`s one by one, but the bucket is located and its
-    /// tail/occupancy updated once per burst — invalidation storms wake
-    /// dozens of watchers at a single instant.
-    pub fn push_wakes(
+    /// Bulk-append `evs` at `time`, with sequence numbers
+    /// `base_seq + 1 ..= base_seq + n`, and return `n` (the caller
+    /// advances its counter by it). Equivalent to pushing them one by
+    /// one, but the bucket is located and its tail and occupancy
+    /// updated once per burst — an invalidation storm wakes dozens of
+    /// watchers at a single instant.
+    pub fn push_burst(
         &mut self,
         time: u64,
         base_seq: u64,
-        tasks: impl Iterator<Item = crate::exec::TaskId>,
+        evs: impl IntoIterator<Item = E>,
     ) -> u64 {
         debug_assert!(time >= self.window_start);
         let mut seq = base_seq;
-        if time >= self.window_start + WINDOW {
-            for t in tasks {
+        if time >= self.window_start + WINDOW as u64 {
+            for ev in evs {
                 seq += 1;
                 self.overflow_min = self.overflow_min.min(time);
-                self.overflow.push(EventEntry {
-                    time,
-                    seq,
-                    ev: Ev::Wake(t),
-                });
+                self.overflow.push(EventEntry { time, seq, ev });
             }
             return seq - base_seq;
         }
-        let slot = (time as usize) & (WINDOW as usize - 1);
+        let slot = (time as usize) & Self::MASK;
         let mut first = NIL;
         let mut prev = NIL;
-        for t in tasks {
+        for ev in evs {
             seq += 1;
-            let i = self.alloc_node(seq, Ev::Wake(t));
+            let i = self.alloc_node(seq, ev);
             if prev == NIL {
                 first = i;
             } else {
@@ -215,15 +302,14 @@ impl EventQueue {
     }
 
     /// Time of the next pending event, **without** committing any
-    /// window movement (pure with respect to event order). Public
-    /// within the crate: the parallel conservative scheduler reads
-    /// every shard's next-event time to compute the global safe
-    /// horizon.
+    /// window movement (pure with respect to event order). The parallel
+    /// conservative scheduler reads every shard's next-event time to
+    /// compute the global safe horizon.
     #[inline]
     pub fn peek_time(&self) -> Option<u64> {
         // Fast path: an event is pending at the window's current head
         // (the overwhelmingly common case right after a same-time push).
-        if self.ends[(self.window_start as usize) & (WINDOW as usize - 1)].0 != NIL {
+        if self.ends[(self.window_start as usize) & Self::MASK].0 != NIL {
             Some(self.window_start)
         } else if self.near > 0 {
             Some(self.scan_from(self.window_start))
@@ -244,8 +330,8 @@ impl EventQueue {
     #[inline]
     fn advance_to(&mut self, t: u64) {
         self.window_start = t;
-        if self.overflow_min < t + WINDOW {
-            self.spill_below(t + WINDOW);
+        if self.overflow_min < t + WINDOW as u64 {
+            self.spill_below(t + WINDOW as u64);
         }
     }
 
@@ -253,7 +339,7 @@ impl EventQueue {
     /// `Some(t)`, the bucket at `t` is non-empty and [`EventQueue::pop`]
     /// is O(1).
     #[cfg(test)]
-    pub fn next_time(&mut self) -> Option<u64> {
+    fn next_time(&mut self) -> Option<u64> {
         let t = self.peek_time()?;
         self.advance_to(t);
         Some(t)
@@ -263,52 +349,73 @@ impl EventQueue {
     /// (which must exist: `near > 0` and no event precedes `from`).
     #[inline]
     fn scan_from(&self, from: u64) -> u64 {
-        let base = from - from % WINDOW;
-        let start = (from % WINDOW) as usize;
+        let base = from - from % WINDOW as u64;
+        let start = (from as usize) & Self::MASK;
         let start_w = start / 64;
-        let mut w = start_w;
-        // Mask off bits below `start` in the first word.
-        let mut word = self.occ[w] & !((1u64 << (start % 64)) - 1);
-        let mut wrapped = false;
-        loop {
-            if word != 0 {
-                let slot = w as u64 * 64 + word.trailing_zeros() as u64;
-                // Slots before `start` hold times in the *next* lap.
-                return if slot >= start as u64 {
-                    base + slot
+        // Bits at or above `start` in its word: times in this lap.
+        let here = self.occ[start_w] & (u64::MAX << (start % 64));
+        let slot = if Self::SUMMARY {
+            if here != 0 {
+                start_w * 64 + here.trailing_zeros() as usize
+            } else {
+                // The first non-empty word after `start_w` in this lap,
+                // else the first at or before it in the next one (bits
+                // at or above `start` in `start_w` were just seen
+                // clear, so its lowest set bit lies below `start`).
+                let later = self.summary & (u64::MAX << start_w) & !(1 << start_w);
+                let w = if later != 0 {
+                    later.trailing_zeros()
                 } else {
-                    base + WINDOW + slot
-                };
+                    self.summary.trailing_zeros()
+                } as usize;
+                debug_assert!(w < Self::WORDS, "near > 0 but occupancy bitmap empty");
+                w * 64 + self.occ[w].trailing_zeros() as usize
             }
-            debug_assert!(
-                !(wrapped && w == start_w),
-                "near > 0 but occupancy bitmap empty"
-            );
-            w += 1;
-            if w == WORDS {
-                w = 0;
-                wrapped = true;
+        } else {
+            let mut w = start_w;
+            let mut word = here;
+            let mut wrapped = false;
+            loop {
+                if word != 0 {
+                    break w * 64 + word.trailing_zeros() as usize;
+                }
+                debug_assert!(
+                    !(wrapped && w == start_w),
+                    "near > 0 but occupancy bitmap empty"
+                );
+                w += 1;
+                if w == Self::WORDS {
+                    w = 0;
+                    wrapped = true;
+                }
+                word = self.occ[w];
+                if wrapped && w == start_w {
+                    // Back at the start word: only bits below `start` remain.
+                    word &= (1u64 << (start % 64)) - 1;
+                }
             }
-            word = self.occ[w];
-            if wrapped && w == start_w {
-                // Back at the start word: only bits below `start` remain.
-                word &= (1u64 << (start % 64)) - 1;
-            }
+        };
+        // Slots before `start` hold times in the *next* lap.
+        if slot >= start {
+            base + slot as u64
+        } else {
+            base + WINDOW as u64 + slot as u64
         }
     }
 
     /// Pop the next event in `(time, seq)` order.
-    #[cfg(test)]
-    pub fn pop(&mut self) -> Option<EventEntry> {
+    #[inline]
+    pub fn pop(&mut self) -> Option<EventEntry<E>> {
         self.pop_at_most(u64::MAX)
     }
 
-    /// Pop the next event only if its time is `<= limit` (the executor's
-    /// fused peek-then-pop; one window scan per event). A rejected pop
-    /// commits nothing: the window stays put, so events may still be
-    /// scheduled at any `time >= now`, e.g. after a bounded
-    /// `run_until` stops short of a far-future event.
-    pub fn pop_at_most(&mut self, limit: u64) -> Option<EventEntry> {
+    /// Pop the next event only if its time is `<= limit` (the
+    /// simulator's fused peek-then-pop; one window scan per event). A
+    /// rejected pop commits nothing: the window stays put, so events
+    /// may still be scheduled at any `time >= now`, e.g. after a
+    /// bounded `run_until` stops short of a far-future event.
+    #[inline]
+    pub fn pop_at_most(&mut self, limit: u64) -> Option<EventEntry<E>> {
         let time = self.peek_time()?;
         if time > limit {
             return None;
@@ -318,8 +425,8 @@ impl EventQueue {
     }
 
     #[inline]
-    fn pop_bucket(&mut self, time: u64) -> EventEntry {
-        let slot = (time as usize) & (WINDOW as usize - 1);
+    fn pop_bucket(&mut self, time: u64) -> EventEntry<E> {
+        let slot = (time as usize) & Self::MASK;
         let (i, t) = self.ends[slot];
         debug_assert_ne!(i, NIL, "next_time returned an empty bucket");
         let n = &mut self.nodes[i as usize];
@@ -330,7 +437,7 @@ impl EventQueue {
         self.free = i;
         self.ends[slot] = (next, t);
         if next == NIL {
-            self.occ[slot / 64] &= !(1 << (slot % 64));
+            self.unmark(slot);
         }
         self.near -= 1;
         EventEntry { time, seq, ev }
@@ -350,101 +457,158 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::TaskId;
     use proptest::prelude::*;
     use std::cmp::Reverse;
 
-    /// Reference model: a plain binary heap on `(time, seq)`.
-    #[derive(Default)]
-    struct RefModel {
-        heap: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The simulator's window and the lock service's.
+    const NARROW: usize = 256;
+    const WIDE: usize = 4096;
+
+    /// Any interleaving of schedule/pop matches a plain heap on
+    /// `(time, seq)` event-for-event, including far-future times (up to
+    /// 4 × `W`) that exercise the overflow heap and window jumps. The
+    /// payload is the event's own `seq`, so pops are cross-checked.
+    fn check_matches_heap<const W: usize>(ops: &[u64]) {
+        let w = W as u64;
+        let mut q: EventQueue<u64, W> = EventQueue::new();
+        let mut model = BinaryHeap::new();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        for &op in ops {
+            // ~1 in 4 ops is a pop; the rest push at now + delta,
+            // biased near like real schedules.
+            if op % 4 == 0 {
+                let got = q.pop();
+                let want = model.pop();
+                match (got, want) {
+                    (None, None) => {}
+                    (Some(e), Some(Reverse((t, s)))) => {
+                        prop_assert_eq!((e.time, e.seq, e.ev), (t, s, s));
+                        now = t;
+                    }
+                    (g, w) => {
+                        let g = g.map(|e| (e.time, e.seq));
+                        prop_assert_eq!(g, w.map(|r| r.0), "pop mismatch");
+                    }
+                }
+            } else {
+                let delta = match op % 16 {
+                    0..=11 => (op / 16) % (w * 3 / 4),
+                    12..=14 => (op / 16) % w,
+                    _ => (op / 16) % (4 * w),
+                };
+                seq += 1;
+                let t = now + delta;
+                q.push(EventEntry {
+                    time: t,
+                    seq,
+                    ev: seq,
+                });
+                model.push(Reverse((t, seq)));
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        // Drain both; tails must agree too.
+        while let Some(e) = q.pop() {
+            let Reverse((t, s)) = model.pop().expect("model drained early");
+            prop_assert_eq!((e.time, e.seq), (t, s));
+        }
+        prop_assert!(model.is_empty());
+        prop_assert!(q.is_empty());
     }
 
-    fn payload(seq: u64) -> Ev {
-        // Encode seq into the payload so pops can be cross-checked.
-        Ev::Wake(TaskId(seq as usize))
+    /// Ties on time pop in seq order even when they arrive via
+    /// different paths (live push vs overflow spill).
+    fn check_ties_break_by_seq<const W: usize>(start: u64, n: usize) {
+        let mut q: EventQueue<u64, W> = EventQueue::new();
+        let t = start + 3 * W as u64; // force everything through overflow
+        for seq in 1..=n as u64 {
+            q.push(EventEntry {
+                time: t,
+                seq,
+                ev: seq,
+            });
+        }
+        // Join the spilled bucket with a live burst behind it.
+        q.next_time();
+        let tail = q.push_burst(t, n as u64, [0, 0]);
+        for want in 1..=n as u64 + tail {
+            let e = q.pop().expect("missing event");
+            prop_assert_eq!((e.time, e.seq), (t, want));
+        }
+        prop_assert!(q.is_empty());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// Any interleaving of schedule/pop matches the heap model
-        /// event-for-event, including far-future times that exercise the
-        /// overflow heap and window jumps.
         #[test]
-        fn matches_heap_reference(
-            ops in prop::collection::vec(0u64..u64::MAX, 1..400),
-        ) {
-            let mut q = EventQueue::new();
-            let mut model = RefModel::default();
-            let mut now = 0u64;
-            let mut seq = 0u64;
-            for op in ops {
-                // ~1 in 4 ops is a pop; the rest push at now + delta,
-                // with deltas spanning well past the near window.
-                if op % 4 == 0 {
-                    let got = q.pop();
-                    let want = model.heap.pop();
-                    match (got, want) {
-                        (None, None) => {}
-                        (Some(e), Some(Reverse((t, s)))) => {
-                            prop_assert_eq!(e.time, t);
-                            prop_assert_eq!(e.seq, s);
-                            match e.ev {
-                                Ev::Wake(TaskId(p)) => prop_assert_eq!(p as u64, s),
-                                _ => prop_assert!(false, "wrong payload variant"),
-                            }
-                            now = t;
-                        }
-                        (g, w) => {
-                            let g = g.map(|e| (e.time, e.seq));
-                            prop_assert_eq!(g, w.map(|r| r.0), "pop mismatch");
-                        }
-                    }
-                } else {
-                    // Mix of near (0..WINDOW) and far (up to 4*WINDOW)
-                    // deltas, biased near like real schedules.
-                    let delta = match op % 16 {
-                        0..=11 => (op / 16) % 200,
-                        12..=14 => (op / 16) % WINDOW,
-                        _ => (op / 16) % (4 * WINDOW),
-                    };
-                    seq += 1;
-                    let t = now + delta;
-                    q.push(EventEntry { time: t, seq, ev: payload(seq) });
-                    model.heap.push(Reverse((t, seq)));
-                }
-                prop_assert_eq!(q.len(), model.heap.len());
-            }
-            // Drain both; tails must agree too.
-            while let Some(e) = q.pop() {
-                let Reverse((t, s)) = model.heap.pop().expect("model drained early");
-                prop_assert_eq!((e.time, e.seq), (t, s));
-            }
-            prop_assert!(model.heap.is_empty());
-            prop_assert!(q.is_empty());
+        fn matches_heap_reference(ops in prop::collection::vec(0u64..u64::MAX, 1..400)) {
+            check_matches_heap::<NARROW>(&ops);
         }
 
-        /// Ties on time pop in seq order even when they arrive via
-        /// different paths (live push vs overflow spill).
+        #[test]
+        fn matches_heap_reference_wide(ops in prop::collection::vec(0u64..u64::MAX, 1..400)) {
+            check_matches_heap::<WIDE>(&ops);
+        }
+
         #[test]
         fn ties_break_by_seq(start in 0u64..100_000, n in 1usize..60) {
-            let mut q = EventQueue::new();
-            let t = start + 3 * WINDOW; // force everything through overflow
-            for seq in 1..=n as u64 {
-                q.push(EventEntry { time: t, seq, ev: payload(seq) });
-            }
-            for want in 1..=n as u64 {
-                let e = q.pop().expect("missing event");
-                prop_assert_eq!((e.time, e.seq), (t, want));
-            }
-            prop_assert!(q.is_empty());
+            check_ties_break_by_seq::<NARROW>(start, n);
         }
+
+        #[test]
+        fn ties_break_by_seq_wide(start in 0u64..100_000, n in 1usize..60) {
+            check_ties_break_by_seq::<WIDE>(start, n);
+        }
+    }
+
+    /// The summary scan wraps into the next lap: the window starts in
+    /// occupancy word 5, that word and every later one are empty, and
+    /// the next event sits in word 2 (then word 5, below the start).
+    #[test]
+    fn summary_scan_wraps_to_an_earlier_word_of_the_next_lap() {
+        let w = WIDE as u64;
+        let mut q: EventQueue<u64, WIDE> = EventQueue::new();
+        q.push(EventEntry {
+            time: 5 * 64 + 10,
+            seq: 1,
+            ev: 1,
+        });
+        assert_eq!(q.pop().map(|e| e.time), Some(330));
+        q.push(EventEntry {
+            time: w + 5 * 64 + 3,
+            seq: 2,
+            ev: 2,
+        });
+        q.push(EventEntry {
+            time: w + 2 * 64 + 7,
+            seq: 3,
+            ev: 3,
+        });
+        assert_eq!(q.peek_time(), Some(w + 135));
+        assert_eq!(q.pop().map(|e| (e.time, e.ev)), Some((w + 135, 3)));
+        // Now the start is in word 2 and the event in a later word.
+        assert_eq!(q.pop().map(|e| (e.time, e.ev)), Some((w + 323, 2)));
+        // From the last word, the next event is in word 0 of the next lap.
+        q.push(EventEntry {
+            time: 2 * w - 6,
+            seq: 4,
+            ev: 4,
+        });
+        assert_eq!(q.pop().map(|e| e.time), Some(2 * w - 6));
+        q.push(EventEntry {
+            time: 2 * w + 1,
+            seq: 5,
+            ev: 5,
+        });
+        assert_eq!(q.pop().map(|e| (e.time, e.ev)), Some((2 * w + 1, 5)));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn empty_pops_none() {
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<u64, NARROW> = EventQueue::new();
         assert!(q.pop().is_none());
         assert!(q.next_time().is_none());
         assert!(q.is_empty());

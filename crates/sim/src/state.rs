@@ -5,8 +5,8 @@
 //! Hot-path layout: everything keyed by cache line is stored in dense
 //! `Vec` arenas indexed by [`LineId`] (lines are interned at allocation
 //! time, so ids are contiguous from 0), and the event queue is a
-//! bucketed calendar queue ([`crate::queue::EventQueue`]). No `HashMap`
-//! sits on the per-event or per-memory-op path.
+//! bucketed calendar queue ([`EventQueue`], `EVENT_WINDOW` cycles
+//! wide). No `HashMap` sits on the per-event or per-memory-op path.
 //!
 //! A line costs the same whatever the node count: its four words, one
 //! full/empty bit per word, a home, a version, a 14-byte directory entry
@@ -17,12 +17,20 @@ use std::collections::VecDeque;
 
 use crate::coherence::{CohReq, DirEntry, DirSpill};
 use crate::cost::CostModel;
-use crate::exec::{BoxFut, Completion, Ev, EventEntry, TaskId};
+use crate::exec::{BoxFut, Completion, Ev, TaskId};
 use crate::fault::FaultEvent;
 use crate::msg::{ActiveMsg, HandlerFn};
-use crate::queue::EventQueue;
+use crate::queue::{EventEntry, EventQueue};
 use crate::stats::Stats;
 use crate::thread::{NodeSched, WaitQueue};
+
+/// Width of the simulator's event-queue window in cycles. Sized for
+/// cache residency of the bucket head/tail table (2 KiB): the bulk of
+/// simulator events land within a few dozen cycles of `now`, and the
+/// occasional long delay (blocking ≈ 465 cycles, think loops ≈ 500)
+/// rides the overflow heap instead. Four occupancy words, so the queue
+/// keeps no summary word.
+const EVENT_WINDOW: usize = 256;
 
 /// A word address in simulated globally-shared memory.
 ///
@@ -264,7 +272,7 @@ pub(crate) struct State {
     // --- executor ---
     pub now: u64,
     pub seq: u64,
-    pub events: EventQueue,
+    pub events: EventQueue<Ev, EVENT_WINDOW>,
     pub tasks: Vec<Option<ThreadInfo>>,
     /// `futs[tid]` is the task's future, taken out while it runs.
     pub futs: Vec<Option<BoxFut>>,
@@ -575,9 +583,9 @@ impl State {
             // The whole burst lands at one instant, so the queue appends
             // it to a single bucket in one go, oldest watcher first.
             let at = wake_at.max(self.now);
-            self.seq += self
-                .events
-                .push_wakes(at, self.seq, self.watch_nodes.iter(*list));
+            self.seq +=
+                self.events
+                    .push_burst(at, self.seq, self.watch_nodes.iter(*list).map(Ev::Wake));
             self.watch_nodes.clear(list);
         }
     }
