@@ -13,11 +13,9 @@
 //!   are O(1). Within a bucket all events share the same time, and
 //!   both live pushes (monotonically increasing `seq`) and overflow
 //!   spills (heap order) arrive in ascending `seq`, so FIFO order *is*
-//!   `seq` order. A window wider than four occupancy words also keeps a
-//!   **summary** word (bit `w` set iff occupancy word `w` is non-zero),
-//!   so find-next is two `trailing_zeros` at any width up to 4096
-//!   buckets; at four words or fewer the upkeep is compiled out and the
-//!   scan walks the words.
+//!   `seq` order. A **summary** word (bit `w` set iff occupancy word
+//!   `w` is non-zero) makes find-next two `trailing_zeros` at any width
+//!   up to 4096 buckets.
 //! * **far**: a `BinaryHeap` fallback for events at or beyond the
 //!   window's end. As the window advances, events whose time comes into
 //!   range spill into their buckets before any live push can target
@@ -35,8 +33,8 @@
 //! 2. `overflow` holds only events with `time >= window_start + WINDOW`;
 //! 3. every bucket holds events of exactly one time value, in ascending
 //!    `seq` order;
-//! 4. `occ` bit `i` is set iff bucket `i` is non-empty, and (when kept)
-//!    `summary` bit `w` is set iff `occ[w] != 0`.
+//! 4. `occ` bit `i` is set iff bucket `i` is non-empty, and `summary`
+//!    bit `w` is set iff `occ[w] != 0`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -49,9 +47,6 @@ const MAX_WORDS: usize = 64;
 
 /// One scheduled event: `ev` fires at `time`, and among events at the
 /// same time the lower `seq` fires first.
-///
-/// The ordering (`Ord`, `Eq`) looks at `(time, seq)` only and is
-/// *reversed*, so a `BinaryHeap` of entries pops the earliest first.
 #[derive(Debug)]
 pub struct EventEntry<E> {
     /// Absolute time the event fires at, in the executor's unit.
@@ -62,25 +57,29 @@ pub struct EventEntry<E> {
     pub ev: E,
 }
 
-impl<E> Ord for EventEntry<E> {
+/// An overflow-heap entry. Its ordering looks at `(time, seq)` only and
+/// is *reversed*, so the max-heap `BinaryHeap` pops the earliest first.
+struct Far<E>(EventEntry<E>);
+
+impl<E> Ord for Far<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        (other.0.time, other.0.seq).cmp(&(self.0.time, self.0.seq))
     }
 }
 
-impl<E> PartialOrd for EventEntry<E> {
+impl<E> PartialOrd for Far<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> PartialEq for EventEntry<E> {
+impl<E> PartialEq for Far<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-impl<E> Eq for EventEntry<E> {}
+impl<E> Eq for Far<E> {}
 
 /// One near-window event, linked into its bucket's list. Nodes live in
 /// a recycled slab so the hot set stays small and cache-resident.
@@ -104,9 +103,9 @@ struct Node<E> {
 /// let mut q: EventQueue<&str, 64> = EventQueue::new();
 /// q.push(EventEntry { time: 500, seq: 1, ev: "far" });
 /// q.push(EventEntry { time: 3, seq: 2, ev: "near" });
-/// assert_eq!(q.push_burst(3, 2, ["tie", "tie"]), 2);
+/// q.push(EventEntry { time: 3, seq: 3, ev: "tie" });
 /// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| (e.time, e.ev)).collect();
-/// assert_eq!(order, [(3, "near"), (3, "tie"), (3, "tie"), (500, "far")]);
+/// assert_eq!(order, [(3, "near"), (3, "tie"), (500, "far")]);
 /// ```
 pub struct EventQueue<E, const WINDOW: usize> {
     /// Slab backing every bucket list (and the free list).
@@ -120,14 +119,14 @@ pub struct EventQueue<E, const WINDOW: usize> {
     /// Occupancy bitmap over the buckets; only the first `WORDS` words
     /// are used.
     occ: [u64; MAX_WORDS],
-    /// Bit `w` set iff `occ[w] != 0`; kept only when `SUMMARY`.
+    /// Bit `w` set iff `occ[w] != 0`.
     summary: u64,
     /// Earliest time any pending event may have.
     window_start: u64,
     /// Events currently in buckets.
     near: usize,
     /// Far-future events (`time >= window_start + WINDOW`).
-    overflow: BinaryHeap<EventEntry<E>>,
+    overflow: BinaryHeap<Far<E>>,
     /// `overflow`'s minimum time (`u64::MAX` when empty), cached so the
     /// per-pop spill check is a register compare.
     overflow_min: u64,
@@ -143,9 +142,6 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
         );
         WINDOW / 64
     };
-    /// Keep the summary word: a scan over four words or fewer costs no
-    /// more than the upkeep on every mark and unmark would.
-    const SUMMARY: bool = Self::WORDS > 4;
     const MASK: usize = WINDOW - 1;
 
     /// An empty queue whose window starts at time 0.
@@ -177,16 +173,14 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
     #[inline]
     fn mark(&mut self, slot: usize) {
         self.occ[slot / 64] |= 1 << (slot % 64);
-        if Self::SUMMARY {
-            self.summary |= 1 << (slot / 64);
-        }
+        self.summary |= 1 << (slot / 64);
     }
 
     #[inline]
     fn unmark(&mut self, slot: usize) {
         let w = slot / 64;
         self.occ[w] &= !(1 << (slot % 64));
-        if Self::SUMMARY && self.occ[w] == 0 {
+        if self.occ[w] == 0 {
             self.summary &= !(1 << w);
         }
     }
@@ -246,7 +240,7 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
             self.place(e.time, e.seq, e.ev);
         } else {
             self.overflow_min = self.overflow_min.min(e.time);
-            self.overflow.push(e);
+            self.overflow.push(Far(e));
         }
     }
 
@@ -256,7 +250,7 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
     /// one, but the bucket is located and its tail and occupancy
     /// updated once per burst — an invalidation storm wakes dozens of
     /// watchers at a single instant.
-    pub fn push_burst(
+    pub(crate) fn push_burst(
         &mut self,
         time: u64,
         base_seq: u64,
@@ -268,7 +262,7 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
             for ev in evs {
                 seq += 1;
                 self.overflow_min = self.overflow_min.min(time);
-                self.overflow.push(EventEntry { time, seq, ev });
+                self.overflow.push(Far(EventEntry { time, seq, ev }));
             }
             return seq - base_seq;
         }
@@ -306,7 +300,7 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
     /// conservative scheduler reads every shard's next-event time to
     /// compute the global safe horizon.
     #[inline]
-    pub fn peek_time(&self) -> Option<u64> {
+    pub(crate) fn peek_time(&self) -> Option<u64> {
         // Fast path: an event is pending at the window's current head
         // (the overwhelmingly common case right after a same-time push).
         if self.ends[(self.window_start as usize) & Self::MASK].0 != NIL {
@@ -354,46 +348,21 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
         let start_w = start / 64;
         // Bits at or above `start` in its word: times in this lap.
         let here = self.occ[start_w] & (u64::MAX << (start % 64));
-        let slot = if Self::SUMMARY {
-            if here != 0 {
-                start_w * 64 + here.trailing_zeros() as usize
-            } else {
-                // The first non-empty word after `start_w` in this lap,
-                // else the first at or before it in the next one (bits
-                // at or above `start` in `start_w` were just seen
-                // clear, so its lowest set bit lies below `start`).
-                let later = self.summary & (u64::MAX << start_w) & !(1 << start_w);
-                let w = if later != 0 {
-                    later.trailing_zeros()
-                } else {
-                    self.summary.trailing_zeros()
-                } as usize;
-                debug_assert!(w < Self::WORDS, "near > 0 but occupancy bitmap empty");
-                w * 64 + self.occ[w].trailing_zeros() as usize
-            }
+        let slot = if here != 0 {
+            start_w * 64 + here.trailing_zeros() as usize
         } else {
-            let mut w = start_w;
-            let mut word = here;
-            let mut wrapped = false;
-            loop {
-                if word != 0 {
-                    break w * 64 + word.trailing_zeros() as usize;
-                }
-                debug_assert!(
-                    !(wrapped && w == start_w),
-                    "near > 0 but occupancy bitmap empty"
-                );
-                w += 1;
-                if w == Self::WORDS {
-                    w = 0;
-                    wrapped = true;
-                }
-                word = self.occ[w];
-                if wrapped && w == start_w {
-                    // Back at the start word: only bits below `start` remain.
-                    word &= (1u64 << (start % 64)) - 1;
-                }
-            }
+            // The first non-empty word after `start_w` in this lap, else
+            // the first at or before it in the next one (bits at or
+            // above `start` in `start_w` were just seen clear, so its
+            // lowest set bit lies below `start`).
+            let later = self.summary & (u64::MAX << start_w) & !(1 << start_w);
+            let w = if later != 0 {
+                later.trailing_zeros()
+            } else {
+                self.summary.trailing_zeros()
+            } as usize;
+            debug_assert!(w < Self::WORDS, "near > 0 but occupancy bitmap empty");
+            w * 64 + self.occ[w].trailing_zeros() as usize
         };
         // Slots before `start` hold times in the *next* lap.
         if slot >= start {
@@ -415,7 +384,7 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
     /// may still be scheduled at any `time >= now`, e.g. after a
     /// bounded `run_until` stops short of a far-future event.
     #[inline]
-    pub fn pop_at_most(&mut self, limit: u64) -> Option<EventEntry<E>> {
+    pub(crate) fn pop_at_most(&mut self, limit: u64) -> Option<EventEntry<E>> {
         let time = self.peek_time()?;
         if time > limit {
             return None;
@@ -446,11 +415,11 @@ impl<E, const WINDOW: usize> EventQueue<E, WINDOW> {
     /// Move every overflow event with `time < end` into its bucket
     /// (heap order keeps per-bucket `seq` ascending).
     fn spill_below(&mut self, end: u64) {
-        while self.overflow.peek().is_some_and(|e| e.time < end) {
-            let e = self.overflow.pop().expect("peeked event vanished");
+        while self.overflow.peek().is_some_and(|f| f.0.time < end) {
+            let Far(e) = self.overflow.pop().expect("peeked event vanished");
             self.place(e.time, e.seq, e.ev);
         }
-        self.overflow_min = self.overflow.peek().map_or(u64::MAX, |e| e.time);
+        self.overflow_min = self.overflow.peek().map_or(u64::MAX, |f| f.0.time);
     }
 }
 

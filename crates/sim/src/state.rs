@@ -28,8 +28,7 @@ use crate::thread::{NodeSched, WaitQueue};
 /// cache residency of the bucket head/tail table (2 KiB): the bulk of
 /// simulator events land within a few dozen cycles of `now`, and the
 /// occasional long delay (blocking ≈ 465 cycles, think loops ≈ 500)
-/// rides the overflow heap instead. Four occupancy words, so the queue
-/// keeps no summary word.
+/// rides the overflow heap instead.
 const EVENT_WINDOW: usize = 256;
 
 /// A word address in simulated globally-shared memory.
