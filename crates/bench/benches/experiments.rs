@@ -43,6 +43,14 @@ fn path_cost_member(scale: Scale) -> String {
             path.label()
         ));
     }
+    println!(
+        "  {:16} {:>12.1}",
+        "arena_rmw_pair", costs.arena_rmw_pair_ns
+    );
+    json.push_str(&format!(
+        "    \"arena_rmw_pair\": {:.1},\n",
+        costs.arena_rmw_pair_ns
+    ));
     let ratio = costs.reactive_ns / costs.tts_ns;
     println!(
         "  uncontended lock: tts {:.1}, reactive {:.1} ({ratio:.2}x)",

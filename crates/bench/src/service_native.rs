@@ -16,8 +16,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lock_service::{
-    run_native, ArenaMode, ArrivalCurve, LimiterConfig, Load, NativeReport, NativeRunConfig,
-    NativeService, TenantConfig,
+    run_native, slot, ArenaMode, ArrivalCurve, LimiterConfig, Load, NativeReport, NativeRunConfig,
+    NativeService, ObjectArena, TenantConfig,
 };
 
 use crate::experiments::{FlipFlop, Stay};
@@ -222,6 +222,10 @@ impl Path {
 pub struct PathCosts {
     /// `(path, ns without a deadline, ns with one)`.
     pub rows: Vec<(Path, f64, f64)>,
+    /// The flat path's two atomic RMWs alone on a bare [`ObjectArena`]
+    /// (`load_acquire` + acquiring `cas` + releasing `cas`), ns: the
+    /// floor the `flat` row's bookkeeping is measured against.
+    pub arena_rmw_pair_ns: f64,
     /// Uncontended `TtsLock` lock + unlock, ns.
     pub tts_ns: f64,
     /// Uncontended default `ReactiveLock` acquire + release, ns.
@@ -282,6 +286,33 @@ fn path_ns(path: Path, deadline: Option<Duration>, services: u32) -> f64 {
     ns as f64 / pairs as f64
 }
 
+/// Mean ns of a bare `load_acquire` + `cas` + `cas` on an
+/// [`ObjectArena`], swept over the flat arm's objects with its round
+/// and arena counts: no guard, no streaks, no threshold.
+fn arena_rmw_pair_ns(services: u32) -> f64 {
+    let sweep = |arena: &ObjectArena, rounds: u64| {
+        for _ in 0..rounds {
+            for object in 0..PATH_OBJECTS {
+                let word = arena.load_acquire(object);
+                let held = word | slot::HELD;
+                black_box(arena.cas(object, word, held)).expect("uncontended");
+                black_box(arena.cas(object, held, word)).expect("uncontended");
+            }
+        }
+    };
+    let (mut ns, mut pairs) = (0u128, 0u64);
+    for _ in 0..services {
+        let arena = ObjectArena::new(PATH_OBJECTS, 4);
+        sweep(&arena, 1);
+        let timed = QUEUE_MODE_GRANTS - 2;
+        let t0 = Instant::now();
+        sweep(&arena, timed);
+        ns += t0.elapsed().as_nanos();
+        pairs += timed * PATH_OBJECTS;
+    }
+    ns as f64 / pairs as f64
+}
+
 /// Measure the path-cost table (about a second at full scale).
 pub fn path_costs(scale: Scale) -> PathCosts {
     let services = scale.pick(400, 40);
@@ -315,6 +346,7 @@ pub fn path_costs(scale: Scale) -> PathCosts {
     let builder = reactive_native::ReactiveLock::builder;
     PathCosts {
         rows,
+        arena_rmw_pair_ns: arena_rmw_pair_ns(services),
         tts_ns: per_op(&|| {
             tts.lock();
             tts.unlock();

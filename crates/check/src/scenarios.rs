@@ -728,7 +728,8 @@ struct MiniArena {
 
 /// How [`MiniArena::acquire`] won, so release takes the matching door.
 enum MiniHold {
-    Flat,
+    /// Won on the flat word: the word the winning CAS installed.
+    Flat(u64),
     Inflated,
 }
 
@@ -778,7 +779,7 @@ impl MiniArena {
                     .compare_exchange(w, next, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
                 {
-                    return MiniHold::Flat;
+                    return MiniHold::Flat(next);
                 }
                 fought = true;
                 continue;
@@ -806,7 +807,26 @@ impl MiniArena {
         const REF_ONE: u64 = 8;
         const REF_MASK: u64 = !7;
         match hold {
-            MiniHold::Flat => {
+            MiniHold::Flat(installed) => {
+                // The native release's first try: below the threshold
+                // (no WAITERS in the word it installed), one CAS of that
+                // exact word, no load. It fails only if evidence arrived
+                // during the hold — a WAITERS registration — and the
+                // loop below then reads and acts on it.
+                // order: Release — ends the critical section.
+                if installed & WAITERS == 0
+                    && self
+                        .word
+                        .compare_exchange(
+                            installed,
+                            installed & !HELD,
+                            Ordering::Release,
+                            Ordering::Relaxed,
+                        )
+                        .is_ok()
+                {
+                    return;
+                }
                 loop {
                     // order: Relaxed — we own HELD; the CAS below
                     // publishes.

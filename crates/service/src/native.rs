@@ -20,6 +20,18 @@
 //! is only replaced while its owner holds it — there is never a moment
 //! with two live lock identities.
 //!
+//! The flat path is the cold path of a million-object arena, so it is
+//! built to cost its two atomic RMWs. [`NativeService::acquire`] is
+//! inlined up to its first pass — one acquire load, one CAS, the guard
+//! — and everything else continues out of line. The guard keeps the
+//! word its winning CAS installed, and below the inflation threshold the
+//! release CASes that exact word to its folded, `HELD`-cleared successor
+//! without reloading it. Only the owner clears `HELD`; while it holds,
+//! the word moves only when evidence arrives (a spinner's `WAITERS`
+//! registration). A failed release CAS therefore means evidence
+//! arrived, and the reloading release folds it in from the word the CAS
+//! returned, so no registration is lost.
+//!
 //! Contention evidence accrues at *release* time through the `WAITERS`
 //! bit: a flat spinner CASes `WAITERS` into the word once per hold, the
 //! releasing owner folds it into the contended streak, and the next
@@ -82,6 +94,7 @@
 //! checks the [`crate::oracle`]'s no-stampede invariant as its switches
 //! commit, keeping only the commit times that check reads.
 
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -179,6 +192,11 @@ pub struct NativeService {
     slab: Slab,
     shards: Vec<Mutex<ShardNative>>,
     mode: ArenaMode,
+    /// Contended streak at which a releasing owner inflates, fixed by
+    /// `mode`: `u8::MAX`, beyond any streak, in the regime that never
+    /// inflates. A field rather than a `match`, so the inlined release
+    /// tests it with one compare.
+    inflate_at: u8,
     epoch: Instant,
     aborts: AtomicU64,
     inflations: AtomicU64,
@@ -201,11 +219,24 @@ enum Deflate {
 pub struct NativeGuard<'a> {
     svc: &'a NativeService,
     object: u64,
-    /// `None` while the object was flat; `Some` when the acquisition
-    /// went through an inflated reactive lock. The borrow is pinned by
-    /// this guard's registration on the slot word, not by `'a`; it is
-    /// never used after the release that deregisters.
-    held: Option<(&'a ReactiveLock, reactive_native::reactive::Held)>,
+    hold: Hold<'a>,
+}
+
+/// How a [`NativeGuard`] holds its object, so its release takes the
+/// matching door.
+enum Hold<'a> {
+    /// Won on the flat word: the word this hold's winning CAS installed,
+    /// which its release CASes against.
+    Flat(u64),
+    /// Admitted through the inflated reactive lock. The borrow is pinned
+    /// by the guard's registration on the slot word, not by `'a`; it is
+    /// never used after the release that deregisters. The token is
+    /// only ever moved out by that release, so the guard has no drop
+    /// glue of its own for the flat release to carry.
+    Inflated(
+        &'a ReactiveLock,
+        ManuallyDrop<reactive_native::reactive::Held>,
+    ),
 }
 
 impl NativeService {
@@ -237,20 +268,15 @@ impl NativeService {
                 })
                 .collect(),
             mode,
+            inflate_at: match mode {
+                ArenaMode::Adaptive => INFLATE_STREAK,
+                ArenaMode::StaticQueue => 0,
+                ArenaMode::StaticTts => u8::MAX,
+            },
             epoch: Instant::now(),
             aborts: AtomicU64::new(0),
             inflations: AtomicU64::new(0),
             deflations: AtomicU64::new(0),
-        }
-    }
-
-    /// Contended streak at which a releasing owner inflates, or `None`
-    /// if this regime never inflates.
-    fn inflate_threshold(&self) -> Option<u8> {
-        match self.mode {
-            ArenaMode::Adaptive => Some(INFLATE_STREAK),
-            ArenaMode::StaticQueue => Some(0),
-            ArenaMode::StaticTts => None,
         }
     }
 
@@ -262,25 +288,66 @@ impl NativeService {
 
     /// Acquire `object`, optionally bounded by a deadline. `None` means
     /// the deadline expired before the acquisition was admitted.
+    ///
+    /// Inlined: the first pass over a free flat word is one load, one
+    /// CAS and the guard. Everything else — inflated admission, a held
+    /// word, a lost CAS — continues out of line.
+    #[inline]
     pub fn acquire(&self, object: u64, deadline: Option<Duration>) -> Option<NativeGuard<'_>> {
+        // Acquire: pairs with the inflation publish store_release, so an
+        // INFLATED word guarantees the slab entry it indexes is visible,
+        // and a clear HELD bit guarantees the previous holder's critical
+        // section is.
+        let word = self.arena.load_acquire(object);
+        if word & (slot::INFLATED | slot::HELD) != 0 {
+            return self.acquire_slow(object, deadline, word, false);
+        }
+        // An uncontended win consumes the WAITERS evidence: the releaser
+        // already folded it into the streaks.
+        let next = (word | slot::HELD) & !slot::WAITERS;
+        match self.arena.cas(object, word, next) {
+            Ok(_) => Some(NativeGuard {
+                svc: self,
+                object,
+                hold: Hold::Flat(next),
+            }),
+            Err(seen) => self.acquire_slow(object, deadline, seen, true),
+        }
+    }
+
+    /// The rest of [`Self::acquire`], entered with the word its first
+    /// pass saw and `fought` set if that pass lost its CAS: the deadline
+    /// clock, inflated admission, `WAITERS` registration, backoff, and
+    /// the long-wait seeding of the inflation streak.
+    #[inline(never)]
+    fn acquire_slow(
+        &self,
+        object: u64,
+        deadline: Option<Duration>,
+        seen: u64,
+        mut fought: bool,
+    ) -> Option<NativeGuard<'_>> {
         let mut deadline = Deadline {
             budget: deadline,
             limit: None,
         };
+        if fought {
+            deadline.start();
+        }
+        let mut seen = Some(seen);
         let mut spins: u32 = 0;
         let mut backoff: u32 = BACKOFF_INIT;
-        // True once this call has lost a CAS or seen the word held: the
-        // eventual win then pre-seeds WAITERS into its own hold, so a
-        // drained backlog keeps the streak alive even when the waiters
-        // behind it are descheduled (the single-core case, where no
-        // spinner is running during a short hold to register itself).
-        let mut fought = false;
+        // `fought` is true once this call has lost a CAS or seen the word
+        // held: the eventual win then pre-seeds WAITERS into its own
+        // hold, so a drained backlog keeps the streak alive even when the
+        // waiters behind it are descheduled (the single-core case, where
+        // no spinner is running during a short hold to register itself).
         loop {
-            // Acquire: pairs with the inflation publish store_release,
-            // so an INFLATED word guarantees the slab entry it indexes
-            // is visible, and a clear HELD bit guarantees the previous
-            // holder's critical section is.
-            let word = self.arena.load_acquire(object);
+            // The first pass's word, then a fresh load per retry (with
+            // the ordering `acquire` gives its own load).
+            let word = seen
+                .take()
+                .unwrap_or_else(|| self.arena.load_acquire(object));
             if word & slot::INFLATED != 0 {
                 // Admission check: registering commits us, so the
                 // deadline is tested before the registration CAS.
@@ -310,7 +377,7 @@ impl NativeService {
                 return Some(NativeGuard {
                     svc: self,
                     object,
-                    held: Some((lock, held)),
+                    hold: Hold::Inflated(lock, ManuallyDrop::new(held)),
                 });
             }
             if word & slot::HELD == 0 {
@@ -336,7 +403,7 @@ impl NativeService {
                     return Some(NativeGuard {
                         svc: self,
                         object,
-                        held: None,
+                        hold: Hold::Flat(next),
                     });
                 }
                 fought = true;
@@ -360,8 +427,8 @@ impl NativeService {
             if spins & (DEADLINE_CHECK_SPINS - 1) == 0 {
                 // Deadline checks and yields ride the same cadence:
                 // Instant::now() on every iteration would dominate the
-                // contended fast path (the satellite bug this fixes),
-                // and the yield keeps progress on oversubscribed hosts.
+                // contended spin, and the yield keeps progress on
+                // oversubscribed hosts.
                 if deadline.expired() {
                     // order: Relaxed — statistics counter.
                     self.aborts.fetch_add(1, Ordering::Relaxed);
@@ -372,20 +439,44 @@ impl NativeService {
         }
     }
 
-    /// Release a flat hold: fold this hold's `WAITERS` evidence into
-    /// the streaks and clear `HELD` — or, if the object has proven hot,
-    /// inflate.
-    fn release_flat(&self, object: u64) {
-        let mut word = self.arena.load(object);
-        debug_assert!(word & slot::HELD != 0, "releasing an unheld flat object");
-        // The inflation decision reads the streak as it stood when this
+    /// Release a flat hold whose winning CAS installed `installed`.
+    ///
+    /// Inlined: below the inflation threshold the release is one CAS of
+    /// that exact word to its folded, `HELD`-cleared successor — no
+    /// reload. Only the owner clears `HELD`, so while it holds, the word
+    /// moves only through evidence arriving: a spinner's `WAITERS`
+    /// registration (or a test's direct store). A failed CAS therefore
+    /// means evidence arrived, and [`Self::release_flat_slow`] folds it
+    /// in from the word the CAS saw.
+    #[inline]
+    fn release_flat(&self, object: u64, installed: u64) {
+        if !self.inflates_at(installed) {
+            let next = slot::observe(installed, installed & slot::WAITERS != 0) & !slot::HELD;
+            match self.arena.cas(object, installed, next) {
+                Ok(_) => return,
+                Err(word) => return self.release_flat_slow(object, word),
+            }
+        }
+        self.release_flat_slow(object, self.arena.load(object));
+    }
+
+    /// Whether a flat release of `word` inflates instead of clearing
+    /// `HELD`.
+    fn inflates_at(&self, word: u64) -> bool {
+        // The inflation decision reads the streak as it stood when the
         // release began (the evidence that crossed the threshold), not
         // post-observation — so a streak seeded directly (tests) and
         // one accrued through WAITERS behave identically.
-        if self
-            .inflate_threshold()
-            .is_some_and(|t| slot::contended_streak(word) >= t)
-        {
+        slot::contended_streak(word) >= self.inflate_at
+    }
+
+    /// The rest of [`Self::release_flat`], from the word as it now
+    /// stands: fold this hold's `WAITERS` evidence into the streaks and
+    /// clear `HELD` — or, if the object has proven hot, inflate.
+    #[inline(never)]
+    fn release_flat_slow(&self, object: u64, mut word: u64) {
+        debug_assert!(word & slot::HELD != 0, "releasing an unheld flat object");
+        if self.inflates_at(word) {
             self.try_inflate(object, word);
             return;
         }
@@ -569,6 +660,12 @@ impl NativeService {
         }
     }
 
+    /// `object`'s slot word as it stands (a relaxed load; layout in
+    /// [`slot`]), for diagnostics.
+    pub fn slot_word(&self, object: u64) -> u64 {
+        self.arena.load(object)
+    }
+
     /// Total deadline aborts so far.
     pub fn aborts(&self) -> u64 {
         // order: Relaxed — statistics counter.
@@ -646,13 +743,30 @@ impl NativeService {
     }
 }
 
-impl Drop for NativeGuard<'_> {
-    fn drop(&mut self) {
-        match self.held.take() {
+impl NativeGuard<'_> {
+    /// Release an inflated hold (kept out of line, so that dropping a
+    /// guard inlines only the flat release).
+    #[inline(never)]
+    fn release_inflated(&mut self) {
+        // `Flat(0)` only fills the place of the hold being released;
+        // nothing reads it.
+        if let Hold::Inflated(lock, held) = std::mem::replace(&mut self.hold, Hold::Flat(0)) {
             // A deflating release hands back the retired lock; it is
             // freed here, after the call that borrowed it returned.
-            Some((lock, held)) => drop(self.svc.release_inflated(self.object, lock, held)),
-            None => self.svc.release_flat(self.object),
+            drop(
+                self.svc
+                    .release_inflated(self.object, lock, ManuallyDrop::into_inner(held)),
+            );
+        }
+    }
+}
+
+impl Drop for NativeGuard<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        match self.hold {
+            Hold::Flat(installed) => self.svc.release_flat(self.object, installed),
+            Hold::Inflated(..) => self.release_inflated(),
         }
     }
 }
@@ -692,7 +806,7 @@ mod tests {
         assert_eq!((svc.inflations(), svc.deflations()), (1, 0));
         // Subsequent acquisitions go through the reactive lock.
         let g = svc.acquire(0, None).unwrap();
-        assert!(g.held.is_some());
+        assert!(matches!(g.hold, Hold::Inflated(..)));
     }
 
     #[test]
@@ -757,7 +871,7 @@ mod tests {
                 let g = svc
                     .acquire(object, Some(budget))
                     .expect("nothing to wait for");
-                assert_eq!(g.held.is_some(), object == 1);
+                assert_eq!(matches!(g.hold, Hold::Inflated(..)), object == 1);
             }
         }
         assert_eq!(svc.aborts(), 0);
@@ -884,5 +998,134 @@ mod tests {
         }
         assert_eq!(svc.deflations(), 0);
         assert_eq!(svc.live_inflated(), 1);
+    }
+
+    /// The flat release as it was before it CASed the installed word:
+    /// reload, decide, fold, CAS in a loop. The differential test's
+    /// reference.
+    fn release_by_reload(svc: &NativeService, object: u64) {
+        let mut word = svc.arena.load(object);
+        if slot::contended_streak(word) >= svc.inflate_at {
+            svc.try_inflate(object, word);
+            return;
+        }
+        loop {
+            let next = slot::observe(word, word & slot::WAITERS != 0) & !slot::HELD;
+            match svc.arena.cas(object, word, next) {
+                Ok(_) => return,
+                Err(w) => word = w,
+            }
+        }
+    }
+
+    #[test]
+    fn release_against_the_installed_word_matches_the_reloading_release() {
+        let seeded = |w: u64| (0..INFLATE_STREAK).fold(w, |w, _| slot::observe(w, true));
+        let calm = (0..15).fold(0, |w, _| slot::observe(w, false));
+        // Words the object rests at before the hold: fresh, calm fixed
+        // point, one short of inflating, and left with WAITERS by a
+        // contended release.
+        let starts = [
+            0,
+            calm,
+            slot::observe(slot::observe(0, true), true),
+            slot::observe(0, true) | slot::WAITERS,
+        ];
+        // What lands on the word mid-hold.
+        type Mutation = (&'static str, fn(u64) -> u64);
+        let mutations: [Mutation; 4] = [
+            ("nothing", |w| w),
+            ("WAITERS", |w| w | slot::WAITERS),
+            ("HOT", |w| w | slot::HOT),
+            ("streak", seeded),
+        ];
+        for mode in [
+            ArenaMode::Adaptive,
+            ArenaMode::StaticTts,
+            ArenaMode::StaticQueue,
+        ] {
+            for start in starts {
+                // An uncontended first-pass win, and a fought win (which
+                // installs WAITERS) through the slow path.
+                for fought in [false, true] {
+                    for (name, mutate) in mutations {
+                        let ends = [true, false].map(|shipped| {
+                            let svc = NativeService::with_mode(1, 1, None, mode);
+                            svc.arena.store(0, start);
+                            let g = if fought {
+                                svc.acquire_slow(0, None, start, true)
+                            } else {
+                                svc.acquire(0, None)
+                            }
+                            .expect("free word");
+                            let Hold::Flat(installed) = g.hold else {
+                                panic!("flat word won through the inflated door")
+                            };
+                            assert_eq!(svc.arena.load(0), installed);
+                            svc.arena.store(0, mutate(installed));
+                            if shipped {
+                                drop(g);
+                            } else {
+                                std::mem::forget(g);
+                                release_by_reload(&svc, 0);
+                            }
+                            (svc.arena.load(0), svc.inflations())
+                        });
+                        assert_eq!(
+                            ends[0], ends[1],
+                            "{mode:?}, start {start:#x}, fought {fought}, mid-hold {name}: \
+                             (word, inflations) after the shipped release vs the reloading one"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_waiters_registration_during_a_hold_reaches_the_streak() {
+        const ROUNDS: u64 = 400;
+        let svc = NativeService::new(ROUNDS, 1, None);
+        let mut registered_rounds = 0;
+        for object in 0..ROUNDS {
+            let g = svc.acquire(object, None).unwrap();
+            let start = std::sync::Barrier::new(2);
+            let registered = std::thread::scope(|s| {
+                // A spinner's registration (the CAS `acquire_slow`
+                // makes), racing the release: it lands during the hold
+                // or finds the word already released.
+                let spinner = s.spawn(|| {
+                    start.wait();
+                    loop {
+                        let w = svc.arena.load(object);
+                        if w & slot::HELD == 0 {
+                            return false;
+                        }
+                        if svc.arena.cas(object, w, w | slot::WAITERS).is_ok() {
+                            return true;
+                        }
+                    }
+                });
+                start.wait();
+                // A delay swept over the rounds, so both orders occur.
+                for _ in 0..(object % 8) * 64 {
+                    std::hint::spin_loop();
+                }
+                drop(g);
+                spinner.join().unwrap()
+            });
+            registered_rounds += u32::from(registered);
+            // A registration that landed made the release's CAS against
+            // the installed word fail; the fold must still count it.
+            let w = svc.arena.load(object);
+            assert_eq!(w & slot::HELD, 0, "object {object}: word {w:#x}");
+            assert_eq!(
+                (slot::contended_streak(w), slot::calm_streak(w)),
+                if registered { (1, 0) } else { (0, 1) },
+                "object {object}: registered {registered}, word {w:#x}"
+            );
+        }
+        assert_eq!(svc.inflations(), 0);
+        println!("{registered_rounds} of {ROUNDS} registrations landed during the hold");
     }
 }

@@ -169,11 +169,33 @@ fn inflate_deflate_reinflate_roundtrip() {
         }
     };
 
+    // Every assert below prints the object's state: a failure that
+    // shows up once in fifty runs has to explain itself from one log.
+    let state = |svc: &NativeService| {
+        format!(
+            "slot word {:#x}, inflations {}, deflations {}, live {}, slab entries {}",
+            svc.slot_word(0),
+            svc.inflations(),
+            svc.deflations(),
+            svc.live_inflated(),
+            svc.slab_entries()
+        )
+    };
+
     // Phase 1: genuine contention accrues the streak through WAITERS
     // CASes and inflates.
     storm(&svc, &in_cs);
-    assert!(svc.inflations() >= 1, "storm never inflated");
-    assert_eq!(svc.inflations() - svc.deflations(), svc.live_inflated());
+    assert!(
+        svc.inflations() >= 1,
+        "storm never inflated: {}",
+        state(&svc)
+    );
+    assert_eq!(
+        svc.inflations() - svc.deflations(),
+        svc.live_inflated(),
+        "{}",
+        state(&svc)
+    );
     let after_storm = svc.footprint().hot_bytes;
     // The storm itself may already have deflated and re-inflated the
     // object, so the calm phase waits for a deflation of its own.
@@ -189,13 +211,15 @@ fn inflate_deflate_reinflate_roundtrip() {
     }
     assert!(
         svc.deflations() > storm_deflations,
-        "calm phase never deflated"
+        "calm phase never deflated: {}",
+        state(&svc)
     );
-    assert_eq!(svc.live_inflated(), 0);
+    assert_eq!(svc.live_inflated(), 0, "{}", state(&svc));
     // The footprint claim: cooling a hot object gives its bytes back.
     assert!(
         svc.footprint().hot_bytes < after_storm,
-        "deflation must shrink the hot footprint"
+        "deflation must shrink the hot footprint: {}",
+        state(&svc)
     );
 
     // Phase 3: a second storm re-inflates through the free list — the
@@ -204,10 +228,21 @@ fn inflate_deflate_reinflate_roundtrip() {
     storm(&svc, &in_cs);
     assert!(
         svc.inflations() > inflations_before,
-        "second storm never re-inflated"
+        "second storm never re-inflated: {}",
+        state(&svc)
     );
-    assert_eq!(svc.slab_entries(), 1, "free list must recycle the entry");
-    assert_eq!(svc.inflations() - svc.deflations(), svc.live_inflated());
+    assert_eq!(
+        svc.slab_entries(),
+        1,
+        "free list must recycle the entry: {}",
+        state(&svc)
+    );
+    assert_eq!(
+        svc.inflations() - svc.deflations(),
+        svc.live_inflated(),
+        "{}",
+        state(&svc)
+    );
 }
 
 /// Kernel protocol switches on an object that also inflates and
