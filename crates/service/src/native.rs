@@ -21,16 +21,16 @@
 //! with two live lock identities.
 //!
 //! The flat path is the cold path of a million-object arena, so it is
-//! built to cost its two atomic RMWs. [`NativeService::acquire`] is
-//! inlined up to its first pass — one acquire load, one CAS, the guard
-//! — and everything else continues out of line. The guard keeps the
-//! word its winning CAS installed, and below the inflation threshold the
-//! release CASes that exact word to its folded, `HELD`-cleared successor
-//! without reloading it. Only the owner clears `HELD`; while it holds,
-//! the word moves only when evidence arrives (a spinner's `WAITERS`
-//! registration). A failed release CAS therefore means evidence
-//! arrived, and the reloading release folds it in from the word the CAS
-//! returned, so no registration is lost.
+//! built to cost its two atomic RMWs. [`NativeService::acquire`] is one
+//! loop, always inlined into its caller, so a free word's win is one
+//! load and one CAS in line. The guard keeps the word its winning CAS
+//! installed, and below the inflation threshold the release CASes that
+//! exact word to its folded, `HELD`-cleared successor without reloading
+//! it. Only the owner clears `HELD`; while it holds, the word moves only
+//! when evidence arrives (a spinner's `WAITERS` registration). A failed
+//! release CAS therefore means evidence arrived, and the reloading
+//! release folds it in from the word the CAS returned, so no
+//! registration is lost.
 //!
 //! Contention evidence accrues at *release* time through the `WAITERS`
 //! bit: a flat spinner CASes `WAITERS` into the word once per hold, the
@@ -289,65 +289,30 @@ impl NativeService {
     /// Acquire `object`, optionally bounded by a deadline. `None` means
     /// the deadline expired before the acquisition was admitted.
     ///
-    /// Inlined: the first pass over a free flat word is one load, one
-    /// CAS and the guard. Everything else — inflated admission, a held
-    /// word, a lost CAS — continues out of line.
-    #[inline]
+    /// Always inlined, so a free flat word's win is one load and one
+    /// CAS in the caller and the guard comes back without a call. Left
+    /// to its heuristic, the compiler inlines the loop at some call
+    /// sites and not at others, which costs the flat path about 15 ns.
+    #[inline(always)]
     pub fn acquire(&self, object: u64, deadline: Option<Duration>) -> Option<NativeGuard<'_>> {
-        // Acquire: pairs with the inflation publish store_release, so an
-        // INFLATED word guarantees the slab entry it indexes is visible,
-        // and a clear HELD bit guarantees the previous holder's critical
-        // section is.
-        let word = self.arena.load_acquire(object);
-        if word & (slot::INFLATED | slot::HELD) != 0 {
-            return self.acquire_slow(object, deadline, word, false);
-        }
-        // An uncontended win consumes the WAITERS evidence: the releaser
-        // already folded it into the streaks.
-        let next = (word | slot::HELD) & !slot::WAITERS;
-        match self.arena.cas(object, word, next) {
-            Ok(_) => Some(NativeGuard {
-                svc: self,
-                object,
-                hold: Hold::Flat(next),
-            }),
-            Err(seen) => self.acquire_slow(object, deadline, seen, true),
-        }
-    }
-
-    /// The rest of [`Self::acquire`], entered with the word its first
-    /// pass saw and `fought` set if that pass lost its CAS: the deadline
-    /// clock, inflated admission, `WAITERS` registration, backoff, and
-    /// the long-wait seeding of the inflation streak.
-    #[inline(never)]
-    fn acquire_slow(
-        &self,
-        object: u64,
-        deadline: Option<Duration>,
-        seen: u64,
-        mut fought: bool,
-    ) -> Option<NativeGuard<'_>> {
         let mut deadline = Deadline {
             budget: deadline,
             limit: None,
         };
-        if fought {
-            deadline.start();
-        }
-        let mut seen = Some(seen);
         let mut spins: u32 = 0;
         let mut backoff: u32 = BACKOFF_INIT;
-        // `fought` is true once this call has lost a CAS or seen the word
-        // held: the eventual win then pre-seeds WAITERS into its own
-        // hold, so a drained backlog keeps the streak alive even when the
-        // waiters behind it are descheduled (the single-core case, where
-        // no spinner is running during a short hold to register itself).
+        // True once this call has lost a CAS or seen the word held: the
+        // eventual win then pre-seeds WAITERS into its own hold, so a
+        // drained backlog keeps the streak alive even when the waiters
+        // behind it are descheduled (the single-core case, where no
+        // spinner is running during a short hold to register itself).
+        let mut fought = false;
         loop {
-            // The first pass's word, then a fresh load per retry (with
-            // the ordering `acquire` gives its own load).
-            let word = seen
-                .take()
-                .unwrap_or_else(|| self.arena.load_acquire(object));
+            // Acquire: pairs with the inflation publish store_release,
+            // so an INFLATED word guarantees the slab entry it indexes
+            // is visible, and a clear HELD bit guarantees the previous
+            // holder's critical section is.
+            let word = self.arena.load_acquire(object);
             if word & slot::INFLATED != 0 {
                 // Admission check: registering commits us, so the
                 // deadline is tested before the registration CAS.
@@ -743,30 +708,19 @@ impl NativeService {
     }
 }
 
-impl NativeGuard<'_> {
-    /// Release an inflated hold (kept out of line, so that dropping a
-    /// guard inlines only the flat release).
-    #[inline(never)]
-    fn release_inflated(&mut self) {
-        // `Flat(0)` only fills the place of the hold being released;
-        // nothing reads it.
-        if let Hold::Inflated(lock, held) = std::mem::replace(&mut self.hold, Hold::Flat(0)) {
-            // A deflating release hands back the retired lock; it is
-            // freed here, after the call that borrowed it returned.
-            drop(
-                self.svc
-                    .release_inflated(self.object, lock, ManuallyDrop::into_inner(held)),
-            );
-        }
-    }
-}
-
 impl Drop for NativeGuard<'_> {
     #[inline]
     fn drop(&mut self) {
-        match self.hold {
-            Hold::Flat(installed) => self.svc.release_flat(self.object, installed),
-            Hold::Inflated(..) => self.release_inflated(),
+        match &mut self.hold {
+            Hold::Flat(installed) => self.svc.release_flat(self.object, *installed),
+            Hold::Inflated(lock, held) => {
+                // SAFETY: the token is taken here only, and the guard is
+                // gone once `drop` returns, so nothing reads it again.
+                let held = unsafe { ManuallyDrop::take(held) };
+                // A deflating release hands back the retired lock; it is
+                // freed here, after the call that borrowed it returned.
+                drop(self.svc.release_inflated(self.object, lock, held));
+            }
         }
     }
 }
@@ -1045,15 +999,26 @@ mod tests {
             ArenaMode::StaticQueue,
         ] {
             for start in starts {
-                // An uncontended first-pass win, and a fought win (which
-                // installs WAITERS) through the slow path.
+                // An uncontended win, and a fought win (which installs
+                // WAITERS).
                 for fought in [false, true] {
                     for (name, mutate) in mutations {
                         let ends = [true, false].map(|shipped| {
                             let svc = NativeService::with_mode(1, 1, None, mode);
                             svc.arena.store(0, start);
                             let g = if fought {
-                                svc.acquire_slow(0, None, start, true)
+                                // A held word makes the win a fought one:
+                                // the acquirer registers WAITERS, then
+                                // wins once the word is put back free.
+                                svc.arena.store(0, (start | slot::HELD) & !slot::WAITERS);
+                                std::thread::scope(|s| {
+                                    let acquirer = s.spawn(|| svc.acquire(0, None));
+                                    while svc.arena.load(0) & slot::WAITERS == 0 {
+                                        std::hint::spin_loop();
+                                    }
+                                    svc.arena.store(0, start);
+                                    acquirer.join().unwrap()
+                                })
                             } else {
                                 svc.acquire(0, None)
                             }
@@ -1062,6 +1027,7 @@ mod tests {
                                 panic!("flat word won through the inflated door")
                             };
                             assert_eq!(svc.arena.load(0), installed);
+                            assert_eq!(installed & slot::WAITERS != 0, fought);
                             svc.arena.store(0, mutate(installed));
                             if shipped {
                                 drop(g);
@@ -1091,9 +1057,9 @@ mod tests {
             let g = svc.acquire(object, None).unwrap();
             let start = std::sync::Barrier::new(2);
             let registered = std::thread::scope(|s| {
-                // A spinner's registration (the CAS `acquire_slow`
-                // makes), racing the release: it lands during the hold
-                // or finds the word already released.
+                // A spinner's registration (the CAS `acquire` makes),
+                // racing the release: it lands during the hold or finds
+                // the word already released.
                 let spinner = s.spawn(|| {
                     start.wait();
                     loop {
