@@ -146,7 +146,8 @@ pub enum SwitchStyle {
     /// `state = invalidate(from)` → `validate(to, state)` →
     /// `publish_mode(to)` → commit.
     Transfer,
-    /// Real-concurrency exclusion window (the native lock): commit
+    /// Real-concurrency exclusion window, for an object whose target a
+    /// racer can win the instant `validate` lands: commit
     /// bookkeeping — and the kernel's shadow validity flags — run
     /// first, while both consensus objects still deny entry, so no
     /// racing process can commit an opposite change ahead of this one,
@@ -238,6 +239,7 @@ pub trait SwitchableObject {
 /// # Panics
 /// If the future returns `Poll::Pending` — which would mean a
 /// supposedly synchronous hook tried to await.
+#[inline(always)]
 pub fn drive<F: Future>(fut: F) -> F::Output {
     let mut fut = pin!(fut);
     let waker = Waker::noop();
@@ -559,6 +561,7 @@ impl<W: KernelWorld> SwitchKernel<W> {
         self.consult_policy(obs)
     }
 
+    #[inline(never)] // the mutex path; inlined, it bloats callers' fast paths
     fn consult_policy(&self, obs: &Observation) -> Option<ProtocolId> {
         let mut st = self.state();
         match st.policy.decide(obs) {
@@ -741,8 +744,8 @@ impl<W: KernelWorld> SwitchKernel<W> {
             }
             SwitchStyle::CommitFirst => {
                 // Regression mutant `stale_mode`: revert to the
-                // physical-first ordering the native lock shipped with —
-                // validate/publish before the shadow-state commit. A
+                // physical-first ordering — validate/publish before the
+                // shadow-state commit. A
                 // racer that wins the freshly valid target then consults
                 // `current` before this transaction's bookkeeping lands
                 // and sees a stale mode (the interleave the CommitFirst

@@ -33,13 +33,16 @@
 //!   consensus-object discipline every protocol slot must obey
 //!   (invalid protocols bounce executions with *retry*; the object
 //!   keeps at most one valid).
+//! * [`spin`], [`lock`] — the TTS, MCS and reactive locks, once.
 //! * [`oracle`] — the §3.2 correctness checkers (C-seriality,
 //!   at-most-one-valid) runnable against any kernel commit log.
 
 #![deny(missing_docs)]
 
 pub mod kernel;
+pub mod lock;
 pub mod oracle;
+pub mod spin;
 
 pub use kernel::{
     drive, CrashPoint, KernelBuilder, KernelWorld, LocalWorld, SharedWorld, SwitchKernel,

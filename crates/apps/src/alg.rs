@@ -6,11 +6,12 @@ use std::rc::Rc;
 use alewife_sim::{Addr, Cpu, Machine, WaitQueueId};
 use reactive_core::lock::{ReactiveLock, ReleaseMode};
 use reactive_core::policy::{Competitive3, Hysteresis, Instrument};
+use reactive_core::spin::{McsLock, TtsLock};
 use reactive_core::waiting::{SwitchSpin, TwoPhase, TwoPhaseSwitchSpin};
 use reactive_core::ReactiveFetchOp;
 use sync_protocols::fetch_op::{CombiningTree, FetchOp, LockFetchOp};
 use sync_protocols::mp::{MpCombiningTree, MpCounter, MpQueueLock};
-use sync_protocols::spin::{Lock, McsLock, TestAndSetLock, TtsLock, FREE};
+use sync_protocols::spin::{Lock, TestAndSetLock, FREE};
 use sync_protocols::waiting::{AlwaysBlock, AlwaysSpin, WaitStrategy};
 
 /// Selectable spin-lock algorithm.

@@ -2799,7 +2799,7 @@ fn sim_parallel_scale() -> Scenario {
             scale.pick((1024, 16, 60, 20_000), (64, 4, 12, 1_500));
 
         // Cross-mode conformance + causality on the contended reactive
-        // cluster (the workload BENCH_sim.json's parallel rows run).
+        // cluster (the workload the benchmark's `cluster_ring` times).
         // The paper's contended-lock workload, tiled once per shard,
         // with a heartbeat every 4 acquisitions.
         let serial = cluster(nodes, workers, window)

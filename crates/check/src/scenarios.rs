@@ -58,7 +58,8 @@ pub fn all() -> Vec<Scenario> {
         },
         Scenario {
             name: "reactive_lock",
-            about: "kernel-driven reactive lock under a thrashing policy (switch on every release)",
+            about:
+                "reactive lock, 2 threads x 2 passes, under a policy that switches on every release",
             run: reactive_lock,
         },
         Scenario {
@@ -222,17 +223,19 @@ fn reactive_lock(cfg: Config) -> Report {
                 .map(|_| {
                     let (l, c) = (l.clone(), c.clone());
                     thread::spawn(move || {
-                        let held = l.acquire();
-                        let v = c.get();
-                        c.set(v + 1);
-                        l.release(held);
+                        for _ in 0..2 {
+                            let held = l.acquire();
+                            let v = c.get();
+                            c.set(v + 1);
+                            l.release(held);
+                        }
                     })
                 })
                 .collect();
             for h in hs {
                 h.join().unwrap();
             }
-            assert_eq!(c.get(), 2, "an increment was lost across mode changes");
+            assert_eq!(c.get(), 4, "an increment was lost across mode changes");
         }),
     )
 }
@@ -351,7 +354,7 @@ fn kernel_arbitration(cfg: Config) -> Report {
     )
 }
 
-/// Miniature of the native lock's CommitFirst discipline: `validate`
+/// Miniature of the kernel's CommitFirst discipline: `validate`
 /// makes the target's consensus object winnable; the scenario's second
 /// thread pounces on it the instant it lands and runs a full opposite
 /// transaction, which is only sound if this transaction's kernel

@@ -37,12 +37,14 @@ use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::fetch_op::{CombiningTree, FetchOp, RETRY_SENTINEL};
-use sync_protocols::spin::{Backoff, Lock, McsLock, TtsLock, FREE, INVALID_PTR, NIL};
+use sync_protocols::spin::{Backoff, Lock, FREE, NIL};
 
 pub use crate::lock::{EMPTY_QUEUE_LIMIT, TTS_RETRY_LIMIT};
 use crate::lock::{QUEUE_RESIDUAL, TTS_RESIDUAL};
 use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};
+use crate::spin::{McsLock, TtsLock};
 use crate::{Builder, MaxProcs, Reactive};
+use reactive_api::spin::{self, Memory, INVALID_PTR};
 
 /// Slot of the TTS-lock-protected counter.
 pub const PROTO_TTS: ProtocolId = ProtocolId(0);
@@ -190,7 +192,7 @@ impl ReactiveFetchOp {
                 // Switch TTS -> queue: the kernel validates the queue
                 // and leaves TTS busy; releasing through the new
                 // protocol is ours.
-                let q = self.queue.take_qnode(cpu);
+                let q = self.queue.mem(cpu).take_node();
                 self.kernel
                     .switch(
                         &FopSwitch {
@@ -224,16 +226,18 @@ impl ReactiveFetchOp {
     async fn try_queue(&self, cpu: &Cpu, delta: u64) -> Option<u64> {
         // The waiting-time clock starts between preparing the node and
         // swapping it in.
-        let q = self.queue.prepare_qnode(cpu).await;
+        let m = self.queue.mem(cpu);
+        let q = m.take_node();
+        spin::mcs_prepare(&m, q).await;
         let t_enqueue = cpu.now();
-        let pred = self.queue.swap_tail(cpu, q).await;
+        let pred = spin::mcs_swap(&m, self.queue.tail(), q).await;
         if pred == INVALID_PTR {
             self.queue.invalidate_from(cpu, q).await;
             return None;
         }
         let empty = pred == NIL;
         if !empty {
-            self.queue.chain(cpu, q, pred).await;
+            spin::mcs_chain(&m, q, pred).await;
             if !self.queue.wait_granted(cpu, q).await {
                 return None;
             }
@@ -339,7 +343,7 @@ impl ReactiveFetchOp {
                 match target {
                     Some(t) if t == PROTO_QUEUE => {
                         // Switch tree -> queue.
-                        let q = self.queue.take_qnode(cpu);
+                        let q = self.queue.mem(cpu).take_node();
                         self.kernel
                             .switch(
                                 &FopSwitch {
@@ -410,7 +414,8 @@ impl SwitchableObject for FopSwitch<'_> {
         match to {
             PROTO_QUEUE => {
                 let q = self.q.expect("entering the queue protocol needs a node");
-                self.f.queue.acquire_invalid(cpu, q).await;
+                let queue = &self.f.queue;
+                spin::acquire_invalid(&queue.mem(cpu), queue.tail(), q).await;
             }
             PROTO_TREE => {
                 // Set the root's validity flag under its lock.
@@ -471,6 +476,7 @@ mod tests {
     use crate::policy::{Decision, Policy, SwitchLog};
     use alewife_sim::{Config, Machine};
     use std::cell::RefCell;
+    use sync_protocols::fetch_op::LockFetchOp;
 
     /// All returns must form the exact set {0..procs*iters}.
     fn hammer(procs: usize, iters: u64, think: u64) -> (u64, u64) {
@@ -496,6 +502,59 @@ mod tests {
         let want: Vec<u64> = (0..procs as u64 * iters).collect();
         assert_eq!(got, want, "returns not a fetch-and-add permutation");
         (m.read_word(f.var()), f.switches())
+    }
+
+    /// [`hammer`] for any [`FetchOp`]: each processor adds 1 `iters`
+    /// times with up to 200 cycles of think time; returns the elapsed
+    /// cycles.
+    fn hammer_static<F: FetchOp>(mk: impl Fn(&Machine) -> F, procs: usize, iters: u64) -> u64 {
+        let m = Machine::new(Config::default().nodes(procs.max(2)));
+        let f = mk(&m);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        for p in 0..procs {
+            let (cpu, f, seen) = (m.cpu(p), f.clone(), seen.clone());
+            m.spawn(p, async move {
+                for _ in 0..iters {
+                    let v = f.fetch_add(&cpu, 1).await;
+                    seen.borrow_mut().push(v);
+                    cpu.work(cpu.rand_below(200)).await;
+                }
+            });
+        }
+        let t = m.run();
+        assert_eq!(m.live_tasks(), 0, "deadlock in fetch-op test");
+        let mut got = seen.borrow().clone();
+        got.sort_unstable();
+        let want: Vec<u64> = (0..procs as u64 * iters).collect();
+        assert_eq!(got, want, "fetch-and-add returns not a permutation");
+        t
+    }
+
+    #[test]
+    fn lock_based_tts_correct() {
+        hammer_static(|m| LockFetchOp::new(m, 0, TtsLock::new(m, 0, 8)), 8, 20);
+    }
+
+    #[test]
+    fn lock_based_mcs_correct() {
+        hammer_static(|m| LockFetchOp::new(m, 0, McsLock::new(m, 0)), 8, 20);
+    }
+
+    #[test]
+    fn tree_beats_lock_at_high_contention_and_loses_alone() {
+        let tree = |procs| move |m: &Machine| CombiningTree::new(m, 0, procs);
+        let lock = |procs| move |m: &Machine| LockFetchOp::new(m, 0, TtsLock::new(m, 0, procs));
+        let (t_tree_1, t_lock_1) = (hammer_static(tree(2), 1, 40), hammer_static(lock(2), 1, 40));
+        assert!(
+            t_lock_1 < t_tree_1,
+            "lock-based ({t_lock_1}) should beat tree ({t_tree_1}) uncontended"
+        );
+        let t_tree_32 = hammer_static(tree(32), 32, 12);
+        let t_lock_32 = hammer_static(lock(32), 32, 12);
+        assert!(
+            t_tree_32 < t_lock_32,
+            "tree ({t_tree_32}) should beat TTS-lock-based ({t_lock_32}) at 32 procs"
+        );
     }
 
     #[test]

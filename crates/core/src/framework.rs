@@ -31,8 +31,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::spin::TtsLock;
 use alewife_sim::{Addr, Cpu, Machine};
-use sync_protocols::spin::{Lock, TtsLock};
+use sync_protocols::spin::Lock;
 
 pub use reactive_api::oracle::{check_at_most_one_valid, check_c_serial, OpKind, OpRecord};
 

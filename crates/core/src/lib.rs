@@ -19,6 +19,8 @@
 //!   lock, using the lock words themselves as consensus objects (an
 //!   invalid sub-lock is left permanently busy, so the mode variable is
 //!   only a hint and correctness never depends on it).
+//! * [`spin`] — `reactive_api::spin`'s TTS and MCS locks on simulated
+//!   memory (the reactive lock's text is `reactive_api::lock`'s).
 //! * [`fetch_op`] — the reactive fetch-and-op (§3.3.2, Appendix C):
 //!   selects among a TTS-lock-protected counter, a queue-lock-protected
 //!   counter, and a software combining tree.
@@ -46,6 +48,7 @@ pub mod framework;
 pub mod lock;
 pub mod mp;
 pub mod robust;
+pub mod spin;
 pub mod waiting;
 
 pub mod policy {

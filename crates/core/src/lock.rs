@@ -1,30 +1,8 @@
-//! The reactive spin lock (§3.3.1, §3.7.3, Figures 3.27-3.29).
-//!
-//! Combines the low uncontended latency of a test-and-test-and-set lock
-//! with the scalability and fairness of the MCS queue lock by switching
-//! protocol at run time. The two sub-locks *are* the consensus objects:
-//!
-//! * The algorithm maintains the invariant that **the two sub-locks are
-//!   never free at the same time** — the inactive sub-lock is left in a
-//!   busy state (TTS flag held `BUSY`; queue tail holding the `INVALID`
-//!   marker), so at most one process can ever win a sub-lock.
-//! * The mode variable is therefore only a *hint* for fast dispatch: a
-//!   process that races a protocol change simply finds the stale
-//!   sub-lock busy (or receives an `INVALID` signal on the queue) and
-//!   retries with the other protocol.
-//! * Protocol changes are performed only by the current lock holder,
-//!   which serializes them with all protocol executions (C-serialization
-//!   via consensus objects, §3.2.5).
-//!
-//! Contention monitoring (§3.3.1): in TTS mode the number of failed
-//! `test&set` attempts per acquisition estimates contention; in queue
-//! mode an empty-queue acquisition is a calm execution, and the
-//! switching kernel's calm streak proposes TTS after
-//! [`EMPTY_QUEUE_LIMIT`] of them in a row. The monitor turns those
-//! signals into [`Observation`]s; the configured
-//! [`Policy`](crate::Policy) decides whether to actually switch, and every
-//! committed change is reported to the [`Instrument`](crate::Instrument)
-//! sink as a [`crate::policy::SwitchEvent`].
+//! The reactive spin lock (§3.3.1, §3.7.3, Figures 3.27-3.29) on the
+//! simulated machine: the words, kernel and [`Tuning::SIMULATOR`] row
+//! of [`reactive_api::lock`]'s protocol, which the native lock shares.
+//! The configured [`Policy`](crate::Policy) decides every switch, and
+//! each commit reaches the [`Instrument`](crate::Instrument) sink.
 //!
 //! Construction goes through the builder:
 //!
@@ -44,53 +22,29 @@
 use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
-use sync_protocols::spin::{Lock, McsLock, TtsLock, BUSY, FREE, INVALID_PTR, NIL};
+use reactive_api::lock::{LockRef, Tuning};
+use reactive_api::spin::{BUSY, FREE, INVALID_PTR, NIL};
+use reactive_api::LocalWorld;
+use sync_protocols::spin::Lock;
 
-use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};
+use crate::policy::{SimKernel, SwitchStyle};
+use crate::spin::{McsLock, SimMem, TtsLock};
 use crate::{Builder, InitialProtocol, MaxProcs, Reactive};
 
-/// Slot of the test-and-test-and-set protocol (cheap, low latency).
-pub const PROTO_TTS: ProtocolId = ProtocolId(0);
-/// Slot of the MCS queue protocol (scalable, fair).
-pub const PROTO_QUEUE: ProtocolId = ProtocolId(1);
-
-/// Mode word values (the mode hint stores the valid protocol's id).
-const MODE_TTS: u64 = PROTO_TTS.0 as u64;
-const MODE_QUEUE: u64 = PROTO_QUEUE.0 as u64;
-
-/// Failed `test&set` attempts in one acquisition that signal high
-/// contention (the monitor's hysteresis, §3.7.3).
-pub const TTS_RETRY_LIMIT: u64 = 4;
+pub use reactive_api::lock::{
+    PROTO_QUEUE, PROTO_TTS, QUEUE_RESIDUAL, TTS_RESIDUAL, TTS_RETRY_LIMIT,
+};
 
 /// Consecutive empty-queue acquisitions that signal low contention.
-pub const EMPTY_QUEUE_LIMIT: u64 = 4;
-
-/// Estimated residual cost (cycles) of serving one high-contention
-/// acquisition with the TTS protocol instead of the queue (§3.5.5).
-pub const TTS_RESIDUAL: f64 = 150.0;
-
-/// Estimated residual cost of serving one low-contention acquisition
-/// with the queue protocol instead of TTS (§3.5.5).
-pub const QUEUE_RESIDUAL: f64 = 15.0;
+pub const EMPTY_QUEUE_LIMIT: u64 = Tuning::SIMULATOR.empty_queue_limit;
 
 /// Empirical round-trip protocol-switching cost (§3.5.5: ≈ 8000 cycles
 /// TTS→queue plus ≈ 800 cycles queue→TTS).
 pub const SWITCH_ROUND_TRIP: f64 = 8_800.0;
 
-/// What [`ReactiveLock::release`] must do — the paper's `release_mode`
-/// (Figure 3.27), carrying the queue node where one is in play.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReleaseMode {
-    /// Held via the TTS sub-lock; plain release.
-    Tts,
-    /// Held via the TTS sub-lock; switch to the queue protocol on
-    /// release.
-    TtsToQueue,
-    /// Held via the queue sub-lock (queue node attached); plain release.
-    Queue(Addr),
-    /// Held via the queue sub-lock; switch to TTS on release.
-    QueueToTts(Addr),
-}
+/// What [`ReactiveLock::release`] must do (Figure 3.27's
+/// `release_mode`), carrying the queue node where one is in play.
+pub type ReleaseMode = reactive_api::lock::ReleaseMode<Addr>;
 
 impl Reactive for ReactiveLock {
     type Params = ();
@@ -112,13 +66,12 @@ impl Reactive for ReactiveLock {
             // Queue mode: queue valid and empty, TTS pinned busy.
             m.write_word(locks, BUSY);
             m.write_word(locks.plus(1), NIL);
-            m.write_word(mode, MODE_QUEUE);
         } else {
             // TTS mode: TTS lock free, queue invalid.
             m.write_word(locks, FREE);
             m.write_word(locks.plus(1), INVALID_PTR);
-            m.write_word(mode, MODE_TTS);
         }
+        m.write_word(mode, kernel.current().0 as u64);
         ReactiveLock {
             tts: TtsLock::over(locks, n),
             queue: McsLock::over(m, locks.plus(1)),
@@ -132,7 +85,7 @@ impl MaxProcs for ReactiveLock {}
 impl InitialProtocol for ReactiveLock {}
 
 /// The reactive spin lock. Cheap to clone; clones share the lock.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ReactiveLock {
     /// The two sub-locks, over one line `[tts_flag, queue_tail]`
     /// (§3.7.3 recommends they share a line so the optimistic
@@ -142,16 +95,6 @@ pub struct ReactiveLock {
     /// Mode hint on its own (mostly-read) line.
     mode: Addr,
     kernel: Rc<SimKernel>,
-}
-
-impl std::fmt::Debug for ReactiveLock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReactiveLock")
-            .field("tts", &self.tts)
-            .field("queue", &self.queue)
-            .field("mode", &self.mode)
-            .finish()
-    }
 }
 
 impl ReactiveLock {
@@ -178,167 +121,29 @@ impl ReactiveLock {
         (self.tts.flag(), self.queue.tail(), self.mode)
     }
 
+    /// The shared lock text over `m`.
+    fn at<'a>(&'a self, m: &'a SimMem<'a>) -> LockRef<'a, SimMem<'a>, LocalWorld> {
+        LockRef {
+            mem: m,
+            flag: self.tts.flag(),
+            tail: self.queue.tail(),
+            mode: self.mode,
+            kernel: &self.kernel,
+            backoff: self.tts.backoff(),
+            tuning: Tuning::SIMULATOR,
+        }
+    }
+
     /// Acquire the lock; the returned [`ReleaseMode`] must be passed to
     /// [`ReactiveLock::release`].
     pub async fn acquire(&self, cpu: &Cpu) -> ReleaseMode {
-        // Optimistic attempt (§3.7.3): in QUEUE mode the TTS flag is
-        // permanently BUSY, so success implies the TTS protocol is
-        // valid. Test before test&set so the optimism costs only a
-        // cache hit while the queue protocol is in force (the flag is
-        // constant-BUSY then, so the line stays read-cached).
-        let flag = self.tts.flag();
-        if cpu.read(flag).await == FREE && cpu.test_and_set(flag).await == FREE {
-            return self.decide_after_tts(0);
-        }
-        loop {
-            let mode = cpu.read(self.mode).await;
-            let r = if mode == MODE_TTS {
-                let won = self.tts.acquire_while(cpu, self.mode, MODE_TTS).await;
-                won.map(|failures| self.decide_after_tts(failures))
-            } else {
-                self.acquire_queue(cpu).await
-            };
-            if let Some(r) = r {
-                return r;
-            }
-            // Protocol changed under us (or the queue was invalid):
-            // re-dispatch on the fresh mode hint.
-        }
-    }
-
-    /// Monitor + policy decision after winning the TTS sub-lock.
-    fn decide_after_tts(&self, failures: u64) -> ReleaseMode {
-        let obs = if failures > TTS_RETRY_LIMIT {
-            let residual = TTS_RESIDUAL * (failures as f64 / TTS_RETRY_LIMIT as f64).min(4.0);
-            Observation::suboptimal(PROTO_TTS, PROTO_QUEUE, residual)
-        } else {
-            Observation::optimal(PROTO_TTS)
-        };
-        match self.kernel.observe(&obs) {
-            Some(_queue) => ReleaseMode::TtsToQueue,
-            None => ReleaseMode::Tts,
-        }
-    }
-
-    /// Queue-protocol acquisition (Figure 3.28's `acquire_queue`).
-    /// Returns `None` if the queue protocol was invalid.
-    async fn acquire_queue(&self, cpu: &Cpu) -> Option<ReleaseMode> {
-        let q = self.queue.prepare_qnode(cpu).await;
-        let pred = self.queue.swap_tail(cpu, q).await;
-        if pred == INVALID_PTR {
-            // We swapped our node onto an *invalid* queue: restore the
-            // INVALID marker (propagating it to anyone who chained
-            // behind us) and retry with the other protocol.
-            self.queue.invalidate_from(cpu, q).await;
-            return None;
-        }
-        let target = if pred == NIL {
-            // Empty queue: lock acquired immediately (low contention).
-            self.kernel
-                .observe_calm(PROTO_QUEUE, PROTO_TTS, EMPTY_QUEUE_LIMIT, QUEUE_RESIDUAL)
-        } else {
-            self.queue.chain(cpu, q, pred).await;
-            // A busy queue ends the calm run now, not at our grant: a
-            // usurper that finds the tail momentarily NIL in between
-            // (`release_qnode`'s race) starts a fresh run.
-            self.kernel.end_calm_streak();
-            if !self.queue.wait_granted(cpu, q).await {
-                // The queue protocol was switched away while we waited;
-                // retry via dispatch (mode now points at TTS).
-                return None;
-            }
-            // Honor the policy even on this optimal path: user policies
-            // may direct a switch on any observation.
-            self.kernel.observe(&Observation::optimal(PROTO_QUEUE))
-        };
-        // The only other slot is TTS, so an approved target is it.
-        Some(match target {
-            Some(_tts) => ReleaseMode::QueueToTts(q),
-            None => ReleaseMode::Queue(q),
-        })
+        self.at(&self.queue.mem(cpu)).acquire().await
     }
 
     /// Release the lock, performing any protocol change the acquisition
     /// decided on (Figure 3.29).
     pub async fn release(&self, cpu: &Cpu, rm: ReleaseMode) {
-        match rm {
-            ReleaseMode::Tts => self.tts.release(cpu, ()).await,
-            ReleaseMode::Queue(q) => self.queue.release_qnode(cpu, q).await,
-            ReleaseMode::TtsToQueue => {
-                // `release_tts_to_queue` (Figure 3.29), driven by the
-                // switching kernel: validate the queue (leaving the TTS
-                // flag BUSY), publish the hint, then release via the
-                // queue.
-                let q = self.queue.take_qnode(cpu);
-                self.kernel
-                    .switch(&LockSwitch { lock: self, q }, cpu, PROTO_TTS, PROTO_QUEUE)
-                    .await;
-                self.queue.release_qnode(cpu, q).await;
-            }
-            ReleaseMode::QueueToTts(q) => {
-                // `release_queue_to_tts`: the kernel flips the hint and
-                // invalidates the queue (bouncing any waiters); freeing
-                // the TTS flag is this holder's release through the
-                // now-valid protocol.
-                self.kernel
-                    .switch(&LockSwitch { lock: self, q }, cpu, PROTO_QUEUE, PROTO_TTS)
-                    .await;
-                self.tts.release(cpu, ()).await;
-            }
-        }
-    }
-}
-
-/// The lock's [`SwitchableObject`] hooks: the physical realization of
-/// "make a sub-lock valid / invalid" for the two consensus objects,
-/// bound to the queue node `q` involved in the transition (the node
-/// being installed for TTS → queue, the held node for queue → TTS).
-/// Sequencing, validity bookkeeping, and event emission are the
-/// kernel's.
-struct LockSwitch<'a> {
-    lock: &'a ReactiveLock,
-    q: Addr,
-}
-
-impl SwitchableObject for LockSwitch<'_> {
-    type Ctx = Cpu;
-
-    async fn validate(&self, cpu: &Cpu, to: ProtocolId, _from: ProtocolId, _state: u64) {
-        if to == PROTO_QUEUE {
-            // Install our node as the head of the (invalid) queue,
-            // making the queue protocol valid-and-held.
-            self.lock.queue.acquire_invalid(cpu, self.q).await;
-        }
-        // TTS becomes valid when the switcher frees the flag — that is
-        // its release through the new protocol, after the transaction.
-    }
-
-    async fn invalidate(&self, cpu: &Cpu, from: ProtocolId, _to: ProtocolId) -> Option<u64> {
-        if from == PROTO_QUEUE {
-            // Bounce every queued waiter back to dispatch and leave the
-            // INVALID sentinel in the tail.
-            self.lock.queue.invalidate_from(cpu, self.q).await;
-        }
-        // An invalid TTS flag is simply left BUSY (never written). The
-        // holder-based discipline is exclusive, so this cannot lose.
-        Some(0)
-    }
-
-    async fn publish_mode(&self, cpu: &Cpu, to: ProtocolId) {
-        cpu.write(self.lock.mode, to.0 as u64).await;
-    }
-
-    fn now(&self, cpu: &Cpu) -> u64 {
-        cpu.now()
-    }
-
-    fn note_switch(&self, cpu: &Cpu, _from: ProtocolId, to: ProtocolId) {
-        let name = if to == PROTO_QUEUE {
-            "reactive_lock.to_queue"
-        } else {
-            "reactive_lock.to_tts"
-        };
-        cpu.bump(name, 1);
+        self.at(&self.queue.mem(cpu)).release(rm).await
     }
 }
 
@@ -357,8 +162,11 @@ impl Lock for ReactiveLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Always, Competitive3, SwitchLog};
+    use crate::policy::{Always, Competitive3, ProtocolId, SwitchLog};
     use alewife_sim::{Config, Machine};
+
+    const MODE_TTS: u64 = PROTO_TTS.0 as u64;
+    const MODE_QUEUE: u64 = PROTO_QUEUE.0 as u64;
 
     fn hammer(
         lock_of: impl Fn(&Machine) -> ReactiveLock,
@@ -558,13 +366,7 @@ mod tests {
 
     #[test]
     fn reactive_close_to_best_static_at_both_extremes() {
-        use sync_protocols::spin::{McsLock, TtsLock};
-
-        fn run_static<L: sync_protocols::spin::Lock>(
-            mk: impl Fn(&Machine) -> L,
-            procs: usize,
-            iters: u64,
-        ) -> u64 {
+        fn run_static<L: Lock>(mk: impl Fn(&Machine) -> L, procs: usize, iters: u64) -> u64 {
             let m = Machine::new(Config::default().nodes(procs.max(2)));
             let lock = mk(&m);
             for p in 0..procs {

@@ -26,10 +26,11 @@
 
 use std::rc::Rc;
 
+use crate::spin::TtsLock;
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::fetch_op::FetchOp;
 use sync_protocols::mp::{MpCombiningTree, MpCounter, MpQueueLock};
-use sync_protocols::spin::{Lock, TtsLock};
+use sync_protocols::spin::Lock;
 
 use crate::lock::{TTS_RESIDUAL, TTS_RETRY_LIMIT};
 use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};

@@ -9,7 +9,7 @@ use reactive_core::policy::{Always, Competitive3, Hysteresis, Policy};
 use reactive_core::ReactiveFetchOp;
 
 use alewife_sim::{Config, Machine};
-use sync_protocols::spin::{FREE, INVALID_PTR, NIL};
+use reactive_api::spin::{FREE, INVALID_PTR, NIL};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]

@@ -9,7 +9,7 @@
 //! * [`tts::TtsLock`] — test-and-test-and-set with randomized
 //!   exponential backoff.
 //! * [`mcs::McsLock`] — the MCS queue lock (waiters spin on their own
-//!   cache line; FIFO).
+//!   cache line; FIFO). Both run `reactive_api::spin`'s shared text.
 //! * [`reactive::ReactiveLock`] / [`reactive::ReactiveMutex`] — the
 //!   reactive lock: TTS under low contention, MCS queue under high
 //!   contention, switching at run time with the paper's
@@ -24,6 +24,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod host;
 pub mod mcs;
 #[cfg(feature = "model")]
 pub mod model;

@@ -1,42 +1,30 @@
-//! The MCS queue lock (Figure 3.1) on host atomics.
+//! The MCS queue lock (Figure 3.1) on host atomics: the shared
+//! [`reactive_api::spin`] text over host atomics.
 //!
-//! Each waiter spins on a flag in its own queue node (own cache line),
-//! so a release invalidates exactly one remote cache and grants are
-//! FIFO. Queue nodes are caller-provided stack pinning ([`McsNode`]),
+//! Each waiter spins on the status word of its own queue node (own
+//! cache line), so a release invalidates exactly one remote cache and
+//! grants are FIFO. Queue nodes are caller-provided ([`McsNode`]),
 //! keeping the lock allocation-free on the hot path.
 
-use std::ptr;
+use reactive_api::drive;
+use reactive_api::spin::{self, Ordering, NIL};
 
-use crossbeam_utils::CachePadded;
+use crate::host::{Host, NodeRef};
+use crate::sync::AtomicU64;
 
-use crate::sync::{spin_loop, thread, AtomicBool, AtomicPtr, Ordering, YIELD_MASK};
+pub use crate::host::McsNode;
 
-/// A queue node; allocate one per acquisition (stack is fine: the node
-/// must stay alive until `unlock` returns).
-#[derive(Debug, Default)]
-pub struct McsNode {
-    next: AtomicPtr<McsNode>,
-    locked: CachePadded<AtomicBool>,
-}
-
-impl McsNode {
-    /// Fresh node.
-    pub fn new() -> McsNode {
-        McsNode::default()
-    }
-}
-
-/// The MCS list-based queue lock.
+/// The MCS list-based queue lock, `fetch&store`-only variant.
 #[derive(Debug, Default)]
 pub struct McsLock {
-    tail: AtomicPtr<McsNode>,
+    tail: AtomicU64,
 }
 
 impl McsLock {
     /// Create an unlocked lock.
     pub const fn new() -> McsLock {
         McsLock {
-            tail: AtomicPtr::new(ptr::null_mut()),
+            tail: AtomicU64::new(NIL),
         }
     }
 
@@ -44,85 +32,23 @@ impl McsLock {
     ///
     /// Returns `true` if the queue was empty at enqueue time (the
     /// reactive lock's low-contention monitor).
+    #[inline]
     pub fn lock(&self, node: &McsNode) -> bool {
-        // order: Relaxed — private initialization of our own node; the
-        // tail swap below publishes it.
-        node.next.store(ptr::null_mut(), Ordering::Relaxed);
-        // order: Relaxed — same: not visible until the swap publishes.
-        node.locked.store(true, Ordering::Relaxed);
-        let me = node as *const McsNode as *mut McsNode;
-        // order: AcqRel — Release publishes our initialized node to the
-        // next enqueuer; Acquire sees the predecessor's initialized
-        // node (pairs with the previous swap's Release half).
-        let pred = self.tail.swap(me, Ordering::AcqRel);
-        if pred.is_null() {
-            return true;
-        }
-        // SAFETY: `pred` points to a node whose owner is either waiting
-        // or in `unlock`, and in both cases keeps it alive until it has
-        // signalled us (the MCS protocol's ownership contract).
-        // order: Release publishes our node to the predecessor's
-        // `unlock`, which loads `next` with Acquire.
-        unsafe { (*pred).next.store(me, Ordering::Release) };
-        let mut polls = 0u32;
-        // order: Acquire pairs with the Release store in the
-        // predecessor's `unlock`, handing us its critical section.
-        while node.locked.load(Ordering::Acquire) {
-            spin_loop();
-            polls += 1;
-            if polls.is_multiple_of(YIELD_MASK) {
-                // Keep progress on oversubscribed hosts.
-                thread::yield_now();
-            }
-        }
-        false
+        let q = NodeRef::of(node);
+        drive(spin::mcs_acquire(&Host::default(), &self.tail, q))
     }
 
     /// Release using the node passed to [`McsLock::lock`].
+    #[inline]
     pub fn unlock(&self, node: &McsNode) {
-        let me = node as *const McsNode as *mut McsNode;
-        // order: Acquire pairs with the successor's Release link store,
-        // so we see its initialized node before touching it.
-        let mut next = node.next.load(Ordering::Acquire);
-        if next.is_null() {
-            // No known successor: try to swing the tail back to empty.
-            // order: AcqRel on success — Release publishes our critical
-            // section to the next empty-queue acquirer's Acquire swap;
-            // Acquire on failure so the `next` re-load loop below sees
-            // the racing enqueuer's node.
-            if self
-                .tail
-                .compare_exchange(me, ptr::null_mut(), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return;
-            }
-            // Someone is enqueueing behind us: wait for the link.
-            let mut polls = 0u32;
-            loop {
-                // order: Acquire — pairs with the enqueuer's Release
-                // link store (its node must be initialized before use).
-                next = node.next.load(Ordering::Acquire);
-                if !next.is_null() {
-                    break;
-                }
-                spin_loop();
-                polls += 1;
-                if polls.is_multiple_of(YIELD_MASK) {
-                    thread::yield_now();
-                }
-            }
-        }
-        // SAFETY: successor is alive and spinning on its `locked` flag.
-        // order: Release pairs with the successor's Acquire spin,
-        // handing over the critical section.
-        unsafe { (*next).locked.store(false, Ordering::Release) };
+        let q = NodeRef::of(node);
+        drive(spin::mcs_release(&Host::default(), &self.tail, q))
     }
 
     /// Whether the queue is (instantaneously) empty.
     pub fn is_unlocked(&self) -> bool {
         // order: Relaxed — momentary snapshot, explicitly racy.
-        self.tail.load(Ordering::Relaxed).is_null()
+        self.tail.load(Ordering::Relaxed) == NIL
     }
 }
 
@@ -170,6 +96,93 @@ mod tests {
         }
         // order: Relaxed — all threads joined; no concurrency left.
         assert_eq!(counter.load(Ordering::Relaxed), threads * iters);
+    }
+
+    /// `invalidate_from` walking a chain of three threads queued behind
+    /// the holder signals each of them `INVALID_STATUS` and leaves the
+    /// sentinel in the tail (the simulator runs the same text in
+    /// `reactive_core::spin`'s test of this name).
+    #[test]
+    fn invalidate_from_bounces_a_three_deep_chain() {
+        use reactive_api::spin::{Memory, INVALID_PTR, INVALID_STATUS};
+        use std::sync::atomic::AtomicUsize;
+        let lock = Arc::new(McsLock::new());
+        let holder = McsNode::new();
+        let host = Host::default();
+        let head = NodeRef::of(&holder);
+        drive(spin::mcs_prepare(&host, head));
+        assert_eq!(drive(spin::mcs_swap(&host, &lock.tail, head)), NIL);
+        let (enqueued, bounced) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let (lock, enqueued, bounced) = (lock.clone(), enqueued.clone(), bounced.clone());
+                std::thread::spawn(move || {
+                    let (host, node) = (Host::default(), McsNode::new());
+                    let q = NodeRef::of(&node);
+                    drive(spin::mcs_prepare(&host, q));
+                    let pred = drive(spin::mcs_swap(&host, &lock.tail, q));
+                    // order: Relaxed — a test counter.
+                    enqueued.fetch_add(1, Ordering::Relaxed);
+                    drive(spin::mcs_chain(&host, q, pred));
+                    assert!(!drive(spin::mcs_wait(&host, q)), "a waiter got GO");
+                    // order: Relaxed — our own node, already signalled.
+                    assert_eq!(Host::status(q).load(Ordering::Relaxed), INVALID_STATUS);
+                    // order: Relaxed — a test counter.
+                    bounced.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        // order: Relaxed — a test counter; the walk waits for the links.
+        while enqueued.load(Ordering::Relaxed) < 3 {
+            std::thread::yield_now();
+        }
+        drive(spin::invalidate_from(&host, &lock.tail, head));
+        for w in waiters {
+            w.join().unwrap();
+        }
+        // order: Relaxed — every thread joined.
+        assert_eq!(
+            bounced.load(Ordering::Relaxed),
+            3,
+            "a waiter was never signalled"
+        );
+        // order: Relaxed — every thread joined.
+        assert_eq!(lock.tail.load(Ordering::Relaxed), INVALID_PTR);
+    }
+
+    /// A racer that dispatched on a stale hint swaps onto the invalid
+    /// queue; the switcher lands behind it, is bounced by its
+    /// invalidation walk, and retries until it is the head.
+    #[test]
+    fn acquire_invalid_racers_leave_one_head() {
+        use reactive_api::spin::{Memory, INVALID_PTR, INVALID_STATUS};
+        let lock = Arc::new(McsLock::new());
+        // order: Relaxed — no other thread yet.
+        lock.tail.store(INVALID_PTR, Ordering::Relaxed);
+        let stale_node = McsNode::new();
+        let host = Host::default();
+        let stale = NodeRef::of(&stale_node);
+        drive(spin::mcs_prepare(&host, stale));
+        assert_eq!(drive(spin::mcs_swap(&host, &lock.tail, stale)), INVALID_PTR);
+        let l2 = lock.clone();
+        let switcher = std::thread::spawn(move || {
+            let node = Box::new(McsNode::new());
+            let q = NodeRef::of(&node);
+            drive(spin::acquire_invalid(&Host::default(), &l2.tail, q));
+            // order: Relaxed — the switcher's own node.
+            let bounced = Host::status(q).load(Ordering::Relaxed) == INVALID_STATUS;
+            (node, Host::enc(q), bounced)
+        });
+        // Invalidate only once the switcher has swapped in behind us.
+        // order: Relaxed — the walk itself waits for the link.
+        while lock.tail.load(Ordering::Relaxed) == Host::enc(stale) {
+            std::thread::yield_now();
+        }
+        drive(spin::invalidate_from(&host, &lock.tail, stale));
+        let (_node, head, bounced_once) = switcher.join().unwrap();
+        // order: Relaxed — every thread joined.
+        assert_eq!(lock.tail.load(Ordering::Relaxed), head);
+        assert!(bounced_once, "the switcher never raced the stale acquirer");
     }
 
     #[test]

@@ -1,20 +1,16 @@
 //! The reactive lock on host atomics (§3.3.1 / §3.7.3).
 //!
-//! Selects between [`TtsLock`] (cheap when uncontended) and
-//! [`McsLock`] (scalable, fair) at run time. The consensus discipline
-//! is the paper's: **the two sub-locks are never free at the same
-//! time** — in queue mode the TTS flag is pinned busy, and in TTS mode
-//! the queue is marked invalid with a sentinel tail so enqueuers bounce.
-//! The mode word is only a dispatch hint.
+//! The protocol is [`reactive_api::lock`]'s, the same text the
+//! simulator runs: TTS ([`crate::TtsLock`]'s flag) when uncontended,
+//! the MCS queue ([`crate::McsLock`]'s tail, `fetch&store` only) when
+//! contended, the two sub-locks never free at the same time, the mode
+//! word only a hint, and every switch made by the holder under the
+//! kernel's `Handoff`. This module holds the words, the kernel and the
+//! host row of the constant table ([`Tuning::HOST`]).
 //!
-//! The lock speaks the same reactive API as the simulator-side
-//! algorithms in `reactive-core`: contention monitoring produces
-//! [`Observation`]s (failed test&set counts in TTS mode) and calm
-//! executions (empty-queue acquisitions, whose run the switching
-//! kernel's calm streak turns into a proposal of TTS after
-//! `EMPTY_QUEUE_LIMIT` of them), the pluggable [`Policy`] (shared trait from
-//! `reactive-api`) decides, and every committed protocol change is
-//! reported to the configured [`Instrument`] sink as a [`SwitchEvent`](reactive_api::SwitchEvent)
+//! The pluggable [`Policy`] (shared trait from `reactive-api`) decides,
+//! and every committed protocol change is reported to the configured
+//! [`Instrument`] sink as a [`SwitchEvent`](reactive_api::SwitchEvent)
 //! stamped in nanoseconds since lock creation.
 //!
 //! ```
@@ -34,75 +30,32 @@
 
 use std::sync::Arc;
 
-use crate::sync::{
-    spin_loop, thread, AtomicU8, Instant, Ordering, BACKOFF_INITIAL, BACKOFF_MAX, MODE_CHECK_MASK,
-};
+use crate::sync::{AtomicU64, Instant, Ordering};
 
+use reactive_api::lock::{LockRef, ReleaseMode, Tuning};
+use reactive_api::spin::{self, BUSY, FREE, INVALID_PTR, NIL};
 use reactive_api::{
-    drive, Instrument, KernelBuilder, Observation, Policy, ProtocolId, SharedWorld, SwitchKernel,
-    SwitchStyle, SwitchableObject,
+    drive, Instrument, KernelBuilder, Policy, ProtocolId, SharedWorld, SwitchKernel, SwitchStyle,
 };
 
-use crate::mcs::{McsLock, McsNode};
-use crate::tts::TtsLock;
+use crate::host::{Host, NodeRef};
 
-/// Slot of the TTS protocol.
-pub const PROTO_TTS: ProtocolId = ProtocolId(0);
-/// Slot of the MCS queue protocol.
-pub const PROTO_QUEUE: ProtocolId = ProtocolId(1);
+pub use reactive_api::lock::{PROTO_QUEUE, PROTO_TTS};
 
-const MODE_TTS: u8 = PROTO_TTS.0;
+/// This world's row of the constant table.
+const TUNING: Tuning = if cfg!(feature = "model") {
+    Tuning::MODEL
+} else {
+    Tuning::HOST
+};
 
-/// Failed test&set attempts in one acquisition that signal high
-/// contention.
-const TTS_RETRY_LIMIT: u64 = 8;
-/// Consecutive empty-queue acquisitions that signal low contention.
-const EMPTY_QUEUE_LIMIT: u64 = 16;
-/// Residual estimate (ns) for one contended TTS acquisition.
-const TTS_RESIDUAL: f64 = 150.0;
-/// Residual estimate (ns) for one empty-queue acquisition.
-const QUEUE_RESIDUAL: f64 = 15.0;
-
-thread_local! {
-    /// One-slot cache of this thread's last released queue node, so a
-    /// queue-mode acquisition normally allocates nothing. A node lives
-    /// in the [`Held`] from acquire to release (it must not move while
-    /// queued) and comes back here afterwards — to whichever thread ran
-    /// the release, if the `Held` travelled.
-    static SPARE_NODE: std::cell::Cell<Option<Box<McsNode>>> = const { std::cell::Cell::new(None) };
-}
-
-/// The calling thread's spare queue node, or a fresh one on a miss (a
-/// nested queue-mode hold, or a thread's first).
-fn take_node() -> Box<McsNode> {
-    SPARE_NODE
-        .try_with(std::cell::Cell::take)
-        .ok()
-        .flatten()
-        .unwrap_or_default()
-}
-
-/// Hand a released node back to the calling thread's cache (dropping
-/// it if the slot is taken, or the thread is already tearing down).
-fn put_node(node: Box<McsNode>) {
-    let _ = SPARE_NODE.try_with(|slot| slot.set(Some(node)));
-}
-
-/// What `release` must do (the paper's release-mode token).
+/// What `release` must do (the paper's release-mode token), carrying
+/// the queue node of a queue-mode hold.
 #[derive(Debug)]
-pub struct Held {
-    kind: HeldKind,
-}
+pub struct Held(ReleaseMode<NodeRef>);
 
-#[derive(Debug)]
-enum HeldKind {
-    Tts { switch: bool },
-    Queue { node: Box<McsNode>, switch: bool },
-}
-
-/// Builder for [`ReactiveLock`]: switching policy, instrumentation and
-/// initial protocol are optional with the paper's defaults
-/// ([`Always`](reactive_api::Always), no sink, [`PROTO_TTS`]); each goes
+/// Builder for [`ReactiveLock`]: policy ([`Always`](reactive_api::Always)
+/// by default), sink (none) and initial protocol ([`PROTO_TTS`]) go
 /// straight into the kernel's own builder.
 #[derive(Default)]
 pub struct ReactiveLockBuilder {
@@ -140,104 +93,35 @@ impl ReactiveLockBuilder {
     /// Build the lock, unlocked, in the configured initial protocol
     /// (the other sub-lock starts pinned busy — never both free).
     pub fn build(self) -> ReactiveLock {
-        // On real hardware both exits use the kernel's CommitFirst
-        // discipline: the commit bookkeeping runs while both sub-locks
-        // still deny entry, so no racing thread can commit an opposite
-        // change ahead of this one and the sink's events stay in true
-        // commit order.
+        // Holder-based consensus on both sides, as in the simulator:
+        // the switcher holds a sub-lock through the whole transaction.
         let kernel = self
             .kernel
-            .register(PROTO_TTS, "tts", SwitchStyle::CommitFirst)
-            .register(PROTO_QUEUE, "mcs-queue", SwitchStyle::CommitFirst)
+            .register(PROTO_TTS, "tts", SwitchStyle::Handoff)
+            .register(PROTO_QUEUE, "mcs-queue", SwitchStyle::Handoff)
             .build();
-        let initial = kernel.current();
-        let start_in_queue = initial == PROTO_QUEUE;
-        let lock = ReactiveLock {
-            mode: AtomicU8::new(initial.0),
-            tts: TtsLock::new(),
-            queue: McsLock::new(),
-            queue_valid: AtomicU8::new(u8::from(start_in_queue)),
+        let queue = kernel.current() == PROTO_QUEUE;
+        ReactiveLock {
+            flag: AtomicU64::new(if queue { BUSY } else { FREE }),
+            tail: AtomicU64::new(if queue { NIL } else { INVALID_PTR }),
+            mode: AtomicU64::new(kernel.current().0 as u64),
             kernel,
             epoch: Instant::now(),
-        };
-        if start_in_queue {
-            // Queue mode: the TTS flag is pinned busy from birth.
-            let pinned = lock.tts.try_lock();
-            debug_assert!(pinned, "fresh TTS sub-lock must be free to pin");
         }
-        lock
     }
 }
 
 /// The reactive lock. Usable directly (acquire/release) or through
 /// [`ReactiveMutex`] for RAII data protection.
+#[derive(Debug)]
 pub struct ReactiveLock {
-    mode: AtomicU8,
-    tts: TtsLock,
-    queue: McsLock,
-    /// Queue validity: enqueuers check it after enqueueing; the protocol
-    /// changer flips it while holding the lock, so a stale enqueuer
-    /// receives an eventual grant or observes invalidity and retries.
-    queue_valid: AtomicU8,
-    /// The switching kernel: policy consultation, validity bookkeeping,
-    /// switch counting, and event emission. Consulted only by the
-    /// current lock holder, so its internal mutex is never contended.
+    /// The TTS flag, the queue tail and the mode hint.
+    flag: AtomicU64,
+    tail: AtomicU64,
+    mode: AtomicU64,
+    /// Consulted only by the holder, so its mutex is never contended.
     kernel: SwitchKernel<SharedWorld>,
     epoch: Instant,
-}
-
-impl std::fmt::Debug for ReactiveLock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReactiveLock")
-            // order: Relaxed — diagnostic snapshot.
-            .field("mode", &self.mode.load(Ordering::Relaxed))
-            .field("switches", &self.kernel.switches())
-            .finish()
-    }
-}
-
-/// The native lock's [`SwitchableObject`] hooks: plain atomic stores on
-/// `queue_valid` and the mode hint. The TTS flag is never written by a
-/// transition — invalid means pinned busy; valid means freed by the
-/// switcher's own release after the transaction.
-struct NativeLockSwitch<'a> {
-    lock: &'a ReactiveLock,
-}
-
-impl SwitchableObject for NativeLockSwitch<'_> {
-    type Ctx = ();
-
-    async fn validate(&self, _ctx: &(), to: ProtocolId, _from: ProtocolId, _state: u64) {
-        if to == PROTO_QUEUE {
-            // order: Release pairs with the Acquire validity check in
-            // `acquire`, so a winner of the freshly valid queue also
-            // sees the kernel bookkeeping committed before this store.
-            self.lock.queue_valid.store(1, Ordering::Release);
-        }
-    }
-
-    async fn invalidate(&self, _ctx: &(), from: ProtocolId, _to: ProtocolId) -> Option<u64> {
-        if from == PROTO_QUEUE {
-            // New arrivals bounce on `queue_valid`; waiters already
-            // queued still receive FIFO grants and forward them down
-            // the chain until the switcher's own unlock drains it.
-            // order: Release orders this store before our subsequent
-            // queue unlock, so a granted waiter's Acquire check sees
-            // invalidity (the §3.2.5 retry discipline relies on it).
-            self.lock.queue_valid.store(0, Ordering::Release);
-        }
-        Some(0)
-    }
-
-    async fn publish_mode(&self, _ctx: &(), to: ProtocolId) {
-        // order: Release — the hint must not be reordered before the
-        // validity stores above; dispatchers pair with Acquire loads.
-        self.lock.mode.store(to.0, Ordering::Release);
-    }
-
-    fn now(&self, _ctx: &()) -> u64 {
-        self.lock.epoch.elapsed().as_nanos() as u64
-    }
 }
 
 impl Default for ReactiveLock {
@@ -267,206 +151,59 @@ impl ReactiveLock {
     /// only (it may be mid-change).
     pub fn current_protocol(&self) -> ProtocolId {
         // order: Relaxed — diagnostic snapshot (it may be mid-change).
-        ProtocolId(self.mode.load(Ordering::Relaxed))
+        ProtocolId(self.mode.load(Ordering::Relaxed) as u8)
     }
 
-    /// Consult the kernel's policy with one acquisition's observation;
-    /// returns whether to switch to the (only) other protocol. Runs
-    /// while we hold the lock, so the kernel's mutex is uncontended —
-    /// and the approving residual is carried inside the kernel to the
-    /// commit point at release.
-    #[inline]
-    fn consult(&self, obs: &Observation) -> bool {
-        self.kernel.observe(obs).is_some()
-    }
-
-    /// The optimistic probe: in queue mode the TTS flag is pinned busy,
-    /// so success implies the TTS protocol is current.
-    #[inline(always)] // a few instructions; the hint alone loses to large callers
-    fn try_acquire_tts(&self) -> Option<Held> {
-        if !self.tts.try_lock() {
-            return None;
+    /// The shared lock text over `host`.
+    #[inline(always)]
+    fn at<'a>(&'a self, host: &'a Host<'a>) -> LockRef<'a, Host<'a>, SharedWorld> {
+        LockRef {
+            mem: host,
+            flag: &self.flag,
+            tail: &self.tail,
+            mode: &self.mode,
+            kernel: &self.kernel,
+            backoff: crate::tts::backoff(),
+            tuning: TUNING,
         }
-        let switch = self.consult(&Observation::optimal(PROTO_TTS));
-        Some(Held {
-            kind: HeldKind::Tts { switch },
-        })
     }
 
     /// Acquire; keep the returned [`Held`] and pass it to
     /// [`ReactiveLock::release`].
-    #[inline]
+    #[inline(always)] // a few instructions; the hint alone loses to large callers
     pub fn acquire(&self) -> Held {
-        // Only the uncontended TTS win is inlined into callers.
-        match self.try_acquire_tts() {
-            Some(held) => held,
+        // Only the optimistic TTS attempt is inlined into callers.
+        let host = Host::timed(&self.epoch);
+        match drive(self.at(&host).try_acquire()) {
+            Some(rm) => Held(rm),
             None => self.acquire_contended(),
         }
     }
 
+    #[inline(never)]
     fn acquire_contended(&self) -> Held {
-        loop {
-            if let Some(held) = self.try_acquire_tts() {
-                return held;
-            }
-            // order: Acquire pairs with `publish_mode`'s Release, so a
-            // dispatcher routed to the queue also sees `queue_valid`.
-            if self.mode.load(Ordering::Acquire) == MODE_TTS {
-                // TTS acquisition that re-checks the mode hint while
-                // waiting: after a TTS -> queue change the flag is
-                // pinned busy *forever*, so a plain spin would livelock.
-                if let Some(failures) = self.acquire_tts_watching_mode() {
-                    let obs = if failures > TTS_RETRY_LIMIT {
-                        let residual =
-                            TTS_RESIDUAL * (failures as f64 / TTS_RETRY_LIMIT as f64).min(4.0);
-                        Observation::suboptimal(PROTO_TTS, PROTO_QUEUE, residual)
-                    } else {
-                        Observation::optimal(PROTO_TTS)
-                    };
-                    let switch = self.consult(&obs);
-                    return Held {
-                        kind: HeldKind::Tts { switch },
-                    };
-                }
-                continue; // mode changed under us: re-dispatch
-            }
-            // Queue mode.
-            let node = take_node();
-            let empty = self.queue.lock(&node);
-            // order: Acquire — pairs with the invalidating Release
-            // store; through the queue grant's release/acquire chain a
-            // granted waiter cannot miss a pre-unlock invalidation.
-            if self.queue_valid.load(Ordering::Acquire) == 0 {
-                // We won an *invalid* queue (raced a change back to TTS
-                // mode). Release it and retry via dispatch.
-                self.queue.unlock(&node);
-                put_node(node);
-                continue;
-            }
-            let switch = if empty {
-                self.kernel
-                    .observe_calm(PROTO_QUEUE, PROTO_TTS, EMPTY_QUEUE_LIMIT, QUEUE_RESIDUAL)
-                    .is_some()
-            } else {
-                self.consult(&Observation::optimal(PROTO_QUEUE))
-            };
-            return Held {
-                kind: HeldKind::Queue { node, switch },
-            };
-        }
-    }
-
-    /// Acquire the TTS sub-lock with exponential backoff, bailing out
-    /// with `None` as soon as the mode hint leaves TTS (the flag may
-    /// then be pinned busy forever). Returns the failed-attempt count.
-    fn acquire_tts_watching_mode(&self) -> Option<u64> {
-        let mut failures = 0u64;
-        let mut delay = BACKOFF_INITIAL;
-        loop {
-            if self.tts.try_lock() {
-                return Some(failures);
-            }
-            failures += 1;
-            for _ in 0..delay {
-                spin_loop();
-            }
-            // Under the model feature BACKOFF_* are both 0, which makes
-            // this `min` trivially true — harmless, keep the real shape.
-            #[allow(clippy::unnecessary_min_or_max)]
-            {
-                delay = (delay * 2).min(BACKOFF_MAX);
-            }
-            let mut polls = 0u32;
-            while self.tts.is_locked() {
-                spin_loop();
-                polls += 1;
-                if polls.is_multiple_of(MODE_CHECK_MASK) {
-                    // order: Acquire — see the dispatch comment in
-                    // `acquire`; a stale hint here only costs a retry.
-                    if self.mode.load(Ordering::Acquire) != MODE_TTS {
-                        return None;
-                    }
-                    thread::yield_now();
-                }
-            }
-            // order: Acquire — same as above.
-            if self.mode.load(Ordering::Acquire) != MODE_TTS {
-                return None;
-            }
-        }
+        let host = Host::timed(&self.epoch);
+        Held(drive(self.at(&host).acquire_contended()))
     }
 
     /// Release, performing any protocol change the acquisition decided.
     #[inline]
     pub fn release(&self, held: Held) {
-        if let HeldKind::Tts { switch: false } = held.kind {
-            return self.tts.unlock();
+        match held.0 {
+            // `LockRef::release`'s plain TTS arm, inlined into callers: a
+            // coroutine with more than a few states keeps its state in
+            // memory even when every future in it is ready at once.
+            ReleaseMode::Tts => drive(spin::tts_release(&Host::default(), &self.flag)),
+            rm => self.release_slow(rm),
         }
-        self.release_slow(held.kind)
     }
 
-    /// Every release but the plain TTS unlock, out of line.
-    fn release_slow(&self, kind: HeldKind) {
-        match kind {
-            HeldKind::Tts { switch: false } => unreachable!("plain unlock is `release`'s own"),
-            HeldKind::Tts { switch: true } => {
-                // TTS -> queue, driven by the kernel's CommitFirst
-                // sequence: commit, then validate the queue and publish
-                // the hint, leaving TTS pinned busy. Until queue_valid
-                // flips, both sub-locks deny entry (TTS pinned, queue
-                // bounces), so no racer can consult the policy or
-                // commit an opposite change ahead of us — keeping the
-                // sink's events in true commit order. After the stores,
-                // a racer that dispatches on the new mode and wins the
-                // queue first is harmless: our node queues behind it
-                // and we pass the grant on.
-                drive(self.kernel.switch(
-                    &NativeLockSwitch { lock: self },
-                    &(),
-                    PROTO_TTS,
-                    PROTO_QUEUE,
-                ));
-                let node = take_node();
-                let _empty = self.queue.lock(&node);
-                self.queue.unlock(&node);
-                put_node(node);
-            }
-            HeldKind::Queue {
-                node,
-                switch: false,
-            } => {
-                self.queue.unlock(&node);
-                put_node(node);
-            }
-            HeldKind::Queue { node, switch: true } => {
-                // Queue -> TTS: the kernel commits (we still hold both
-                // consensus objects), flips the hint, and invalidates
-                // the queue. Waiters already queued still get FIFO
-                // grants; new arrivals bounce on `queue_valid`. Freeing
-                // the TTS flag is our release through the new protocol.
-                drive(self.kernel.switch(
-                    &NativeLockSwitch { lock: self },
-                    &(),
-                    PROTO_QUEUE,
-                    PROTO_TTS,
-                ));
-                self.queue.unlock(&node);
-                self.tts.unlock();
-                put_node(node);
-            }
-        }
+    #[inline(never)]
+    fn release_slow(&self, rm: ReleaseMode<NodeRef>) {
+        let host = Host::timed(&self.epoch);
+        drive(self.at(&host).release(rm))
     }
 }
-
-// Safety argument for the queue -> TTS change: entering the critical
-// section requires either winning the TTS flag or (queue grant AND
-// queue_valid == 1). The changer stores queue_valid = 0 *before* its
-// queue unlock and frees the TTS flag after, so any waiter granted the
-// (now invalid) queue observes queue_valid == 0 via the grant's
-// release/acquire edge, forwards the grant down the chain, and retries
-// through dispatch — no invalid grant ever enters the critical section,
-// exactly the paper's "invalid protocol executions return retry"
-// discipline (§3.2.5).
 
 /// RAII mutex over a [`ReactiveLock`].
 ///
@@ -572,7 +309,8 @@ impl<T> Drop for ReactiveGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reactive_api::SwitchLog;
+    use reactive_api::spin::Memory;
+    use reactive_api::{Observation, SwitchLog};
     use std::sync::Arc;
 
     #[test]
@@ -583,10 +321,10 @@ mod tests {
     }
 
     /// The address of the queue node a `Held` carries.
-    fn node_of(h: &Held) -> usize {
-        match &h.kind {
-            HeldKind::Queue { node, .. } => &**node as *const McsNode as usize,
-            HeldKind::Tts { .. } => panic!("expected a queue-mode hold"),
+    fn node_of(h: &Held) -> u64 {
+        match h.0 {
+            ReleaseMode::Queue(q) | ReleaseMode::QueueToTts(q) => Host::enc(q),
+            _ => panic!("expected a queue-mode hold"),
         }
     }
 
@@ -622,7 +360,7 @@ mod tests {
             let a2 = a.clone();
             std::thread::spawn(move || {
                 a2.release(outer);
-                assert_eq!(&*take_node() as *const McsNode as usize, first);
+                assert_eq!(Host::enc(Host::default().take_node()), first);
             })
             .join()
             .unwrap();

@@ -53,15 +53,10 @@ pub use crate::model::shim::{
 /// the (finite) exploration budget.
 pub const YIELD_MASK: u32 = if cfg!(feature = "model") { 1 } else { 256 };
 
-/// Polls between mode-hint re-checks in the reactive lock's TTS wait
-/// loop (see `acquire_tts_watching_mode`). 1 under the model so a mode
-/// change is noticed after a single probe.
-pub const MODE_CHECK_MASK: u32 = if cfg!(feature = "model") { 1 } else { 64 };
-
 /// Initial backoff spin iterations for TTS-style locks; 0 under the
 /// model (backoff burns steps without adding interleavings — every
 /// shim access is already a preemption point).
-pub const BACKOFF_INITIAL: u32 = if cfg!(feature = "model") { 0 } else { 8 };
+pub const BACKOFF_INITIAL: u64 = if cfg!(feature = "model") { 0 } else { 8 };
 
 /// Backoff cap, scaled down with [`BACKOFF_INITIAL`].
-pub const BACKOFF_MAX: u32 = if cfg!(feature = "model") { 0 } else { 4_096 };
+pub const BACKOFF_MAX: u64 = if cfg!(feature = "model") { 0 } else { 4_096 };

@@ -1,122 +1,54 @@
 //! Test-and-test-and-set spin lock with randomized exponential backoff
-//! (Anderson, §3.1.1) on host atomics.
+//! (Anderson, §3.1.1) on host atomics: the shared
+//! [`reactive_api::spin`] text over host atomics.
 
-use std::cell::Cell;
+use reactive_api::drive;
+use reactive_api::spin::{self, Backoff, Ordering, FREE};
 
-use crate::sync::{spin_loop, thread, AtomicBool, Ordering, YIELD_MASK};
-
-/// Per-thread xorshift for backoff jitter. Returns 0 under the model
-/// checker: jittered spinning adds no interleavings (every shim access
-/// is already a scheduling point) and would break deterministic replay.
-fn jitter(bound: u32) -> u32 {
-    if cfg!(feature = "model") {
-        return 0;
-    }
-    thread_local! {
-        // Seeded once, at a thread's first backoff step.
-        static S: Cell<u64> = Cell::new(thread_seed());
-    }
-    S.with(|s| {
-        let mut x = s.get();
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        s.set(x);
-        if bound == 0 {
-            0
-        } else {
-            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32 % bound
-        }
-    })
-}
-
-/// A nonzero per-thread xorshift seed. `ThreadId` has no stable
-/// integer accessor; hashing it is enough entropy for jitter.
-fn thread_seed() -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    (h.finish() ^ 0x9E37_79B9_7F4A_7C15) | 1
-}
+use crate::host::Host;
+use crate::sync::{AtomicU64, BACKOFF_INITIAL, BACKOFF_MAX};
 
 /// Test-and-test-and-set spin lock with randomized exponential backoff.
 ///
-/// Minimal uncontended latency (one compare-exchange); melts down under
-/// heavy contention — pair with [`crate::McsLock`] via
+/// Minimal uncontended latency (one load and one swap); melts down
+/// under heavy contention — pair with [`crate::McsLock`] via
 /// [`crate::ReactiveLock`].
 #[derive(Debug, Default)]
 pub struct TtsLock {
-    flag: AtomicBool,
+    flag: AtomicU64,
 }
 
-/// Initial backoff spin iterations.
-const INITIAL: u32 = crate::sync::BACKOFF_INITIAL;
-/// Backoff cap.
-const MAX: u32 = crate::sync::BACKOFF_MAX;
+/// A fresh backoff for one acquisition.
+pub(crate) fn backoff() -> Backoff {
+    Backoff::new(BACKOFF_INITIAL, BACKOFF_MAX)
+}
 
 impl TtsLock {
     /// Create an unlocked lock.
     pub const fn new() -> TtsLock {
         TtsLock {
-            flag: AtomicBool::new(false),
+            flag: AtomicU64::new(FREE),
         }
     }
 
     /// Try once; `true` on success.
     #[inline]
     pub fn try_lock(&self) -> bool {
-        // order: Relaxed — cheap "looks free?" probe; the CAS below is
-        // the access that must synchronize.
-        !self.flag.load(Ordering::Relaxed)
-            && self
-                .flag
-                // order: Acquire on success pairs with the Release store
-                // in `unlock`, making the previous holder's critical
-                // section visible; a failed CAS publishes nothing, so
-                // Relaxed.
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
+        drive(spin::tts_try_acquire(&Host::default(), &self.flag))
     }
 
-    /// Acquire, spinning with randomized exponential backoff. Returns
-    /// the number of failed attempts (the reactive lock's contention
-    /// monitor).
-    pub fn lock_counting(&self) -> u64 {
-        let mut failures = 0u64;
-        let mut delay = INITIAL;
-        loop {
-            if self.try_lock() {
-                return failures;
-            }
-            failures += 1;
-            for _ in 0..jitter(delay) {
-                spin_loop();
-            }
-            // Under the model feature INITIAL/MAX are both 0, which makes
-            // this `min` trivially true — harmless, keep the real shape.
-            #[allow(clippy::unnecessary_min_or_max)]
-            {
-                delay = (delay * 2).min(MAX);
-            }
-            // Read-poll the cached flag; yield to the OS periodically so
-            // oversubscribed hosts still make progress.
-            let mut polls = 0u32;
-            // order: Relaxed — wait until the flag *looks* free; the
-            // acquiring CAS in `try_lock` provides the real edge.
-            while self.flag.load(Ordering::Relaxed) {
-                spin_loop();
-                polls += 1;
-                if polls.is_multiple_of(YIELD_MASK) {
-                    thread::yield_now();
-                }
-            }
+    /// Acquire, spinning with randomized exponential backoff.
+    #[inline]
+    pub fn lock(&self) {
+        // The first attempt is inlined into callers; the wait is not.
+        if !self.try_lock() {
+            self.lock_contended();
         }
     }
 
-    /// Acquire.
-    pub fn lock(&self) {
-        self.lock_counting();
+    #[inline(never)]
+    fn lock_contended(&self) {
+        drive(spin::tts_acquire(&Host::default(), &self.flag, backoff()))
     }
 
     /// Release.
@@ -125,24 +57,18 @@ impl TtsLock {
     /// Debug-asserts the lock was held (a hard assert under the model
     /// checker, so release-mode `conc-check` runs still catch a
     /// double-release — the signature of the double-commit race).
+    #[inline]
     pub fn unlock(&self) {
         if cfg!(debug_assertions) || cfg!(feature = "model") {
-            assert!(
-                // order: Relaxed — diagnostic read; we already hold the
-                // lock, so no concurrent writer exists.
-                self.flag.load(Ordering::Relaxed),
-                "unlock of unheld TtsLock"
-            );
+            assert!(self.is_locked(), "unlock of unheld TtsLock");
         }
-        // order: Release pairs with the Acquire CAS in `try_lock`,
-        // publishing the critical section to the next holder.
-        self.flag.store(false, Ordering::Release);
+        drive(spin::tts_release(&Host::default(), &self.flag))
     }
 
     /// Whether the lock is currently held (racy; diagnostics only).
     pub fn is_locked(&self) -> bool {
         // order: Relaxed — momentary snapshot, explicitly racy.
-        self.flag.load(Ordering::Relaxed)
+        self.flag.load(Ordering::Relaxed) != FREE
     }
 }
 

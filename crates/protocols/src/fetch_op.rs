@@ -312,7 +312,6 @@ impl FetchOp for CombiningTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spin::{McsLock, TtsLock};
     use alewife_sim::{Config, Machine};
     use std::cell::RefCell;
 
@@ -343,16 +342,6 @@ mod tests {
         let want: Vec<u64> = (0..procs as u64 * iters).collect();
         assert_eq!(got, want, "fetch-and-add returns not a permutation");
         t
-    }
-
-    #[test]
-    fn lock_based_tts_correct() {
-        hammer(|m| LockFetchOp::new(m, 0, TtsLock::new(m, 0, 8)), 8, 20);
-    }
-
-    #[test]
-    fn lock_based_mcs_correct() {
-        hammer(|m| LockFetchOp::new(m, 0, McsLock::new(m, 0)), 8, 20);
     }
 
     #[test]
@@ -403,23 +392,6 @@ mod tests {
         assert!(
             roots < 160,
             "no combining happened: {roots} root operations for 160 requests"
-        );
-    }
-
-    #[test]
-    fn tree_beats_lock_at_high_contention_and_loses_alone() {
-        let t_tree_1 = hammer(|m| CombiningTree::new(m, 0, 2), 1, 40);
-        let t_lock_1 = hammer(|m| LockFetchOp::new(m, 0, TtsLock::new(m, 0, 2)), 1, 40);
-        assert!(
-            t_lock_1 < t_tree_1,
-            "lock-based ({t_lock_1}) should beat tree ({t_tree_1}) uncontended"
-        );
-
-        let t_tree_32 = hammer(|m| CombiningTree::new(m, 0, 32), 32, 12);
-        let t_lock_32 = hammer(|m| LockFetchOp::new(m, 0, TtsLock::new(m, 0, 32)), 32, 12);
-        assert!(
-            t_tree_32 < t_lock_32,
-            "tree ({t_tree_32}) should beat TTS-lock-based ({t_lock_32}) at 32 procs"
         );
     }
 }

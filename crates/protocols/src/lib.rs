@@ -4,10 +4,11 @@
 //! compares its reactive algorithms against (Chapter 3, §3.1), running on
 //! the [`alewife_sim`] substrate:
 //!
-//! * **Spin locks** — [`spin::TestAndSetLock`] (test&set with randomized
-//!   exponential backoff), [`spin::TtsLock`] (test-and-test-and-set with
-//!   backoff), and [`spin::McsLock`] (the Mellor-Crummey & Scott queue
-//!   lock, in the `fetch&store`-only variant Alewife used).
+//! * **Spin locks** — the [`spin::Lock`] trait and
+//!   [`spin::TestAndSetLock`] (test&set with randomized exponential
+//!   backoff). The test-and-test-and-set and MCS queue locks are
+//!   written once for both worlds in `reactive_api::spin` and run here
+//!   through `reactive_core::spin`.
 //! * **Fetch-and-op** — [`fetch_op::LockFetchOp`] (a counter protected by
 //!   any lock) and [`fetch_op::CombiningTree`] (the Goodman, Vernon &
 //!   Woest software combining tree, §3.1.2 / Appendix C).

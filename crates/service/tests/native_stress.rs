@@ -260,10 +260,11 @@ fn inflate_deflate_reinflate_roundtrip() {
 fn kernel_switches_on_an_object_that_inflates_and_deflates() {
     const THREADS: usize = 4;
     // Whether a round produces the switch is up to the host: a waiter
-    // must see the flag free and lose it nine times in one acquisition,
+    // must see the flag free and lose it five times in one acquisition,
     // which takes a second core and a releaser that re-acquires faster
-    // than the waiter reacts. Optimized, about one round in four does
-    // on two cores, so the bound is never met; unoptimized the
+    // than the waiter reacts. Optimized on two cores, the median run
+    // switches in its first round and 20 runs took at most 25, so the
+    // bound is never met; unoptimized the
     // re-acquire is too slow, so debug builds churn a few rounds for
     // the invariants below and do not insist on the switch.
     const OPTIMIZED: bool = !cfg!(debug_assertions);
@@ -349,6 +350,10 @@ fn deadlines_do_not_degrade_contended_throughput() {
     const THREADS: usize = 4;
     const ITERS: usize = 3_000;
 
+    // One run is about a millisecond on two cores, so a single
+    // preemption of a holder can decide it: time each arm as the best
+    // of several interleaved runs.
+    const REPS: usize = 7;
     let run = |deadline: Option<Duration>| {
         // StaticTts pins the run to the flat path, so both arms
         // measure the same spin loop and nothing inflates away the
@@ -380,8 +385,11 @@ fn deadlines_do_not_degrade_contended_throughput() {
         start.elapsed()
     };
 
-    let bare = run(None);
-    let with_deadline = run(Some(Duration::from_secs(600)));
+    let (mut bare, mut with_deadline) = (Duration::MAX, Duration::MAX);
+    for _ in 0..REPS {
+        bare = bare.min(run(None));
+        with_deadline = with_deadline.min(run(Some(Duration::from_secs(600))));
+    }
     // Loose bound (CI machines are noisy): the deadline arm may not be
     // more than 4x slower than the bare arm. The pre-fix code was an
     // order of magnitude off on contended single-core runs.

@@ -3,10 +3,10 @@
 //! `apps`) must be nameable and usable through its facade path, so a
 //! broken re-export or a cross-crate API drift can never land silently.
 
+use reactive_sync::api::spin::{FREE, INVALID_PTR, NIL};
 use reactive_sync::api::{Decision, Observation, Policy as PolicyTrait, ProtocolId};
 use reactive_sync::apps::alg::{AnyFetchOp, AnyLock, FetchOpAlg, LockAlg};
 use reactive_sync::native::{McsLock, ReactiveMutex, TtsLock};
-use reactive_sync::protocols::spin::{FREE, INVALID_PTR, NIL};
 use reactive_sync::reactive::{Hysteresis, ReactiveLock};
 use reactive_sync::sim::{Config, CostModel, Machine};
 use reactive_sync::waiting::dist::WaitDist;
