@@ -108,16 +108,9 @@ impl<M: Memory, W: KernelWorld> LockRef<'_, M, W> {
         won.then(|| self.after_tts(0))
     }
 
-    /// Acquire the lock; the returned [`ReleaseMode`] goes to
-    /// [`LockRef::release`].
-    pub async fn acquire(&self) -> ReleaseMode<M::Node> {
-        match self.try_acquire().await {
-            Some(r) => r,
-            None => self.acquire_contended().await,
-        }
-    }
-
-    /// Dispatch on the mode hint until a sub-lock is won.
+    /// Dispatch on the mode hint until a sub-lock is won; call it after
+    /// [`LockRef::try_acquire`] fails. The returned [`ReleaseMode`] goes
+    /// to [`LockRef::release`].
     pub async fn acquire_contended(&self) -> ReleaseMode<M::Node> {
         let m = self.mem;
         loop {

@@ -100,7 +100,8 @@ impl Backoff {
         }
     }
 
-    async fn pause<M: Memory>(&mut self, m: &M) {
+    /// Wait one step, then double the mean (up to the cap).
+    pub async fn pause<M: Memory>(&mut self, m: &M) {
         m.pause(self.delay).await;
         self.delay = (self.delay * 2).min(self.max);
     }
@@ -232,8 +233,8 @@ pub async fn mcs_wait<M: Memory>(m: &M, q: M::Node) -> bool {
 }
 
 /// Release the MCS lock held via `q`, handling the usurper race of the
-/// `fetch&store`-only variant (Figure 3.28). `q` is the caller's to put
-/// back afterwards.
+/// `fetch&store`-only variant (Figure 3.28), in which the usurper may
+/// also switch the queue away. `q` is the caller's to put back.
 pub async fn mcs_release<M: Memory>(m: &M, tail: M::Word, q: M::Node) {
     // order: Acquire pairs with the successor's Release link.
     let mut next = m.load(M::next(q), Ordering::Acquire).await;
@@ -249,6 +250,12 @@ pub async fn mcs_release<M: Memory>(m: &M, tail: M::Word, q: M::Node) {
         // order: AcqRel — as above, for the usurper's node.
         let usurper = m.swap(tail, old_tail, Ordering::AcqRel).await;
         next = wait_link(m, q).await;
+        if usurper == INVALID_PTR {
+            // A usurper switched the queue away and our restore took its
+            // sentinel: put it back and bounce our successor chain.
+            invalidate_from(m, tail, M::dec(next)).await;
+            return;
+        }
         if usurper != NIL {
             // A process enqueued while the queue looked empty; splice
             // our successor chain behind it.
@@ -289,8 +296,9 @@ pub async fn acquire_invalid<M: Memory>(m: &M, tail: M::Word, q: M::Node) {
 }
 
 /// Figure 3.29's `invalidate_queue`: swap the tail to [`INVALID_PTR`]
-/// and walk from `head` (the caller's node) to the old tail, signalling
-/// every waiter to retry. `head` is the caller's to put back.
+/// and walk from `head` to the old tail, signalling every node to
+/// retry. `head` is the caller's node (the caller puts it back) or, in
+/// [`mcs_release`], its successor's.
 pub async fn invalidate_from<M: Memory>(m: &M, tail: M::Word, head: M::Node) {
     // order: AcqRel — Acquire sees every enqueued node up to the old
     // tail; Release publishes the sentinel to later enqueuers.

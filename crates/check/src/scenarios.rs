@@ -60,7 +60,12 @@ pub fn all() -> Vec<Scenario> {
             name: "reactive_lock",
             about:
                 "reactive lock, 2 threads x 2 passes, under a policy that switches on every release",
-            run: reactive_lock,
+            run: |cfg| reactive_lock("reactive_lock", cfg, 2, 2),
+        },
+        Scenario {
+            name: "reactive_lock_usurper",
+            about: "reactive lock, 3 threads x 1 pass, switching on every release",
+            run: |cfg| reactive_lock("reactive_lock_usurper", cfg, 3, 1),
         },
         Scenario {
             name: "kernel_arbitration",
@@ -212,18 +217,22 @@ impl Policy for Thrash {
     }
 }
 
-fn reactive_lock(cfg: Config) -> Report {
+/// `threads` × `passes` acquisitions of one reactive lock. Three
+/// threads reach `mcs_release`'s usurper window: a releaser between its
+/// two tail swaps, its unlinked successor, and a usurper whose
+/// empty-queue grant switches the queue away.
+fn reactive_lock(name: &'static str, cfg: Config, threads: u64, passes: u64) -> Report {
     explore(
-        "reactive_lock",
+        name,
         cfg,
-        Arc::new(|| {
+        Arc::new(move || {
             let l = Arc::new(ReactiveLock::builder().policy(Thrash).build());
             let c = Arc::new(RaceCell::new("reactive payload", 0u64));
-            let hs: Vec<_> = (0..2)
+            let hs: Vec<_> = (0..threads)
                 .map(|_| {
                     let (l, c) = (l.clone(), c.clone());
                     thread::spawn(move || {
-                        for _ in 0..2 {
+                        for _ in 0..passes {
                             let held = l.acquire();
                             let v = c.get();
                             c.set(v + 1);
@@ -235,7 +244,8 @@ fn reactive_lock(cfg: Config) -> Report {
             for h in hs {
                 h.join().unwrap();
             }
-            assert_eq!(c.get(), 4, "an increment was lost across mode changes");
+            let total = threads * passes;
+            assert_eq!(c.get(), total, "an increment was lost across mode changes");
         }),
     )
 }

@@ -37,14 +37,14 @@ use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
 use sync_protocols::fetch_op::{CombiningTree, FetchOp, RETRY_SENTINEL};
-use sync_protocols::spin::{Backoff, Lock, FREE, NIL};
+use sync_protocols::spin::Lock;
 
 pub use crate::lock::{EMPTY_QUEUE_LIMIT, TTS_RETRY_LIMIT};
 use crate::lock::{QUEUE_RESIDUAL, TTS_RESIDUAL};
 use crate::policy::{Observation, ProtocolId, SimKernel, SwitchStyle, SwitchableObject};
 use crate::spin::{McsLock, TtsLock};
 use crate::{Builder, MaxProcs, Reactive};
-use reactive_api::spin::{self, Memory, INVALID_PTR};
+use reactive_api::spin::{self, Backoff, Memory, FREE, INVALID_PTR, NIL};
 
 /// Slot of the TTS-lock-protected counter.
 pub const PROTO_TTS: ProtocolId = ProtocolId(0);
@@ -232,13 +232,15 @@ impl ReactiveFetchOp {
         let t_enqueue = cpu.now();
         let pred = spin::mcs_swap(&m, self.queue.tail(), q).await;
         if pred == INVALID_PTR {
-            self.queue.invalidate_from(cpu, q).await;
+            spin::invalidate_from(&m, self.queue.tail(), q).await;
+            m.put_node(q);
             return None;
         }
         let empty = pred == NIL;
         if !empty {
             spin::mcs_chain(&m, q, pred).await;
-            if !self.queue.wait_granted(cpu, q).await {
+            if !spin::mcs_wait(&m, q).await {
+                m.put_node(q);
                 return None;
             }
         }
@@ -387,7 +389,7 @@ impl ReactiveFetchOp {
             if cpu.test_and_set(self.root_lock()).await == 0 {
                 return;
             }
-            b.pause(cpu).await;
+            b.pause(&self.queue.mem(cpu)).await;
         }
     }
 
@@ -436,7 +438,9 @@ impl SwitchableObject for FopSwitch<'_> {
             let q = self
                 .q
                 .expect("leaving the queue protocol needs the held node");
-            self.f.queue.invalidate_from(cpu, q).await;
+            let m = self.f.queue.mem(cpu);
+            spin::invalidate_from(&m, self.f.queue.tail(), q).await;
+            m.put_node(q);
         }
         // An invalid TTS flag is left BUSY; the tree's `tree_valid` was
         // cleared at decision time under the root lock. Both are

@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use alewife_sim::{Addr, Cpu, Machine};
 use reactive_api::lock::{LockRef, Tuning};
-use reactive_api::spin::{BUSY, FREE, INVALID_PTR, NIL};
+use reactive_api::spin::{self, BUSY, FREE, INVALID_PTR, NIL};
 use reactive_api::LocalWorld;
 use sync_protocols::spin::Lock;
 
@@ -137,13 +137,22 @@ impl ReactiveLock {
     /// Acquire the lock; the returned [`ReleaseMode`] must be passed to
     /// [`ReactiveLock::release`].
     pub async fn acquire(&self, cpu: &Cpu) -> ReleaseMode {
-        self.at(&self.queue.mem(cpu)).acquire().await
+        let m = self.queue.mem(cpu);
+        let lock = self.at(&m);
+        match lock.try_acquire().await {
+            Some(rm) => rm,
+            None => lock.acquire_contended().await,
+        }
     }
 
     /// Release the lock, performing any protocol change the acquisition
     /// decided on (Figure 3.29).
     pub async fn release(&self, cpu: &Cpu, rm: ReleaseMode) {
-        self.at(&self.queue.mem(cpu)).release(rm).await
+        match rm {
+            // Shallower futures on the uncontended path (EXPERIMENTS.md).
+            ReleaseMode::Tts => spin::tts_release(&self.queue.mem(cpu), self.tts.flag()).await,
+            rm => self.at(&self.queue.mem(cpu)).release(rm).await,
+        }
     }
 }
 

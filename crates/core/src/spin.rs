@@ -190,28 +190,11 @@ impl McsLock {
         }
     }
 
-    /// [`spin::mcs_wait`]; on `false` `q` is back in the pool.
-    pub async fn wait_granted(&self, cpu: &Cpu, q: Addr) -> bool {
-        let m = self.mem(cpu);
-        let granted = spin::mcs_wait(&m, q).await;
-        if !granted {
-            m.put_node(q);
-        }
-        granted
-    }
-
     /// [`spin::mcs_release`], then return `q` to the pool.
     pub async fn release_qnode(&self, cpu: &Cpu, q: Addr) {
         let m = self.mem(cpu);
         spin::mcs_release(&m, self.tail, q).await;
         m.put_node(q);
-    }
-
-    /// [`spin::invalidate_from`], then return `head` to the pool.
-    pub async fn invalidate_from(&self, cpu: &Cpu, head: Addr) {
-        let m = self.mem(cpu);
-        spin::invalidate_from(&m, self.tail, head).await;
-        m.put_node(head);
     }
 }
 
@@ -361,10 +344,10 @@ mod tests {
                 let pred = spin::mcs_swap(&m, lock.tail(), q).await;
                 if pred == NIL {
                     cpu.work(3_000).await; // let the other three chain up
-                    lock.invalidate_from(&cpu, q).await;
+                    spin::invalidate_from(&m, lock.tail(), q).await;
                 } else {
                     spin::mcs_chain(&m, q, pred).await;
-                    assert!(!lock.wait_granted(&cpu, q).await, "waiter {p} got GO");
+                    assert!(!spin::mcs_wait(&m, q).await, "waiter {p} got GO");
                     assert_eq!(cpu.read(q.plus(QN_STATUS)).await, INVALID_STATUS);
                     bounced.set(bounced.get() + 1);
                 }
@@ -389,7 +372,7 @@ mod tests {
             let q = mem.take_node();
             spin::mcs_prepare(&mem, q).await;
             assert_eq!(spin::mcs_swap(&mem, stale.tail(), q).await, INVALID_PTR);
-            stale.invalidate_from(&cpu, q).await;
+            spin::invalidate_from(&mem, stale.tail(), q).await;
         });
         let head = Rc::new(Cell::new(Addr(0)));
         let (cpu, switcher, out) = (m.cpu(2), lock.clone(), head.clone());

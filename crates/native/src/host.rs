@@ -8,7 +8,7 @@ use std::future::{ready, Future};
 use std::ptr::NonNull;
 
 use crossbeam_utils::CachePadded;
-use reactive_api::spin::{Memory, Ordering, BUSY};
+use reactive_api::spin::{Memory, Ordering, BUSY, INVALID_PTR};
 
 use crate::sync::{spin_loop, thread, AtomicU64, Instant, YIELD_MASK};
 
@@ -164,7 +164,9 @@ impl<'a> Memory for Host<'a> {
     }
 
     fn dec(v: u64) -> NodeRef {
-        NodeRef(NonNull::new(v as *mut McsNode).expect("dec: not a queue-node pointer"))
+        // NIL and the INVALID sentinel name no node (as in the simulator).
+        assert!(v > INVALID_PTR, "dec: not a queue-node pointer: {v}");
+        NodeRef(NonNull::new(v as *mut McsNode).expect("nonzero"))
     }
 
     fn now(&self) -> u64 {

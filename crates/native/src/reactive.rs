@@ -190,9 +190,7 @@ impl ReactiveLock {
     #[inline]
     pub fn release(&self, held: Held) {
         match held.0 {
-            // `LockRef::release`'s plain TTS arm, inlined into callers: a
-            // coroutine with more than a few states keeps its state in
-            // memory even when every future in it is ready at once.
+            // Only the plain TTS arm is inlined (DESIGN.md, "Inlining on the host").
             ReleaseMode::Tts => drive(spin::tts_release(&Host::default(), &self.flag)),
             rm => self.release_slow(rm),
         }
@@ -309,8 +307,11 @@ impl<T> Drop for ReactiveGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::McsNode;
     use reactive_api::spin::Memory;
     use reactive_api::{Observation, SwitchLog};
+    use std::cell::Cell;
+    use std::future::{ready, Future};
     use std::sync::Arc;
 
     #[test]
@@ -370,6 +371,139 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    /// Host memory that runs `hook` once, right after the first swap
+    /// that empties a word: inside `mcs_release`'s usurper window.
+    struct Window<'a> {
+        host: Host<'a>,
+        hook: Cell<Option<Box<dyn FnOnce() + 'a>>>,
+    }
+
+    impl<'a> Memory for Window<'a> {
+        type Word = &'a AtomicU64;
+        type Node = NodeRef;
+
+        fn load(&self, w: Self::Word, o: Ordering) -> impl Future<Output = u64> {
+            self.host.load(w, o)
+        }
+        fn store(&self, w: Self::Word, v: u64, o: Ordering) -> impl Future<Output = ()> {
+            self.host.store(w, v, o)
+        }
+        fn swap(&self, w: Self::Word, v: u64, o: Ordering) -> impl Future<Output = u64> {
+            let old = drive(self.host.swap(w, v, o));
+            if v == NIL {
+                if let Some(hook) = self.hook.take() {
+                    hook();
+                }
+            }
+            ready(old)
+        }
+        fn test_and_set(&self, w: Self::Word, o: Ordering) -> impl Future<Output = u64> {
+            self.host.test_and_set(w, o)
+        }
+        fn poll_until(
+            &self,
+            w: Self::Word,
+            pred: impl Fn(u64) -> bool + Unpin + 'static,
+            deadline: u64,
+            o: Ordering,
+        ) -> impl Future<Output = Option<u64>> {
+            self.host.poll_until(w, pred, deadline, o)
+        }
+        fn pause(&self, delay: u64) -> impl Future<Output = ()> {
+            self.host.pause(delay)
+        }
+        fn take_node(&self) -> NodeRef {
+            self.host.take_node()
+        }
+        fn put_node(&self, q: NodeRef) {
+            self.host.put_node(q)
+        }
+        fn next(q: NodeRef) -> Self::Word {
+            Host::next(q)
+        }
+        fn status(q: NodeRef) -> Self::Word {
+            Host::status(q)
+        }
+        fn enc(q: NodeRef) -> u64 {
+            Host::enc(q)
+        }
+        fn dec(v: u64) -> NodeRef {
+            Host::dec(v)
+        }
+        fn now(&self) -> u64 {
+            self.host.now()
+        }
+    }
+
+    /// The lock's text over `mem`, proposing TTS at the second
+    /// consecutive empty-queue grant.
+    fn hair_trigger<'m, 'a: 'm, M: Memory<Word = &'a AtomicU64>>(
+        lock: &'a ReactiveLock,
+        mem: &'m M,
+    ) -> LockRef<'m, M, SharedWorld> {
+        LockRef {
+            mem,
+            flag: &lock.flag,
+            tail: &lock.tail,
+            mode: &lock.mode,
+            kernel: &lock.kernel,
+            backoff: crate::tts::backoff(),
+            tuning: Tuning {
+                empty_queue_limit: 1,
+                ..TUNING
+            },
+        }
+    }
+
+    /// The usurper window of the `fetch&store`-only release, forced on
+    /// one thread: the releaser R has emptied the tail to find its
+    /// successor E, which has swapped in but not linked; a usurper U
+    /// takes the empty queue, and its calm grant switches the lock to
+    /// TTS (sentinel in the tail, flag free). R's restoring swap then
+    /// takes the sentinel out, so R must put it back and bounce E.
+    #[test]
+    fn release_bounces_its_successor_after_a_usurper_switch() {
+        let lock = ReactiveLock::builder()
+            .initial_protocol(PROTO_QUEUE)
+            .build();
+        let host = Host::timed(&lock.epoch);
+        let Held(ReleaseMode::Queue(r)) =
+            Held(drive(hair_trigger(&lock, &host).acquire_contended()))
+        else {
+            panic!("the first empty-queue grant stays in the queue");
+        };
+        let node = McsNode::new();
+        let e = NodeRef::of(&node);
+        drive(spin::mcs_prepare(&host, e));
+        let pred = drive(spin::mcs_swap(&host, &lock.tail, e));
+        assert_eq!(pred, Host::enc(r));
+        let window = Window {
+            host,
+            hook: Cell::new(Some(Box::new(|| {
+                let u = drive(hair_trigger(&lock, &host).acquire_contended());
+                assert!(matches!(u, ReleaseMode::QueueToTts(_)), "{u:?}");
+                drive(hair_trigger(&lock, &host).release(u));
+                // order: Relaxed — one thread.
+                assert_eq!(lock.tail.load(Ordering::Relaxed), INVALID_PTR);
+                assert_eq!(lock.current_protocol(), PROTO_TTS);
+                drive(spin::mcs_chain(&host, e, pred));
+            }))),
+        };
+        drive(hair_trigger(&lock, &window).release(ReleaseMode::Queue(r)));
+        // order: Relaxed — one thread.
+        assert_eq!(lock.tail.load(Ordering::Relaxed), INVALID_PTR);
+        // order: Relaxed — one thread.
+        assert_eq!(lock.flag.load(Ordering::Relaxed), FREE);
+        // order: Relaxed — one thread.
+        let status = Host::status(e).load(Ordering::Relaxed);
+        assert_eq!(status, spin::INVALID_STATUS, "E must re-dispatch");
+        assert_eq!(lock.switches(), 1);
+        // E re-dispatches on the TTS hint and wins the flag.
+        let held = lock.acquire();
+        assert!(matches!(held.0, ReleaseMode::Tts));
+        lock.release(held);
     }
 
     #[test]

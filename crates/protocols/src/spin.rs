@@ -9,6 +9,9 @@
 //! hardware in `reactive_api::spin`; `reactive_core::spin` runs them
 //! here. [`enc`]/[`dec`] are the simulator's queue-pointer encoding,
 //! shared with the abortable queue lock.
+//!
+//! [`Backoff`], [`FREE`] and [`NIL`] repeat `reactive_api::spin`'s for
+//! this crate's own locks, as it does not depend on `reactive-api`.
 
 use alewife_sim::{Addr, Cpu, Machine};
 
