@@ -128,8 +128,12 @@ impl KernelWorld for SharedWorld {
 // ---------------------------------------------------------------------
 
 /// How mode changes *leaving* a protocol slot must sequence the
-/// validity transitions — the three consensus disciplines that appear
-/// in the paper's algorithms.
+/// validity transitions — the two consensus disciplines that appear in
+/// the paper's algorithms.
+///
+/// Every transaction runs one sequence, `validate(to)` →
+/// `publish_mode(to)` → commit; the style decides only where
+/// `invalidate(from)` runs in it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SwitchStyle {
     /// Holder-based consensus (sub-locks as consensus objects, §3.2.5):
@@ -146,17 +150,6 @@ pub enum SwitchStyle {
     /// `state = invalidate(from)` → `validate(to, state)` →
     /// `publish_mode(to)` → commit.
     Transfer,
-    /// Real-concurrency exclusion window, for an object whose target a
-    /// racer can win the instant `validate` lands: commit
-    /// bookkeeping — and the kernel's shadow validity flags — run
-    /// first, while both consensus objects still deny entry, so no
-    /// racing process can commit an opposite change ahead of this one,
-    /// the sink's events stay in true commit order, and a racer that
-    /// wins the target the instant `validate` lands finds this
-    /// transaction's bookkeeping already settled.
-    /// Sequence: commit → `validate(to)` → `publish_mode(to)` →
-    /// `invalidate(from)`.
-    CommitFirst,
 }
 
 /// The per-world hooks a reactive object supplies to the kernel: the
@@ -216,7 +209,7 @@ pub trait SwitchableObject {
     /// protocol state to install into `to` — or `None` when the
     /// consensus object arbitrated the change away (it was already
     /// invalid: a concurrent changer won; see
-    /// [`SwitchKernel::try_switch`]). Under the other styles
+    /// [`SwitchKernel::try_switch`]). Under [`SwitchStyle::Handoff`]
     /// invalidation runs after commit and must succeed (`Some`).
     async fn invalidate(&self, ctx: &Self::Ctx, from: ProtocolId, to: ProtocolId) -> Option<u64>;
 
@@ -258,9 +251,11 @@ pub fn drive<F: Future>(fut: F) -> F::Output {
 /// selected at run time by the `CONC_CHECK_MUTANT` environment
 /// variable, so one mutant build can rediscover each seeded race in a
 /// separate run. The kernel's own mutants re-introduce the races its
-/// invariants fixed when it was extracted (see `try_switch`);
-/// `crates/check` seeds one more in its slab miniature through this
-/// same switch. The model checker must find them all.
+/// invariants fixed when it was extracted (see `try_switch`), the
+/// shared MCS release seeds one more (`usurper_splice`, in
+/// [`crate::spin`]), and `crates/check` seeds one in its slab
+/// miniature through this same switch. The model checker must find
+/// them all.
 #[cfg(conc_check_mutant)]
 #[doc(hidden)]
 pub fn mutant(name: &str) -> bool {
@@ -282,9 +277,10 @@ enum Phase {
     /// (or, under [`SwitchStyle::Transfer`], the capture is still in
     /// flight). Recovery rolls back.
     Cleared,
-    /// The target was physically validated but the commit bookkeeping
-    /// has not landed. The transition is physically irreversible (a
-    /// racer may already hold the target), so recovery rolls *forward*.
+    /// The target was physically validated (and its shadow flag set)
+    /// but the commit bookkeeping has not landed. The transition is
+    /// physically irreversible (a racer may already hold the target),
+    /// so recovery rolls *forward*.
     Validated,
     /// The commit point was passed; only post-commit steps (publish,
     /// source invalidation) may be missing. Recovery completes them.
@@ -610,9 +606,8 @@ impl<W: KernelWorld> SwitchKernel<W> {
     /// winning transaction owns the transition.
     ///
     /// # Panics
-    /// If `to` is not a registered slot, or a Handoff/CommitFirst
-    /// invalidate hook returns `None` (those run after commit and must
-    /// succeed).
+    /// If `to` is not a registered slot, or a Handoff invalidate hook
+    /// returns `None` (it runs after commit and must succeed).
     pub async fn try_switch<O: SwitchableObject>(
         &self,
         obj: &O,
@@ -686,103 +681,52 @@ impl<W: KernelWorld> SwitchKernel<W> {
         if crash == Some(CrashPoint::AfterSourceInvalidated) {
             return true;
         }
-        match self.exits[from.index()] {
-            SwitchStyle::Handoff => {
-                obj.validate(ctx, to, from, 0).await;
-                self.mark_valid(to);
-                self.journal_phase(Phase::Validated);
-                if crash == Some(CrashPoint::AfterTargetValidated) {
-                    return true;
+        let transfer = self.exits[from.index()] == SwitchStyle::Transfer;
+        let state = if transfer {
+            let inv = obj.invalidate(ctx, from, to).await;
+            // Regression mutant `double_commit`: the other half of the
+            // MP fetch-op fix — treat a lost consensus-object
+            // arbitration as success (the pre-kernel managers
+            // invalidated unconditionally), so both changers commit.
+            #[cfg(conc_check_mutant)]
+            let inv = if inv.is_none() && mutant("double_commit") {
+                Some(0)
+            } else {
+                inv
+            };
+            let Some(state) = inv else {
+                // The consensus object arbitrated the race to a
+                // concurrent changer mid-flight; that transaction (which
+                // already cleared `valid[from]` exactly as we did)
+                // completes the transition. Drop this attempt's pending
+                // residual and its journal entry (the winner owns the
+                // transition now).
+                let mut st = self.state();
+                if matches!(st.pending, Some((t, _)) if t == to) {
+                    st.pending = None;
                 }
-                obj.publish_mode(ctx, to).await;
-                self.commit(obj.now(ctx), from, to);
-                obj.note_switch(ctx, from, to);
-                if crash == Some(CrashPoint::AfterCommit) {
-                    return true;
-                }
-                let inv = obj.invalidate(ctx, from, to).await;
-                assert!(inv.is_some(), "post-commit invalidation cannot lose");
-            }
-            SwitchStyle::Transfer => {
-                let inv = obj.invalidate(ctx, from, to).await;
-                // Regression mutant `double_commit`: the other half of
-                // the MP fetch-op fix — treat a lost consensus-object
-                // arbitration as success (the pre-kernel managers
-                // invalidated unconditionally), so both changers commit.
-                #[cfg(conc_check_mutant)]
-                let inv = if inv.is_none() && mutant("double_commit") {
-                    Some(0)
-                } else {
-                    inv
-                };
-                let Some(state) = inv else {
-                    // The consensus object arbitrated the race to a
-                    // concurrent changer mid-flight; that transaction
-                    // (which already cleared `valid[from]` exactly as
-                    // we did) completes the transition. Drop this
-                    // attempt's pending residual and its journal entry
-                    // (the winner owns the transition now).
-                    let mut st = self.state();
-                    if matches!(st.pending, Some((t, _)) if t == to) {
-                        st.pending = None;
-                    }
-                    st.journal = None;
-                    return false;
-                };
-                obj.validate(ctx, to, from, state).await;
-                self.mark_valid(to);
-                self.journal_phase(Phase::Validated);
-                if crash == Some(CrashPoint::AfterTargetValidated) {
-                    return true;
-                }
-                obj.publish_mode(ctx, to).await;
-                self.commit(obj.now(ctx), from, to);
-                obj.note_switch(ctx, from, to);
-                if crash == Some(CrashPoint::AfterCommit) {
-                    return true;
-                }
-            }
-            SwitchStyle::CommitFirst => {
-                // Regression mutant `stale_mode`: revert to the
-                // physical-first ordering — validate/publish before the
-                // shadow-state commit. A
-                // racer that wins the freshly valid target then consults
-                // `current` before this transaction's bookkeeping lands
-                // and sees a stale mode (the interleave the CommitFirst
-                // discipline exists to forbid).
-                #[cfg(conc_check_mutant)]
-                if mutant("stale_mode") {
-                    obj.validate(ctx, to, from, 0).await;
-                    obj.publish_mode(ctx, to).await;
-                    self.commit(obj.now(ctx), from, to);
-                    obj.note_switch(ctx, from, to);
-                    self.mark_valid(to);
-                    let inv = obj.invalidate(ctx, from, to).await;
-                    assert!(inv.is_some(), "post-commit invalidation cannot lose");
-                    self.state().journal = None;
-                    return true;
-                }
-                self.commit(obj.now(ctx), from, to);
-                obj.note_switch(ctx, from, to);
-                if crash == Some(CrashPoint::AfterCommit) {
-                    return true;
-                }
-                // Shadow state is updated *before* the physical
-                // validation: the instant `validate` lands, a racing
-                // thread may win the target's consensus object and run
-                // a full opposite transaction, and it must observe this
-                // one's flags already settled (otherwise its commit and
-                // our deferred bookkeeping interleave into a spurious
-                // two-valid state).
-                self.mark_valid(to);
-                obj.validate(ctx, to, from, 0).await;
-                if crash == Some(CrashPoint::AfterTargetValidated) {
-                    return true;
-                }
-                obj.publish_mode(ctx, to).await;
-                let inv = obj.invalidate(ctx, from, to).await;
-                assert!(inv.is_some(), "post-commit invalidation cannot lose");
-            }
+                st.journal = None;
+                return false;
+            };
+            state
+        } else {
+            0
+        };
+        obj.validate(ctx, to, from, state).await;
+        self.mark_valid(to);
+        self.journal_phase(Phase::Validated);
+        if crash == Some(CrashPoint::AfterTargetValidated) {
+            return true;
+        }
+        obj.publish_mode(ctx, to).await;
+        self.commit(obj.now(ctx), from, to);
+        obj.note_switch(ctx, from, to);
+        if crash == Some(CrashPoint::AfterCommit) {
+            return true;
+        }
+        if !transfer {
+            let inv = obj.invalidate(ctx, from, to).await;
+            assert!(inv.is_some(), "post-commit invalidation cannot lose");
         }
         self.state().journal = None;
         // No post-transaction snapshot assert here: on real hardware a
@@ -844,15 +788,14 @@ impl<W: KernelWorld> SwitchKernel<W> {
             self.commit(obj.now(ctx), j.from, j.to);
             obj.note_switch(ctx, j.from, j.to);
         }
-        {
-            // CommitFirst crashes can leave the target's shadow flag
-            // unset even though the commit landed; settle it (the ≤1
-            // invariant still holds — the source was cleared first).
-            let mut st = self.state();
-            st.valid[j.to.index()] = true;
-            let count = st.valid.iter().filter(|&&v| v).count();
-            assert!(count <= 1, "{count} protocols valid during recovery");
-        }
+        // Both styles set the target's shadow flag before the journal
+        // leaves `Cleared`, so a roll-forward finds it already set.
+        assert!(
+            self.state().valid[j.to.index()],
+            "recovering {} -> {} past validation with the target's flag unset",
+            j.from,
+            j.to
+        );
         obj.publish_mode(ctx, j.to).await;
         // Regression mutant `drop_recovery_fence`: skip the source
         // invalidation on the recovery path. Waiters parked on the dead
@@ -969,11 +912,6 @@ impl<W: KernelWorld> SwitchKernel<W> {
     pub fn protocol(&self, id: ProtocolId) -> ProtocolInfo {
         self.protocols[id.index()]
     }
-
-    /// All registered protocol slots, in id order.
-    pub fn protocols(&self) -> &[ProtocolInfo] {
-        &self.protocols
-    }
 }
 
 #[cfg(test)]
@@ -1059,29 +997,6 @@ mod tests {
                 "validate P0->P1 state=42",
                 "publish P1",
                 "note P0->P1",
-            ]
-        );
-    }
-
-    #[test]
-    fn commit_first_commits_inside_the_exclusion_window() {
-        let log = Rc::new(SwitchLog::new());
-        let k = SwitchKernel::<LocalWorld>::builder()
-            .register(A, "a", SwitchStyle::CommitFirst)
-            .register(B, "b", SwitchStyle::CommitFirst)
-            .sink(log.clone() as Rc<dyn Instrument>)
-            .build();
-        let r = Recorder::default();
-        drive(k.switch(&r, &(), A, B));
-        // The event is emitted before any hook publishes the target.
-        assert_eq!(log.count(), 1);
-        assert_eq!(
-            *r.calls.borrow(),
-            vec![
-                "note P0->P1",
-                "validate P0->P1 state=0",
-                "publish P1",
-                "invalidate P0->P1",
             ]
         );
     }
@@ -1281,11 +1196,7 @@ mod tests {
 
     #[test]
     fn a_commit_ends_the_calm_streak() {
-        for style in [
-            SwitchStyle::Handoff,
-            SwitchStyle::Transfer,
-            SwitchStyle::CommitFirst,
-        ] {
+        for style in [SwitchStyle::Handoff, SwitchStyle::Transfer] {
             let k = two(style, style);
             for _ in 0..LIMIT {
                 assert_eq!(k.observe_calm(A, B, LIMIT, 5.0), None);
@@ -1327,11 +1238,7 @@ mod tests {
 
     #[test]
     fn crash_before_validation_rolls_back() {
-        for style in [
-            SwitchStyle::Handoff,
-            SwitchStyle::Transfer,
-            SwitchStyle::CommitFirst,
-        ] {
+        for style in [SwitchStyle::Handoff, SwitchStyle::Transfer] {
             let k = two(style, style);
             let r = Recorder::default();
             drive(k.switch_crashed(&r, &(), A, B, CrashPoint::AfterSourceInvalidated));
@@ -1366,21 +1273,6 @@ mod tests {
         let calls = r.calls.borrow();
         assert!(calls.iter().any(|c| c == "publish P1"));
         assert!(calls.iter().any(|c| c == "invalidate P0->P1"));
-    }
-
-    #[test]
-    fn commit_first_crash_after_commit_completes_forward() {
-        let k = two(SwitchStyle::CommitFirst, SwitchStyle::CommitFirst);
-        let r = Recorder::default();
-        drive(k.switch_crashed(&r, &(), A, B, CrashPoint::AfterCommit));
-        // Committed, but the target's shadow flag and the physical
-        // validation are both missing.
-        assert_eq!(k.current(), B);
-        assert!(k.valid_protocols().is_empty());
-        let rec = drive(k.recover(&r, &()));
-        assert_eq!(rec, SwitchRecovery::Completed { from: A, to: B });
-        assert_eq!(k.valid_protocols(), vec![B]);
-        assert_eq!(k.switches(), 1, "commit is not repeated on recovery");
     }
 
     #[test]

@@ -250,7 +250,14 @@ pub async fn mcs_release<M: Memory>(m: &M, tail: M::Word, q: M::Node) {
         // order: AcqRel — as above, for the usurper's node.
         let usurper = m.swap(tail, old_tail, Ordering::AcqRel).await;
         next = wait_link(m, q).await;
-        if usurper == INVALID_PTR {
+        // Regression mutant `usurper_splice`: drop the arm below, so a
+        // releaser whose restore took a usurper's sentinel splices its
+        // successor chain behind INVALID_PTR instead of bouncing it.
+        #[cfg(conc_check_mutant)]
+        let splice = crate::kernel::mutant("usurper_splice");
+        #[cfg(not(conc_check_mutant))]
+        let splice = false;
+        if usurper == INVALID_PTR && !splice {
             // A usurper switched the queue away and our restore took its
             // sentinel: put it back and bounce our successor chain.
             invalidate_from(m, tail, M::dec(next)).await;

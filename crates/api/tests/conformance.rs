@@ -104,10 +104,10 @@ fn conformance_with(make_policy: &dyn Fn() -> Box<dyn Policy + Send>, n: u8) {
         .policy(make_policy())
         .sink(shared_log.clone() as Arc<dyn Instrument + Send + Sync>);
     for i in 0..n {
-        // Styles differ per world in the real objects; the emitted
+        // The two worlds register different styles: the emitted
         // decision/event stream must not depend on them.
         local = local.register(ProtocolId(i), "p", SwitchStyle::Handoff);
-        shared = shared.register(ProtocolId(i), "p", SwitchStyle::CommitFirst);
+        shared = shared.register(ProtocolId(i), "p", SwitchStyle::Transfer);
     }
     let local = local.build();
     let shared = shared.build();
@@ -167,7 +167,7 @@ fn trace_of<W: KernelWorld>(
 ) -> (Vec<Option<ProtocolId>>, Vec<SwitchEvent>, u64) {
     let mut b = SwitchKernel::<W>::builder().policy(policy).sink(sink);
     for i in 0..n {
-        b = b.register(ProtocolId(i), "p", SwitchStyle::CommitFirst);
+        b = b.register(ProtocolId(i), "p", SwitchStyle::Transfer);
     }
     let kernel = b.build();
     let (decisions, events) = run(&kernel, events, n, &trace(n, 600));
@@ -277,8 +277,8 @@ fn calm_conformance_with(make_policy: &dyn Fn() -> Box<dyn Policy + Send>) {
     let shared = SwitchKernel::<SharedWorld>::builder()
         .policy(make_policy())
         .sink(shared_log.clone() as Arc<dyn Instrument + Send + Sync>)
-        .register(ProtocolId(0), "p", SwitchStyle::CommitFirst)
-        .register(ProtocolId(1), "p", SwitchStyle::CommitFirst)
+        .register(ProtocolId(0), "p", SwitchStyle::Transfer)
+        .register(ProtocolId(1), "p", SwitchStyle::Transfer)
         .build();
 
     let (ld, le) = run_calm(&local, || local_log.events(), &steps);

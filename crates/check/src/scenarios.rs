@@ -8,10 +8,10 @@
 //! model's own vector-clock race detector via
 //! [`reactive_native::model::RaceCell`].
 //!
-//! Four scenarios exist to rediscover the seeded regression mutants
-//! (`kernel_arbitration` for `double_commit`, `kernel_commit_first`
-//! for `stale_mode`, `kernel_recovery` for `drop_recovery_fence`,
-//! `slab_reclaim` for `lookup_before_register`); on an unmutated build
+//! Four scenarios rediscover the seeded regression mutants
+//! (`kernel_arbitration` for `double_commit`, `kernel_recovery` for
+//! `drop_recovery_fence`, `slab_reclaim` for `lookup_before_register`,
+//! `reactive_lock_usurper` for `usurper_splice`); on an unmutated build
 //! they must pass like the rest.
 
 use std::sync::atomic::Ordering;
@@ -71,11 +71,6 @@ pub fn all() -> Vec<Scenario> {
             name: "kernel_arbitration",
             about: "concurrent Transfer-style changers arbitrate to exactly one commit",
             run: kernel_arbitration,
-        },
-        Scenario {
-            name: "kernel_commit_first",
-            about: "CommitFirst bookkeeping is settled before a racer can win the target",
-            run: kernel_commit_first,
         },
         Scenario {
             name: "kernel_abort_switch",
@@ -364,68 +359,12 @@ fn kernel_arbitration(cfg: Config) -> Report {
     )
 }
 
-/// Miniature of the kernel's CommitFirst discipline: `validate`
-/// makes the target's consensus object winnable; the scenario's second
-/// thread pounces on it the instant it lands and runs a full opposite
-/// transaction, which is only sound if this transaction's kernel
-/// bookkeeping is already settled.
-struct CommitFirstObj {
-    kernel: SwitchKernel<SharedWorld>,
-    /// Target consensus object: 1 = winnable by a racer.
-    b_valid: AtomicU64,
-    mode: AtomicU8,
-}
-
-const A: ProtocolId = ProtocolId(0);
-const B: ProtocolId = ProtocolId(1);
-
-impl CommitFirstObj {
-    fn new() -> CommitFirstObj {
-        CommitFirstObj {
-            kernel: SwitchKernel::<SharedWorld>::builder()
-                .register(A, "a", SwitchStyle::CommitFirst)
-                .register(B, "b", SwitchStyle::CommitFirst)
-                .build(),
-            b_valid: AtomicU64::new(0),
-            mode: AtomicU8::new(A.0),
-        }
-    }
-}
-
-impl SwitchableObject for CommitFirstObj {
-    type Ctx = ();
-
-    async fn validate(&self, _ctx: &(), to: ProtocolId, _from: ProtocolId, _state: u64) {
-        if to == B {
-            // order: Release pairs with the racer's Acquire spin — a
-            // winner of the freshly valid consensus object must also
-            // see the kernel bookkeeping committed before this store.
-            self.b_valid.store(1, Ordering::Release);
-        }
-    }
-
-    async fn invalidate(&self, _ctx: &(), from: ProtocolId, _to: ProtocolId) -> Option<u64> {
-        if from == B {
-            // order: Relaxed — serialized by holding the consensus
-            // object (the racer owns B when it invalidates it).
-            self.b_valid.store(0, Ordering::Relaxed);
-        }
-        Some(0)
-    }
-
-    async fn publish_mode(&self, _ctx: &(), to: ProtocolId) {
-        // order: Release — hint only; must trail the validity stores.
-        self.mode.store(to.0, Ordering::Release);
-    }
-
-    fn now(&self, _ctx: &()) -> u64 {
-        0
-    }
-}
-
 // ---------------------------------------------------------------------
 // Crash/abort scenarios (fault-injection companions)
 // ---------------------------------------------------------------------
+
+const A: ProtocolId = ProtocolId(0);
+const B: ProtocolId = ProtocolId(1);
 
 /// Qnode status protocol of the abortable lock, miniaturized: a single
 /// parked waiter whose word arbitrates between its own deadline abort
@@ -689,33 +628,6 @@ fn kernel_recovery(cfg: Config) -> Report {
             h.join().unwrap();
             assert_eq!(data.get(), 2, "a passage was lost across the recovery");
             assert_eq!(obj.kernel.current(), B);
-        }),
-    )
-}
-
-fn kernel_commit_first(cfg: Config) -> Report {
-    explore(
-        "kernel_commit_first",
-        cfg,
-        Arc::new(|| {
-            let obj = Arc::new(CommitFirstObj::new());
-            let o2 = obj.clone();
-            // The racer: wins B's consensus object the instant it
-            // becomes valid and immediately runs the opposite change.
-            // Holding the consensus object entitles it to the
-            // exclusive-discipline `switch`, which panics if the
-            // kernel's state is stale (the pre-kernel native-lock bug).
-            let h = thread::spawn(move || {
-                // order: Acquire pairs with validate's Release.
-                while o2.b_valid.load(Ordering::Acquire) == 0 {
-                    thread::yield_now();
-                }
-                drive(o2.kernel.switch(&*o2, &(), B, A));
-            });
-            drive(obj.kernel.switch(&*obj, &(), A, B));
-            h.join().unwrap();
-            assert_eq!(obj.kernel.switches(), 2);
-            assert_eq!(obj.kernel.current(), A, "the racer's change committed last");
         }),
     )
 }

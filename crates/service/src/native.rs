@@ -1003,7 +1003,13 @@ mod tests {
                 // WAITERS).
                 for fought in [false, true] {
                     for (name, mutate) in mutations {
-                        let ends = [true, false].map(|shipped| {
+                        // Win the word once, then release that same
+                        // installed word through both paths: a fought
+                        // win that waits past `LONG_WAIT_SPINS` seeds
+                        // the inflation streak into the word it
+                        // installs, and both releases must start from
+                        // that word.
+                        let installed = {
                             let svc = NativeService::with_mode(1, 1, None, mode);
                             svc.arena.store(0, start);
                             let g = if fought {
@@ -1028,11 +1034,19 @@ mod tests {
                             };
                             assert_eq!(svc.arena.load(0), installed);
                             assert_eq!(installed & slot::WAITERS != 0, fought);
+                            std::mem::forget(g);
+                            installed
+                        };
+                        let ends = [true, false].map(|shipped| {
+                            let svc = NativeService::with_mode(1, 1, None, mode);
                             svc.arena.store(0, mutate(installed));
                             if shipped {
-                                drop(g);
+                                drop(NativeGuard {
+                                    svc: &svc,
+                                    object: 0,
+                                    hold: Hold::Flat(installed),
+                                });
                             } else {
-                                std::mem::forget(g);
                                 release_by_reload(&svc, 0);
                             }
                             (svc.arena.load(0), svc.inflations())
