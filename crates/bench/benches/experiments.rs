@@ -99,7 +99,7 @@ fn main() {
         .map(|sc| {
             let (outcome, results) = sc.report(scale);
             Row {
-                name: sc.name,
+                name: sc.name.to_string(),
                 figure: sc.figure,
                 headline: outcome.headline,
                 results,
@@ -108,8 +108,9 @@ fn main() {
         .collect();
 
     let wrote = if only.is_none() {
-        let (wall, counted): (Vec<&Row>, Vec<&Row>) =
-            rows.iter().partition(|r| WALL_CLOCK_ROWS.contains(&r.name));
+        let (wall, counted): (Vec<&Row>, Vec<&Row>) = rows
+            .iter()
+            .partition(|r| WALL_CLOCK_ROWS.contains(&r.name.as_str()));
         write_record("experiments", quick, &counted, None);
         let path_cost = path_cost_member(scale);
         write_record("service_native", quick, &wall, Some(&path_cost));

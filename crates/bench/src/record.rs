@@ -1,6 +1,6 @@
 //! The rows record: the one writer behind `BENCH_experiments.json`
-//! (the counted rows) and `BENCH_service_native.json` (the wall-clock
-//! rows).
+//! (the counted rows), `BENCH_service_native.json` (the wall-clock
+//! rows) and `BENCH_sim.json` (the simulator's throughput rows).
 //!
 //! The shape is fixed — top-level `bench`, `quick`, `rows`; per row
 //! `name`, `figure`, `status`, `headline`, `claims` — with the scenario
@@ -8,12 +8,12 @@
 //! up row-for-row and the `crates/check` lint can key-check each file
 //! against `EXPERIMENTS.md`.
 
-use crate::scenario::ClaimResult;
+use crate::claim::ClaimResult;
 
-/// One scenario's measured result, as the record stores it.
+/// One row's measured result, as the record stores it.
 pub struct Row {
-    /// The scenario's row key.
-    pub name: &'static str,
+    /// The row key.
+    pub name: String,
     /// Paper figure/table the row reproduces.
     pub figure: &'static str,
     /// The measured headline.
@@ -46,14 +46,15 @@ fn esc(s: &str) -> String {
 
 /// Render one record file. `extra`, when given, is a pre-rendered
 /// top-level member (two-space indented, newline-terminated) placed
-/// after `rows` — the wall-clock record's `path_cost` table.
+/// after `rows` — the wall-clock record's `path_cost` table, the
+/// simulator record's `host_cores`.
 pub fn rows_json(bench: &str, quick: bool, rows: &[&Row], extra: Option<&str>) -> String {
     let mut json = format!("{{\n  \"bench\": \"{bench}\",\n  \"quick\": {quick},\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"figure\": \"{}\", \"status\": \"{}\", \
              \"headline\": \"{}\",\n     \"claims\": [\n",
-            esc(row.name),
+            esc(&row.name),
             esc(row.figure),
             if row.pass() { "pass" } else { "FAIL" },
             esc(&row.headline),
@@ -92,7 +93,7 @@ mod tests {
         };
         let rows = [
             Row {
-                name: "row_a",
+                name: "row_a".to_string(),
                 figure: "Fig. 1 \"quoted\"",
                 headline: "a\\b\nnext\tline".to_string(),
                 results: vec![
@@ -101,7 +102,7 @@ mod tests {
                 ],
             },
             Row {
-                name: "row_b",
+                name: "row_b".to_string(),
                 figure: "— (beyond the paper)",
                 headline: "ok".to_string(),
                 results: vec![verdict("z", true, "")],

@@ -1,196 +1,16 @@
-//! Workload glue for the native lock-service scenarios: canonical
-//! [`NativeRunConfig`]s behind the `service_native_*` rows of
-//! `EXPERIMENTS.md`, so `BENCH_service_native.json` and the CI claim
-//! suite measure exactly the same runs.
-//!
-//! Unlike every other scenario family, these rows run *real threads on
-//! the host* — wall-clock time, real preemption, cores-scaled. The
-//! claims are therefore calibrated with far more headroom than the
-//! deterministic virtual-time rows: they gate the *shape* of the result
-//! (adaptive inflation beats a static-TTS pin at the tail; deflation
-//! reclaims the slab) rather than exact numbers.
+//! The native lock service's single-thread path costs: one uncontended
+//! acquire + guard drop per path through [`NativeService::acquire`],
+//! the bare arena RMW pair beneath them, and the host reactive lock's
+//! overhead and protocol-change round trip. The `experiments` bench
+//! writes the table to `BENCH_service_native.json` as `path_cost`.
 
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lock_service::{
-    run_native, slot, ArenaMode, ArrivalCurve, LimiterConfig, Load, NativeReport, NativeRunConfig,
-    NativeService, ObjectArena, TenantConfig,
-};
+use lock_service::{slot, ArenaMode, NativeService, ObjectArena};
+use reactive_api::lock::Tuning;
 
-use crate::experiments::{FlipFlop, Stay};
-use crate::scenario::Scale;
-
-/// Worker threads for the native rows: twice the cores (at least two),
-/// so the run is *deliberately oversubscribed* on every host. The
-/// pathologies these rows gate — a preempted flat-lock holder, a
-/// waiter descheduled for a whole scheduling quantum, capture by
-/// whichever thread happens to be running — only exist when threads
-/// outnumber cores, and pinning the ratio keeps a 1-core dev box and
-/// a 4-core CI runner in the same regime.
-pub fn native_threads() -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    (2 * cores).max(2)
-}
-
-/// The native mixed-tenancy workload behind the tail row: a hot
-/// closed-loop tenant monopolising a single object with zero think
-/// time and a *long* hold — long enough that the lock is held for
-/// most of each worker's loop, so every worker's next hot dispatch
-/// genuinely races the others (the capture-effect regime where an
-/// unfair flat spin lock starves whichever worker is descheduled for
-/// a whole scheduling quantum, while the inflated FIFO lock's yield
-/// loop bounds the same wait at handoff scale) — plus a calm
-/// open-loop tenant spread over the rest of the arena with a short
-/// deadline (exercising the native abort path).
-///
-/// The hot tenant's deadline is *generous* (50 ms, quanta-scale) and
-/// exists for measurement honesty, not shedding: under flat TTS a
-/// starved waiter can simply never win, and an acquire that never
-/// completes leaves no latency sample — the worse the lock behaves,
-/// the better its completed-only tail looks. The deadline forces
-/// every starved request to eventually resolve (grant or shed), and
-/// the driver charges each shed request its full deadline in the
-/// adjusted histogram the claims gate on.
-pub fn tail_config(scale: Scale, mode: ArenaMode) -> NativeRunConfig {
-    let threads = native_threads();
-    let mut cfg = NativeRunConfig::new(4_096, 16, 0xA11CE);
-    cfg.mode = mode;
-    cfg.limiter = Some(LimiterConfig::default());
-    cfg.threads = threads;
-    cfg.run_ns = scale.pick(1_500_000_000, 300_000_000);
-    cfg.reservoir = scale.pick(65_536, 16_384);
-    cfg.tenants.push(TenantConfig {
-        first_object: 0,
-        objects: 1,
-        theta: 0.95,
-        load: Load::Closed {
-            clients: (2 * threads) as u32,
-            think_ns: 0,
-        },
-        hold_ns: 30_000,
-        deadline_ns: 50_000_000,
-    });
-    cfg.tenants.push(TenantConfig {
-        first_object: 1,
-        objects: 4_095,
-        theta: 0.2,
-        load: Load::Open {
-            curve: ArrivalCurve::Constant {
-                rate_per_sec: 20_000.0,
-            },
-        },
-        hold_ns: 300,
-        deadline_ns: 60_000,
-    });
-    cfg
-}
-
-/// Run one arm of the native tail comparison.
-pub fn run_tail(scale: Scale, mode: ArenaMode) -> NativeReport {
-    run_native(&tail_config(scale, mode))
-}
-
-/// What the three-phase deflation driver measured.
-#[derive(Debug)]
-pub struct DeflationOutcome {
-    /// Cumulative inflations after the second storm (>= 2 proves
-    /// re-inflation).
-    pub inflations: u64,
-    /// Cumulative deflations (>= 1 proves the demotion path ran).
-    pub deflations: u64,
-    /// Live inflated locks right after the calm phase (0 proves the
-    /// hot set was fully reclaimed).
-    pub live_after_calm: u64,
-    /// Hot-side footprint bytes after the first storm.
-    pub hot_bytes_storm: u64,
-    /// Hot-side footprint bytes after the calm phase — strictly below
-    /// [`Self::hot_bytes_storm`] is the "footprint shrinks when a hot
-    /// phase cools" claim.
-    pub hot_bytes_calm: u64,
-    /// Physical slab entries after the second storm; staying at the
-    /// first storm's peak proves free-list reuse.
-    pub slab_entries: u64,
-    /// Mutual-exclusion overlaps observed by the in-CS counter (must
-    /// be 0 across both promotion boundaries).
-    pub violations: u64,
-}
-
-/// Drive one object through hot → calm → hot again with real racing
-/// threads, checking mutual exclusion throughout: the inflate →
-/// deflate → re-inflate round trip behind the deflation row.
-pub fn run_deflation(scale: Scale) -> DeflationOutcome {
-    let threads = native_threads();
-    let iters = scale.pick(6_000, 1_500);
-    let svc = Arc::new(NativeService::new(64, 4, Some(LimiterConfig::default())));
-    let in_cs = Arc::new(AtomicU64::new(0));
-    let violations = Arc::new(AtomicU64::new(0));
-
-    let storm = |until_inflations: u64| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let svc = Arc::clone(&svc);
-                let in_cs = Arc::clone(&in_cs);
-                let violations = Arc::clone(&violations);
-                std::thread::spawn(move || {
-                    for _ in 0..iters {
-                        let g = svc.acquire(0, None).expect("no deadline, must acquire");
-                        // order: SeqCst — cross-thread overlap counter.
-                        if in_cs.fetch_add(1, Ordering::SeqCst) != 0 {
-                            // order: SeqCst — see above.
-                            violations.fetch_add(1, Ordering::SeqCst);
-                        }
-                        // Yield mid-hold so waiters run (and register)
-                        // during the hold even on one core.
-                        std::thread::yield_now();
-                        // order: SeqCst — see above.
-                        in_cs.fetch_sub(1, Ordering::SeqCst);
-                        drop(g);
-                        if svc.inflations() >= until_inflations {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("storm thread panicked");
-        }
-    };
-
-    // Phase 1: contention inflates.
-    storm(1);
-    let hot_bytes_storm = svc.footprint().hot_bytes;
-
-    // Phase 2: polite solo traffic — the kernel settles back to TTS
-    // and the calm streak walks the object down to a flat word.
-    for _ in 0..400 {
-        drop(svc.acquire(0, None).expect("uncontended"));
-        if svc.deflations() >= 1 {
-            break;
-        }
-    }
-    let live_after_calm = svc.live_inflated();
-    let hot_bytes_calm = svc.footprint().hot_bytes;
-
-    // Phase 3: a second storm re-inflates through the free list.
-    storm(svc.inflations() + 1);
-
-    DeflationOutcome {
-        inflations: svc.inflations(),
-        deflations: svc.deflations(),
-        live_after_calm,
-        hot_bytes_storm,
-        hot_bytes_calm,
-        slab_entries: svc.slab_entries(),
-        // order: SeqCst — final read after joins.
-        violations: violations.load(Ordering::SeqCst),
-    }
-}
+use crate::scenario::{FlipFlop, Scale, Stay};
 
 /// Which way through [`NativeService::acquire`] a path-cost arm takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,8 +52,8 @@ pub struct PathCosts {
     pub reactive_ns: f64,
     /// The §3.5.5 protocol-change round trip of an uncontended
     /// `ReactiveLock`, ns: twice the extra cost of a release that
-    /// switches protocol (under [`FlipFlop`]) over one that does not
-    /// (under [`Stay`]).
+    /// switches protocol (under a policy that always switches) over one
+    /// that does not (under one that never does).
     pub switch_round_trip_ns: f64,
 }
 
@@ -242,8 +62,9 @@ pub struct PathCosts {
 /// to the single-object lock probes.
 const PATH_OBJECTS: u64 = 256;
 /// Solo acquisitions a queue-born inflated lock serves in queue mode
-/// before its empty-queue monitor proposes TTS (`EMPTY_QUEUE_LIMIT`).
-const QUEUE_MODE_GRANTS: u64 = 16;
+/// before its empty-queue monitor proposes TTS: the host tuning's
+/// `Tuning::HOST.empty_queue_limit`.
+const QUEUE_MODE_GRANTS: u64 = Tuning::HOST.empty_queue_limit;
 
 /// Mean ns of one acquire + release on `path`, over `services` fresh
 /// arenas (a queue-mode lock only stays one for [`QUEUE_MODE_GRANTS`]
