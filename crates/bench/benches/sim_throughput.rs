@@ -6,7 +6,11 @@
 //! path) and the repository benchmark's `cluster_ring` (threaded wall
 //! ratio).
 //!
-//! Writes `BENCH_sim.json` at the repository root.
+//! Writes `BENCH_sim.json` at the repository root through the rows
+//! writer: one row per shape and regime, keyed
+//! `serial_<nodes>_<regime>`, whose headline carries the events,
+//! simulated cycles, wall seconds, Mev/s and Mcyc/s of the fastest rep;
+//! `host_cores` follows the rows.
 //!
 //! ```sh
 //! cargo bench --bench sim_throughput                  # full run (3 reps/row)
@@ -16,6 +20,7 @@
 use std::time::Instant;
 
 use alewife_sim::{Config, CostModel, Machine};
+use repro_bench::record::{rows_json, Row};
 use repro_bench::table;
 use sim_apps::alg::{AnyLock, LockAlg};
 
@@ -26,26 +31,9 @@ const SHAPES: [usize; 3] = [1, 16, 64];
 /// "contended" is the headline regime tracked in EXPERIMENTS.md.
 const REGIMES: [(&str, u64, u64); 2] = [("moderate", 50, 50), ("contended", 5, 1)];
 
-struct Sample {
-    nodes: usize,
-    regime: &'static str,
-    events: u64,
-    cycles: u64,
-    wall_secs: f64,
-}
-
-impl Sample {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_secs
-    }
-
-    fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.wall_secs
-    }
-}
-
 /// One measured serial run: every node hammers a single reactive lock.
-fn run_shape(nodes: usize, regime: &'static str, cs: u64, think: u64, iters: u64) -> Sample {
+/// Returns `(events, simulated cycles, wall seconds)`.
+fn run_shape(nodes: usize, cs: u64, think: u64, iters: u64) -> (u64, u64, f64) {
     let m = Machine::new(
         Config::default()
             .nodes(nodes.max(2))
@@ -69,13 +57,7 @@ fn run_shape(nodes: usize, regime: &'static str, cs: u64, think: u64, iters: u64
     let cycles = m.run();
     let wall_secs = t0.elapsed().as_secs_f64();
     assert_eq!(m.live_tasks(), 0, "throughput workload deadlocked");
-    Sample {
-        nodes,
-        regime,
-        events: m.stats().sim_events,
-        cycles,
-        wall_secs,
-    }
+    (m.stats().sim_events, cycles, wall_secs)
 }
 
 fn main() {
@@ -96,54 +78,43 @@ fn main() {
         ],
     );
 
-    let mut best: Vec<Sample> = Vec::new();
+    let mut rows = Vec::new();
     for &(regime, cs, think) in &REGIMES {
         for &nodes in &SHAPES {
             let iters = (per_proc * 16 / nodes as u64).max(64);
             // Warm-up run (not timed) so allocator state is steady.
             if !quick {
-                run_shape(nodes, regime, cs, think, iters / 4);
+                run_shape(nodes, cs, think, iters / 4);
             }
-            let mut row_best: Option<Sample> = None;
-            for _ in 0..reps {
-                let s = run_shape(nodes, regime, cs, think, iters);
-                if row_best.as_ref().is_none_or(|b| s.wall_secs < b.wall_secs) {
-                    row_best = Some(s);
-                }
-            }
-            let s = row_best.expect("at least one rep ran");
-            print!("{:<28}", format!("{} {}", s.nodes, s.regime));
-            print!("{:>12}", s.events);
-            print!("{:>12}", s.cycles);
-            print!("{:>12.3}", s.events_per_sec() / 1e6);
-            print!("{:>12.3}", s.cycles_per_sec() / 1e6);
-            println!();
-            best.push(s);
+            let (events, cycles, secs) = (0..reps)
+                .map(|_| run_shape(nodes, cs, think, iters))
+                .min_by(|a, b| a.2.total_cmp(&b.2))
+                .expect("at least one rep ran");
+            let mev = events as f64 / secs / 1e6;
+            let mcyc = cycles as f64 / secs / 1e6;
+            let label = format!("{nodes} {regime}");
+            println!("{label:<28}{events:>12}{cycles:>12}{mev:>12.3}{mcyc:>12.3}");
+            rows.push(Row {
+                name: format!("serial_{nodes}_{regime}"),
+                figure: "— (simulator throughput)",
+                headline: format!(
+                    "{events} events, {cycles} cycles in {secs:.6} s: {mev:.3} Mev/s, \
+                     {mcyc:.3} Mcyc/s"
+                ),
+                results: Vec::new(),
+            });
         }
     }
 
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rows: Vec<&Row> = rows.iter().collect();
+    let json = rows_json(
+        "sim_throughput",
+        quick,
+        &rows,
+        Some(&format!("  \"host_cores\": {host_cores}\n")),
+    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
-    let mut json = String::from("{\n  \"bench\": \"sim_throughput\",\n");
-    json.push_str(&format!(
-        "  \"quick\": {quick},\n  \"host_cores\": {host_cores},\n  \"rows\": [\n"
-    ));
-    for (i, s) in best.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"serial\", \"nodes\": {}, \"regime\": \"{}\", \"events\": {}, \
-             \"cycles\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1}, \
-             \"cycles_per_sec\": {:.1}}}{}\n",
-            s.nodes,
-            s.regime,
-            s.events,
-            s.cycles,
-            s.wall_secs,
-            s.events_per_sec(),
-            s.cycles_per_sec(),
-            if i + 1 < best.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
     std::fs::write(path, json).expect("write BENCH_sim.json");
     println!("\nwrote BENCH_sim.json");
 }
