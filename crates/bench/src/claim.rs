@@ -50,16 +50,6 @@ pub enum Claim {
         /// Allowed multiplicative slack over the pointwise best.
         slack: f64,
     },
-    /// Scalar `value` is within `factor` of scalar `optimal`
-    /// (`value <= factor * optimal` and `value >= optimal / factor`).
-    WithinFactorOfOptimal {
-        /// Measured scalar.
-        value: &'static str,
-        /// The optimum it must approach.
-        optimal: &'static str,
-        /// Allowed multiplicative distance.
-        factor: f64,
-    },
 }
 
 impl Outcome {
@@ -112,13 +102,6 @@ impl Claim {
                 slack,
             } => {
                 format!("tracks-best: {series} <= {slack}x min{over:?}")
-            }
-            Claim::WithinFactorOfOptimal {
-                value,
-                optimal,
-                factor,
-            } => {
-                format!("within-optimal: {value} within {factor}x of {optimal}")
             }
         }
     }
@@ -236,23 +219,6 @@ impl Claim {
                     "{series} <= {worst:.2}x best static (allowed {slack}x)"
                 ))
             }
-            Claim::WithinFactorOfOptimal {
-                value,
-                optimal,
-                factor,
-            } => {
-                let v = o.values(value)?[0];
-                let opt = o.values(optimal)?[0];
-                if v > factor * opt || v < opt / factor {
-                    Err(format!(
-                        "{value} = {v:.4} not within {factor}x of {optimal} = {opt:.4}"
-                    ))
-                } else {
-                    Ok(format!(
-                        "{value} = {v:.4} within {factor}x of {optimal} = {opt:.4}"
-                    ))
-                }
-            }
         }
     }
 }
@@ -336,10 +302,11 @@ mod tests {
         }
         .check(&o)
         .is_err());
-        assert!(Claim::WithinFactorOfOptimal {
-            value: "s",
-            optimal: "s",
-            factor: 1.0
+        assert!(Claim::BoundedRatio {
+            num: "s",
+            den: Some("s"),
+            min: 1.0,
+            max: 1.0
         }
         .check(&o)
         .is_ok());
@@ -371,10 +338,11 @@ mod tests {
                 min: 0.0,
                 max: 1.0,
             },
-            Claim::WithinFactorOfOptimal {
-                value: "none",
-                optimal: "s",
-                factor: 1.0,
+            Claim::BoundedRatio {
+                num: "none",
+                den: Some("s"),
+                min: 1.0,
+                max: 1.0,
             },
         ];
         for claim in empty {
@@ -429,18 +397,20 @@ mod tests {
                 "nan_end",
             ),
             (
-                Claim::WithinFactorOfOptimal {
-                    value: "s_nan",
-                    optimal: "s",
-                    factor: 1.0,
+                Claim::BoundedRatio {
+                    num: "s_nan",
+                    den: Some("s"),
+                    min: 1.0,
+                    max: 1.0,
                 },
                 "s_nan",
             ),
             (
-                Claim::WithinFactorOfOptimal {
-                    value: "s",
-                    optimal: "s_nan",
-                    factor: 1.0,
+                Claim::BoundedRatio {
+                    num: "s",
+                    den: Some("s_nan"),
+                    min: 1.0,
+                    max: 1.0,
                 },
                 "s_nan",
             ),

@@ -150,10 +150,12 @@ pub(super) const FIG_4_4: Scenario = Scenario {
             min: 1.5,
             max: 1.585,
         },
-        Claim::WithinFactorOfOptimal {
-            value: "rho_054",
-            optimal: "rho_star",
-            factor: 1.002,
+        // Within 1.002x of the optimum the search finds, either way.
+        Claim::BoundedRatio {
+            num: "rho_054",
+            den: Some("rho_star"),
+            min: 1.0 / 1.002,
+            max: 1.002,
         },
         Claim::BoundedRatio {
             num: "alpha_star",
@@ -218,10 +220,12 @@ pub(super) const FIG_4_5: Scenario = Scenario {
             min: 1.55,
             max: 1.63,
         },
-        Claim::WithinFactorOfOptimal {
-            value: "rho_062",
-            optimal: "rho_star",
-            factor: 1.005,
+        // Within 1.005x of the optimum the search finds, either way.
+        Claim::BoundedRatio {
+            num: "rho_062",
+            den: Some("rho_star"),
+            min: 1.0 / 1.005,
+            max: 1.005,
         },
         Claim::BoundedRatio {
             num: "alpha_star",
