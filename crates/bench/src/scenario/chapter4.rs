@@ -54,20 +54,6 @@ impl App {
     fn elapsed(self, procs: usize, w: WaitAlg) -> f64 {
         self.run(procs, w).elapsed as f64
     }
-
-    /// Table 4.6's name for the application.
-    fn name(self) -> &'static str {
-        match self {
-            App::Jacobi => "jacobi",
-            App::Fib => "fib",
-            App::Aq => "aq",
-            App::Cgrad => "cgrad",
-            App::JacobiBar => "jacobi-bar",
-            App::FibHeap => "fibheap",
-            App::CountNet => "countnet",
-            App::Mutex => "mutex",
-        }
-    }
 }
 
 /// Two-phase waiting that polls for `fraction` of the blocking cost.
@@ -523,29 +509,28 @@ fn table_4_6(scale: Scale) -> Outcome {
     let b = CostModel::nwo().block_cost();
     let half = WaitAlg::TwoPhase(b / 2);
     let full = WaitAlg::TwoPhase(b);
-    let apps: &[App] = scale.pick(
-        &[
-            App::Jacobi,
-            App::Fib,
-            App::Cgrad,
-            App::Mutex,
-            App::Aq,
-            App::JacobiBar,
-            App::FibHeap,
-            App::CountNet,
-        ],
-        &[App::Jacobi, App::Fib, App::Cgrad, App::Mutex],
-    );
+    let apps = [
+        ("jacobi", App::Jacobi),
+        ("fib", App::Fib),
+        ("cgrad", App::Cgrad),
+        ("mutex", App::Mutex),
+        ("aq", App::Aq),
+        ("jacobi-bar", App::JacobiBar),
+        ("fibheap", App::FibHeap),
+        ("countnet", App::CountNet),
+    ];
+    // Quick scale runs the first four.
+    let apps = &apps[..scale.pick(8, 4)];
     let mut ratio = Vec::new();
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for (i, app) in apps.iter().enumerate() {
+    for (i, &(_, app)) in apps.iter().enumerate() {
         let r = app.elapsed(8, half) / app.elapsed(8, full);
         lo = lo.min(r);
         hi = hi.max(r);
         ratio.push((i as f64, r));
     }
-    let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
+    let names: Vec<&str> = apps.iter().map(|&(name, _)| name).collect();
     let mut o = Outcome {
         sweep: "L=0.5B / L=B \\ app index",
         headline: format!(
