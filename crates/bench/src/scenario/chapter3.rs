@@ -816,10 +816,10 @@ pub(super) const FIG_3_25: Scenario = Scenario {
 fn fig_3_25(scale: Scale) -> Outcome {
     let procs: &[usize] = scale.pick(&[4, 8, 16], &[4, 8]);
     let cholesky_procs: &[usize] = scale.pick(&[4, 8, 16], &[4]);
-    let cases: Vec<(bool, usize)> = procs
+    let cases: Vec<(&str, usize)> = procs
         .iter()
-        .map(|&p| (true, p))
-        .chain(cholesky_procs.iter().map(|&p| (false, p)))
+        .map(|&p| ("mp3d", p))
+        .chain(cholesky_procs.iter().map(|&p| ("cholesky", p)))
         .collect();
     let algs = [
         ("app/test&set", LockAlg::TestAndSet),
@@ -830,13 +830,14 @@ fn fig_3_25(scale: Scale) -> Outcome {
         sweep: "cycles \\ app index",
         ..Outcome::default()
     };
-    let ratios = adaptive_matrix(&mut o, &algs, &cases, |(is_mp3d, p), a| {
-        let r = if is_mp3d {
-            let mut cfg = mp3d::Mp3dConfig::small(p, a);
-            cfg.particles_per_proc = 8;
-            mp3d::run(&cfg)
-        } else {
-            cholesky::run(&cholesky::CholeskyConfig::small(p, a))
+    let ratios = adaptive_matrix(&mut o, &algs, &cases, |(app, p), a| {
+        let r = match app {
+            "mp3d" => {
+                let mut cfg = mp3d::Mp3dConfig::small(p, a);
+                cfg.particles_per_proc = 8;
+                mp3d::run(&cfg)
+            }
+            _ => cholesky::run(&cholesky::CholeskyConfig::small(p, a)),
         };
         r.elapsed as f64
     });
