@@ -2,6 +2,7 @@
 //! empirical Zipf skew within tolerance, and open-loop arrival-rate
 //! accuracy — the statistical ground the bench scenarios stand on.
 
+use lock_service::workload::think_time;
 use lock_service::{ArrivalCurve, Arrivals, Zipf};
 use proptest::prelude::*;
 
@@ -160,5 +161,101 @@ fn burst_arrivals_cluster_in_spikes() {
     assert!(
         in_spike as f64 > 0.85 * total as f64,
         "{in_spike}/{total} arrivals in spikes"
+    );
+}
+
+/// FNV-1a over 64-bit words: a cheap, order-sensitive fold of a stream.
+fn digest(values: impl IntoIterator<Item = u64>) -> u64 {
+    values.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, v| {
+        (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Draws per pinned stream.
+const PINNED_DRAWS: usize = 1_000_000;
+
+/// Each sampler's first 10⁶ ranks, folded. The digests were taken from
+/// the plain `powf` inversion; any faster form of `Zipf::sample` must
+/// reproduce them bit for bit, rank 0 and rank 1 branches, the
+/// degenerate `n = 1` and `n = 2` samplers and the fallback included.
+#[test]
+fn zipf_streams_match_their_pinned_digests() {
+    let cases: [(u64, f64, u64, u64); 5] = [
+        (500_000, 0.95, 21, 0xcae3_0cee_ca67_8a71),
+        (500_000, 0.2, 22, 0x8bc5_b0d8_cee1_a948),
+        (1_000, 0.99, 23, 0x297b_cbfc_deea_df38),
+        (2, 0.5, 24, 0x0a2e_af16_a843_984b),
+        (1, 0.5, 25, 0x8f6d_d72f_ba19_3025),
+    ];
+    let mut wrong = Vec::new();
+    for (n, theta, seed, want) in cases {
+        let mut z = Zipf::new(n, theta, seed);
+        let got = digest((0..PINNED_DRAWS).map(|_| z.sample()));
+        if got != want {
+            wrong.push(format!(
+                "(n {n}, theta {theta}): {got:#x}, pinned {want:#x}"
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "Zipf streams moved:\n{}",
+        wrong.join("\n")
+    );
+}
+
+/// The closed loop's think times at the `service_virtual` mean.
+#[test]
+fn think_time_stream_matches_its_pinned_digest() {
+    let mut state = 31;
+    let got = digest((0..PINNED_DRAWS).map(|_| think_time(200, &mut state)));
+    assert_eq!(
+        got, 0xf1bc_57a0_f443_87e1,
+        "think_time(200, ·) moved: {got:#x}"
+    );
+}
+
+/// Open-loop arrival times on the three committed curve shapes (the
+/// service rows' constant, diurnal and burst tenants).
+#[test]
+fn arrival_streams_match_their_pinned_digests() {
+    let cases: [(ArrivalCurve, u64, u64); 3] = [
+        (
+            ArrivalCurve::Constant { rate_per_sec: 2e6 },
+            41,
+            0x9ac9_368e_899d_38e8,
+        ),
+        (
+            ArrivalCurve::Diurnal {
+                low_per_sec: 1e5,
+                high_per_sec: 1e6,
+                period_ns: 1_000_000,
+            },
+            42,
+            0xc98a_4044_7f19_e16b,
+        ),
+        (
+            ArrivalCurve::Burst {
+                base_per_sec: 2e5,
+                spike_per_sec: 1e9,
+                duty_ns: 50_000,
+                period_ns: 200_000,
+            },
+            43,
+            0x12ea_df59_f987_c2b6,
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (i, (curve, seed, want)) in cases.into_iter().enumerate() {
+        let mut gen = Arrivals::new(curve, seed);
+        let got = digest((0..PINNED_DRAWS).map(|_| gen.next_arrival().expect("positive rate")));
+        if got != want {
+            wrong.push(format!("curve {i}: {got:#x}, pinned {want:#x}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "arrival streams moved:\n{}",
+        wrong.join("\n")
     );
 }
