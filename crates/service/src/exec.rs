@@ -14,12 +14,13 @@
 //! truth for "in flight". A side-table entry (the waiter queue; the
 //! holder is not recorded anywhere but the pending release event) is
 //! created when an arrival finds `HELD` set — the first waiter — and
-//! dropped when a release finds nobody left to hand to. An uncontended
-//! request therefore reads and writes its slot word and pushes its
-//! release, and that release only confirms that the (few-entry) side
-//! table has nothing under its object — so 10⁶ objects with a
-//! 10³-object working set cost 8 MB of slots plus kilobytes of side
-//! state, not 10⁶ lock structures.
+//! dropped when a release finds nobody left to hand to. The slot word's
+//! `SIDE` bit is set and cleared with the entry. An uncontended request
+//! therefore reads and writes its slot word and pushes its release, and
+//! that release sees `SIDE` clear, clears `HELD` and is done, without
+//! touching the side table — so 10⁶ objects with a 10³-object working
+//! set cost 8 MB of slots plus kilobytes of side state, not 10⁶ lock
+//! structures.
 //!
 //! The event loop is the simulator's calendar queue
 //! ([`alewife_sim::EventQueue`]) with a 4096 ns window: pending events
@@ -417,11 +418,11 @@ impl ServiceSim {
         } else {
             // The first waiter since the object was last idle brings
             // the side entry into being.
-            let entry = self.active.entry(object).or_insert_with(|| {
+            if word & slot::SIDE == 0 {
+                self.arena.store(object, word | slot::SIDE);
                 self.side_entries_created += 1;
-                Active::default()
-            });
-            entry.waiters.push_back(w);
+            }
+            self.active.entry(object).or_default().waiters.push_back(w);
         }
         self.max_active = self.max_active.max(self.held);
     }
@@ -488,16 +489,20 @@ impl ServiceSim {
     fn handle_release(&mut self, object: u64) {
         let word = self.arena.load(object);
         self.arena.store(object, word & !slot::HELD);
+        if word & slot::SIDE == 0 {
+            // Nobody waited during this passage: the slot word was the
+            // whole lock.
+            self.held -= 1;
+            return;
+        }
         // Abort every waiter whose deadline already passed (the PR 7
         // abortable-acquire path: they have left the queue by now).
         let now = self.now;
         let (next, aborted) = {
-            let Some(entry) = self.active.get_mut(&object) else {
-                // Nobody waited during this passage: the slot word was
-                // the whole lock.
-                self.held -= 1;
-                return;
-            };
+            let entry = self
+                .active
+                .get_mut(&object)
+                .expect("`SIDE` set without a side entry");
             let mut aborted = Vec::new();
             entry.waiters.retain(|w| {
                 if w.deadline_ns <= now {
@@ -549,6 +554,7 @@ impl ServiceSim {
                 // Last one out: drop the side entry so the object is
                 // back to slot-word-only residency.
                 self.active.remove(&object);
+                self.arena.store(object, word & !(slot::HELD | slot::SIDE));
                 self.held -= 1;
             }
         }
@@ -582,15 +588,16 @@ impl ServiceSim {
             debug_assert!(
                 self.active
                     .keys()
-                    .all(|&o| self.arena.load(o) & slot::HELD != 0),
-                "side entry for an object that is not held"
+                    .all(|&o| self.arena.load(o) & (slot::HELD | slot::SIDE)
+                        == slot::HELD | slot::SIDE),
+                "side entry for an object that is not held or not marked"
             );
         }
         debug_assert!(self.active.is_empty(), "side entries outlived the run");
         debug_assert_eq!(self.held, 0, "held counter out of step");
         debug_assert!(
-            (0..self.cfg.objects).all(|o| self.arena.load(o) & slot::HELD == 0),
-            "an object is still held after the last event"
+            (0..self.cfg.objects).all(|o| self.arena.load(o) & (slot::HELD | slot::SIDE) == 0),
+            "an object is still held or marked after the last event"
         );
     }
 

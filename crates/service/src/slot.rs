@@ -20,7 +20,8 @@
 //! | 8-11  | calm streak      | saturating count of consecutive calm grants      |
 //! | 12    | `HOT`            | a lazily allocated hot-stat entry exists         |
 //! | 13    | `WAITERS`        | native: a spinner registered during this hold    |
-//! | 14-15 | (reserved)       | zero                                             |
+//! | 14    | `SIDE`           | virtual: the object has a waiter-queue entry     |
+//! | 15    | (reserved)       | zero                                             |
 //! | 16-31 | in-flight count  | native: registered inflated-path acquirers       |
 //! | 32-63 | inflation index  | slab index of the inflated lock (when `INFLATED`)|
 //!
@@ -53,6 +54,12 @@ pub const HOT: u64 = 1 << 12;
 /// hold. Set by waiters, read (as contention evidence) and cleared by
 /// the release/acquire that ends the hold.
 pub const WAITERS: u64 = 1 << 13;
+/// Virtual executor only: a side-table entry (the object's waiter
+/// queue) exists, so a release must look it up. Set with the entry by
+/// the first waiter and cleared with it by the release that finds the
+/// queue empty; a calm release sees it clear and skips the lookup. The
+/// native executor never sets it.
+pub const SIDE: u64 = 1 << 14;
 /// One in-flight inflated-path acquirer (the registration refcount
 /// lives in bits 16-31; add/subtract this to register/deregister).
 pub const REF_ONE: u64 = 1 << REF_SHIFT;
