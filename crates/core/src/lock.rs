@@ -232,6 +232,20 @@ mod tests {
         assert_eq!(m.read_word(mode), MODE_QUEUE);
     }
 
+    /// Every simulated acquire and release is one of these futures
+    /// nested in a task, so their sizes are a counted host cost: growth
+    /// fails here, and a shrink should lower the bounds to match.
+    #[test]
+    fn lock_futures_stay_within_their_measured_sizes() {
+        let m = Machine::new(Config::default().nodes(2));
+        let lock = ReactiveLock::new(&m, 0, 2);
+        let cpu = m.cpu(0);
+        let acquire = std::mem::size_of_val(&lock.acquire(&cpu));
+        let release = std::mem::size_of_val(&lock.release(&cpu, ReleaseMode::Tts));
+        assert!(acquire <= 352, "acquire future grew to {acquire} B");
+        assert!(release <= 544, "release future grew to {release} B");
+    }
+
     #[test]
     #[should_panic(expected = "not P5")]
     fn rejects_unknown_initial_protocol() {

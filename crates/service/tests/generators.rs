@@ -164,6 +164,34 @@ fn burst_arrivals_cluster_in_spikes() {
     );
 }
 
+/// An on/off stream (no base rate) keeps arriving spike after spike:
+/// the thinning skips each silent stretch instead of running out of
+/// candidates in the first one.
+#[test]
+fn on_off_burst_arrives_in_every_spike() {
+    const PERIOD_NS: u64 = 1_000_000_000;
+    let curve = ArrivalCurve::Burst {
+        base_per_sec: 0.0,
+        spike_per_sec: 1e6,
+        duty_ns: 100_000,
+        period_ns: PERIOD_NS,
+    };
+    let mut gen = Arrivals::new(curve, 5);
+    let mut per_spike = [0u32; 5];
+    while let Some(t) = gen.next_arrival() {
+        if t >= 5 * PERIOD_NS {
+            break;
+        }
+        assert!(t % PERIOD_NS < 100_000, "arrival at {t} ns, between spikes");
+        per_spike[(t / PERIOD_NS) as usize] += 1;
+    }
+    // 100 µs at 10⁶/s: Poisson(100) per spike.
+    assert!(
+        per_spike.iter().all(|n| (60..=140).contains(n)),
+        "arrivals per spike: {per_spike:?}"
+    );
+}
+
 /// FNV-1a over 64-bit words: a cheap, order-sensitive fold of a stream.
 fn digest(values: impl IntoIterator<Item = u64>) -> u64 {
     values.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, v| {
