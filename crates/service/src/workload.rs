@@ -381,6 +381,7 @@ impl ArrivalCurve {
 
     /// The first virtual ns at or after `t` where the rate is positive,
     /// or `None` if there is none.
+    #[cold]
     fn next_positive(&self, t: u64) -> Option<u64> {
         match *self {
             ArrivalCurve::Constant { .. } => (self.rate_per_ns(t) > 0.0).then_some(t),
