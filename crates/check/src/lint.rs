@@ -23,6 +23,9 @@
 //! * `dir-entry-size` — the compile-time 14-byte bound on a directory
 //!   entry must stay present in `coherence.rs`: every simulated line
 //!   pays for one.
+//! * `slot-size` — the compile-time 4-byte size of the lock service's
+//!   slot word must stay asserted in `arena.rs`: every hosted object
+//!   pays for one.
 //! * `experiments-keys` — over the two row files the `experiments`
 //!   bench writes (`BENCH_experiments.json`, the counted rows, and
 //!   `BENCH_service_native.json`, the wall-clock rows): every row name
@@ -159,6 +162,9 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
         }
         if rel == "crates/sim/src/coherence.rs" {
             size_assert_rule("dir-entry-size", &rel, &text, DIR_ENTRY_SIZE, &mut findings);
+        }
+        if rel == "crates/service/src/arena.rs" {
+            size_assert_rule("slot-size", &rel, &text, SLOT_SIZE, &mut findings);
         }
     }
     record_rules(root, &mut findings)?;
@@ -347,6 +353,7 @@ fn horizon_rule(file: &str, lines: &[&str], findings: &mut Vec<Finding>) {
 
 const EV_SIZE: &str = "size_of::<Ev>() <= 16";
 const DIR_ENTRY_SIZE: &str = "size_of::<DirEntry>() <= 14";
+const SLOT_SIZE: &str = "size_of::<Slot>() == 4";
 
 /// The compile-time size assert `needle` must stay in `text`.
 fn size_assert_rule(
@@ -593,6 +600,20 @@ mod tests {
         let present = format!("const _: () = assert!({DIR_ENTRY_SIZE});");
         assert_eq!(rule(&present), 0);
         assert_eq!(rule("struct DirEntry;"), 1, "a missing assert is a finding");
+    }
+
+    #[test]
+    fn slot_size_rule_requires_the_assert() {
+        let rule = |text: &str| {
+            let mut f = Vec::new();
+            size_assert_rule("slot-size", "a.rs", text, SLOT_SIZE, &mut f);
+            f.len()
+        };
+        let present = format!("const _: () = assert!(std::mem::{SLOT_SIZE});");
+        assert_eq!(rule(&present), 0);
+        // The old 8-byte word, or no assert at all, is a finding.
+        assert_eq!(rule("const _: () = assert!(size_of::<Slot>() == 8);"), 1);
+        assert_eq!(rule("type Slot = AtomicU32;"), 1);
     }
 
     #[test]

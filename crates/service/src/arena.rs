@@ -3,12 +3,12 @@
 //! The arena is the memory-bound half of the tentpole contract: hosting
 //! 10⁶ adaptive objects means the *per-object* cost must be a handful
 //! of bytes, not a kernel-backed lock each. The arena therefore stores
-//! exactly one `AtomicU64` slot word per object (layout in
-//! [`crate::slot`]); everything else — switch journals, hot-object
-//! statistics, inflated native locks, limiter state — is *per shard* or
-//! *per hot object*, allocated lazily, and accounted for by
-//! [`Footprint`] so the bytes/object claim is measured rather than
-//! asserted.
+//! exactly one 4-byte `AtomicU32` slot word per object (layout in
+//! [`crate::slot`]; 4 MB at 10⁶ objects); everything else — switch
+//! journals, hot-object statistics, inflated native locks, limiter
+//! state — is *per shard* or *per hot object*, allocated lazily, and
+//! accounted for by [`Footprint`] so the bytes/object claim is measured
+//! rather than asserted.
 //!
 //! Sharding is `object mod shards`, which spreads each tenant's
 //! contiguous object range across all shards — a hot tenant heats every
@@ -17,11 +17,19 @@
 //! single mask; the router keeps a precomputed mask for that case and
 //! falls back to the division only for odd shard counts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
+
+use crate::slot::Word;
+
+/// One slot word in the arena. Every object pays for one, so its size
+/// is pinned at compile time.
+type Slot = AtomicU32;
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 4);
 
 /// The slot array plus shard router.
 pub struct ObjectArena {
-    slots: Box<[AtomicU64]>,
+    slots: Box<[Slot]>,
     shards: u32,
     /// `shards - 1` when `shards` is a power of two (so `object & mask`
     /// equals `object % shards`), else `None`.
@@ -37,7 +45,7 @@ impl ObjectArena {
     pub fn new(objects: u64, shards: u32) -> Self {
         assert!(objects > 0, "arena must hold at least one object");
         assert!(shards > 0, "arena must have at least one shard");
-        let slots = (0..objects).map(|_| AtomicU64::new(0)).collect();
+        let slots = (0..objects).map(|_| Slot::new(0)).collect();
         let shard_mask = shards.is_power_of_two().then(|| u64::from(shards) - 1);
         ObjectArena {
             slots,
@@ -68,7 +76,7 @@ impl ObjectArena {
     /// Read a slot word. Relaxed suffices for the deterministic
     /// executor (single-threaded) and for native heuristic reads whose
     /// decisions are re-validated under the fast-path bit.
-    pub fn load(&self, object: u64) -> u64 {
+    pub fn load(&self, object: u64) -> Word {
         // order: Relaxed — heuristic read; any mutation that matters is
         // re-checked by a CAS on the same word.
         self.slots[object as usize].load(Ordering::Relaxed)
@@ -78,7 +86,7 @@ impl ObjectArena {
     /// with [`store_release`](Self::store_release) so a reader that
     /// observes a published word also sees everything the publisher
     /// wrote before it — in particular, an `INFLATED` word's slab entry.
-    pub fn load_acquire(&self, object: u64) -> u64 {
+    pub fn load_acquire(&self, object: u64) -> Word {
         // order: Acquire — pairs with store_release; observing an
         // INFLATED word must make the slab push that preceded it
         // visible, and observing a cleared HELD bit must make the
@@ -95,7 +103,7 @@ impl ObjectArena {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let word: *const AtomicU64 = &self.slots[object as usize];
+            let word: *const Slot = &self.slots[object as usize];
             // SAFETY: a prefetch never faults and changes no memory.
             unsafe { _mm_prefetch::<_MM_HINT_T0>(word.cast()) };
         }
@@ -105,7 +113,7 @@ impl ObjectArena {
 
     /// Unconditionally store a slot word (deterministic executor only,
     /// where the simulation loop is the sole mutator).
-    pub fn store(&self, object: u64, word: u64) {
+    pub fn store(&self, object: u64, word: Word) {
         // order: Relaxed — single-mutator virtual-time executor.
         self.slots[object as usize].store(word, Ordering::Relaxed)
     }
@@ -116,7 +124,7 @@ impl ObjectArena {
     /// [`cas`](Self::cas)/[`load_acquire`](Self::load_acquire), and
     /// publishing `INFLATED | index` must order the slab push before
     /// the word that points at it.
-    pub fn store_release(&self, object: u64, word: u64) {
+    pub fn store_release(&self, object: u64, word: Word) {
         // order: Release — pairs with the Acquire side of cas/
         // load_acquire; the slot word doubles as a lock word in the
         // native fast path.
@@ -126,7 +134,7 @@ impl ObjectArena {
     /// Compare-and-swap a slot word (native executor). Success is
     /// AcqRel: acquiring the HELD bit must see the critical section it
     /// protects, releasing must publish it.
-    pub fn cas(&self, object: u64, old: u64, new: u64) -> Result<u64, u64> {
+    pub fn cas(&self, object: u64, old: Word, new: Word) -> Result<Word, Word> {
         // order: AcqRel/Acquire — slot word doubles as a lock word in
         // the native fast path.
         self.slots[object as usize].compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
@@ -134,7 +142,7 @@ impl ObjectArena {
 
     /// Bytes occupied by at-rest per-object state: the slot array only.
     pub fn resident_bytes(&self) -> u64 {
-        (self.slots.len() * std::mem::size_of::<AtomicU64>()) as u64
+        (self.slots.len() * std::mem::size_of::<Slot>()) as u64
     }
 }
 
@@ -146,7 +154,7 @@ impl ObjectArena {
 pub struct Footprint {
     /// Objects hosted.
     pub objects: u64,
-    /// Slot-array bytes (8 × objects).
+    /// Slot-array bytes (4 × objects).
     pub slot_bytes: u64,
     /// Per-shard fixed state: limiters, switch logs, router tables.
     pub shard_bytes: u64,
@@ -181,9 +189,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slot_array_is_eight_bytes_per_object() {
+    fn slot_array_is_four_bytes_per_object() {
         let a = ObjectArena::new(1_000, 8);
-        assert_eq!(a.resident_bytes(), 8_000);
+        assert_eq!(a.resident_bytes(), 4_000);
         assert_eq!(a.objects(), 1_000);
     }
 
@@ -225,17 +233,17 @@ mod tests {
     fn at_rest_footprint_is_flat() {
         let small = Footprint {
             objects: 1_000,
-            slot_bytes: 8_000,
+            slot_bytes: 4_000,
             shard_bytes: 4_096,
             ..Footprint::default()
         };
         let big = Footprint {
             objects: 1_000_000,
-            slot_bytes: 8_000_000,
+            slot_bytes: 4_000_000,
             shard_bytes: 4_096,
             ..Footprint::default()
         };
         assert!(big.at_rest_bytes_per_object() < small.at_rest_bytes_per_object());
-        assert!(big.at_rest_bytes_per_object() < 9.0);
+        assert!(big.at_rest_bytes_per_object() < 5.0);
     }
 }

@@ -19,8 +19,10 @@
 //! therefore reads and writes its slot word and pushes its release, and
 //! that release sees `SIDE` clear, clears `HELD` and is done, without
 //! touching the side table — so 10⁶ objects with a 10³-object working
-//! set cost 8 MB of slots plus kilobytes of side state, not 10⁶ lock
-//! structures.
+//! set cost 4 MB of 4-byte slot words plus kilobytes of side state, not
+//! 10⁶ lock structures. This executor reads and writes only the word's
+//! flat fields (`HELD`, `MODE`, the streaks, `SIDE`); the narrow
+//! in-flight and index fields are the native executor's.
 //!
 //! The event loop is the simulator's calendar queue
 //! ([`alewife_sim::EventQueue`]) with a 4096 ns window: pending events
@@ -29,7 +31,7 @@
 //! spells take its overflow heap. Each tenant's next object is drawn
 //! one arrival ahead and its slot word prefetched
 //! ([`ObjectArena::prefetch`]), so the load at the next arrival rarely
-//! misses into the 8 MB arena. Both keep the history bit-exact: events
+//! misses into the 4 MB arena. Both keep the history bit-exact: events
 //! pop in the same `(time, seq)` order, and each tenant's private pick
 //! stream is still consumed once per arrival, in handling order.
 //!

@@ -10,7 +10,7 @@
 //!
 //! The pieces:
 //!
-//! * [`arena`] — the sharded [`ObjectArena`]: one packed `u64` slot
+//! * [`arena`] — the sharded [`ObjectArena`]: one packed 4-byte slot
 //!   word per object at rest ([`slot`] defines the layout); journals,
 //!   stats, and inflated locks are lazily allocated for hot objects
 //!   only, and [`Footprint`] measures the result.

@@ -13,12 +13,24 @@
 //! only the thread that currently owns the flat `HELD` bit may inflate.
 //! At release time, instead of clearing `HELD`, it builds the reactive
 //! lock, installs it in the slab, and publishes `INFLATED | index` in a
-//! single release store, carrying the per-object bits
-//! ([`slot::carry_bits`]) of the word it replaces. Flat acquisition is
-//! a CAS that asserts `INFLATED` is clear in the expected word, so no
-//! thread can win the flat path once the word is inflated, and the word
-//! is only replaced while its owner holds it — there is never a moment
-//! with two live lock identities.
+//! single release store; nothing of the flat word it replaces is
+//! carried. Flat acquisition is a CAS that asserts `INFLATED` is clear
+//! in the expected word, so no thread can win the flat path once the
+//! word is inflated, and the word is only replaced while its owner
+//! holds it — there is never a moment with two live lock identities.
+//!
+//! The slot word is 4 bytes, so its two native counters are narrow (see
+//! [`slot`]), and two rules keep them total:
+//!
+//! * An acquirer that finds the in-flight count at
+//!   [`slot::INFLIGHT_MAX`] does not register: the increment would
+//!   carry into the index field. It backs off like a flat spinner and
+//!   re-dispatches, and registers once a holder has deregistered.
+//! * An inflation that would need a slab index past the field (every
+//!   one of [`slot::INDEX_LIMIT`] indices holds a live lock) is refused
+//!   the way a limiter denial is: the owner clears the streaks and drops
+//!   `HELD`, and the object stays a flat lock until it earns its
+//!   evidence again.
 //!
 //! The flat path is the cold path of a million-object arena, so it is
 //! built to cost its two atomic RMWs. [`NativeService::acquire`] is one
@@ -62,7 +74,7 @@
 //! and the calm streak crosses `DEFLATE_STREAK`, the holder asks the
 //! shard limiter for a token and attempts the demotion CAS: the exact
 //! word it loaded (ref == 1, its own) against the flat
-//! [`slot::deflated`] word. Registration and demotion arbitrate on the
+//! [`slot::DEFLATED`] word. Registration and demotion arbitrate on the
 //! same word, so a racing acquirer either registers first (the demotion
 //! CAS fails, the holder releases normally) or loses its registration
 //! CAS (and retries against the now-flat word). On success the holder
@@ -107,7 +119,7 @@ use crate::exec::ArenaMode;
 use crate::limiter::{LimiterConfig, TokenBucket};
 use crate::oracle::{Stampede, StampedeCheck};
 use crate::slab::{Retired, Slab};
-use crate::slot;
+use crate::slot::{self, Word};
 
 /// Contended flat grants (streak) after which the releasing owner
 /// inflates the object.
@@ -212,7 +224,7 @@ enum Deflate {
     Denied,
     /// A racing registration changed the word (carried here from the
     /// failed CAS).
-    Raced(u64),
+    Raced(Word),
 }
 
 /// RAII guard for a native acquisition; releases on drop.
@@ -227,7 +239,7 @@ pub struct NativeGuard<'a> {
 enum Hold<'a> {
     /// Won on the flat word: the word this hold's winning CAS installed,
     /// which its release CASes against.
-    Flat(u64),
+    Flat(Word),
     /// Admitted through the inflated reactive lock. The borrow is pinned
     /// by the guard's registration on the slot word, not by `'a`; it is
     /// never used after the release that deregisters. The token is
@@ -321,31 +333,31 @@ impl NativeService {
                     self.aborts.fetch_add(1, Ordering::Relaxed);
                     return None;
                 }
-                debug_assert!(
-                    slot::inflight(word) < u32::from(u16::MAX),
-                    "in-flight refcount saturated"
-                );
                 // Register before touching the slab: the in-flight
                 // count pins the entry against deflation (the demotion
                 // CAS requires the count to be the holder's own 1). A
                 // failed CAS means the word moved — possibly deflated —
-                // so reload and re-dispatch.
-                if self.arena.cas(object, word, word + slot::REF_ONE).is_err() {
-                    deadline.start();
-                    continue;
+                // so reload and re-dispatch. A saturated count takes no
+                // registration: it falls through to the backoff below
+                // and re-dispatches once a holder has left.
+                if slot::inflight(word) < slot::INFLIGHT_MAX {
+                    if self.arena.cas(object, word, word + slot::REF_ONE).is_err() {
+                        deadline.start();
+                        continue;
+                    }
+                    // SAFETY: the registration CAS above succeeded on a
+                    // word carrying `INFLATED | index(word)`, and the
+                    // guard returned below stays registered until its
+                    // release.
+                    let lock = unsafe { self.slab.get(slot::index(word)) };
+                    let held = lock.acquire();
+                    return Some(NativeGuard {
+                        svc: self,
+                        object,
+                        hold: Hold::Inflated(lock, ManuallyDrop::new(held)),
+                    });
                 }
-                // SAFETY: the registration CAS above succeeded on a
-                // word carrying `INFLATED | index(word)`, and the guard
-                // returned below stays registered until its release.
-                let lock = unsafe { self.slab.get(slot::index(word)) };
-                let held = lock.acquire();
-                return Some(NativeGuard {
-                    svc: self,
-                    object,
-                    hold: Hold::Inflated(lock, ManuallyDrop::new(held)),
-                });
-            }
-            if word & slot::HELD == 0 {
+            } else if word & slot::HELD == 0 {
                 // Win the flat path. An uncontended win consumes the
                 // WAITERS evidence (the releaser already folded it into
                 // the streaks); a fought win re-asserts it, charging
@@ -374,16 +386,19 @@ impl NativeService {
                 fought = true;
                 deadline.start();
                 continue;
-            }
-            fought = true;
-            deadline.start();
-            // Held by someone else: register this hold's contention
-            // evidence once, then spin. The releaser reads WAITERS as
-            // "this grant was contended".
-            if word & slot::WAITERS == 0 {
+            } else if word & slot::WAITERS == 0 {
+                // Held by someone else: register this hold's contention
+                // evidence once, then spin. The releaser reads WAITERS
+                // as "this grant was contended".
+                fought = true;
+                deadline.start();
                 let _ = self.arena.cas(object, word, word | slot::WAITERS);
                 continue;
             }
+            // A held word whose WAITERS is already set, or an inflated
+            // word whose in-flight count is saturated: spin.
+            fought = true;
+            deadline.start();
             for _ in 0..backoff {
                 std::hint::spin_loop();
             }
@@ -414,7 +429,7 @@ impl NativeService {
     /// means evidence arrived, and [`Self::release_flat_slow`] folds it
     /// in from the word the CAS saw.
     #[inline]
-    fn release_flat(&self, object: u64, installed: u64) {
+    fn release_flat(&self, object: u64, installed: Word) {
         if !self.inflates_at(installed) {
             let next = slot::observe(installed, installed & slot::WAITERS != 0) & !slot::HELD;
             match self.arena.cas(object, installed, next) {
@@ -427,7 +442,7 @@ impl NativeService {
 
     /// Whether a flat release of `word` inflates instead of clearing
     /// `HELD`.
-    fn inflates_at(&self, word: u64) -> bool {
+    fn inflates_at(&self, word: Word) -> bool {
         // The inflation decision reads the streak as it stood when the
         // release began (the evidence that crossed the threshold), not
         // post-observation — so a streak seeded directly (tests) and
@@ -439,7 +454,7 @@ impl NativeService {
     /// stands: fold this hold's `WAITERS` evidence into the streaks and
     /// clear `HELD` — or, if the object has proven hot, inflate.
     #[inline(never)]
-    fn release_flat_slow(&self, object: u64, mut word: u64) {
+    fn release_flat_slow(&self, object: u64, mut word: Word) {
         debug_assert!(word & slot::HELD != 0, "releasing an unheld flat object");
         if self.inflates_at(word) {
             self.try_inflate(object, word);
@@ -459,46 +474,48 @@ impl NativeService {
     }
 
     /// Attempt the promotion while owning `HELD`. Publishes either the
-    /// inflated word (token granted) or the cleared-streak backoff word
-    /// (token denied); either way the flat hold ends.
-    fn try_inflate(&self, object: u64, word: u64) {
+    /// inflated word (token granted, slab index free) or the
+    /// cleared-streak backoff word (token denied, or every index the
+    /// word can name taken); either way the flat hold ends.
+    fn try_inflate(&self, object: u64, word: Word) {
         let shard = self.arena.shard_of(object);
         let mut sh = self.shards[shard as usize].lock().expect("shard poisoned");
         // Stamped under the shard lock, so a shard's commits are in
         // time order.
         let now = self.now_ns();
-        if !sh.try_token(now) {
-            // Denied: back off by clearing the evidence (and HELD). A
-            // blind store may drop a concurrent WAITERS registration,
-            // which only costs one hold's worth of already-discarded
-            // evidence.
+        // A refused insert burns the token, like a lost demotion race.
+        let index = if sh.try_token(now) {
+            self.slab.insert(|| {
+                ReactiveLock::builder()
+                    // Hot from birth: start in the queue protocol; the
+                    // kernel will switch back if it calms down.
+                    .initial_protocol(PROTO_QUEUE)
+                    .build()
+            })
+        } else {
+            None
+        };
+        let Some(index) = index else {
+            // Denied or refused: back off by clearing the evidence (and
+            // HELD). A blind store may drop a concurrent WAITERS
+            // registration, which only costs one hold's worth of
+            // already-discarded evidence.
             self.arena
                 .store_release(object, slot::clear_streaks(word) & !slot::HELD);
             return;
-        }
-        let index = self.slab.insert(
-            ReactiveLock::builder()
-                // Hot from birth: start in the queue protocol; the
-                // kernel will switch back if it calms down.
-                .initial_protocol(PROTO_QUEUE)
-                .build(),
-        );
+        };
         sh.commit(now);
         drop(sh);
         // order: Relaxed — statistics counter.
         self.inflations.fetch_add(1, Ordering::Relaxed);
         // Publish the inflated identity and drop HELD in one release
-        // store, carrying the per-object bits (HOT) of the word this
-        // replaces; we own HELD, so the only concurrent writes are
+        // store; we own HELD, so the only concurrent writes are
         // conditional WAITERS CASes, which fail once this word lands,
         // and Release orders the slab insert above before the word
         // that indexes it.
         self.arena.store_release(
             object,
-            slot::with_index(
-                slot::with_mode(slot::carry_bits(word), slot::MODE_QUEUE),
-                index,
-            ),
+            slot::with_index(slot::with_mode(0, slot::MODE_QUEUE), index),
         );
     }
 
@@ -506,7 +523,7 @@ impl NativeService {
     /// counted: the mode field synced to the kernel's protocol and the
     /// grant folded in as calm (ours is the only registration: no other
     /// acquirer is holding, queued, or en route) or contended.
-    fn observe_inflated(word: u64, lock: &ReactiveLock) -> u64 {
+    fn observe_inflated(word: Word, lock: &ReactiveLock) -> Word {
         debug_assert!(
             word & slot::INFLATED != 0,
             "inflated release on a flat word"
@@ -594,7 +611,7 @@ impl NativeService {
     /// retired; the caller still holds the kernel lock and must
     /// release it before dropping the handle. The caller keeps sole
     /// responsibility for deregistering on the other two outcomes.
-    fn try_deflate(&self, object: u64, word: u64, lock: &ReactiveLock) -> Deflate {
+    fn try_deflate(&self, object: u64, word: Word, lock: &ReactiveLock) -> Deflate {
         let shard = self.arena.shard_of(object);
         let mut sh = self.shards[shard as usize].lock().expect("shard poisoned");
         let now = self.now_ns();
@@ -605,7 +622,7 @@ impl NativeService {
         // (ref == 1, ours) against the flat TTS word. A racing
         // registration bumps the count first and fails this CAS — the
         // word is the arbiter.
-        match self.arena.cas(object, word, slot::deflated(word)) {
+        match self.arena.cas(object, word, slot::DEFLATED) {
             Ok(_) => {
                 sh.commit(now);
                 drop(sh);
@@ -627,7 +644,7 @@ impl NativeService {
 
     /// `object`'s slot word as it stands (a relaxed load; layout in
     /// [`slot`]), for diagnostics.
-    pub fn slot_word(&self, object: u64) -> u64 {
+    pub fn slot_word(&self, object: u64) -> Word {
         self.arena.load(object)
     }
 
@@ -733,9 +750,9 @@ mod tests {
     /// while holding it flat (the single-threaded stand-in for streaks
     /// accrued through real WAITERS contention — which the stress tests
     /// exercise with racing threads).
-    fn seed_hot(svc: &NativeService, object: u64, extra_bits: u64) {
+    fn seed_hot(svc: &NativeService, object: u64) {
         let _g = svc.acquire(object, None).unwrap();
-        let mut w = svc.arena.load(object) | extra_bits;
+        let mut w = svc.arena.load(object);
         for _ in 0..INFLATE_STREAK {
             w = slot::observe(w, true);
         }
@@ -756,23 +773,11 @@ mod tests {
     #[test]
     fn contended_object_inflates_once() {
         let svc = NativeService::new(1, 1, None);
-        seed_hot(&svc, 0, 0);
+        seed_hot(&svc, 0);
         assert_eq!((svc.inflations(), svc.deflations()), (1, 0));
         // Subsequent acquisitions go through the reactive lock.
         let g = svc.acquire(0, None).unwrap();
         assert!(matches!(g.hold, Hold::Inflated(..)));
-    }
-
-    #[test]
-    fn inflation_carries_the_hot_bit() {
-        let svc = NativeService::new(1, 1, None);
-        seed_hot(&svc, 0, slot::HOT);
-        let w = svc.arena.load(0);
-        assert_ne!(w & slot::INFLATED, 0);
-        // Regression: the publish word used to be rebuilt from 0,
-        // silently dropping per-object state like the hot-stat marker.
-        assert_ne!(w & slot::HOT, 0, "inflation must carry the HOT bit");
-        assert_eq!(slot::mode(w), slot::MODE_QUEUE);
     }
 
     #[test]
@@ -819,7 +824,7 @@ mod tests {
         let svc = NativeService::new(2, 1, None);
         // Flat, then inflated: neither first pass has anything to wait
         // for, whatever the budget.
-        seed_hot(&svc, 1, 0);
+        seed_hot(&svc, 1);
         for object in [0, 1] {
             for budget in [Duration::from_nanos(1), Duration::from_secs(1)] {
                 let g = svc
@@ -843,7 +848,7 @@ mod tests {
         drop(g);
         // ...and inflated admission is refused outright, lock free or
         // not.
-        seed_hot(&svc, 1, 0);
+        seed_hot(&svc, 1);
         assert!(svc.acquire(1, Some(Duration::ZERO)).is_none());
         assert_eq!(svc.aborts(), 2);
     }
@@ -859,7 +864,7 @@ mod tests {
             }),
         );
         for obj in [0u64, 1] {
-            seed_hot(&svc, obj, 0);
+            seed_hot(&svc, obj);
         }
         // Only the first release got a token; the second backed off.
         assert_eq!(svc.inflations(), 1);
@@ -870,7 +875,7 @@ mod tests {
     #[test]
     fn calm_inflated_object_deflates_and_slab_recycles() {
         let svc = NativeService::new(1, 1, None);
-        seed_hot(&svc, 0, slot::HOT);
+        seed_hot(&svc, 0);
         assert_eq!(svc.live_inflated(), 1);
         // Solo polite traffic: the kernel settles back to TTS (empty-
         // queue acquisitions), the mode field syncs, and the calm
@@ -885,14 +890,13 @@ mod tests {
         let w = svc.arena.load(0);
         assert_eq!(w & slot::INFLATED, 0);
         assert_eq!(slot::mode(w), slot::MODE_TTS);
-        assert_ne!(w & slot::HOT, 0, "deflation must carry the HOT bit");
         assert_eq!(svc.live_inflated(), 0);
         assert_eq!(svc.slab_entries(), 1, "retired entry stays in the slab");
         // The flat word is a real lock again...
         drop(svc.acquire(0, None).unwrap());
         // ...and re-inflation reuses the retired entry instead of
         // growing the slab.
-        seed_hot(&svc, 0, 0);
+        seed_hot(&svc, 0);
         assert_eq!(
             (svc.inflations(), svc.deflations()),
             (2, 1),
@@ -914,7 +918,7 @@ mod tests {
             let svc = NativeService::new(1, 1, limiter);
             // Inflate/deflate round trips, far more than the check keeps.
             while svc.inflations() + svc.deflations() <= 4_200 {
-                seed_hot(&svc, 0, 0);
+                seed_hot(&svc, 0);
                 while svc.live_inflated() == 1 {
                     drop(svc.acquire(0, None).unwrap());
                 }
@@ -936,7 +940,7 @@ mod tests {
     #[test]
     fn static_tts_never_inflates() {
         let svc = NativeService::with_mode(1, 1, None, ArenaMode::StaticTts);
-        seed_hot(&svc, 0, 0);
+        seed_hot(&svc, 0);
         assert_eq!(svc.inflations(), 0);
         assert_eq!(svc.arena.load(0) & slot::INFLATED, 0);
     }
@@ -952,6 +956,109 @@ mod tests {
         }
         assert_eq!(svc.deflations(), 0);
         assert_eq!(svc.live_inflated(), 1);
+    }
+
+    #[test]
+    fn an_inflation_past_the_index_field_is_refused_and_the_object_stays_flat() {
+        let limit = u64::from(slot::INDEX_LIMIT);
+        let refused = limit;
+        let svc = NativeService::with_mode(limit + 1, 4, None, ArenaMode::StaticQueue);
+        // Every first release inflates, until the index field is full.
+        for object in 0..=limit {
+            drop(svc.acquire(object, None).unwrap());
+        }
+        assert_eq!(svc.inflations(), limit);
+        assert_eq!((svc.live_inflated(), svc.slab_entries()), (limit, limit));
+        let indices: std::collections::BTreeSet<u32> = (0..limit)
+            .map(|object| svc.arena.load(object))
+            .inspect(|&w| assert_ne!(w & slot::INFLATED, 0))
+            .map(slot::index)
+            .collect();
+        assert_eq!(indices.len() as u64, limit, "indices must be distinct");
+        assert!(indices.iter().all(|&i| i < slot::INDEX_LIMIT));
+        // The refused object backed off like a limiter denial: flat,
+        // unheld, streaks clear.
+        let w = svc.arena.load(refused);
+        assert_eq!(w & (slot::INFLATED | slot::HELD), 0, "word {w:#x}");
+        assert_eq!(slot::clear_streaks(w), w);
+        // It still excludes: a second acquirer times out while it is
+        // held, and the holder's release is refused again, not a panic.
+        let g = svc.acquire(refused, None).unwrap();
+        assert!(matches!(g.hold, Hold::Flat(_)));
+        assert!(svc
+            .acquire(refused, Some(Duration::from_micros(200)))
+            .is_none());
+        drop(g);
+        assert_eq!(svc.arena.load(refused) & (slot::INFLATED | slot::HELD), 0);
+        assert_eq!(svc.inflations(), limit);
+        // The inflated objects are unaffected.
+        drop(svc.acquire(0, None).unwrap());
+    }
+
+    #[test]
+    fn a_saturated_count_makes_the_next_acquirer_wait_without_registering() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        /// Wait up to ten seconds for `done`, else fail with `what`.
+        fn within(what: &str, done: impl Fn() -> bool) {
+            let t0 = Instant::now();
+            while !done() {
+                assert!(t0.elapsed() < Duration::from_secs(10), "{what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        let svc = Arc::new(NativeService::with_mode(1, 1, None, ArenaMode::StaticQueue));
+        drop(svc.acquire(0, None).unwrap());
+        let g = svc.acquire(0, None).unwrap();
+        assert!(matches!(g.hold, Hold::Inflated(..)));
+        // Stand-ins for registered acquirers fill the count up to the
+        // field's maximum beside this holder's own registration.
+        let stand_ins = slot::INFLIGHT_MAX - 1;
+        let saturated = svc.arena.load(0) + stand_ins * slot::REF_ONE;
+        svc.arena.store(0, saturated);
+        assert_eq!(slot::inflight(saturated), slot::INFLIGHT_MAX);
+
+        // A bounded acquirer backs off without registering and times out.
+        let svc2 = Arc::clone(&svc);
+        let bounded =
+            std::thread::spawn(move || svc2.acquire(0, Some(Duration::from_millis(20))).is_none());
+        within(
+            "the bounded acquirer registered past a saturated count",
+            || bounded.is_finished(),
+        );
+        assert!(bounded.join().unwrap(), "acquired a held lock");
+        assert_eq!(svc.aborts(), 1);
+        assert_eq!(svc.arena.load(0), saturated, "the word moved");
+
+        // An unbounded one (which, as the bounded one showed, spins
+        // without registering) waits until a registration leaves...
+        let main_holds = Arc::new(AtomicBool::new(true));
+        let (svc2, holds) = (Arc::clone(&svc), Arc::clone(&main_holds));
+        let waiter = std::thread::spawn(move || {
+            let g = svc2.acquire(0, None).unwrap();
+            // order: Relaxed — the lock's own handoff orders this read
+            // after the holder's store.
+            let overlapped = holds.load(Ordering::Relaxed);
+            drop(g);
+            !overlapped
+        });
+        svc.arena
+            .cas(0, saturated, saturated - slot::REF_ONE)
+            .expect("a saturated waiter writes nothing");
+        // ...then registers, and queues behind the holder.
+        within("the waiter never registered", || {
+            svc.arena.load(0) == saturated
+        });
+        assert!(!waiter.is_finished(), "got in while the lock was held");
+        // order: Relaxed — see the waiter's load.
+        main_holds.store(false, Ordering::Relaxed);
+        drop(g);
+        assert!(waiter.join().unwrap(), "two holders at once");
+        // Both real registrations left; the remaining stand-ins stay.
+        assert_eq!(slot::inflight(svc.arena.load(0)), stand_ins - 1);
+        assert_eq!(slot::index(svc.arena.load(0)), slot::index(saturated));
     }
 
     /// The flat release as it was before it CASed the installed word:
@@ -974,7 +1081,7 @@ mod tests {
 
     #[test]
     fn release_against_the_installed_word_matches_the_reloading_release() {
-        let seeded = |w: u64| (0..INFLATE_STREAK).fold(w, |w, _| slot::observe(w, true));
+        let seeded = |w: Word| (0..INFLATE_STREAK).fold(w, |w, _| slot::observe(w, true));
         let calm = (0..15).fold(0, |w, _| slot::observe(w, false));
         // Words the object rests at before the hold: fresh, calm fixed
         // point, one short of inflating, and left with WAITERS by a
@@ -986,11 +1093,10 @@ mod tests {
             slot::observe(0, true) | slot::WAITERS,
         ];
         // What lands on the word mid-hold.
-        type Mutation = (&'static str, fn(u64) -> u64);
-        let mutations: [Mutation; 4] = [
+        type Mutation = (&'static str, fn(Word) -> Word);
+        let mutations: [Mutation; 3] = [
             ("nothing", |w| w),
             ("WAITERS", |w| w | slot::WAITERS),
-            ("HOT", |w| w | slot::HOT),
             ("streak", seeded),
         ];
         for mode in [

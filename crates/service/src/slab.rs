@@ -33,7 +33,9 @@
 //! Writers (inflation, deflation, diagnostics) share one plain mutex;
 //! retired indices are recycled through a free list, which keeps the
 //! table bounded by the *peak concurrent* hot set rather than the
-//! total number of inflations ever.
+//! total number of inflations ever. The slot word's index field bounds
+//! that hot set: with [`slot::INDEX_LIMIT`] locks live, an insert is
+//! refused and the caller leaves its object flat.
 
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -41,11 +43,15 @@ use std::sync::Mutex;
 
 use reactive_native::ReactiveLock;
 
+use crate::slot;
+
 /// Entries in chunk 0; chunk `k` holds `FIRST_CHUNK << k`.
 const FIRST_CHUNK: u64 = 32;
-/// Directory size: chunks `0..28` cover every 32-bit index
-/// (`32 * (2^28 - 1) >= 2^32`).
-const CHUNKS: usize = 28;
+/// Directory size: chunks `0..8` cover every index the slot word's
+/// index field can name (`32 * (2^8 - 1) >= 2^12`).
+const CHUNKS: usize = 8;
+
+const _: () = assert!(FIRST_CHUNK * ((1 << CHUNKS) - 1) >= slot::INDEX_LIMIT as u64);
 
 type Entry = AtomicPtr<ReactiveLock>;
 
@@ -160,22 +166,21 @@ impl Slab {
         unsafe { &*lock }
     }
 
-    /// Install `lock` and return its index, reusing a retired index
-    /// before growing the table.
-    pub(crate) fn insert(&self, lock: ReactiveLock) -> u32 {
-        let lock = Box::into_raw(Box::new(lock));
+    /// Install the lock `make` builds and return its index, reusing a
+    /// retired index before growing the table. `None`, without calling
+    /// `make`, when every index the slot word can name holds a live
+    /// lock.
+    pub(crate) fn insert(&self, make: impl FnOnce() -> ReactiveLock) -> Option<u32> {
         let mut w = self.writer();
-        let idx = w.free.pop().unwrap_or_else(|| {
-            let idx = w.len;
-            // The slot word's index field is 32 bits: a slab past 2³²
-            // entries would silently alias an earlier lock. Free-list
-            // reuse makes growth track the peak hot set, so this bound
-            // is unreachable in practice — but check it at the push.
-            w.len = idx
-                .checked_add(1)
-                .expect("inflation slab overflow: the slot index field is 32 bits");
-            idx
-        });
+        let idx = match w.free.pop() {
+            Some(idx) => idx,
+            None if w.len < slot::INDEX_LIMIT => {
+                w.len += 1;
+                w.len - 1
+            }
+            None => return None,
+        };
+        let lock = Box::into_raw(Box::new(make()));
         let (chunk, _) = locate(idx);
         // order: Relaxed — chunks are only ever published under the
         // writer mutex, which we hold.
@@ -197,7 +202,7 @@ impl Slab {
         // Acquire load in `get`.
         cell.store(lock, Ordering::Release);
         w.live += 1;
-        idx
+        Some(idx)
     }
 
     /// Remove entry `idx` from the table and take ownership of its
@@ -305,22 +310,21 @@ mod tests {
         assert_eq!(locate(95), (1, 63));
         assert_eq!(locate(96), (2, 0));
         // Every index lands inside its chunk, chunks tile the index
-        // space without gaps, and the directory covers all 32 bits.
+        // space without gaps, and the directory covers every index the
+        // slot word can name.
+        let top = u64::from(slot::INDEX_LIMIT - 1);
         let mut next = 0u64;
         for chunk in 0..CHUNKS {
-            if next > u64::from(u32::MAX) {
-                break;
-            }
             assert_eq!(locate(next as u32), (chunk, 0));
-            let last = (next + chunk_len(chunk) as u64 - 1).min(u64::from(u32::MAX));
+            let last = (next + chunk_len(chunk) as u64 - 1).min(top);
             assert_eq!(locate(last as u32), (chunk, (last - next) as usize));
             next += chunk_len(chunk) as u64;
+            if next > top {
+                break;
+            }
         }
-        assert!(
-            next > u64::from(u32::MAX),
-            "directory too small for 32-bit indices"
-        );
-        assert_eq!(locate(u32::MAX).0, CHUNKS - 1);
+        assert!(next > top, "directory too small for the index field");
+        assert_eq!(locate(top as u32).0, CHUNKS - 1);
     }
 
     #[test]
@@ -329,12 +333,13 @@ mod tests {
         // SAFETY: nothing retires entries in this test, so every issued
         // index stays live as long as the slab.
         let get = |idx| unsafe { slab.get(idx) };
-        let first = slab.insert(ReactiveLock::new());
+        let insert = || slab.insert(ReactiveLock::new).expect("room");
+        let first = insert();
         let held = get(first);
         // Grow through three more chunks while `held` borrows chunk 0.
         let n = FIRST_CHUNK as u32 * 8;
         for i in 1..n {
-            assert_eq!(slab.insert(ReactiveLock::new()), i);
+            assert_eq!(insert(), i);
         }
         assert!(ptr::eq(held, get(first)));
         let h = held.acquire();
@@ -354,7 +359,8 @@ mod tests {
     #[test]
     fn retire_then_reuse_keeps_entries_at_the_peak() {
         let slab = Slab::new();
-        let idx: Vec<u32> = (0..40).map(|_| slab.insert(ReactiveLock::new())).collect();
+        let insert = || slab.insert(ReactiveLock::new).expect("room");
+        let idx: Vec<u32> = (0..40).map(|_| insert()).collect();
         assert_eq!(slab.entries(), 40);
         for &i in &idx[10..30] {
             // SAFETY: single-threaded — nobody is registered on or
@@ -365,23 +371,25 @@ mod tests {
         }
         assert_eq!(slab.live(), 20);
         assert_eq!(slab.entries(), 40, "retired entries keep their index");
-        let mut reused: Vec<u32> = (0..20).map(|_| slab.insert(ReactiveLock::new())).collect();
+        let mut reused: Vec<u32> = (0..20).map(|_| insert()).collect();
         reused.sort_unstable();
         assert_eq!(reused, idx[10..30], "free list must recycle every index");
         assert_eq!(slab.live(), 40);
         assert_eq!(slab.entries(), 40, "reuse must not grow the table");
-        assert_eq!(slab.insert(ReactiveLock::new()), 40);
+        assert_eq!(insert(), 40);
     }
 
     #[test]
     fn retired_switch_counts_survive_reclamation() {
         use reactive_native::reactive::PROTO_QUEUE;
         let slab = Slab::new();
-        let idx = slab.insert(
-            ReactiveLock::builder()
-                .initial_protocol(PROTO_QUEUE)
-                .build(),
-        );
+        let idx = slab
+            .insert(|| {
+                ReactiveLock::builder()
+                    .initial_protocol(PROTO_QUEUE)
+                    .build()
+            })
+            .expect("room");
         // SAFETY: single-threaded — the entry is live until the
         // `retire` below, and `lock` is not used after it.
         let lock = unsafe { slab.get(idx) };

@@ -411,6 +411,45 @@ impl ArrivalCurve {
         }
     }
 
+    /// The piece of the curve that `t` lies in: the highest rate
+    /// (arrivals per virtual ns) the curve reaches from `t` up to the
+    /// piece's end, and that end, the first ns past `t` where the curve
+    /// changes shape (`u64::MAX` for a constant). A Burst piece is one
+    /// spike or one gap between spikes; a Diurnal piece is one rising
+    /// or falling half of the triangle, whose highest rate is at one
+    /// of its ends.
+    #[cold]
+    fn piece(&self, t: u64) -> (f64, u64) {
+        match *self {
+            ArrivalCurve::Constant { .. } => (self.rate_per_ns(t), u64::MAX),
+            ArrivalCurve::Diurnal { period_ns, .. } => {
+                let period = period_ns.max(1);
+                let start = t - t % period;
+                // The rising half is the phases below one half.
+                let mid = start.saturating_add(period.div_ceil(2));
+                let end = if t < mid {
+                    mid
+                } else {
+                    start.saturating_add(period)
+                };
+                let last = self.rate_per_ns(end - 1);
+                (self.rate_per_ns(t).max(last), end)
+            }
+            ArrivalCurve::Burst {
+                duty_ns, period_ns, ..
+            } => {
+                let period = period_ns.max(1);
+                let start = t - t % period;
+                let end = if t % period < duty_ns {
+                    start.saturating_add(duty_ns.min(period))
+                } else {
+                    start.saturating_add(period)
+                };
+                (self.rate_per_ns(t), end)
+            }
+        }
+    }
+
     /// Peak instantaneous rate (arrivals per virtual ns) — used to
     /// bound the thinning envelope in [`Arrivals`].
     fn peak_per_ns(&self) -> f64 {
@@ -497,14 +536,15 @@ impl Arrivals {
     }
 
     /// Virtual time of the next arrival, or `None` if the curve's rate
-    /// is zero (no arrivals ever).
+    /// is zero from then on (no arrivals ever).
     pub fn next_arrival(&mut self) -> Option<u64> {
         if self.peak_per_ns <= 0.0 {
             return None;
         }
         // Thinning: candidate gaps at the peak rate, accepted with
-        // probability rate(t)/peak. Bounded retries keep a rate far
-        // below the peak from spinning forever in pathological configs.
+        // probability rate(t)/peak. A rate far below the peak rejects
+        // nearly every candidate, so past a bounded number of them the
+        // stream goes on piece by piece instead.
         for _ in 0..100_000 {
             let gap = -unit(&mut self.state).ln() / self.peak_per_ns;
             self.now_ns += gap;
@@ -521,7 +561,49 @@ impl Arrivals {
                 return Some(t);
             }
         }
-        None
+        self.next_by_piece()
+    }
+
+    /// The rest of [`Self::next_arrival`]: thinning against the highest
+    /// rate of the piece the stream is in rather than the curve's peak.
+    /// A candidate past the piece's end is dropped and the stream
+    /// restarts at that end, which keeps it Poisson (the candidate
+    /// process is memoryless), so any envelope that stays at or above
+    /// the rate thins as correctly as the peak does.
+    ///
+    /// The piece is found from a whole-ns time kept beside the `f64`
+    /// clock, so a candidate past a piece's end always moves on to the
+    /// next piece, even where the `f64` clock cannot tell the two ends
+    /// apart; the stream ends only where `u64` time does.
+    #[cold]
+    fn next_by_piece(&mut self) -> Option<u64> {
+        let mut at = self.now_ns as u64;
+        loop {
+            let (bound, end) = self.curve.piece(at);
+            let candidate = if bound > 0.0 {
+                self.now_ns - unit(&mut self.state).ln() / bound
+            } else {
+                // A silent piece: no candidate lands in it.
+                f64::INFINITY
+            };
+            if candidate < end as f64 {
+                self.now_ns = candidate;
+                at = (candidate as u64).min(end - 1);
+                if unit(&mut self.state) <= self.curve.rate_per_ns(at) / bound {
+                    return Some(at);
+                }
+                continue;
+            }
+            if end == u64::MAX {
+                return None;
+            }
+            at = if bound > 0.0 {
+                end
+            } else {
+                self.curve.next_positive(end)?
+            };
+            self.now_ns = at as f64;
+        }
     }
 }
 

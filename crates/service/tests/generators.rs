@@ -192,6 +192,64 @@ fn on_off_burst_arrives_in_every_spike() {
     );
 }
 
+/// A base rate positive but 10⁶× below the spike: the thinning at the
+/// peak rate gives up in the first gap between spikes, and the stream
+/// must go on at the base rate instead of ending there.
+#[test]
+fn a_trickle_far_below_the_spike_keeps_the_stream_alive() {
+    const PERIOD_NS: u64 = 200_000;
+    const DUTY_NS: u64 = 50_000;
+    let curve = ArrivalCurve::Burst {
+        base_per_sec: 1e3,
+        spike_per_sec: 1e9,
+        duty_ns: DUTY_NS,
+        period_ns: PERIOD_NS,
+    };
+    let mut gen = Arrivals::new(curve, 9);
+    let (mut per_spike, mut between) = ([0u32; 10], 0u32);
+    let mut last = 0;
+    while let Some(t) = gen.next_arrival() {
+        assert!(t >= last, "arrival at {t} ns after one at {last} ns");
+        last = t;
+        if t >= 10 * PERIOD_NS {
+            break;
+        }
+        if t % PERIOD_NS < DUTY_NS {
+            per_spike[(t / PERIOD_NS) as usize] += 1;
+        } else {
+            between += 1;
+        }
+    }
+    assert!(last >= 10 * PERIOD_NS, "the stream ended at {last} ns");
+    // 50 µs at 10⁹/s: Poisson(50 000) per spike.
+    assert!(
+        per_spike.iter().all(|n| (49_000..=51_000).contains(n)),
+        "arrivals per spike: {per_spike:?}"
+    );
+    // 1.5 ms of gaps at 10³/s: Poisson(1.5), not the spike's rate.
+    assert!(between <= 12, "{between} arrivals between spikes");
+}
+
+/// A diurnal ramp from zero over a long period: the rate starts far
+/// below its peak, so the peak-rate thinning gives up before the first
+/// arrival; the stream must still arrive where the integrated rate
+/// says, the k-th arrival near `sqrt(k · period)` ns.
+#[test]
+fn a_slow_ramp_from_zero_still_arrives() {
+    const PERIOD_NS: u64 = 1_000_000_000_000;
+    let curve = ArrivalCurve::Diurnal {
+        low_per_sec: 0.0,
+        high_per_sec: 1e9,
+        period_ns: PERIOD_NS,
+    };
+    let mut gen = Arrivals::new(curve, 9);
+    let arrivals: Vec<u64> = (0..10).map_while(|_| gen.next_arrival()).collect();
+    assert_eq!(arrivals.len(), 10, "the stream ended: {arrivals:?}");
+    assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "{arrivals:?}");
+    // Ten arrivals by sqrt(10 · period) ≈ 3.2 ms in expectation.
+    assert!((100_000..50_000_000).contains(&arrivals[9]), "{arrivals:?}");
+}
+
 /// FNV-1a over 64-bit words: a cheap, order-sensitive fold of a stream.
 fn digest(values: impl IntoIterator<Item = u64>) -> u64 {
     values.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, v| {

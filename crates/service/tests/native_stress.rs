@@ -429,7 +429,7 @@ fn deadlines_abort_under_monopoly() {
 fn native_footprint_is_slot_dominated() {
     let svc = NativeService::new(100_000, 8, Some(LimiterConfig::default()));
     let fp = svc.footprint();
-    assert_eq!(fp.slot_bytes, 800_000);
-    assert!(fp.at_rest_bytes_per_object() <= 64.0);
+    assert_eq!(fp.slot_bytes, 400_000);
+    assert!(fp.at_rest_bytes_per_object() <= 8.0);
     assert_eq!(fp.hot_objects, 0);
 }

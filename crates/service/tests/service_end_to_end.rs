@@ -108,7 +108,7 @@ fn at_rest_memory_stays_bounded_as_arena_grows() {
     .run();
     for r in [&small, &big] {
         assert!(
-            r.footprint.at_rest_bytes_per_object() <= 64.0,
+            r.footprint.at_rest_bytes_per_object() <= 8.0,
             "at-rest bytes/object {} exceeds budget",
             r.footprint.at_rest_bytes_per_object()
         );
